@@ -90,18 +90,18 @@ class WceReport:
 # ---------------------------------------------------------------------------
 
 def _cell_y_distances(partition: Partition, Z: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Distances from per-cell samples Z (N, m, dim) to Y (m_y, dim)."""
+    """Distances from per-cell samples Z (N, m, dim) to Y (m_y, dim).
+
+    The torus delegates to ``pairwise_distance``.  The sphere keeps its own
+    ``einsum`` dot product: ``pairwise_distance`` uses ``a @ b.T``, which
+    rounds differently by up to 2.2e-16 and so would change sampled outputs.
+    """
     space = partition.space
-    N, m, _ = Z.shape
+    N, m, dim = Z.shape
     m_y = len(Y)
-    out = np.empty((N, m, m_y))
     if space.kind == TORUS:
-        step = max(1, 4_000_000 // max(1, m * m_y * space.d))
-        for i in range(0, N, step):
-            diff = np.abs(Z[i:i + step, :, None, :] - Y[None, None, :, :])
-            diff = np.minimum(diff, 1.0 - diff)
-            out[i:i + step] = diff.max(axis=-1)
-        return out
+        return pairwise_distance(space, Z.reshape(N * m, dim), Y).reshape(N, m, m_y)
+    out = np.empty((N, m, m_y))
     step = max(1, 4_000_000 // max(1, m * m_y))
     for i in range(0, N, step):
         dot = np.clip(np.einsum("nmd,yd->nmy", Z[i:i + step], Y), -1.0, 1.0)

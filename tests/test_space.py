@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,14 +102,38 @@ def test_torus_sampling_half_space():
 
 def test_pairwise_matches_broadcast():
     rng = rngmod.substream(5, rngmod.SELFTEST, 5)
-    a = sample_uniform(T2, rng, 37)
-    b = sample_uniform(T2, rng, 23)
-    full = distance(T2, a[:, None, :], b[None, :, :])
-    assert np.allclose(pairwise_distance(T2, a, b, chunk=100), full)
+    # wraparound edges; 0 / 0.5 and 0.25 / 0.75 are exactly 0.5 apart
+    edge = np.array([0.0, 0.5, 1 - 2**-53, 0.25, 0.75])
+    for d in (1, 2, 3):
+        space = make_space(TORUS, d)
+        corners = np.stack([np.roll(edge, k)[:d] for k in range(len(edge))])
+        a = np.concatenate([sample_uniform(space, rng, 37), corners])
+        b = np.concatenate([sample_uniform(space, rng, 23), corners])
+        diff = np.abs(a[:, None, :] - b[None, :, :])
+        full = np.minimum(diff, 1.0 - diff).max(axis=-1)
+        # 4-row blocks over 42 rows leave a 2-row last block
+        assert np.array_equal(pairwise_distance(space, a, b, chunk=4 * len(b) + 1), full)
+        assert np.array_equal(pairwise_distance(space, a, b), full)
+        assert np.array_equal(distance(space, a[:, None, :], b[None, :, :]), full)
     sa = sample_uniform(S2, rng, 17)
     sb = sample_uniform(S2, rng, 29)
     assert np.allclose(pairwise_distance(S2, sa, sb),
                        distance(S2, sa[:, None, :], sb[None, :, :]))
+
+
+def test_pairwise_torus_memory_stays_near_output_size():
+    # an (n, m, d) temporary on T^3 alone would be 3x the output
+    T3 = make_space(TORUS, 3)
+    rng = rngmod.substream(5, rngmod.SELFTEST, 6)
+    a = sample_uniform(T3, rng, 4096)
+    b = sample_uniform(T3, rng, 192)
+    tracemalloc.start()
+    try:
+        out = pairwise_distance(T3, a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * out.nbytes
 
 
 def test_sample_ball_stays_inside():

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from stratcub import rng as rngmod
-from stratcub.cubature import NodeDraw, draw_nodes
+from stratcub.cubature import NodeDraw, draw_nodes, sample_all_cells
 from stratcub.kernel import CONST, RIESZ, KernelSpec, kernel_profile
 from stratcub.partition import Partition, torus_grid_partition
-from stratcub.space import TORUS, make_space
-from stratcub.wce import (WceConfig, delta_phi, dual_density_F, estimate_AN,
+from stratcub.space import TORUS, make_space, sample_uniform
+from stratcub.wce import (WceConfig, _cell_y_distances, delta_phi,
+                          dual_density_F, estimate_AN,
                           extremal_witness_check, gamma_phi,
                           inner_budget_check, lower_hypothesis_probe,
                           worst_case_error)
@@ -211,3 +212,15 @@ def test_probe_constant_stub_fails_hypothesis():
     cfg = _cfg(part, STUB, n_draws=4)
     rep = lower_hypothesis_probe(cfg, 200)
     assert rep.min_ratio == pytest.approx(0.0, abs=1e-12)
+
+
+def test_cell_y_distances_torus_matches_broadcast():
+    T2 = make_space(TORUS, 2)
+    part = torus_grid_partition(T2, 4)
+    rng = rngmod.substream(7, rngmod.SELFTEST, 7)
+    Z = sample_all_cells(part, rng, 5)
+    edge = np.array([[0.0, 0.5], [0.5, 1 - 2**-53], [1 - 2**-53, 0.0]])
+    Y = np.concatenate([sample_uniform(T2, rng, 31), edge])
+    diff = np.abs(Z[:, :, None, :] - Y[None, None, :, :])
+    full = np.minimum(diff, 1.0 - diff).max(axis=-1)
+    assert np.array_equal(_cell_y_distances(part, Z, Y), full)
