@@ -82,6 +82,8 @@ class ExperimentConfig:
                     raise ValueError("rate experiments need a geometric N list with ratio >= 2")
         if self.p < 1:
             raise ValueError("p must be >= 1")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     @property
     def q(self) -> float:
@@ -171,7 +173,11 @@ def _run_one(cfg: ExperimentConfig, N: int) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
-    """Execute the per-N pipeline, in parallel over N, and summarize.
+    """Execute the per-N pipeline and summarize.
+
+    With several workers, N values are scheduled largest first, so the
+    costliest N runs beside the smaller ones instead of after them; rows
+    come back in ascending N either way.
 
     Returns (rows, summary); writes ``<out>.csv`` and ``<out>.json`` when an
     output path is configured.
@@ -179,7 +185,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     ns = sorted(cfg.n_list)
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as ex:
-            rows = list(ex.map(lambda n: _run_one(cfg, n), ns))
+            futures = [ex.submit(_run_one, cfg, n) for n in reversed(ns)]
+        rows = [f.result() for f in reversed(futures)]
     else:
         rows = [_run_one(cfg, n) for n in ns]
     summary = _summarize(cfg, rows)

@@ -19,6 +19,13 @@ import numpy as np
 TORUS = "torus"
 SPHERE2 = "sphere2"
 
+# Distances per block in blocked table builds (``pairwise_distance`` and the
+# wce cell means).  A block (0.5 MB) and the two temporaries of its size that
+# each step makes stay inside a 2 MB L2 cache; on a 2-core x86 host with
+# 2 MB L2, a 16384 x 128 T^2 table took about twice as long with 4M-distance
+# blocks.
+L2_BLOCK = 65_536
+
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
@@ -63,14 +70,11 @@ def distance(space: SpaceDescriptor, a, b):
 
 
 def pairwise_distance(space: SpaceDescriptor, a: np.ndarray, b: np.ndarray,
-                      chunk: int = 65_536) -> np.ndarray:
+                      chunk: int = L2_BLOCK) -> np.ndarray:
     """Distance matrix between point sets ``a (n, dim)`` and ``b (m, dim)``.
 
     Torus rows are processed in blocks of at most ``max(chunk, m)``
-    distances, which bounds each of the two per-axis scratch arrays.  The
-    default keeps a block and its scratch (1.5 MB) inside a 2 MB L2 cache;
-    on a 2-core x86 host with 2 MB L2, a 16384 x 128 T^2 table took about
-    twice as long with 4M-distance blocks.
+    distances, which bounds each of the two per-axis scratch arrays.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))

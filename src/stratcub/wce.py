@@ -31,12 +31,11 @@ from . import rng as rngmod
 from .cubature import (ErrorStats, NodeDraw, cubature_error, draw_nodes,
                        jackknife_power_mean, sample_all_cells)
 from .funcs import TestFunction
-from .kernel import (CONST, SINGULAR_TOL, KernelSpec, cell_kernel_mean,
-                     kernel_antiderivative, kernel_profile, regime_classify)
+from .kernel import (CONST, MAX_REDRAWS, SINGULAR_TOL, KernelSpec,
+                     cell_kernel_mean, kernel_antiderivative, kernel_profile,
+                     regime_classify)
 from .partition import Partition, cell_boundary_distance, cell_sample
-from .space import TORUS, distance, pairwise_distance, sample_uniform
-
-MAX_REDRAWS = 100
+from .space import L2_BLOCK, TORUS, distance, pairwise_distance, sample_uniform
 
 
 @dataclass(frozen=True)
@@ -58,6 +57,9 @@ class WceConfig:
     gamma_pairs: int = 256
 
     def __post_init__(self):
+        if self.m_y < 1 or self.m_z < 1:
+            raise ValueError(f"need m_y >= 1 and m_z >= 1, got m_y={self.m_y}, "
+                             f"m_z={self.m_z}")
         if not self.p > 1:
             raise ValueError("p must lie in (1, inf]; the p = 1 endpoint is "
                              "not Monte Carlo estimable (sup norm)")
@@ -101,12 +103,31 @@ def _cell_y_distances(partition: Partition, Z: np.ndarray, Y: np.ndarray) -> np.
     m_y = len(Y)
     if space.kind == TORUS:
         return pairwise_distance(space, Z.reshape(N * m, dim), Y).reshape(N, m, m_y)
-    out = np.empty((N, m, m_y))
-    step = max(1, 4_000_000 // max(1, m * m_y))
-    for i in range(0, N, step):
-        dot = np.clip(np.einsum("nmd,yd->nmy", Z[i:i + step], Y), -1.0, 1.0)
-        out[i:i + step] = np.arccos(dot)
-    return out
+    return np.arccos(np.clip(np.einsum("nmd,yd->nmy", Z, Y), -1.0, 1.0))
+
+
+def _cell_means(cfg: WceConfig, rng_z: np.random.Generator,
+                Y: np.ndarray) -> np.ndarray:
+    """Cell kernel means (N, m_y) over one replica of m_z samples per cell.
+
+    Streams blocks of about ``L2_BLOCK`` distances through distance table,
+    kernel and mean, so no (N, m_z, m_y) table is built.  A block with a
+    singular distance redraws the whole Z before its kernel is evaluated;
+    the random stream and the result are those of the unblocked table.
+    """
+    part = cfg.partition
+    rows = max(1, L2_BLOCK // (cfg.m_z * cfg.m_y))
+    out = np.empty((part.N, cfg.m_y))
+    for _ in range(MAX_REDRAWS):
+        Z = sample_all_cells(part, rng_z, cfg.m_z)
+        for i in range(0, part.N, rows):
+            D = _cell_y_distances(part, Z[i:i + rows], Y)
+            if D.min() < SINGULAR_TOL:
+                break
+            kernel_profile(cfg.kernel, D).mean(axis=1, out=out[i:i + rows])
+        else:
+            return out
+    raise RuntimeError("singular cell-sample redraw budget exhausted")
 
 
 def _draw_tables(cfg: WceConfig, ctx: int, index: int, rep: int = 0,
@@ -132,15 +153,7 @@ def _draw_tables(cfg: WceConfig, ctx: int, index: int, rep: int = 0,
     T = np.empty((2, part.N, cfg.m_y))
     for r in (0, 1):
         rng_z = rngmod.substream(cfg.seed, ctx, rngmod.WCE_Z, index, rep, r)
-        for _ in range(MAX_REDRAWS):
-            Z = sample_all_cells(part, rng_z, cfg.m_z)
-            D = _cell_y_distances(part, Z, Y)
-            if D.min() >= SINGULAR_TOL:
-                break
-        else:
-            raise RuntimeError("singular cell-sample redraw budget exhausted")
-        mean_r = kernel_profile(cfg.kernel, D).mean(axis=1)  # (N, m_y)
-        T[r] = w[:, None] * (phi_nodes - mean_r)
+        T[r] = w[:, None] * (phi_nodes - _cell_means(cfg, rng_z, Y))
     return T
 
 

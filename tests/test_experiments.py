@@ -71,6 +71,9 @@ def test_config_validation():
         ExperimentConfig(kind="wce", n_list=(16, 24, 32, 64))  # ratio < 2
     with pytest.raises(ValueError):
         ExperimentConfig(kind="besov", n_list=(16, 32))  # too few points
+    for workers in (0, -1):
+        with pytest.raises(ValueError):
+            ExperimentConfig(kind="mz", n_list=(8, 12), workers=workers)
     cfg = ExperimentConfig(kind="mz", n_list=(8, 12))  # mz exempt from ratios
     assert cfg.q == 2.0
 
@@ -107,11 +110,11 @@ def test_run_experiment_deterministic_and_worker_independent(tmp_path):
                 family="riesz", alpha=0.75, p=2.0, n_draws=20, m_y=64, m_z=4,
                 seed=5)
     paths = []
-    for tag, workers in (("a", 1), ("b", 1), ("c", 3)):
+    for tag, workers in (("a", 1), ("b", 1), ("c", 3), ("d", 2)):
         out = tmp_path / tag
         run_experiment(ExperimentConfig(**base, out=str(out), workers=workers))
         paths.append(Path(str(out) + ".csv").read_bytes())
-    assert paths[0] == paths[1] == paths[2]
+    assert paths[0] == paths[1] == paths[2] == paths[3]
 
 
 def test_critical_regime_note_no_verdict():

@@ -1,14 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stratcub import rng as rngmod
+from stratcub import wce
 from stratcub.cubature import NodeDraw, draw_nodes, sample_all_cells
-from stratcub.kernel import CONST, RIESZ, KernelSpec, kernel_profile
-from stratcub.partition import Partition, torus_grid_partition
-from stratcub.space import TORUS, make_space, sample_uniform
-from stratcub.wce import (WceConfig, _cell_y_distances, delta_phi,
+from stratcub.kernel import (CONST, RIESZ, ROUGH_RIESZ, SINGULAR_TOL, KernelSpec,
+                             kernel_profile)
+from stratcub.partition import (Partition, sphere_zonal_partition,
+                                torus_grid_partition)
+from stratcub.space import (L2_BLOCK, SPHERE2, TORUS, make_space,
+                            pairwise_distance, sample_uniform)
+from stratcub.wce import (WceConfig, _cell_y_distances, _draw_tables, delta_phi,
                           dual_density_F, estimate_AN,
                           extremal_witness_check, gamma_phi,
                           inner_budget_check, lower_hypothesis_probe,
@@ -19,6 +24,7 @@ PART1 = torus_grid_partition(T1, 1)
 PART4 = torus_grid_partition(T1, 4)
 RIESZ06 = KernelSpec(RIESZ, alpha=0.6, d=1)
 RIESZ75 = KernelSpec(RIESZ, alpha=0.75, d=1)
+ROUGH09 = KernelSpec(ROUGH_RIESZ, alpha=0.9, d=1, eps=0.25, kappa=1.0)
 STUB = KernelSpec(CONST, kappa=2.0)
 
 MID_DRAW1 = NodeDraw(seed=0, index=0, nodes=np.array([[0.5]]))
@@ -35,6 +41,10 @@ def test_config_validation():
         WceConfig(PART4, RIESZ06, p=1.0)  # p = 1 endpoint excluded
     with pytest.raises(ValueError):
         WceConfig(PART4, KernelSpec(RIESZ, alpha=0.4, d=1), p=2.0)  # alpha <= d/p
+    with pytest.raises(ValueError):
+        _cfg(PART4, RIESZ06, m_y=0)
+    with pytest.raises(ValueError):
+        _cfg(PART4, RIESZ06, m_z=0)
     assert _cfg(PART4, RIESZ06).q == 2.0
     assert WceConfig(PART4, RIESZ06, p=math.inf, n_draws=4).q == 1.0
     assert abs(1 / 1.5 + 1 / WceConfig(PART4, RIESZ75, p=1.5, n_draws=4).q - 1) < 1e-12
@@ -224,3 +234,81 @@ def test_cell_y_distances_torus_matches_broadcast():
     diff = np.abs(Z[:, :, None, :] - Y[None, None, :, :])
     full = np.minimum(diff, 1.0 - diff).max(axis=-1)
     assert np.array_equal(_cell_y_distances(part, Z, Y), full)
+
+
+def _draw_tables_reference(cfg, ctx, index, sample=sample_all_cells):
+    """The unblocked formula: full (N, m_z, m_y) tables, then the mean."""
+    part = cfg.partition
+    nodes = draw_nodes(part, cfg.seed, index,
+                       stream=rngmod.path_key(ctx, rngmod.NODES)).nodes
+    Y = sample_uniform(part.space, rngmod.substream(cfg.seed, ctx, rngmod.WCE_Y,
+                                                    index, 0), cfg.m_y)
+    dn = pairwise_distance(part.space, nodes, Y)
+    assert dn.min() >= SINGULAR_TOL  # no y redraw on these seeds
+    phi_nodes = kernel_profile(cfg.kernel, dn)
+    T = np.empty((2, part.N, cfg.m_y))
+    for r in (0, 1):
+        rng_z = rngmod.substream(cfg.seed, ctx, rngmod.WCE_Z, index, 0, r)
+        while True:
+            D = _cell_y_distances(part, sample(part, rng_z, cfg.m_z), Y)
+            if D.min() >= SINGULAR_TOL:
+                break
+        mean = kernel_profile(cfg.kernel, D).mean(axis=1)
+        T[r] = part.weights()[:, None] * (phi_nodes - mean)
+    return T, Y
+
+
+def _stream_cfg(case):
+    if case == "t1-rough":
+        part, kern, p = torus_grid_partition(T1, 64), ROUGH09, 2.0
+        m_y, m_z = 192, 8
+    elif case == "t2-riesz":
+        part = torus_grid_partition(make_space(TORUS, 2), 8)
+        kern, p, m_y, m_z = KernelSpec(RIESZ, alpha=1.0, d=2), 4.0, 96, 16
+    else:
+        part = sphere_zonal_partition(make_space(SPHERE2), 50)
+        kern, p, m_y, m_z = KernelSpec(RIESZ, alpha=1.5, d=2), 2.0, 192, 8
+    cfg = WceConfig(part, kern, p, m_y=m_y, m_z=m_z, n_draws=2, seed=11)
+    rows = L2_BLOCK // (m_z * m_y)
+    assert part.N > rows and part.N % rows != 0  # several blocks, uneven last
+    return cfg, rows
+
+
+@pytest.mark.parametrize("case", ["t1-rough", "t2-riesz", "s2-riesz"])
+def test_draw_tables_streamed_matches_full_table(case):
+    cfg, _ = _stream_cfg(case)
+    for index in (0, 1):
+        T_ref, _ = _draw_tables_reference(cfg, rngmod.AN, index)
+        assert np.array_equal(_draw_tables(cfg, rngmod.AN, index), T_ref)
+
+
+def test_draw_tables_singular_block_redraws_whole_z(monkeypatch):
+    cfg, rows = _stream_cfg("t1-rough")
+    _, Y = _draw_tables_reference(cfg, rngmod.AN, 0)
+
+    def poisoned(calls):
+        def sample(part, rng, m):
+            Z = sample_all_cells(part, rng, m)
+            if not calls:  # first Z: one sample on a y, inside the second block
+                Z[rows + 1, 3] = Y[5]
+            calls.append(m)
+            return Z
+        return sample
+
+    ref_calls, calls = [], []
+    T_ref, _ = _draw_tables_reference(cfg, rngmod.AN, 0, poisoned(ref_calls))
+    monkeypatch.setattr(wce, "sample_all_cells", poisoned(calls))
+    T = _draw_tables(cfg, rngmod.AN, 0)
+    assert len(calls) == len(ref_calls) == 3  # replica 0 drew Z twice
+    assert np.array_equal(T, T_ref)
+
+
+def test_draw_tables_memory_stays_near_table_size():
+    cfg = _cfg(torus_grid_partition(T1, 512), ROUGH09, m_y=192, m_z=8)
+    tracemalloc.start()
+    try:
+        T = _draw_tables(cfg, rngmod.AN, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * T.nbytes
