@@ -10,9 +10,8 @@ bracket, the per-cell upper functional, and the regime classification, e.g.
 
 import argparse
 
+from stratcub.experiments import ExperimentConfig, build_partition
 from stratcub.kernel import KernelSpec
-from stratcub.partition import sphere_zonal_partition, torus_grid_partition
-from stratcub.space import make_space
 from stratcub.wce import WceConfig, run_report
 
 
@@ -32,14 +31,11 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    space = make_space(args.space, args.dim)
-    if space.kind == "torus":
-        m = round(args.n ** (1.0 / space.d))
-        if m ** space.d != args.n:
-            raise SystemExit(f"N={args.n} is not a d={space.d} grid size")
-        part = torus_grid_partition(space, m)
-    else:
-        part = sphere_zonal_partition(space, args.n)
+    try:
+        part = build_partition(ExperimentConfig(kind="partition", space_kind=args.space,
+                                                dim=args.dim, n_list=(args.n,)), args.n)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     kern = KernelSpec(args.family, args.alpha, part.space.d, args.eps, args.kappa)
     cfg = WceConfig(part, kern, args.p, m_y=args.my, m_z=args.mz,
                     n_draws=args.draws, seed=args.seed)

@@ -9,8 +9,10 @@ indicator, sharpness) plus ``rates`` (refit an existing CSV) and ``verify``
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
+import time
 from pathlib import Path
 
 from .experiments import ExperimentConfig, run_experiment
@@ -77,14 +79,9 @@ def _run_kind(kind: str, args: argparse.Namespace) -> int:
 
 
 def _cmd_rates(args: argparse.Namespace) -> int:
-    lines = Path(args.csv).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    idx = {name: header.index(name) for name in ("N", "value", "stderr")}
-    points = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        points.append((float(parts[idx["N"]]), float(parts[idx["value"]]),
-                       float(parts[idx["stderr"]])))
+    with open(args.csv, newline="") as fh:
+        points = [(float(r["N"]), float(r["value"]), float(r["stderr"]))
+                  for r in csv.DictReader(fh)]
     fit = rate_fit(points, seed=args.seed or 0)
     result = {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2,
               "slope_ci": list(fit.slope_ci)}
@@ -117,9 +114,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                          out=(out + "_wce" if out else None)),
     ]
     for cfg in battery:
+        t0 = time.perf_counter()
         rows, summary = run_experiment(cfg)
         line = {k: summary.get(k) for k in ("experiment", "verdict", "slope",
                                             "predicted_exponent") if k in summary}
+        # wall time goes on the printed line only, never into the output files
+        line["elapsed_s"] = round(time.perf_counter() - t0, 3)
         print(json.dumps(line, sort_keys=True, default=str))
         if not summary.get("verdict", True):
             failures.append(cfg.kind)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .funcs import TestFunction
-from .partition import Partition
+from .partition import Partition, cell_points
 from .space import TORUS
 
 
@@ -56,20 +56,10 @@ def sample_all_cells(partition: Partition, rng: np.random.Generator,
     """
     N = partition.N
     if partition.space.kind == TORUS:
-        lo = np.array([c.geometry["lo"] for c in partition.cells])
-        hi = np.array([c.geometry["hi"] for c in partition.cells])
         u = rng.random((N, m, partition.space.d))
-        return lo[:, None, :] + (hi - lo)[:, None, :] * u
-    z_top = np.array([c.geometry["z"][0] for c in partition.cells])
-    z_bot = np.array([c.geometry["z"][1] for c in partition.cells])
-    lon_lo = np.array([c.geometry["lon"][0] for c in partition.cells])
-    lon_hi = np.array([c.geometry["lon"][1] for c in partition.cells])
-    u = rng.random((N, m))
-    v = rng.random((N, m))
-    z = z_top[:, None] - (z_top - z_bot)[:, None] * u
-    lon = lon_lo[:, None] + (lon_hi - lon_lo)[:, None] * v
-    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([s * np.cos(lon), s * np.sin(lon), z], axis=-1)
+    else:
+        u = rng.random((2, N, m))  # z-uniforms, then longitude-uniforms
+    return cell_points(partition, u)
 
 
 def cubature_error(f: TestFunction, draw: NodeDraw, partition: Partition) -> float:

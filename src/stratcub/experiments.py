@@ -74,6 +74,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if len(self.n_list) < 1:
             raise ValueError("empty N list")
+        if min(self.n_list) < 1:
+            raise ValueError(f"n_list values must be >= 1, got {min(self.n_list)}")
         if self.kind in RATE_KINDS and not (self.kind == "sharpness" and self.variant == "single"):
             if len(self.n_list) < 4:
                 raise ValueError("rate experiments need >= 4 N values")
@@ -82,8 +84,11 @@ class ExperimentConfig:
                     raise ValueError("rate experiments need a geometric N list with ratio >= 2")
         if self.p < 1:
             raise ValueError("p must be >= 1")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.n_draws < 2:
+            raise ValueError(f"n_draws must be >= 2, got {self.n_draws}")
+        for name in ("m_y", "m_z", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def q(self) -> float:

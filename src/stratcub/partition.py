@@ -14,12 +14,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
 from . import rng as rngmod
-from .space import (SPHERE2, TORUS, SpaceDescriptor, distance, make_space,
-                    sample_ball, sample_uniform)
+from .space import (L2_BLOCK, SPHERE2, TORUS, SpaceDescriptor, distance,
+                    make_space, sample_ball, sample_uniform)
+
+TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -37,6 +41,25 @@ class Cell:
 
 
 @dataclass(frozen=True)
+class CellArrays:
+    """Read-only per-cell arrays, row ``j`` describing ``cells[j]``.
+
+    Torus cells fill ``lo`` and ``hi`` (N, d); sphere cells fill ``z``
+    ((z_top, z_bot) per cell), ``lon`` ((lon_lo, lon_hi) per cell) and
+    ``cap`` (+1 north cap, -1 south cap, 0 band), each (N, 2) or (N,).
+    """
+
+    measure: np.ndarray
+    diameter: np.ndarray
+    anchor: np.ndarray
+    lo: np.ndarray | None = None
+    hi: np.ndarray | None = None
+    z: np.ndarray | None = None
+    lon: np.ndarray | None = None
+    cap: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
 class Partition:
     space: SpaceDescriptor
     cells: tuple[Cell, ...]
@@ -46,8 +69,27 @@ class Partition:
     def N(self) -> int:
         return len(self.cells)
 
+    @cached_property
+    def arrays(self) -> CellArrays:
+        """The cells as arrays, built once; ``cells`` stays the source of truth."""
+        cells = self.cells
+        cols = {"measure": [c.measure for c in cells],
+                "diameter": [c.diameter for c in cells],
+                "anchor": [c.anchor for c in cells]}
+        keys = ("lo", "hi") if self.space.kind == TORUS else ("z", "lon")
+        for key in keys:
+            cols[key] = [c.geometry[key] for c in cells]
+        arrays = {name: np.array(col, dtype=float) for name, col in cols.items()}
+        if self.space.kind == SPHERE2:
+            arrays["cap"] = np.array([0 if c.geometry["shape"] != "cap"
+                                      else (1 if c.geometry["north"] else -1)
+                                      for c in cells], dtype=np.int8)
+        for arr in arrays.values():
+            arr.setflags(write=False)
+        return CellArrays(**arrays)
+
     def weights(self) -> np.ndarray:
-        return np.array([c.measure for c in self.cells])
+        return self.arrays.measure.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +244,7 @@ def cell_contains(cell: Cell, pts: np.ndarray) -> np.ndarray:
     lon_lo, lon_hi = cell.geometry["lon"]
     if lon_hi - lon_lo >= 2.0 * math.pi:
         return in_band
-    lon = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
+    lon = _longitude(pts)
     return in_band & (lon >= lon_lo) & (lon < lon_hi)
 
 
@@ -211,44 +253,73 @@ def find_cell(partition: Partition, pts: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if partition.space.kind == TORUS:
         m = partition.meta["m"]
-        idx = np.minimum((pts * m).astype(int), m - 1)
         flat = np.zeros(len(pts), dtype=int)
         for a in range(partition.space.d):
-            flat = flat * m + idx[:, a]
+            flat = flat * m + _floor_index(pts[:, a] * m, m)
         return flat
-    bands = partition.meta["bands"]
-    bots = np.array([b[1] for b in bands])  # strictly decreasing
-    z = pts[:, 2]
-    # band index: first i with z > bots[i]; clamp so z = -1 lands in the
-    # south cap (whose open bottom edge is the pole itself)
-    band_idx = np.searchsorted(-bots, -z, side="right")
-    band_idx = np.minimum(band_idx, len(bands) - 1)
-    lon = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
-    out = np.empty(len(pts), dtype=int)
-    ks = np.array([b[2] for b in bands])
-    firsts = np.array([b[3] for b in bands])
-    k = ks[band_idx]
-    sector = np.minimum((lon * k / (2.0 * math.pi)).astype(int), k - 1)
-    out = firsts[band_idx] + sector
+    first, k, sector = _zonal_estimate(partition, pts)
+    out = first + sector
     # float rounding at sector boundaries: nudge to the true half-open cell
     for shift in (-1, 1):
         cand = out + shift
-        need = ~_contains_by_id(partition, out, pts)
+        need = ~_inside(partition, out, pts)
         if not np.any(need):
             break
         valid = need & (cand >= 0) & (cand < partition.N)
         ok = np.zeros(len(pts), dtype=bool)
-        ok[valid] = _contains_by_id(partition, cand[valid], pts[valid])
+        ok[valid] = _inside(partition, cand[valid], pts[valid])
         out = np.where(ok, cand, out)
     return out
 
 
-def _contains_by_id(partition: Partition, ids: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    res = np.zeros(len(pts), dtype=bool)
-    for cid in np.unique(ids):
-        sel = ids == cid
-        res[sel] = cell_contains(partition.cells[int(cid)], pts[sel])
-    return res
+def _floor_index(v: np.ndarray, k) -> np.ndarray:
+    """``floor(v)`` clamped to ``[0, k - 1]`` as integers (NaN gives k - 1)."""
+    return np.fmax(np.fmin(np.floor(v), k - 1), 0).astype(int)
+
+
+def _longitude(pts: np.ndarray) -> np.ndarray:
+    """Longitude in [0, 2 pi).  A tiny negative angle rounds to 2 pi under
+    the modulo, which no sector holds; it is taken as 0."""
+    lon = np.mod(np.arctan2(pts[..., 1], pts[..., 0]), TWO_PI)
+    return np.where(lon == TWO_PI, 0.0, lon)
+
+
+def _zonal_estimate(partition: Partition, pts: np.ndarray):
+    """Per point: first cell id and sector count of its band, and the
+    sector estimated from its longitude.
+
+    The band is exact: the first band whose bottom edge lies strictly below
+    z, clamped so that z = -1 lands in the south cap (whose open bottom edge
+    is the pole itself).  The sector can be one off at a sector edge.
+    """
+    bands = np.asarray(partition.meta["bands"], dtype=float)
+    # bottoms are strictly decreasing
+    band = np.minimum(np.searchsorted(-bands[:, 1], -pts[:, 2], side="right"),
+                      len(bands) - 1)
+    k = bands[band, 2].astype(int)
+    first = bands[band, 3].astype(int)
+    return first, k, _floor_index(_longitude(pts) * k / TWO_PI, k)
+
+
+def _inside(partition: Partition, ids: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Exact half-open membership from the cell arrays, as ``cell_contains``.
+
+    ``ids`` (n,) tests point i against cell ``ids[i]``; ``ids`` (n, c) or
+    (1, c) tests it against each of ``ids[i, :]`` (or ``ids[0, :]``).
+    """
+    a = partition.arrays
+    if ids.ndim == 2:
+        pts = pts[:, None, :]
+    if partition.space.kind == TORUS:
+        return np.all((pts >= a.lo[ids]) & (pts < a.hi[ids]), axis=-1)
+    z = pts[..., 2]
+    lon = _longitude(pts)
+    z_top, z_bot = a.z[ids, 0], a.z[ids, 1]
+    lon_lo, lon_hi = a.lon[ids, 0], a.lon[ids, 1]
+    cap = a.cap[ids]
+    return (((cap == 1) | (z <= z_top)) & ((cap == -1) | (z > z_bot))
+            & ((cap != 0) | (lon_hi - lon_lo >= TWO_PI)
+               | ((lon >= lon_lo) & (lon < lon_hi))))
 
 
 def cell_sample(cell: Cell, rng: np.random.Generator, n: int | None = None):
@@ -269,9 +340,30 @@ def cell_sample(cell: Cell, rng: np.random.Generator, n: int | None = None):
         z = z_top - (z_top - z_bot) * rng.random(size)
         lon_lo, lon_hi = cell.geometry["lon"]
         lon = lon_lo + (lon_hi - lon_lo) * rng.random(size)
-        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        pts = np.stack([s * np.cos(lon), s * np.sin(lon), z], axis=-1)
+        pts = _sphere_point(z, lon)
     return pts[0] if n is None else pts
+
+
+def cell_points(partition: Partition, u: np.ndarray, ids=slice(None)) -> np.ndarray:
+    """Map uniforms to points of the cells ``ids``, as ``cell_sample`` does.
+
+    Torus: ``u`` is (n, m, d), m uniform vectors per cell.  Sphere: ``u``
+    is (2, n, m), the z-uniforms then the longitude-uniforms.  Returns
+    (n, m, dim).
+    """
+    a = partition.arrays
+    if partition.space.kind == TORUS:
+        lo, hi = a.lo[ids, None, :], a.hi[ids, None, :]
+        return lo + (hi - lo) * u
+    z_top, z_bot = a.z[ids, 0, None], a.z[ids, 1, None]
+    lon_lo, lon_hi = a.lon[ids, 0, None], a.lon[ids, 1, None]
+    return _sphere_point(z_top - (z_top - z_bot) * u[0],
+                         lon_lo + (lon_hi - lon_lo) * u[1])
+
+
+def _sphere_point(z: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.stack([s * np.cos(lon), s * np.sin(lon), z], axis=-1)
 
 
 def cell_inradius(cell: Cell) -> float:
@@ -320,8 +412,7 @@ def cell_boundary_distance(cell: Cell, pts: np.ndarray) -> np.ndarray:
     band_gap = np.maximum(np.maximum(colat_lo - colat, colat - colat_hi), 0.0)
     if lon_hi - lon_lo >= 2.0 * math.pi:
         return band_gap
-    lon = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
-    dlon = np.mod(lon - lon_lo, 2.0 * math.pi)
+    dlon = np.mod(_longitude(pts) - lon_lo, 2.0 * math.pi)
     inside_lon = dlon < (lon_hi - lon_lo)
     out = np.where(inside_lon, band_gap, np.inf)
     miss = ~inside_lon
@@ -386,16 +477,13 @@ class PartitionReport:
         return self.equal_measure_ok and self.coverage_ok and self.diameter_ok
 
 
-def geometric_cell_measure(cell: Cell) -> float:
-    """Recompute the cell measure from its stored geometry (independent of
-    the stored ``measure`` field)."""
-    if cell.space_kind == TORUS:
-        lo = np.array(cell.geometry["lo"])
-        hi = np.array(cell.geometry["hi"])
-        return float(np.prod(hi - lo))
-    z_top, z_bot = cell.geometry["z"]
-    lon_lo, lon_hi = cell.geometry["lon"]
-    return (lon_hi - lon_lo) * (z_top - z_bot)
+def geometric_cell_measures(partition: Partition) -> np.ndarray:
+    """Recompute every cell's measure from its stored geometry (independent
+    of the stored ``measure`` field)."""
+    a = partition.arrays
+    if partition.space.kind == TORUS:
+        return np.prod(a.hi - a.lo, axis=1)
+    return (a.lon[:, 1] - a.lon[:, 0]) * (a.z[:, 0] - a.z[:, 1])
 
 
 def verify_partition(partition: Partition, sample_budget: int = 10_000,
@@ -403,23 +491,33 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
                      inradius_probe_cells: int = 64) -> PartitionReport:
     """Empirical check of the partition contract.
 
-    Reports exact-measure residuals, coverage/disjointness counts from
-    brute-force membership over uniform samples, sampled diameter-bound
-    violations, and measured inclusion constants: ``c1`` from the largest
+    Reports exact-measure residuals (stored and recomputed from geometry);
+    coverage and disjointness counts: for each uniform sample, the number of
+    cells whose exact half-open test contains it; sampled diameter-bound
+    violations; and measured inclusion constants: ``c1`` from the largest
     sampled ball around an anchor that stays inside its cell, ``c2`` from
     the farthest sampled cell point from the anchor (both scaled by
     ``N^{1/d}``).
+
+    The membership counts equal a brute-force test of every (sample, cell)
+    pair.  When the stored cells match the layout recorded in ``meta`` (an
+    O(N) check), only the cells next to each sample's grid or band/sector
+    position can contain it, so only those are tested; any other partition
+    gets the brute-force count.  Each cell's diameter samples come from its
+    own ``(seed, VERIFY, N, id, 0|1)`` streams, mapped to points and
+    measured a block of cells at a time.
     """
     space = partition.space
     N = partition.N
     total = space.total_measure
     target = total / N
+    a = partition.arrays
 
     weights = partition.weights()
     measure_residual = abs(weights.sum() - total) / total
     max_cell_err = max(
-        max(abs(c.measure - target) / target for c in partition.cells),
-        max(abs(geometric_cell_measure(c) - target) / target for c in partition.cells),
+        float(np.max(np.abs(a.measure - target) / target)),
+        float(np.max(np.abs(geometric_cell_measures(partition) - target) / target)),
     )
 
     rng = rngmod.substream(seed, rngmod.VERIFY, N)
@@ -431,19 +529,34 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
     scale = N ** (1.0 / space.d)
     diam_violations = 0
     c2 = 0.0
-    for cell in partition.cells:
-        a = cell_sample(cell, rngmod.substream(seed, rngmod.VERIFY, N, cell.id, 0),
-                        pairs_per_cell)
-        b = cell_sample(cell, rngmod.substream(seed, rngmod.VERIFY, N, cell.id, 1),
-                        pairs_per_cell)
-        dd = distance(space, a, b)
-        diam_violations += int(np.sum(dd > cell.diameter * (1 + 1e-12)))
-        anchor = np.asarray(cell.anchor)
-        c2 = max(c2, float(distance(space, anchor, a).max()),
-                 float(distance(space, anchor, b).max()))
+    # the uniforms, points and three distance tables of a block hold
+    # about L2_BLOCK floats
+    block = max(1, L2_BLOCK // (8 * pairs_per_cell))
+    for i0 in range(0, N, block):
+        cells = partition.cells[i0:i0 + block]
+        ids = slice(i0, i0 + len(cells))
+        if space.kind == TORUS:
+            u = np.empty((2, len(cells), pairs_per_cell, space.d))
+        else:
+            u = np.empty((2, 2, len(cells), pairs_per_cell))
+        for j, cell in enumerate(cells):
+            for r in (0, 1):
+                rng = rngmod.substream(seed, rngmod.VERIFY, N, cell.id, r)
+                if space.kind == TORUS:
+                    rng.random(out=u[r, j])
+                else:
+                    rng.random(out=u[r, 0, j])
+                    rng.random(out=u[r, 1, j])
+        pa = cell_points(partition, u[0], ids)
+        pb = cell_points(partition, u[1], ids)
+        dd = distance(space, pa, pb)
+        diam_violations += int(np.sum(dd > a.diameter[ids, None] * (1 + 1e-12)))
+        anchor = a.anchor[ids, None, :]
+        c2 = max(c2, float(distance(space, anchor, pa).max()),
+                 float(distance(space, anchor, pb).max()))
     c2 *= scale
 
-    deltas = np.array([c.diameter for c in partition.cells]) * scale
+    deltas = a.diameter * scale
     c1 = _probe_inradius(partition, seed, inradius_probe_cells) * scale
 
     return PartitionReport(
@@ -464,33 +577,99 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
 
 
 def _membership_counts(partition: Partition, pts: np.ndarray) -> np.ndarray:
-    """Brute-force count of containing cells per point (every pair tested)."""
-    n = len(pts)
-    counts = np.zeros(n, dtype=np.int32)
-    if partition.space.kind == TORUS:
-        lo = np.array([c.geometry["lo"] for c in partition.cells])  # (N, d)
-        hi = np.array([c.geometry["hi"] for c in partition.cells])
-        rows = max(1, 2_000_000 // max(1, partition.N * partition.space.d))
-        for i in range(0, n, rows):
-            block = pts[i:i + rows]
-            inside = np.all((block[:, None, :] >= lo[None]) &
-                            (block[:, None, :] < hi[None]), axis=2)
-            counts[i:i + rows] = inside.sum(axis=1)
-        return counts
-    z = pts[:, 2]
-    lon = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
-    two_pi = 2.0 * math.pi
-    for cell in partition.cells:
-        z_top, z_bot = cell.geometry["z"]
-        if cell.geometry["shape"] == "cap":
-            inside = (z > z_bot) if cell.geometry["north"] else (z <= z_top)
-        else:
-            inside = (z <= z_top) & (z > z_bot)
-            lon_lo, lon_hi = cell.geometry["lon"]
-            if lon_hi - lon_lo < two_pi:
-                inside &= (lon >= lon_lo) & (lon < lon_hi)
-        counts += inside
+    """Number of cells containing each point under the exact half-open test."""
+    if _layout_ok(partition):
+        if partition.space.kind == TORUS:
+            return _grid_counts(partition, pts)
+        return _zonal_counts(partition, pts)
+    counts = np.zeros(len(pts), dtype=np.int32)
+    ids = np.arange(partition.N)[None, :]
+    rows = max(1, L2_BLOCK // partition.N)
+    for i in range(0, len(pts), rows):
+        counts[i:i + rows] = _inside(partition, ids, pts[i:i + rows]).sum(axis=1)
     return counts
+
+
+def _grid_edges(m: int) -> np.ndarray:
+    """Grid edges ``i / m``, i = 0..m, rounded as ``torus_grid_partition`` rounds them."""
+    return np.arange(m + 1) / m
+
+
+def _layout_ok(partition: Partition) -> bool:
+    """Whether the cells are exactly the layout ``meta`` describes.
+
+    Torus: ``m^d`` cells in row-major order with ``lo == idx / m`` and
+    ``hi == (idx + 1) / m``.  Sphere: a band table with strictly decreasing
+    edges, each band's top equal to the previous bottom, caps at both ends
+    and band sizes adding up to N; every cell's z-interval equal to its
+    band's; and the sectors of each band tiling it in id order at
+    longitudes ``2 pi s / k``.
+    """
+    a = partition.arrays
+    meta = partition.meta
+    N = partition.N
+    if partition.space.kind == TORUS:
+        d = partition.space.d
+        m = meta.get("m")
+        if (meta.get("scheme") != "torus_grid" or not isinstance(m, Integral)
+                or m < 1 or m ** d != N):
+            return False
+        idx = np.indices((m,) * d).reshape(d, N).T
+        edges = _grid_edges(m)
+        return np.array_equal(a.lo, edges[idx]) and np.array_equal(a.hi, edges[idx + 1])
+    if meta.get("scheme") != "sphere_zonal":
+        return False
+    bands = np.asarray(meta.get("bands", []), dtype=float)
+    if bands.ndim != 2 or bands.shape[1] != 4 or len(bands) < 2:
+        return False
+    top, bot, k, first = bands.T
+    ks = k.astype(int)
+    starts = np.concatenate([[0], np.cumsum(ks)[:-1]])
+    if (np.any(ks != k) or np.any(ks < 1) or ks.sum() != N or ks[0] != 1
+            or ks[-1] != 1 or not np.array_equal(first, starts)
+            or not np.all(np.diff(bot) < 0) or not np.array_equal(top[1:], bot[:-1])):
+        return False
+    band = np.repeat(np.arange(len(bands)), ks)
+    s = np.arange(N) - starts[band]
+    cap = np.zeros(N, dtype=np.int8)
+    cap[0], cap[-1] = 1, -1
+    return (np.array_equal(a.cap, cap)
+            and np.array_equal(a.z, np.stack([top[band], bot[band]], axis=1))
+            and np.array_equal(a.lon, np.stack([TWO_PI * s / ks[band],
+                                                TWO_PI * (s + 1) / ks[band]], axis=1)))
+
+
+_NEIGHBOURS = np.array([-1, 0, 1])
+
+
+def _grid_counts(partition: Partition, pts: np.ndarray) -> np.ndarray:
+    """Membership counts on a verified grid: a product of per-axis counts.
+
+    Per axis, only the estimated interval ``floor(x m)`` and its two
+    neighbours can hold x (rounding moves the estimate by at most one), and
+    each is tested exactly.
+    """
+    m = partition.meta["m"]
+    edges = _grid_edges(m)
+    counts = np.ones(len(pts), dtype=np.int32)
+    for x in pts.T:
+        cand = _floor_index(x * m, m)[:, None] + _NEIGHBOURS
+        valid = (cand >= 0) & (cand < m)
+        cand = np.clip(cand, 0, m - 1)
+        hit = valid & (edges[cand] <= x[:, None]) & (x[:, None] < edges[cand + 1])
+        counts *= np.sum(hit, axis=1, dtype=np.int32)
+    return counts
+
+
+def _zonal_counts(partition: Partition, pts: np.ndarray) -> np.ndarray:
+    """Membership counts on a verified zonal layout: the point's band is
+    exact, so only the estimated sector and its neighbours in that band are
+    tested."""
+    first, k, sector = _zonal_estimate(partition, pts)
+    cand = sector[:, None] + _NEIGHBOURS
+    valid = (cand >= 0) & (cand < k[:, None])
+    ids = first[:, None] + np.clip(cand, 0, k[:, None] - 1)
+    return np.sum(valid & _inside(partition, ids, pts), axis=1, dtype=np.int32)
 
 
 def _probe_inradius(partition: Partition, seed: int, max_cells: int) -> float:

@@ -74,6 +74,10 @@ def test_config_validation():
     for workers in (0, -1):
         with pytest.raises(ValueError):
             ExperimentConfig(kind="mz", n_list=(8, 12), workers=workers)
+    for field, bad in (("m_y", {"m_y": 0}), ("m_z", {"m_z": 0}),
+                       ("n_draws", {"n_draws": 1}), ("n_list", {"n_list": (0, 1, 2, 4)})):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(kind="wce", **bad)
     cfg = ExperimentConfig(kind="mz", n_list=(8, 12))  # mz exempt from ratios
     assert cfg.q == 2.0
 
