@@ -12,13 +12,15 @@ import argparse
 
 from stratcub.experiments import ExperimentConfig, build_partition
 from stratcub.kernel import KernelSpec
+from stratcub.space import SPHERE2
 from stratcub.wce import WceConfig, run_report
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--space", default="torus")
-    ap.add_argument("--dim", type=int, default=1)
+    ap.add_argument("--dim", type=int, default=None,
+                    help="space dimension (default: 2 on sphere2, 1 on the torus)")
     ap.add_argument("--n", type=int, default=32)
     ap.add_argument("--family", default="riesz")
     ap.add_argument("--alpha", type=float, default=0.75)
@@ -31,14 +33,15 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
+    dim = args.dim if args.dim is not None else (2 if args.space == SPHERE2 else 1)
     try:
         part = build_partition(ExperimentConfig(kind="partition", space_kind=args.space,
-                                                dim=args.dim, n_list=(args.n,)), args.n)
+                                                dim=dim, n_list=(args.n,)), args.n)
+        kern = KernelSpec(args.family, args.alpha, part.space.d, args.eps, args.kappa)
+        cfg = WceConfig(part, kern, args.p, m_y=args.my, m_z=args.mz,
+                        n_draws=args.draws, seed=args.seed)
     except ValueError as exc:
         raise SystemExit(str(exc))
-    kern = KernelSpec(args.family, args.alpha, part.space.d, args.eps, args.kappa)
-    cfg = WceConfig(part, kern, args.p, m_y=args.my, m_z=args.mz,
-                    n_draws=args.draws, seed=args.seed)
     rep = run_report(cfg)
     print(f"config: {rep.config_label}")
     print(f"regime: {rep.regime}")

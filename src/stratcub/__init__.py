@@ -15,9 +15,8 @@ from .kernel import CONST, RIESZ, ROUGH_RIESZ, KernelSpec, SingularPairError, ke
 from .sets import SetDescriptor, make_arc, make_box, make_cap, psi_tube_measure
 from .funcs import TestFunction, make_function
 from .cubature import ErrorStats, NodeDraw, cubature_error, draw_nodes, estimate_BN
-from .wce import (WceConfig, WceReport, delta_phi, dual_density_F, estimate_AN,
-                  extremal_witness_check, gamma_phi, lower_hypothesis_probe,
-                  worst_case_error)
+from .wce import (WceConfig, WceReport, delta_phi, estimate_AN, extremal_witness_check,
+                  gamma_phi, lower_hypothesis_probe, worst_case_error)
 from .besov import (PhiGradient, besov_norm_bound_chi, besov_rhs_bounds,
                     chi_phi_gradient, poincare_check, sharpness_fj, sharpness_sum)
 from .mz import MzReport, mz_pair, ratio_envelope

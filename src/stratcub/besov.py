@@ -27,6 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng as rngmod
+from .cubature import jackknife_power_mean
 from .funcs import TestFunction, _lipschitz_besov_norm
 from .partition import Cell, Partition, cell_inradius, cell_sample, find_cell
 from .sets import SetDescriptor, boundary_distance, psi_tube_measure, set_contains
@@ -108,8 +109,9 @@ def poincare_check(space: SpaceDescriptor, f: TestFunction, gradient: PhiGradien
 
         {(1/w) int_X |f - f_X|^p}^{1/p} <= 2 * 2^(-n alpha) {(1/w) int_X g_n^p}^{1/p}
 
-    for a cell of diameter <= 2^-n.  Standard errors by the delta method on
-    the p-th moments; ``holds`` allows 3 combined standard errors of slack.
+    for a cell of diameter <= 2^-n.  Standard errors by the leave-one-out
+    jackknife over the samples; ``holds`` allows 3 combined standard errors
+    of slack.
     """
     if cell.diameter > 2.0 ** (-n):
         raise ValueError(f"cell diameter {cell.diameter} exceeds scale 2^-{n}")
@@ -122,24 +124,14 @@ def poincare_check(space: SpaceDescriptor, f: TestFunction, gradient: PhiGradien
         f_mean = f.cell_mean(cell)
     else:
         f_mean = float(f.evaluate(cell_sample(cell, rng, budget)).mean())
-    lhs, lhs_se = _power_mean(np.abs(fx - f_mean) ** p, 1.0 / p)
+    lhs, lhs_se = jackknife_power_mean(np.abs(fx - f_mean) ** p, 1.0 / p)
     phi = 2.0 ** (-n * gradient.alpha)
     gx = gradient.g(n, x)
-    rhs_core, rhs_se = _power_mean(gx ** p, 1.0 / p)
+    rhs_core, rhs_se = jackknife_power_mean(gx ** p, 1.0 / p)
     rhs = 2.0 * phi * rhs_core
     rhs_se *= 2.0 * phi
     return PoincareReport(lhs, lhs_se, rhs, rhs_se,
                           holds=lhs <= rhs + 3.0 * (lhs_se + rhs_se))
-
-
-def _power_mean(u: np.ndarray, power: float) -> tuple[float, float]:
-    """(mean u)^power and its delta-method standard error."""
-    m = float(u.mean())
-    se_m = float(u.std(ddof=1)) / math.sqrt(len(u))
-    if m <= 0.0:
-        return 0.0, se_m ** power if power < 1 else se_m
-    val = m ** power
-    return val, abs(power) * m ** (power - 1.0) * se_m
 
 
 @dataclass

@@ -14,6 +14,7 @@ position: deterministic and parallel-safe across draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -90,11 +91,23 @@ def jackknife_power_mean(u: np.ndarray, power: float) -> tuple[float, float]:
     Slightly negative means (possible for signed product estimators) are
     clamped to zero before the fractional power.
     """
-    u = np.asarray(u, dtype=float)
-    K = len(u)
-    total = u.sum()
-    theta = _signed_power(total / K, power)
-    loo = _signed_power((total - u) / (K - 1), power)
+    return jackknife(lambda m: _signed_power(m, power), u)
+
+
+def jackknife(stat: Callable[..., np.ndarray],
+              *columns: np.ndarray) -> tuple[float, float]:
+    """``stat`` of the column means, with a leave-one-out jackknife standard
+    error over draws (Efron & Tibshirani, *An Introduction to the
+    Bootstrap*, ch. 11).
+
+    Each column holds one per-draw value per draw; ``stat`` takes one mean
+    per column and must accept arrays of leave-one-out means as well.
+    """
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    K = len(cols[0])
+    totals = [c.sum() for c in cols]
+    theta = stat(*(t / K for t in totals))
+    loo = stat(*((t - c) / (K - 1) for t, c in zip(totals, cols)))
     se = np.sqrt((K - 1) / K * np.sum((loo - loo.mean()) ** 2))
     return float(theta), float(se)
 

@@ -25,16 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import Cell, cell_sample
-from .space import (TORUS, SpaceDescriptor, distance, geodesic_step,
-                    pairwise_distance, sample_uniform)
+from .space import TORUS, SpaceDescriptor, distance, geodesic_step, sample_uniform
 
 RIESZ = "riesz"
 ROUGH_RIESZ = "rough_riesz"
 CONST = "const"
 
 SINGULAR_TOL = 1e-12
-MAX_REDRAWS = 100
 
 
 class SingularPairError(ValueError):
@@ -160,44 +157,6 @@ def size_bound_constant(spec: KernelSpec, space: SpaceDescriptor) -> float:
         return 1.0
     w_max = sum(2.0 ** (-spec.eps * m) for m in range(spec.n_scales))
     return 1.0 + spec.kappa * w_max * space.diameter ** (spec.d - spec.alpha)
-
-
-def cell_kernel_mean(spec: KernelSpec, space: SpaceDescriptor, cell: Cell, y,
-                     m_z: int, rng: np.random.Generator, replicas: int = 1):
-    """Monte Carlo estimate of ``(1/omega) * integral_X Phi(z, y) dz``.
-
-    With ``replicas=2`` returns two independent estimates, for unbiased
-    squared-quantity estimation downstream.
-    """
-    if m_z < 1:
-        raise ValueError("m_z must be >= 1")
-    if replicas not in (1, 2):
-        raise ValueError("replicas must be 1 or 2")
-    y = np.asarray(y, dtype=float)
-    vals = []
-    for r in range(replicas):
-        t = _cell_distances(space, cell, y[None, :], m_z, rng)[:, 0]
-        vals.append(float(kernel_profile(spec, t).mean()))
-    return vals[0] if replicas == 1 else (vals[0], vals[1])
-
-
-def cell_kernel_means_bulk(spec: KernelSpec, space: SpaceDescriptor, cell: Cell,
-                           ys: np.ndarray, m_z: int,
-                           rng: np.random.Generator) -> np.ndarray:
-    """Cell kernel means against many y at once: returns shape ``(len(ys),)``."""
-    t = _cell_distances(space, cell, ys, m_z, rng)
-    return kernel_profile(spec, t).mean(axis=0)
-
-
-def _cell_distances(space: SpaceDescriptor, cell: Cell, ys: np.ndarray,
-                    m_z: int, rng: np.random.Generator) -> np.ndarray:
-    """Distances from m_z cell samples to each y, redrawing singular batches."""
-    for _ in range(MAX_REDRAWS):
-        z = cell_sample(cell, rng, m_z)
-        t = pairwise_distance(space, z, ys)
-        if not np.any(t < SINGULAR_TOL):
-            return t
-    raise SingularPairError("singular sample redraw budget exhausted")
 
 
 @dataclass

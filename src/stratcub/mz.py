@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .cubature import draw_nodes
+from .cubature import draw_nodes, jackknife, jackknife_power_mean
 from .funcs import TestFunction
 from .partition import Partition, cell_sample
 
@@ -72,12 +72,13 @@ def mz_pair(f: TestFunction, partition: Partition, p: float, n_draws: int,
         c = w * (f.evaluate(nodes) - means)
         mid_pow[k] = abs(c.sum()) ** p
         brk_pow[k] = float(c @ c) ** (p / 2.0)
-    middle, middle_se = _jack(mid_pow, 1.0 / p)
-    bracket, bracket_se = _jack(brk_pow, 1.0 / p)
+    power = 1.0 / p
+    middle, middle_se = jackknife_power_mean(mid_pow, power)
+    bracket, bracket_se = jackknife_power_mean(brk_pow, power)
     if bracket < DEGENERATE_TOL:
         return MzReport(p, n_draws, middle, middle_se, bracket, bracket_se,
                         ratio=math.nan, ratio_se=math.nan, degenerate=True)
-    ratio, ratio_se = _jack_ratio(mid_pow, brk_pow, 1.0 / p)
+    ratio, ratio_se = jackknife(lambda m, b: m ** power / b ** power, mid_pow, brk_pow)
     return MzReport(p, n_draws, middle, middle_se, bracket, bracket_se,
                     ratio, ratio_se, degenerate=False)
 
@@ -107,23 +108,3 @@ def _cell_means(f: TestFunction, partition: Partition, seed: int,
         means[j] = float(f.evaluate(cell_sample(cell, rng, m_cell)).mean())
     return means
 
-
-def _jack(u: np.ndarray, power: float) -> tuple[float, float]:
-    K = len(u)
-    total = u.sum()
-    theta = (total / K) ** power
-    loo = ((total - u) / (K - 1)) ** power
-    se = math.sqrt((K - 1) / K * float(np.sum((loo - loo.mean()) ** 2)))
-    return float(theta), se
-
-
-def _jack_ratio(mid_pow: np.ndarray, brk_pow: np.ndarray,
-                power: float) -> tuple[float, float]:
-    K = len(mid_pow)
-    tm, tb = mid_pow.sum(), brk_pow.sum()
-    theta = (tm / K) ** power / (tb / K) ** power
-    loo_m = ((tm - mid_pow) / (K - 1)) ** power
-    loo_b = ((tb - brk_pow) / (K - 1)) ** power
-    loo = loo_m / loo_b
-    se = math.sqrt((K - 1) / K * float(np.sum((loo - loo.mean()) ** 2)))
-    return float(theta), se

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -31,11 +32,14 @@ from . import rng as rngmod
 from .cubature import (ErrorStats, NodeDraw, cubature_error, draw_nodes,
                        jackknife_power_mean, sample_all_cells)
 from .funcs import TestFunction
-from .kernel import (CONST, MAX_REDRAWS, SINGULAR_TOL, KernelSpec,
-                     cell_kernel_mean, kernel_antiderivative, kernel_profile,
-                     regime_classify)
+from .kernel import (CONST, SINGULAR_TOL, KernelSpec, kernel_antiderivative,
+                     kernel_profile, regime_classify)
 from .partition import Partition, cell_boundary_distance, cell_sample
-from .space import L2_BLOCK, TORUS, distance, pairwise_distance, sample_uniform
+from .space import (L2_BLOCK, TORUS, SpaceDescriptor, distance, pairwise_distance,
+                    sample_uniform)
+
+# times a sample batch that hits a kernel singularity is redrawn before giving up
+MAX_REDRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,7 @@ def _cell_y_distances(partition: Partition, Z: np.ndarray, Y: np.ndarray) -> np.
 
 def _cell_means(cfg: WceConfig, rng_z: np.random.Generator,
                 Y: np.ndarray) -> np.ndarray:
-    """Cell kernel means (N, m_y) over one replica of m_z samples per cell.
+    """Cell kernel means (N, len(Y)) over one replica of m_z samples per cell.
 
     Streams blocks of about ``L2_BLOCK`` distances through distance table,
     kernel and mean, so no (N, m_z, m_y) table is built.  A block with a
@@ -116,8 +120,8 @@ def _cell_means(cfg: WceConfig, rng_z: np.random.Generator,
     the random stream and the result are those of the unblocked table.
     """
     part = cfg.partition
-    rows = max(1, L2_BLOCK // (cfg.m_z * cfg.m_y))
-    out = np.empty((part.N, cfg.m_y))
+    rows = max(1, L2_BLOCK // (cfg.m_z * len(Y)))
+    out = np.empty((part.N, len(Y)))
     for _ in range(MAX_REDRAWS):
         Z = sample_all_cells(part, rng_z, cfg.m_z)
         for i in range(0, part.N, rows):
@@ -130,6 +134,23 @@ def _cell_means(cfg: WceConfig, rng_z: np.random.Generator,
     raise RuntimeError("singular cell-sample redraw budget exhausted")
 
 
+def _redraw_singular_y(space: SpaceDescriptor, rng_y: np.random.Generator,
+                       Y: np.ndarray,
+                       dist: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Redraw in place each y whose distance falls below ``SINGULAR_TOL``.
+
+    ``dist(Y)`` returns distances whose last axis runs over Y (a table is
+    reduced by its minimum over the other axis); returns the last distances.
+    """
+    for _ in range(MAX_REDRAWS):
+        t = dist(Y)
+        bad = t.reshape(-1, len(Y)).min(axis=0) < SINGULAR_TOL
+        if not bad.any():
+            return t
+        Y[bad] = sample_uniform(space, rng_y, int(bad.sum()))
+    raise RuntimeError("singular y redraw budget exhausted")
+
+
 def _draw_tables(cfg: WceConfig, ctx: int, index: int, rep: int = 0,
                  nodes: np.ndarray | None = None) -> np.ndarray:
     """Two-replica per-cell terms T (2, N, m_y) for one draw."""
@@ -140,14 +161,8 @@ def _draw_tables(cfg: WceConfig, ctx: int, index: int, rep: int = 0,
                            stream=rngmod.path_key(ctx, rngmod.NODES)).nodes
     rng_y = rngmod.substream(cfg.seed, ctx, rngmod.WCE_Y, index, rep)
     Y = sample_uniform(space, rng_y, cfg.m_y)
-    for _ in range(MAX_REDRAWS):
-        dn = pairwise_distance(space, nodes, Y)
-        bad = dn.min(axis=0) < SINGULAR_TOL
-        if not bad.any():
-            break
-        Y[bad] = sample_uniform(space, rng_y, int(bad.sum()))
-    else:
-        raise RuntimeError("singular y redraw budget exhausted")
+    dn = _redraw_singular_y(space, rng_y, Y,
+                            lambda Y: pairwise_distance(space, nodes, Y))
     phi_nodes = kernel_profile(cfg.kernel, dn)  # (N, m_y)
     w = part.weights()
     T = np.empty((2, part.N, cfg.m_y))
@@ -179,20 +194,6 @@ def _dq_samples(cfg: WceConfig, T: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
-
-def dual_density_F(cfg: WceConfig, draw: NodeDraw, y,
-                   rng: np.random.Generator) -> float:
-    """F(y) = sum_j omega_j (Phi(x_j, y) - cell mean), inner means by MC."""
-    part = cfg.partition
-    y = np.asarray(y, dtype=float)
-    t = distance(part.space, draw.nodes, y)
-    phi_x = kernel_profile(cfg.kernel, t)
-    means = np.array([
-        cell_kernel_mean(cfg.kernel, part.space, cell, y, cfg.m_z, rng)
-        for cell in part.cells
-    ])
-    return float(part.weights() @ (phi_x - means))
-
 
 def worst_case_error(cfg: WceConfig, draw: NodeDraw, rep: int = 0) -> float:
     """Monte Carlo estimate of the dual-form worst-case error for one draw.
@@ -256,14 +257,7 @@ def gamma_phi(cfg: WceConfig, n_blocks: int = 10) -> ErrorStats:
         rng_y = rngmod.substream(cfg.seed, rngmod.GAMMA, 2, j)
         x = cell_sample(cell, rng_x, P)
         y = sample_uniform(space, rng_y, P)
-        for _ in range(MAX_REDRAWS):
-            t = distance(space, x, y)
-            bad = t < SINGULAR_TOL
-            if not bad.any():
-                break
-            y[bad] = sample_uniform(space, rng_y, int(bad.sum()))
-        else:
-            raise RuntimeError("singular y redraw budget exhausted")
+        t = _redraw_singular_y(space, rng_y, y, lambda y: distance(space, x, y))
         phi_xy = kernel_profile(cfg.kernel, t)
         reps = []
         for r in (0, 1):

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +61,32 @@ def test_cli_verify_smoke(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "all checks passed" in out
+
+
+def _wce_report_main():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_wce_report.py"
+    spec = importlib.util.spec_from_file_location("run_wce_report", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+@pytest.mark.parametrize("argv", [
+    ["--space", "torus", "--dim", "1", "--n", "4"],
+    ["--space", "sphere2", "--n", "8", "--alpha", "1.5"],
+], ids=["torus-d1", "sphere2"])
+def test_wce_report_script_runs(argv, monkeypatch, capsys):
+    budgets = ["--draws", "2", "--my", "16", "--mz", "2"]
+    monkeypatch.setattr(sys, "argv", ["run_wce_report.py", *argv, *budgets])
+    assert _wce_report_main()() == 0
+    out = capsys.readouterr().out
+    assert "worst-case error" in out
+    assert "per-cell upper functional" in out
+
+
+def test_wce_report_script_reports_bad_config(monkeypatch):
+    # alpha = 0.75 on S^2 at p = 2 fails the integrability check alpha > d/p
+    monkeypatch.setattr(sys, "argv", ["run_wce_report.py", "--space", "sphere2",
+                                      "--n", "8", "--draws", "2"])
+    with pytest.raises(SystemExit, match="integrability needs alpha > d/p"):
+        _wce_report_main()()

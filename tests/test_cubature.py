@@ -5,7 +5,7 @@ import pytest
 
 from stratcub import rng as rngmod
 from stratcub.cubature import (NodeDraw, cubature_error, draw_nodes,
-                               estimate_BN, jackknife_power_mean)
+                               estimate_BN, jackknife, jackknife_power_mean)
 from stratcub.funcs import (cone_bump_fn, constant_fn, coordinate_fn,
                             indicator_fn)
 from stratcub.partition import cell_contains, torus_grid_partition
@@ -108,3 +108,18 @@ def test_jackknife_power_mean_matches_direct():
     val, se = jackknife_power_mean(u, 0.5)
     assert val == pytest.approx(u.mean() ** 0.5, rel=1e-12)
     assert se > 0
+
+
+def test_jackknife_ratio_matches_inline_formula():
+    rng = rngmod.substream(1, 99)
+    for K, p in ((2, 1.0), (7, 4.0), (400, 7.3)):
+        power = 1.0 / p
+        mid = rng.random(K) ** 3 * 1e-9
+        brk = rng.random(K) * 1e4
+        # leave-one-out jackknife of a ratio of power means, written out
+        tm, tb = mid.sum(), brk.sum()
+        theta = (tm / K) ** power / (tb / K) ** power
+        loo = ((tm - mid) / (K - 1)) ** power / ((tb - brk) / (K - 1)) ** power
+        se = math.sqrt((K - 1) / K * float(np.sum((loo - loo.mean()) ** 2)))
+        got = jackknife(lambda m, b: m ** power / b ** power, mid, brk)
+        assert got == (theta, se)

@@ -5,12 +5,12 @@ import pytest
 
 from stratcub import rng as rngmod
 from stratcub.kernel import (CONST, RIESZ, ROUGH_RIESZ, KernelSpec,
-                             SingularPairError, cell_kernel_mean,
-                             cell_kernel_means_bulk, kernel_antiderivative,
+                             SingularPairError, kernel_antiderivative,
                              kernel_bounds_check, kernel_eval, kernel_profile,
                              regime_classify, rough_series, size_bound_constant)
 from stratcub.partition import torus_grid_partition
 from stratcub.space import SPHERE2, TORUS, make_space, sample_uniform
+from stratcub.wce import WceConfig, _cell_means, _draw_tables
 
 T1 = make_space(TORUS, 1)
 S2 = make_space(SPHERE2)
@@ -85,41 +85,28 @@ def test_antiderivative_matches_profile_integral():
 def test_cell_kernel_mean_closed_form():
     # arc [0, 0.5) against y = 0.75; antiderivative oracle
     part = torus_grid_partition(T1, 2)
+    cfg = WceConfig(part, RIESZ06, 2.0, m_z=100_000)
     rng = rngmod.substream(0, rngmod.SELFTEST, 1)
-    est = cell_kernel_mean(RIESZ06, T1, part.cells[0], np.array([0.75]), 100_000, rng)
+    est = _cell_means(cfg, rng, np.array([[0.75]]))[0, 0]
     oracle = (4.0 / 0.6) * (0.5 ** 0.6 - 0.25 ** 0.6)
     assert est == pytest.approx(oracle, rel=0.01)
 
 
 def test_cell_kernel_mean_constant_stub():
     part = torus_grid_partition(T1, 4)
-    stub = KernelSpec(CONST, kappa=1.0)
+    cfg = WceConfig(part, KernelSpec(CONST, kappa=1.0), 2.0, m_z=8)
     rng = rngmod.substream(0, rngmod.SELFTEST, 2)
-    assert cell_kernel_mean(stub, T1, part.cells[1], np.array([0.9]), 8, rng) == 1.0
+    assert _cell_means(cfg, rng, np.array([[0.9]]))[1, 0] == 1.0
 
 
 def test_cell_kernel_mean_replicas_independent():
-    part = torus_grid_partition(T1, 4)
-    y = np.array([0.9])
-    pairs = [cell_kernel_mean(RIESZ06, T1, part.cells[0], y, 64,
-                              rngmod.substream(5, rngmod.SELFTEST, i), replicas=2)
-             for i in range(300)]
-    a = np.array([p[0] for p in pairs])
-    b = np.array([p[1] for p in pairs])
+    # the two replicas of a draw's per-cell terms use independent cell samples
+    cfg = WceConfig(torus_grid_partition(T1, 4), RIESZ06, 2.0, m_y=1, m_z=64, seed=5)
+    T = np.array([_draw_tables(cfg, rngmod.AN, k)[:, 0, 0] for k in range(300)])
+    a, b = T[:, 0], T[:, 1]
     assert not np.allclose(a, b)
-    # both replicas target the same mean
-    assert abs(a.mean() - b.mean()) < 3 * (a.std() + b.std()) / math.sqrt(len(a))
-
-
-def test_bulk_means_match_scalar_path():
-    part = torus_grid_partition(T1, 4)
-    ys = sample_uniform(T1, rngmod.substream(1, 1), 5)
-    bulk = cell_kernel_means_bulk(RIESZ06, T1, part.cells[2], ys, 4096,
-                                  rngmod.substream(2, 2))
-    for i, y in enumerate(ys):
-        solo = cell_kernel_mean(RIESZ06, T1, part.cells[2], y, 4096,
-                                rngmod.substream(3, i))
-        assert bulk[i] == pytest.approx(solo, rel=0.05)
+    # both replicas target the same mean (paired: the node term is shared)
+    assert abs(a.mean() - b.mean()) < 3 * (a - b).std() / math.sqrt(len(a))
 
 
 def test_integrability_moment_stable():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from stratcub import rng as rngmod
+from stratcub.cubature import draw_nodes
 from stratcub.funcs import (cone_bump_fn, constant_fn, coordinate_fn,
                             square_wave_fn, zonal_monomial_fn)
 from stratcub.mz import mz_pair, ratio_envelope
@@ -82,3 +84,30 @@ def test_envelope_stable_under_doubling_draws():
     e2 = ratio_envelope(fs, parts, p=1.0, n_draws=3000, seed=8)
     assert e2.lo >= 0.5 * e1.lo
     assert e1.lo > 0
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+def test_mz_pair_jackknife_matches_inline(p):
+    f, part, K = coordinate_fn(T1), torus_grid_partition(T1, 8), 40
+    rep = mz_pair(f, part, p, K, seed=3)
+    w = part.weights()
+    means = np.array([f.cell_mean(c) for c in part.cells])
+    mid, brk = np.empty(K), np.empty(K)
+    for k in range(K):
+        c = w * (f.evaluate(draw_nodes(part, 3, k, stream=rngmod.MZ).nodes) - means)
+        mid[k] = abs(c.sum()) ** p
+        brk[k] = float(c @ c) ** (p / 2.0)
+    power = 1.0 / p
+
+    # leave-one-out jackknife of power means and of their ratio, written out
+    def loo(u):
+        return ((u.sum() - u) / (K - 1)) ** power
+
+    def se(v):
+        return math.sqrt((K - 1) / K * float(np.sum((v - v.mean()) ** 2)))
+
+    assert not rep.degenerate
+    assert rep.middle == (mid.sum() / K) ** power and rep.middle_se == se(loo(mid))
+    assert rep.bracket == (brk.sum() / K) ** power and rep.bracket_se == se(loo(brk))
+    assert rep.ratio == rep.middle / rep.bracket
+    assert rep.ratio_se == se(loo(mid) / loo(brk))

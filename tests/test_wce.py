@@ -9,14 +9,13 @@ from stratcub import wce
 from stratcub.cubature import NodeDraw, draw_nodes, sample_all_cells
 from stratcub.kernel import (CONST, RIESZ, ROUGH_RIESZ, SINGULAR_TOL, KernelSpec,
                              kernel_profile)
-from stratcub.partition import (Partition, sphere_zonal_partition,
+from stratcub.partition import (Partition, cell_sample, sphere_zonal_partition,
                                 torus_grid_partition)
-from stratcub.space import (L2_BLOCK, SPHERE2, TORUS, make_space,
+from stratcub.space import (L2_BLOCK, SPHERE2, TORUS, distance, make_space,
                             pairwise_distance, sample_uniform)
-from stratcub.wce import (WceConfig, _cell_y_distances, _draw_tables, delta_phi,
-                          dual_density_F, estimate_AN,
-                          extremal_witness_check, gamma_phi,
-                          inner_budget_check, lower_hypothesis_probe,
+from stratcub.wce import (WceConfig, _cell_means, _cell_y_distances, _draw_tables,
+                          delta_phi, estimate_AN, extremal_witness_check,
+                          gamma_phi, inner_budget_check, lower_hypothesis_probe,
                           worst_case_error)
 
 T1 = make_space(TORUS, 1)
@@ -50,11 +49,18 @@ def test_config_validation():
     assert abs(1 / 1.5 + 1 / WceConfig(PART4, RIESZ75, p=1.5, n_draws=4).q - 1) < 1e-12
 
 
+def _dual_density(cfg, draw, y, rng):
+    """F(y) = sum_j w_j (Phi(x_j, y) - cell mean of Phi(., y)) at one y."""
+    Y = np.atleast_2d(np.asarray(y, dtype=float))
+    phi = kernel_profile(cfg.kernel, pairwise_distance(cfg.partition.space, draw.nodes, Y))
+    return float(cfg.partition.weights() @ (phi - _cell_means(cfg, rng, Y))[:, 0])
+
+
 def test_dual_density_single_cell_oracle():
     # N=1, node 0.5, y=0.25: F = Phi(0.25 apart) - full-circle mean
     cfg = _cfg(PART1, RIESZ06, m_z=200_000)
     rng = rngmod.substream(1, rngmod.SELFTEST)
-    F = dual_density_F(cfg, MID_DRAW1, np.array([0.25]), rng)
+    F = _dual_density(cfg, MID_DRAW1, np.array([0.25]), rng)
     oracle = 0.25 ** -0.4 - (2.0 / 0.6) * 0.5 ** 0.6
     assert oracle == pytest.approx(-0.45807872469590905)
     assert F == pytest.approx(oracle, abs=0.02)
@@ -63,7 +69,7 @@ def test_dual_density_single_cell_oracle():
 def test_dual_density_constant_stub_is_zero():
     cfg = _cfg(PART1, STUB)
     rng = rngmod.substream(2, rngmod.SELFTEST)
-    F = dual_density_F(cfg, MID_DRAW1, np.array([0.9]), rng)
+    F = _dual_density(cfg, MID_DRAW1, np.array([0.9]), rng)
     assert F == pytest.approx(0.0, abs=1e-14)
 
 
@@ -74,7 +80,7 @@ def test_dual_density_antipodal_symmetry():
     # check the antipodal y maximizes distance so F < 0 (node far from y)
     cfg = _cfg(PART1, RIESZ06, m_z=100_000)
     rng = rngmod.substream(3, rngmod.SELFTEST)
-    F = dual_density_F(cfg, MID_DRAW1, np.array([0.0]), rng)
+    F = _dual_density(cfg, MID_DRAW1, np.array([0.0]), rng)
     oracle = 0.5 ** -0.4 - (2.0 / 0.6) * 0.5 ** 0.6
     assert F == pytest.approx(oracle, abs=0.02)
 
@@ -236,13 +242,14 @@ def test_cell_y_distances_torus_matches_broadcast():
     assert np.array_equal(_cell_y_distances(part, Z, Y), full)
 
 
-def _draw_tables_reference(cfg, ctx, index, sample=sample_all_cells):
+def _draw_tables_reference(cfg, ctx, index, sample=sample_all_cells, Y=None):
     """The unblocked formula: full (N, m_z, m_y) tables, then the mean."""
     part = cfg.partition
     nodes = draw_nodes(part, cfg.seed, index,
                        stream=rngmod.path_key(ctx, rngmod.NODES)).nodes
-    Y = sample_uniform(part.space, rngmod.substream(cfg.seed, ctx, rngmod.WCE_Y,
-                                                    index, 0), cfg.m_y)
+    if Y is None:
+        Y = sample_uniform(part.space, rngmod.substream(cfg.seed, ctx, rngmod.WCE_Y,
+                                                        index, 0), cfg.m_y)
     dn = pairwise_distance(part.space, nodes, Y)
     assert dn.min() >= SINGULAR_TOL  # no y redraw on these seeds
     phi_nodes = kernel_profile(cfg.kernel, dn)
@@ -301,6 +308,67 @@ def test_draw_tables_singular_block_redraws_whole_z(monkeypatch):
     T = _draw_tables(cfg, rngmod.AN, 0)
     assert len(calls) == len(ref_calls) == 3  # replica 0 drew Z twice
     assert np.array_equal(T, T_ref)
+
+
+def _poison_first_sample_uniform(monkeypatch, k, point):
+    """Patch wce's ``sample_uniform`` so row k of its first draw is ``point``.
+
+    Returns the list of arrays handed out (the first is the caller's Y, which
+    the redraw updates in place) and a copy of the first draw as poisoned.
+    """
+    calls, poisoned = [], []
+
+    def sample(space, rng, n=None):
+        out = sample_uniform(space, rng, n)
+        if not calls:
+            out[k] = point
+            poisoned.append(out.copy())
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(wce, "sample_uniform", sample)
+    return calls, poisoned
+
+
+def _assert_only_row_redrawn(calls, poisoned, k):
+    Y = calls[0]
+    assert [len(c) for c in calls[1:]] == [1]  # one redraw, of one y
+    assert np.array_equal(Y[k], calls[1][0])
+    assert np.array_equal(np.delete(Y, k, axis=0), np.delete(poisoned[0], k, axis=0))
+
+
+def test_draw_tables_redraws_only_the_singular_y(monkeypatch):
+    cfg = _cfg(PART4, RIESZ75, m_y=16, m_z=8)
+    nodes = draw_nodes(PART4, cfg.seed, 0,
+                       stream=rngmod.path_key(rngmod.AN, rngmod.NODES)).nodes
+    calls, poisoned = _poison_first_sample_uniform(monkeypatch, 5, nodes[2])
+    T = _draw_tables(cfg, rngmod.AN, 0)
+    _assert_only_row_redrawn(calls, poisoned, 5)
+    T_ref, _ = _draw_tables_reference(cfg, rngmod.AN, 0, Y=calls[0])
+    assert np.array_equal(T, T_ref)
+
+
+def test_gamma_phi_redraws_only_the_singular_y(monkeypatch):
+    # one cell, so Gamma and its block jackknife are plain functions of u
+    P = 10
+    cfg = _cfg(PART1, RIESZ75, m_z=8, gamma_pairs=P)
+    cell = PART1.cells[0]
+    x = cell_sample(cell, rngmod.substream(cfg.seed, rngmod.GAMMA, 1, 0), P)
+    calls, poisoned = _poison_first_sample_uniform(monkeypatch, 3, x[3])
+    g = gamma_phi(cfg, n_blocks=P)
+    _assert_only_row_redrawn(calls, poisoned, 3)
+    y = calls[0]
+    phi = kernel_profile(RIESZ75, distance(T1, x, y))
+    t = []
+    for r in (0, 1):
+        z = cell_sample(cell, rngmod.substream(cfg.seed, rngmod.GAMMA, 3, 0, r), cfg.m_z)
+        mean = kernel_profile(RIESZ75, pairwise_distance(T1, z, y)).mean(axis=0)
+        t.append(PART1.weights()[0] * (phi - mean))
+    u = T1.total_measure * t[0] * t[1]
+    loo = np.array([max(np.delete(u, i).mean(), 0.0) ** 0.5 for i in range(P)])
+    se = math.sqrt((P - 1) / P * float(np.sum((loo - loo.mean()) ** 2)))
+    assert g.moment == max(u.mean(), 0.0) ** 0.5
+    assert g.stderr == se
 
 
 def test_draw_tables_memory_stays_near_table_size():
