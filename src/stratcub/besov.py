@@ -113,6 +113,8 @@ def poincare_check(space: SpaceDescriptor, f: TestFunction, gradient: PhiGradien
     jackknife over the samples; ``holds`` allows 3 combined standard errors
     of slack.
     """
+    if budget < 2:
+        raise ValueError(f"the jackknife needs budget >= 2 samples, got {budget}")
     if cell.diameter > 2.0 ** (-n):
         raise ValueError(f"cell diameter {cell.diameter} exceeds scale 2^-{n}")
     if n < gradient.n_min:

@@ -20,6 +20,7 @@ redraw such samples (a measure-zero event at any realistic budget).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -109,32 +110,35 @@ def kernel_eval(spec: KernelSpec, space: SpaceDescriptor, x, y):
     return kernel_profile(spec, distance(space, x, y))
 
 
-def kernel_antiderivative(spec: KernelSpec):
-    """Closed-form antiderivative A(t) of the radial profile, A(0) = 0.
+def total_integral(spec: KernelSpec, space: SpaceDescriptor) -> float:
+    """I_Phi = integral over M of Phi(z, y) dz, the same for every y.
 
-    Used by the circle-arc integrators (deterministic oracles on T^1).
+    The metric is invariant, so this is the profile integrated in closed form
+    against the law of dist(z, y); the rough term is integrated as its exact
+    series, which ``rough_series`` matches to ~1e-6.
     """
     if spec.family == CONST:
-        c = spec.kappa
-        return lambda t: c * t
-    a = spec.alpha
-
-    def base(t):
-        return t ** a / a
-
-    if spec.family == RIESZ or spec.kappa == 0.0:
-        return base
-    coeffs = [(2.0 ** (-spec.eps * m), 2.0 * math.pi * (2.0 ** m))
-              for m in range(spec.n_scales)]
-    kap = spec.kappa
-
-    def rough(t):
-        s = base(t)
-        for w, freq in coeffs:
-            s = s + kap * w * math.sin(freq * t) / freq
-        return s
-
-    return rough
+        return spec.kappa * space.total_measure
+    a, d = spec.alpha, space.d
+    rough = [(spec.kappa * 2.0 ** (-spec.eps * m), 2.0 * math.pi * 2.0 ** m)
+             for m in range(spec.n_scales)] if spec.kappa else []
+    if space.kind == TORUS:
+        # dist(z, y) has density d 2^d t^(d-1) on [0, 1/2] (balls are cubes);
+        # J_k = int_0^(1/2) t^k e^(i om t) dt, by parts up from J_0
+        total = 2.0 ** (-a) / a
+        for c, om in rough:
+            half = cmath.exp(0.5j * om)
+            J = (half - 1.0) / (1j * om)
+            for k in range(1, d):
+                J = (2.0 ** (-k) * half - k * J) / (1j * om)
+            total += c * J.real
+        return d * 2.0 ** d * total
+    # S^2: dist(z, y) has density 2 pi sin(t) on [0, pi]; t^(alpha-2) sin(t)
+    # integrates termwise over the sine series
+    total = sum((-1) ** k * math.pi ** (a + 2 * k) / (math.factorial(2 * k + 1) * (a + 2 * k))
+                for k in range(40))
+    total += sum(c * (1.0 + math.cos(math.pi * om)) / (1.0 - om * om) for c, om in rough)
+    return 2.0 * math.pi * total
 
 
 def regime_classify(spec: KernelSpec) -> str:

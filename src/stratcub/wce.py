@@ -5,19 +5,17 @@ the exact dual form
 
     wce(x)^q = integral over M of |F(y)|^q dy,
     F(y) = sum_j integral over X_j of (Phi(x_j, y) - Phi(z, y)) dz
-         = sum_j omega_j (Phi(x_j, y) - cell mean of Phi(. , y)),
+         = sum_j omega_j Phi(x_j, y) - I_Phi,
 
-so everything here reduces to Monte Carlo estimates of F.  The draw-averaged
-quantity A_N = {E_x wce^q}^{1/q} is bracketed by two computable functionals:
-Gamma (sum of per-cell q-norms, an upper bound for every p >= 1) and Delta
-(the square-function form, two-sided up to the moment-comparison constants,
-an equality at p = q = 2 by variance additivity).
-
-Estimator design: each per-cell term T_j(y) = omega_j (Phi(x_j, y) - mean_j(y))
-is computed twice from independent cell samples; products of the two
-replicas give unbiased squares at q = 2 independent of the inner budget m_z.
-For q != 2 the plug-in power of the pooled estimate is used and its bias is
-m_z-dependent; ``inner_budget_check`` quantifies it by doubling m_z.
+with I_Phi = ``kernel.total_integral`` the same for every y, so the draw
+average A_N = {E_x wce^q}^{1/q} needs Monte Carlo over y only.  It is
+bracketed by two functionals of the per-cell terms
+T_j(y) = omega_j (Phi(x_j, y) - cell mean of Phi(., y)): Gamma (sum of per-cell
+q-norms, an upper bound for every p >= 1) and Delta (the square-function form,
+two-sided up to the moment-comparison constants, an equality at p = q = 2 by
+variance additivity).  The inner budget m_z feeds Delta and Gamma only: each
+cell mean is estimated twice from m_z independent cell samples, so products
+of the two replicas give unbiased squares at q = 2 for any m_z.
 """
 
 from __future__ import annotations
@@ -32,8 +30,8 @@ from . import rng as rngmod
 from .cubature import (ErrorStats, NodeDraw, cubature_error, draw_nodes,
                        jackknife_power_mean, sample_all_cells)
 from .funcs import TestFunction
-from .kernel import (CONST, SINGULAR_TOL, KernelSpec, kernel_antiderivative,
-                     kernel_profile, regime_classify)
+from .kernel import (CONST, SINGULAR_TOL, KernelSpec, kernel_profile, regime_classify,
+                     total_integral)
 from .partition import Partition, cell_boundary_distance, cell_sample
 from .space import (L2_BLOCK, TORUS, SpaceDescriptor, distance, pairwise_distance,
                     sample_uniform)
@@ -47,8 +45,9 @@ class WceConfig:
     """Budgets and exponents for the worst-case-error estimators.
 
     ``m_y``: outer samples of y per draw; ``m_z``: inner cell samples per
-    replica for the cell kernel means; ``gamma_pairs``: (x, y) pairs per
-    cell for the per-cell functional.
+    replica for the cell kernel means of Delta and Gamma (A_N and
+    ``worst_case_error`` use none); ``gamma_pairs``: (x, y) pairs per cell
+    for the per-cell functional.
     """
 
     partition: Partition
@@ -64,6 +63,8 @@ class WceConfig:
         if self.m_y < 1 or self.m_z < 1:
             raise ValueError(f"need m_y >= 1 and m_z >= 1, got m_y={self.m_y}, "
                              f"m_z={self.m_z}")
+        if self.n_draws < 2:
+            raise ValueError(f"need n_draws >= 2 for a standard error, got {self.n_draws}")
         if not self.p > 1:
             raise ValueError("p must lie in (1, inf]; the p = 1 endpoint is "
                              "not Monte Carlo estimable (sup norm)")
@@ -151,9 +152,9 @@ def _redraw_singular_y(space: SpaceDescriptor, rng_y: np.random.Generator,
     raise RuntimeError("singular y redraw budget exhausted")
 
 
-def _draw_tables(cfg: WceConfig, ctx: int, index: int, rep: int = 0,
-                 nodes: np.ndarray | None = None) -> np.ndarray:
-    """Two-replica per-cell terms T (2, N, m_y) for one draw."""
+def _node_table(cfg: WceConfig, ctx: int, index: int, rep: int = 0,
+                nodes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel table Phi(x_j, y) (N, m_y) and the y sample Y of one draw."""
     part = cfg.partition
     space = part.space
     if nodes is None:
@@ -163,23 +164,28 @@ def _draw_tables(cfg: WceConfig, ctx: int, index: int, rep: int = 0,
     Y = sample_uniform(space, rng_y, cfg.m_y)
     dn = _redraw_singular_y(space, rng_y, Y,
                             lambda Y: pairwise_distance(space, nodes, Y))
-    phi_nodes = kernel_profile(cfg.kernel, dn)  # (N, m_y)
+    return kernel_profile(cfg.kernel, dn), Y
+
+
+def _draw_tables(cfg: WceConfig, ctx: int, index: int) -> np.ndarray:
+    """Two-replica per-cell terms T (2, N, m_y) for one draw."""
+    part = cfg.partition
+    phi_nodes, Y = _node_table(cfg, ctx, index)
     w = part.weights()
     T = np.empty((2, part.N, cfg.m_y))
     for r in (0, 1):
-        rng_z = rngmod.substream(cfg.seed, ctx, rngmod.WCE_Z, index, rep, r)
+        rng_z = rngmod.substream(cfg.seed, ctx, rngmod.WCE_Z, index, 0, r)
         T[r] = w[:, None] * (phi_nodes - _cell_means(cfg, rng_z, Y))
     return T
 
 
-def _wq_samples(cfg: WceConfig, T: np.ndarray) -> np.ndarray:
-    """Per-y samples whose mean estimates wce^q for this draw."""
-    total = cfg.partition.space.total_measure
-    F = T.sum(axis=1)  # (2, m_y)
-    if cfg.q == 2.0:
-        return total * F[0] * F[1]
-    f_bar = 0.5 * (F[0] + F[1])
-    return total * np.abs(f_bar) ** cfg.q
+def _wq(cfg: WceConfig, ctx: int, index: int, rep: int = 0,
+        nodes: np.ndarray | None = None) -> float:
+    """|M| mean_y |F(y)|^q, unbiased for wce^q of one draw, from the exact F."""
+    space = cfg.partition.space
+    phi_nodes, _ = _node_table(cfg, ctx, index, rep, nodes)
+    F = cfg.partition.weights() @ phi_nodes - total_integral(cfg.kernel, space)
+    return space.total_measure * float(np.mean(np.abs(F) ** cfg.q))
 
 
 def _dq_samples(cfg: WceConfig, T: np.ndarray) -> np.ndarray:
@@ -191,48 +197,39 @@ def _dq_samples(cfg: WceConfig, T: np.ndarray) -> np.ndarray:
     return total * np.clip(S, 0.0, None) ** (cfg.q / 2.0)
 
 
+def _draw_moment(cfg: WceConfig, draw_value: Callable[[int], float]) -> ErrorStats:
+    """{mean over draws k of draw_value(k)}^{1/q} with jackknife standard error."""
+    u = np.array([draw_value(k) for k in range(cfg.n_draws)])
+    moment, se = jackknife_power_mean(u, 1.0 / cfg.q)
+    return ErrorStats(p=cfg.q, n_draws=cfg.n_draws, moment=moment, stderr=se)
+
+
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
 def worst_case_error(cfg: WceConfig, draw: NodeDraw, rep: int = 0) -> float:
-    """Monte Carlo estimate of the dual-form worst-case error for one draw.
-
-    At q = 2 the squared quantity uses the two-replica product estimator and
-    is unbiased for any inner budget; for q != 2 the plug-in power is used.
-    ``rep`` selects an independent replication (fresh y and z streams).
+    """Monte Carlo estimate over m_y samples of y of the dual-form worst-case
+    error of one draw (F is exact; m_z is unused).  ``rep`` selects an
+    independent replication (a fresh y stream).
     """
-    T = _draw_tables(cfg, rngmod.WCE_OP, draw.index, rep=rep, nodes=draw.nodes)
-    wq = float(_wq_samples(cfg, T).mean())
-    return max(wq, 0.0) ** (1.0 / cfg.q)
+    return _wq(cfg, rngmod.WCE_OP, draw.index, rep, draw.nodes) ** (1.0 / cfg.q)
 
 
 def estimate_AN(cfg: WceConfig) -> ErrorStats:
     """{mean over draws of wce^q}^{1/q} with jackknife standard error."""
-    if cfg.n_draws < 2:
-        raise ValueError("need at least 2 draws")
-    u = np.empty(cfg.n_draws)
-    for k in range(cfg.n_draws):
-        T = _draw_tables(cfg, rngmod.AN, k)
-        u[k] = _wq_samples(cfg, T).mean()
-    moment, se = jackknife_power_mean(u, 1.0 / cfg.q)
-    return ErrorStats(p=cfg.q, n_draws=cfg.n_draws, moment=moment, stderr=se)
+    return _draw_moment(cfg, lambda k: _wq(cfg, rngmod.AN, k))
 
 
 def delta_phi(cfg: WceConfig) -> ErrorStats:
     """Square-function bracket: {E_x E_y |M| (sum_j T_j^2)^{q/2}}^{1/q}.
 
-    Independent of ``estimate_AN`` (separate streams), so the p = q = 2
-    identity between the two is a genuine dual-route check.
+    Independent of ``estimate_AN`` (separate streams, and Monte Carlo cell
+    means against A_N's exact integral), so the p = q = 2 identity between
+    the two is a genuine dual-route check.
     """
-    if cfg.n_draws < 2:
-        raise ValueError("need at least 2 draws")
-    v = np.empty(cfg.n_draws)
-    for k in range(cfg.n_draws):
-        T = _draw_tables(cfg, rngmod.DELTA, k)
-        v[k] = _dq_samples(cfg, T).mean()
-    moment, se = jackknife_power_mean(v, 1.0 / cfg.q)
-    return ErrorStats(p=cfg.q, n_draws=cfg.n_draws, moment=moment, stderr=se)
+    return _draw_moment(
+        cfg, lambda k: _dq_samples(cfg, _draw_tables(cfg, rngmod.DELTA, k)).mean())
 
 
 def gamma_phi(cfg: WceConfig, n_blocks: int = 10) -> ErrorStats:
@@ -288,19 +285,6 @@ def gamma_phi(cfg: WceConfig, n_blocks: int = 10) -> ErrorStats:
     loo = np.array(loo)
     se = math.sqrt((n_blocks - 1) / n_blocks * float(np.sum((loo - loo.mean()) ** 2)))
     return ErrorStats(p=q, n_draws=P, moment=gamma, stderr=se)
-
-
-def inner_budget_check(cfg: WceConfig) -> tuple[float, float, float, bool]:
-    """Plug-in bias probe for q != 2: A_N at m_z and at 2 m_z.
-
-    Returns (value, value_doubled, combined se, consistent).
-    """
-    a1 = estimate_AN(cfg)
-    cfg2 = WceConfig(cfg.partition, cfg.kernel, cfg.p, cfg.m_y, 2 * cfg.m_z,
-                     cfg.n_draws, cfg.seed + 1, cfg.gamma_pairs)
-    a2 = estimate_AN(cfg2)
-    se = a1.stderr + a2.stderr
-    return a1.moment, a2.moment, se, abs(a1.moment - a2.moment) <= 3.0 * se
 
 
 def run_report(cfg: WceConfig, include_gamma: bool = True) -> WceReport:
@@ -370,8 +354,7 @@ def extremal_witness_check(cfg: WceConfig, draw: NodeDraw,
         ys, w = _graded_circle_mesh(draw.nodes, G)
         t = pairwise_distance(space, draw.nodes, ys[:, None])  # (N, len(ys))
         phi = kernel_profile(cfg.kernel, t)
-        anti = kernel_antiderivative(cfg.kernel)
-        i_m = 2.0 * anti(0.5)  # integral of Phi(., y) over T^1, y-independent
+        i_m = total_integral(cfg.kernel, space)
         F = part.weights() @ phi - i_m
         gnorm = math.sqrt(float(np.sum(F * F * w)))
         if gnorm < 1e-12:

@@ -141,6 +141,14 @@ def test_poincare_scale_precondition():
         poincare_check(T1, coordinate_fn(T1), grad, part.cells[0], p=2.0, n=3)
 
 
+def test_poincare_rejects_budget_below_two():
+    # one sample leaves the jackknife no spread: NaN SEs, holds read False
+    part = torus_grid_partition(T1, 8)
+    grad = PhiGradient(1.0, scale_floor(T1), lambda n, pts: np.ones(len(np.atleast_2d(pts))))
+    with pytest.raises(ValueError, match="budget"):
+        poincare_check(T1, coordinate_fn(T1), grad, part.cells[2], p=2.0, n=3, budget=1)
+
+
 def test_rhs_bounds_formulas():
     part = torus_grid_partition(T1, 8)
     rb = besov_rhs_bounds(part, p=2.0, alpha=1.0, norm_value=3.0, b_p=1.0)

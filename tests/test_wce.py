@@ -8,15 +8,14 @@ from stratcub import rng as rngmod
 from stratcub import wce
 from stratcub.cubature import NodeDraw, draw_nodes, sample_all_cells
 from stratcub.kernel import (CONST, RIESZ, ROUGH_RIESZ, SINGULAR_TOL, KernelSpec,
-                             kernel_profile)
+                             kernel_profile, total_integral)
 from stratcub.partition import (Partition, cell_sample, sphere_zonal_partition,
                                 torus_grid_partition)
 from stratcub.space import (L2_BLOCK, SPHERE2, TORUS, distance, make_space,
                             pairwise_distance, sample_uniform)
 from stratcub.wce import (WceConfig, _cell_means, _cell_y_distances, _draw_tables,
                           delta_phi, estimate_AN, extremal_witness_check,
-                          gamma_phi, inner_budget_check, lower_hypothesis_probe,
-                          worst_case_error)
+                          gamma_phi, lower_hypothesis_probe, worst_case_error)
 
 T1 = make_space(TORUS, 1)
 PART1 = torus_grid_partition(T1, 1)
@@ -44,6 +43,8 @@ def test_config_validation():
         _cfg(PART4, RIESZ06, m_y=0)
     with pytest.raises(ValueError):
         _cfg(PART4, RIESZ06, m_z=0)
+    with pytest.raises(ValueError):
+        _cfg(PART4, RIESZ06, n_draws=1)  # no jackknife spread from one draw
     assert _cfg(PART4, RIESZ06).q == 2.0
     assert WceConfig(PART4, RIESZ06, p=math.inf, n_draws=4).q == 1.0
     assert abs(1 / 1.5 + 1 / WceConfig(PART4, RIESZ75, p=1.5, n_draws=4).q - 1) < 1e-12
@@ -176,11 +177,55 @@ def test_delta_constant_stub_zero():
     assert delta_phi(cfg).moment == pytest.approx(0.0, abs=1e-12)
 
 
-def test_inner_budget_check_q_not_2():
+# five kernels spanning T^1..T^3 and S^2, plain and rough
+_INTEGRAL_CASES = {
+    "t1-rough": (torus_grid_partition(T1, 8), ROUGH09),
+    "t2-riesz": (torus_grid_partition(make_space(TORUS, 2), 4), KernelSpec(RIESZ, alpha=1.0, d=2)),
+    "t2-rough": (torus_grid_partition(make_space(TORUS, 2), 4),
+                 KernelSpec(ROUGH_RIESZ, alpha=1.5, d=2, eps=0.5, kappa=1.0)),
+    "t3-riesz": (torus_grid_partition(make_space(TORUS, 3), 2), KernelSpec(RIESZ, alpha=2.0, d=3)),
+    "s2-riesz": (sphere_zonal_partition(make_space(SPHERE2), 16),
+                 KernelSpec(RIESZ, alpha=1.5, d=2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INTEGRAL_CASES))
+def test_total_integral_matches_uniform_monte_carlo(case):
+    part, kern = _INTEGRAL_CASES[case]
+    space = part.space
+    rng = rngmod.substream(17, rngmod.SELFTEST, 8)
+    y = sample_uniform(space, rng, 1)[0]
+    z = sample_uniform(space, rng, 1 << 20)
+    phi = space.total_measure * kernel_profile(kern, distance(space, z, y))
+    se = phi.std(ddof=1) / math.sqrt(len(phi))
+    assert abs(phi.mean() - total_integral(kern, space)) <= 3 * se
+
+
+@pytest.mark.parametrize("case", sorted(_INTEGRAL_CASES))
+def test_cell_means_average_to_total_integral(case):
+    # the Monte Carlo route of Delta and the exact route of A_N agree: at a
+    # fixed Y the weighted cell means average over replicas to I_Phi
+    part, kern = _INTEGRAL_CASES[case]
+    cfg = WceConfig(part, kern, 4.0, m_y=8, m_z=8, n_draws=2, seed=5)
+    Y = sample_uniform(part.space, rngmod.substream(5, rngmod.SELFTEST, 9), cfg.m_y)
+    reps = 400
+    rngs = (rngmod.substream(5, rngmod.SELFTEST, 10, r) for r in range(reps))
+    est = np.array([part.weights() @ _cell_means(cfg, rng, Y) for rng in rngs]).mean(axis=1)
+    se = est.std(ddof=1) / math.sqrt(reps)
+    assert abs(est.mean() - total_integral(kern, part.space)) <= 3 * se
+
+
+def test_estimate_an_has_no_inner_budget(monkeypatch):
     part = torus_grid_partition(T1, 8)
-    cfg = _cfg(part, RIESZ75, p=3.0, m_y=256, m_z=16, n_draws=60)
-    v1, v2, se, ok = inner_budget_check(cfg)
-    assert ok, f"plug-in estimate moved beyond noise when doubling m_z: {v1} vs {v2}"
+
+    def refuse(*args):
+        raise AssertionError("A_N drew cell samples")
+
+    monkeypatch.setattr(wce, "_cell_means", refuse)
+    a1 = estimate_AN(_cfg(part, ROUGH09, p=3.0, m_y=64, m_z=1, n_draws=6))
+    a64 = estimate_AN(_cfg(part, ROUGH09, p=3.0, m_y=64, m_z=64, n_draws=6))
+    assert repr(a1) == repr(a64)
+    assert worst_case_error(_cfg(part, ROUGH09, m_z=1), draw_nodes(part, 2)) > 0
 
 
 def test_witness_ratio_near_one():
