@@ -47,8 +47,7 @@ def main() -> int:
     print(f"regime: {rep.regime}")
     print(f"worst-case error (draw q-mean): {rep.a_n.moment:.6g} +- {rep.a_n.stderr:.2g}")
     print(f"square-function bracket:        {rep.delta.moment:.6g} +- {rep.delta.stderr:.2g}")
-    if rep.gamma is not None:
-        print(f"per-cell upper functional:      {rep.gamma.moment:.6g} +- {rep.gamma.stderr:.2g}")
+    print(f"per-cell upper functional:      {rep.gamma.moment:.6g} +- {rep.gamma.stderr:.2g}")
     return 0
 
 

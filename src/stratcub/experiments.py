@@ -62,7 +62,6 @@ class ExperimentConfig:
     n_draws: int = 200
     m_y: int = 512
     m_z: int = 8
-    gamma_pairs: int = 256
     variant: str = "sum"  # sharpness: "single" or "sum"
     sample_budget: int = 10_000  # partition verification
     seed: int = 0
@@ -144,8 +143,7 @@ def _run_one(cfg: ExperimentConfig, N: int) -> dict:
     if cfg.kind == "wce":
         part = build_partition(cfg, N)
         kern = KernelSpec(cfg.family, cfg.alpha, part.space.d, cfg.eps, cfg.kappa)
-        wcfg = WceConfig(part, kern, cfg.p, cfg.m_y, cfg.m_z, cfg.n_draws,
-                         seed=seed_n, gamma_pairs=cfg.gamma_pairs)
+        wcfg = WceConfig(part, kern, cfg.p, cfg.m_y, cfg.m_z, cfg.n_draws, seed=seed_n)
         st = estimate_AN(wcfg)
         return _row(cfg, N, st.moment, st.stderr,
                     alpha=cfg.alpha, eps=cfg.eps, kappa=cfg.kappa)

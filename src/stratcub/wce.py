@@ -38,6 +38,8 @@ from .space import (L2_BLOCK, TORUS, SpaceDescriptor, distance, pairwise_distanc
 
 # times a sample batch that hits a kernel singularity is redrawn before giving up
 MAX_REDRAWS = 100
+# blocks of Gamma's shared (x, y) pairs left out one at a time by its jackknife
+GAMMA_BLOCKS = 10
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,7 @@ class WceConfig:
     ``m_y``: outer samples of y per draw; ``m_z``: inner cell samples per
     replica for the cell kernel means of Delta and Gamma (A_N and
     ``worst_case_error`` use none); ``gamma_pairs``: (x, y) pairs per cell
-    for the per-cell functional.
+    for the per-cell functional, at least ``GAMMA_BLOCKS``.
     """
 
     partition: Partition
@@ -65,6 +67,9 @@ class WceConfig:
                              f"m_z={self.m_z}")
         if self.n_draws < 2:
             raise ValueError(f"need n_draws >= 2 for a standard error, got {self.n_draws}")
+        if self.gamma_pairs < GAMMA_BLOCKS:
+            raise ValueError(f"need gamma_pairs >= {GAMMA_BLOCKS} for Gamma's block "
+                             f"jackknife, got {self.gamma_pairs}")
         if not self.p > 1:
             raise ValueError("p must lie in (1, inf]; the p = 1 endpoint is "
                              "not Monte Carlo estimable (sup norm)")
@@ -88,7 +93,7 @@ class WceReport:
     config_label: dict
     a_n: ErrorStats
     delta: ErrorStats
-    gamma: ErrorStats | None
+    gamma: ErrorStats
     regime: str
 
 
@@ -96,43 +101,48 @@ class WceReport:
 # per-draw tables
 # ---------------------------------------------------------------------------
 
-def _cell_y_distances(partition: Partition, Z: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Distances from per-cell samples Z (N, m, dim) to Y (m_y, dim).
-
-    The torus delegates to ``pairwise_distance``.  The sphere keeps its own
-    ``einsum`` dot product: ``pairwise_distance`` uses ``a @ b.T``, which
-    rounds differently by up to 2.2e-16 and so would change sampled outputs.
-    """
-    space = partition.space
-    N, m, dim = Z.shape
-    m_y = len(Y)
-    if space.kind == TORUS:
-        return pairwise_distance(space, Z.reshape(N * m, dim), Y).reshape(N, m, m_y)
-    return np.arccos(np.clip(np.einsum("nmd,yd->nmy", Z, Y), -1.0, 1.0))
-
-
 def _cell_means(cfg: WceConfig, rng_z: np.random.Generator,
                 Y: np.ndarray) -> np.ndarray:
     """Cell kernel means (N, len(Y)) over one replica of m_z samples per cell.
 
     Streams blocks of about ``L2_BLOCK`` distances through distance table,
-    kernel and mean, so no (N, m_z, m_y) table is built.  A block with a
-    singular distance redraws the whole Z before its kernel is evaluated;
-    the random stream and the result are those of the unblocked table.
+    kernel and mean, so no (N, m_z, m_y) table is built.  A block's
+    distances are one ``pairwise_distance`` table on either space.  A block
+    with a singular distance redraws the whole Z before its kernel is
+    evaluated; the random stream and the result are those of the unblocked
+    table.
     """
     part = cfg.partition
-    rows = max(1, L2_BLOCK // (cfg.m_z * len(Y)))
-    out = np.empty((part.N, len(Y)))
+    m_y = len(Y)
+    rows = max(1, L2_BLOCK // (cfg.m_z * m_y))
+    out = np.empty((part.N, m_y))
     for _ in range(MAX_REDRAWS):
         Z = sample_all_cells(part, rng_z, cfg.m_z)
         for i in range(0, part.N, rows):
-            D = _cell_y_distances(part, Z[i:i + rows], Y)
+            Zb = Z[i:i + rows]
+            D = pairwise_distance(part.space, Zb.reshape(-1, Zb.shape[-1]), Y)
+            D = D.reshape(len(Zb), cfg.m_z, m_y)
             if D.min() < SINGULAR_TOL:
                 break
             kernel_profile(cfg.kernel, D).mean(axis=1, out=out[i:i + rows])
         else:
             return out
     raise RuntimeError("singular cell-sample redraw budget exhausted")
+
+
+def _cell_terms(cfg: WceConfig, phi: np.ndarray, Y: np.ndarray,
+                z_path: tuple[int, ...]) -> np.ndarray:
+    """Two-replica per-cell terms T (2, N, len(Y)) = w_j (phi_j - cell mean j).
+
+    ``phi`` (N, len(Y)) holds Phi(x_j, y); replica r draws its cell samples
+    from the stream ``(seed, *z_path, r)``.
+    """
+    w = cfg.partition.weights()
+    T = np.empty((2,) + phi.shape)
+    for r in (0, 1):
+        rng_z = rngmod.substream(cfg.seed, *z_path, r)
+        T[r] = w[:, None] * (phi - _cell_means(cfg, rng_z, Y))
+    return T
 
 
 def _redraw_singular_y(space: SpaceDescriptor, rng_y: np.random.Generator,
@@ -169,14 +179,8 @@ def _node_table(cfg: WceConfig, ctx: int, index: int, rep: int = 0,
 
 def _draw_tables(cfg: WceConfig, ctx: int, index: int) -> np.ndarray:
     """Two-replica per-cell terms T (2, N, m_y) for one draw."""
-    part = cfg.partition
     phi_nodes, Y = _node_table(cfg, ctx, index)
-    w = part.weights()
-    T = np.empty((2, part.N, cfg.m_y))
-    for r in (0, 1):
-        rng_z = rngmod.substream(cfg.seed, ctx, rngmod.WCE_Z, index, 0, r)
-        T[r] = w[:, None] * (phi_nodes - _cell_means(cfg, rng_z, Y))
-    return T
+    return _cell_terms(cfg, phi_nodes, Y, (ctx, rngmod.WCE_Z, index, 0))
 
 
 def _wq(cfg: WceConfig, ctx: int, index: int, rep: int = 0,
@@ -232,68 +236,48 @@ def delta_phi(cfg: WceConfig) -> ErrorStats:
         cfg, lambda k: _dq_samples(cfg, _draw_tables(cfg, rngmod.DELTA, k)).mean())
 
 
-def gamma_phi(cfg: WceConfig, n_blocks: int = 10) -> ErrorStats:
-    """Sum over cells of per-cell q-norms of T_j, sampled per cell.
+def gamma_phi(cfg: WceConfig) -> ErrorStats:
+    """Sum over cells of per-cell q-norms of T_j, from P = gamma_pairs pairs.
 
-    Standard error by leave-one-block-out jackknife over the shared pair
-    blocks (the statistic is a sum of fractional powers, so per-draw
-    jackknife does not apply).
+    Pair i of cell j is (x_ij, y_i): the x are uniform in their cells and
+    one uniform Y is shared by all cells, so each cell's pairs keep their
+    law and only cells become correlated.  The leave-one-block-out jackknife
+    over the shared pair blocks accounts for that correlation (the statistic
+    is a sum of fractional powers, so per-draw jackknife does not apply).
     """
     part = cfg.partition
     space = part.space
     q = cfg.q
     P = cfg.gamma_pairs
-    if P < n_blocks:
-        raise ValueError("gamma_pairs must be >= n_blocks")
-    total = space.total_measure
-    w = part.weights()
+    X = sample_all_cells(part, rngmod.substream(cfg.seed, rngmod.GAMMA, rngmod.NODES), P)
+    rng_y = rngmod.substream(cfg.seed, rngmod.GAMMA, rngmod.WCE_Y)
+    Y = sample_uniform(space, rng_y, P)
+    t = _redraw_singular_y(space, rng_y, Y, lambda Y: distance(space, X, Y))
+    T = _cell_terms(cfg, kernel_profile(cfg.kernel, t), Y, (rngmod.GAMMA, rngmod.WCE_Z))
     # per-cell, per-pair samples u with E[u] = |M| * E_x E_y |T_j|^q
-    u_all = np.empty((part.N, P))
-    for j, cell in enumerate(part.cells):
-        rng_x = rngmod.substream(cfg.seed, rngmod.GAMMA, 1, j)
-        rng_y = rngmod.substream(cfg.seed, rngmod.GAMMA, 2, j)
-        x = cell_sample(cell, rng_x, P)
-        y = sample_uniform(space, rng_y, P)
-        t = _redraw_singular_y(space, rng_y, y, lambda y: distance(space, x, y))
-        phi_xy = kernel_profile(cfg.kernel, t)
-        reps = []
-        for r in (0, 1):
-            rng_z = rngmod.substream(cfg.seed, rngmod.GAMMA, 3, j, r)
-            for _ in range(MAX_REDRAWS):
-                z = cell_sample(cell, rng_z, cfg.m_z)
-                dz = pairwise_distance(space, z, y)
-                if dz.min() >= SINGULAR_TOL:
-                    break
-            else:
-                raise RuntimeError("singular cell-sample redraw budget exhausted")
-            reps.append(kernel_profile(cfg.kernel, dz).mean(axis=0))
-        t1 = w[j] * (phi_xy - reps[0])
-        t2 = w[j] * (phi_xy - reps[1])
-        if q == 2.0:
-            u_all[j] = total * t1 * t2
-        else:
-            u_all[j] = total * np.abs(0.5 * (t1 + t2)) ** q
+    if q == 2.0:
+        u_all = space.total_measure * T[0] * T[1]
+    else:
+        u_all = space.total_measure * np.abs(0.5 * (T[0] + T[1])) ** q
     gamma = float(np.sum(np.clip(u_all.mean(axis=1), 0.0, None) ** (1.0 / q)))
     # block jackknife
-    blocks = np.array_split(np.arange(P), n_blocks)
     loo = []
-    for b in blocks:
+    for b in np.array_split(np.arange(P), GAMMA_BLOCKS):
         mask = np.ones(P, dtype=bool)
         mask[b] = False
         vj = np.clip(u_all[:, mask].mean(axis=1), 0.0, None)
         loo.append(float(np.sum(vj ** (1.0 / q))))
     loo = np.array(loo)
-    se = math.sqrt((n_blocks - 1) / n_blocks * float(np.sum((loo - loo.mean()) ** 2)))
+    se = math.sqrt((GAMMA_BLOCKS - 1) / GAMMA_BLOCKS * float(np.sum((loo - loo.mean()) ** 2)))
     return ErrorStats(p=q, n_draws=P, moment=gamma, stderr=se)
 
 
-def run_report(cfg: WceConfig, include_gamma: bool = True) -> WceReport:
-    gamma = gamma_phi(cfg) if include_gamma else None
+def run_report(cfg: WceConfig) -> WceReport:
     return WceReport(
         config_label={"N": cfg.partition.N, "p": cfg.p, **cfg.kernel.as_dict()},
         a_n=estimate_AN(cfg),
         delta=delta_phi(cfg),
-        gamma=gamma,
+        gamma=gamma_phi(cfg),
         regime=regime_classify(cfg.kernel),
     )
 
@@ -395,8 +379,7 @@ class ProbeReport:
     n_skipped: int
 
 
-def lower_hypothesis_probe(cfg: WceConfig, n_pairs: int, seed: int | None = None,
-                           m_x: int = 32) -> ProbeReport:
+def lower_hypothesis_probe(cfg: WceConfig, n_pairs: int) -> ProbeReport:
     """Sampled infimum of
 
         [integral over X_j of |Phi(x, y) - Phi(z, y)| dx]
@@ -409,8 +392,7 @@ def lower_hypothesis_probe(cfg: WceConfig, n_pairs: int, seed: int | None = None
     part = cfg.partition
     space = part.space
     kern = cfg.kernel
-    seed = cfg.seed if seed is None else seed
-    rng = rngmod.substream(seed, rngmod.PROBE, part.N)
+    rng = rngmod.substream(cfg.seed, rngmod.PROBE, part.N)
     if kern.family == CONST:
         alpha, eps, d = 0.5, 1.0, space.d
     else:
@@ -431,7 +413,7 @@ def lower_hypothesis_probe(cfg: WceConfig, n_pairs: int, seed: int | None = None
         if y is None:
             skipped += 1
             continue
-        x = cell_sample(cell, rng, m_x)
+        x = cell_sample(cell, rng, 32)  # Monte Carlo points of the x integral
         phi_x = kernel_profile(kern, np.maximum(distance(space, x, y), SINGULAR_TOL))
         phi_z = kernel_profile(kern, np.maximum(distance(space, z, y)[None], SINGULAR_TOL))
         lhs = cell.measure * float(np.mean(np.abs(phi_x - phi_z)))

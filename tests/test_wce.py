@@ -9,13 +9,13 @@ from stratcub import wce
 from stratcub.cubature import NodeDraw, draw_nodes, sample_all_cells
 from stratcub.kernel import (CONST, RIESZ, ROUGH_RIESZ, SINGULAR_TOL, KernelSpec,
                              kernel_profile, total_integral)
-from stratcub.partition import (Partition, cell_sample, sphere_zonal_partition,
+from stratcub.partition import (Partition, sphere_zonal_partition,
                                 torus_grid_partition)
 from stratcub.space import (L2_BLOCK, SPHERE2, TORUS, distance, make_space,
                             pairwise_distance, sample_uniform)
-from stratcub.wce import (WceConfig, _cell_means, _cell_y_distances, _draw_tables,
-                          delta_phi, estimate_AN, extremal_witness_check,
-                          gamma_phi, lower_hypothesis_probe, worst_case_error)
+from stratcub.wce import (GAMMA_BLOCKS, WceConfig, _cell_means, _draw_tables, delta_phi,
+                          estimate_AN, extremal_witness_check, gamma_phi,
+                          lower_hypothesis_probe, worst_case_error)
 
 T1 = make_space(TORUS, 1)
 PART1 = torus_grid_partition(T1, 1)
@@ -45,6 +45,8 @@ def test_config_validation():
         _cfg(PART4, RIESZ06, m_z=0)
     with pytest.raises(ValueError):
         _cfg(PART4, RIESZ06, n_draws=1)  # no jackknife spread from one draw
+    with pytest.raises(ValueError):
+        _cfg(PART4, RIESZ06, gamma_pairs=GAMMA_BLOCKS - 1)  # a jackknife block left empty
     assert _cfg(PART4, RIESZ06).q == 2.0
     assert WceConfig(PART4, RIESZ06, p=math.inf, n_draws=4).q == 1.0
     assert abs(1 / 1.5 + 1 / WceConfig(PART4, RIESZ75, p=1.5, n_draws=4).q - 1) < 1e-12
@@ -275,6 +277,12 @@ def test_probe_constant_stub_fails_hypothesis():
     assert rep.min_ratio == pytest.approx(0.0, abs=1e-12)
 
 
+def _cell_y_distances(space, Z, Y):
+    """Distances (N, m, len(Y)) from per-cell samples Z (N, m, dim) to Y."""
+    N, m, dim = Z.shape
+    return pairwise_distance(space, Z.reshape(N * m, dim), Y).reshape(N, m, len(Y))
+
+
 def test_cell_y_distances_torus_matches_broadcast():
     T2 = make_space(TORUS, 2)
     part = torus_grid_partition(T2, 4)
@@ -284,7 +292,7 @@ def test_cell_y_distances_torus_matches_broadcast():
     Y = np.concatenate([sample_uniform(T2, rng, 31), edge])
     diff = np.abs(Z[:, :, None, :] - Y[None, None, :, :])
     full = np.minimum(diff, 1.0 - diff).max(axis=-1)
-    assert np.array_equal(_cell_y_distances(part, Z, Y), full)
+    assert np.array_equal(_cell_y_distances(T2, Z, Y), full)
 
 
 def _draw_tables_reference(cfg, ctx, index, sample=sample_all_cells, Y=None):
@@ -302,7 +310,7 @@ def _draw_tables_reference(cfg, ctx, index, sample=sample_all_cells, Y=None):
     for r in (0, 1):
         rng_z = rngmod.substream(cfg.seed, ctx, rngmod.WCE_Z, index, 0, r)
         while True:
-            D = _cell_y_distances(part, sample(part, rng_z, cfg.m_z), Y)
+            D = _cell_y_distances(part.space, sample(part, rng_z, cfg.m_z), Y)
             if D.min() >= SINGULAR_TOL:
                 break
         mean = kernel_profile(cfg.kernel, D).mean(axis=1)
@@ -394,26 +402,42 @@ def test_draw_tables_redraws_only_the_singular_y(monkeypatch):
 
 
 def test_gamma_phi_redraws_only_the_singular_y(monkeypatch):
-    # one cell, so Gamma and its block jackknife are plain functions of u
-    P = 10
-    cfg = _cfg(PART1, RIESZ75, m_z=8, gamma_pairs=P)
-    cell = PART1.cells[0]
-    x = cell_sample(cell, rngmod.substream(cfg.seed, rngmod.GAMMA, 1, 0), P)
-    calls, poisoned = _poison_first_sample_uniform(monkeypatch, 3, x[3])
-    g = gamma_phi(cfg, n_blocks=P)
+    # cell 2's x of pair 3 lands on y_3, which every cell shares; with one
+    # pair per jackknife block, Gamma and its SE are plain functions of u
+    P = GAMMA_BLOCKS
+    cfg = _cfg(PART4, RIESZ75, m_z=8, gamma_pairs=P)
+    X = sample_all_cells(PART4, rngmod.substream(cfg.seed, rngmod.GAMMA, rngmod.NODES), P)
+    calls, poisoned = _poison_first_sample_uniform(monkeypatch, 3, X[2, 3])
+    g = gamma_phi(cfg)
     _assert_only_row_redrawn(calls, poisoned, 3)
-    y = calls[0]
-    phi = kernel_profile(RIESZ75, distance(T1, x, y))
+    Y = calls[0]
+    phi = kernel_profile(RIESZ75, distance(T1, X, Y))  # (N, P)
     t = []
     for r in (0, 1):
-        z = cell_sample(cell, rngmod.substream(cfg.seed, rngmod.GAMMA, 3, 0, r), cfg.m_z)
-        mean = kernel_profile(RIESZ75, pairwise_distance(T1, z, y)).mean(axis=0)
-        t.append(PART1.weights()[0] * (phi - mean))
+        Z = sample_all_cells(PART4, rngmod.substream(cfg.seed, rngmod.GAMMA, rngmod.WCE_Z, r),
+                             cfg.m_z)
+        mean = kernel_profile(RIESZ75, _cell_y_distances(T1, Z, Y)).mean(axis=1)
+        t.append(PART4.weights()[:, None] * (phi - mean))
     u = T1.total_measure * t[0] * t[1]
-    loo = np.array([max(np.delete(u, i).mean(), 0.0) ** 0.5 for i in range(P)])
+    loo = np.array([np.sum(np.maximum(np.delete(u, i, axis=1).mean(axis=1), 0.0) ** 0.5)
+                    for i in range(P)])
     se = math.sqrt((P - 1) / P * float(np.sum((loo - loo.mean()) ** 2)))
-    assert g.moment == max(u.mean(), 0.0) ** 0.5
+    assert g.moment == float(np.sum(np.maximum(u.mean(axis=1), 0.0) ** 0.5))
     assert g.stderr == se
+
+
+def test_gamma_phi_opens_a_fixed_number_of_streams(monkeypatch):
+    # one stream each for x, y and the two z replicas, whatever N is
+    substream = rngmod.substream
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return substream(*args)
+
+    monkeypatch.setattr(rngmod, "substream", counting)
+    gamma_phi(_cfg(torus_grid_partition(T1, 64), RIESZ75, m_z=4, gamma_pairs=32))
+    assert 0 < len(calls) <= 4
 
 
 def test_draw_tables_memory_stays_near_table_size():
