@@ -29,7 +29,7 @@ import numpy as np
 from . import rng as rngmod
 from .cubature import jackknife_power_mean
 from .funcs import TestFunction, _lipschitz_besov_norm
-from .partition import Cell, Partition, cell_inradius, cell_sample, find_cell
+from .partition import Partition, cell_inradius, cell_sample, find_cell
 from .sets import SetDescriptor, boundary_distance, psi_tube_measure, set_contains
 from .space import (SPHERE2, TORUS, SpaceDescriptor, distance, east_tangent,
                     geodesic_step)
@@ -102,30 +102,30 @@ class PoincareReport:
     holds: bool
 
 
-def poincare_check(space: SpaceDescriptor, f: TestFunction, gradient: PhiGradient,
-                   cell: Cell, p: float, n: int, budget: int = 4096,
-                   seed: int = 0) -> PoincareReport:
+def poincare_check(partition: Partition, j: int, f: TestFunction, gradient: PhiGradient,
+                   p: float, n: int, budget: int = 4096, seed: int = 0) -> PoincareReport:
     """Monte Carlo check of the cell-mean inequality
 
         {(1/w) int_X |f - f_X|^p}^{1/p} <= 2 * 2^(-n alpha) {(1/w) int_X g_n^p}^{1/p}
 
-    for a cell of diameter <= 2^-n.  Standard errors by the leave-one-out
+    for cell j of diameter <= 2^-n.  Standard errors by the leave-one-out
     jackknife over the samples; ``holds`` allows 3 combined standard errors
     of slack.
     """
     if budget < 2:
         raise ValueError(f"the jackknife needs budget >= 2 samples, got {budget}")
-    if cell.diameter > 2.0 ** (-n):
-        raise ValueError(f"cell diameter {cell.diameter} exceeds scale 2^-{n}")
+    diameter = float(partition.diameter[j])
+    if diameter > 2.0 ** (-n):
+        raise ValueError(f"cell diameter {diameter} exceeds scale 2^-{n}")
     if n < gradient.n_min:
         raise ValueError(f"scale n={n} below the gradient's n_min={gradient.n_min}")
-    rng = rngmod.substream(seed, rngmod.POINCARE, cell.id, n)
-    x = cell_sample(cell, rng, budget)
+    rng = rngmod.substream(seed, rngmod.POINCARE, j, n)
+    x = cell_sample(partition, j, rng, budget)
     fx = f.evaluate(x)
     if f.cell_mean is not None:
-        f_mean = f.cell_mean(cell)
+        f_mean = f.cell_mean(partition, j)
     else:
-        f_mean = float(f.evaluate(cell_sample(cell, rng, budget)).mean())
+        f_mean = float(f.evaluate(cell_sample(partition, j, rng, budget)).mean())
     lhs, lhs_se = jackknife_power_mean(np.abs(fx - f_mean) ** p, 1.0 / p)
     phi = 2.0 ** (-n * gradient.alpha)
     gx = gradient.g(n, x)
@@ -159,7 +159,7 @@ def besov_rhs_bounds(partition: Partition, p: float, alpha: float,
         raise ValueError("p must be >= 1")
     total = partition.space.total_measure
     w = partition.weights()
-    max_delta = max(c.diameter for c in partition.cells)
+    max_delta = float(partition.diameter.max())
     phi = (2.0 * max_delta) ** alpha
     rhs1 = 2.0 * total ** (1.0 - 1.0 / p) * phi * norm_value
     rhs2 = 2.0 * b_p * float(np.max(w ** (1.0 - 1.0 / p))) * phi * norm_value
@@ -184,11 +184,12 @@ def _bump_integral(space: SpaceDescriptor, rho: float) -> float:
     return 2.0 * math.pi * (1.0 - math.sin(rho) / rho)
 
 
-def _bump_centers(space: SpaceDescriptor, cell: Cell) -> tuple[np.ndarray, np.ndarray, float]:
-    """Two centers inside the cell holding disjoint balls of radius r_in/4;
+def _bump_centers(partition: Partition, j: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Two centers inside cell j holding disjoint balls of radius r_in/4;
     returns (center_a, center_b, support_radius) with support = r_in/8."""
-    r_in = cell_inradius(cell)
-    anchor = np.asarray(cell.anchor, dtype=float)
+    space = partition.space
+    r_in = cell_inradius(partition, j)
+    anchor = partition.anchor[j]
     if space.kind == TORUS:
         e = np.zeros(space.d)
         e[0] = 1.0
@@ -206,8 +207,7 @@ def sharpness_fj(partition: Partition, j: int, alpha: float) -> TestFunction:
     one center minus theta times the twin cone; theta = 1 by the equal-radius
     symmetry (computed from the closed forms and asserted, not assumed)."""
     space = partition.space
-    cell = partition.cells[j]
-    ca, cb, rho = _bump_centers(space, cell)
+    ca, cb, rho = _bump_centers(partition, j)
     integral_a = _bump_integral(space, rho)
     integral_b = _bump_integral(space, rho)
     theta = integral_a / integral_b
@@ -227,7 +227,7 @@ def sharpness_fj(partition: Partition, j: int, alpha: float) -> TestFunction:
                 "theta": theta, "alpha": alpha},
         lipschitz=lip, sup_bound=max(1.0, theta),
         besov_norm=_lipschitz_besov_norm(space, lip, max(1.0, theta)),
-        cell_mean=lambda cell_: 0.0,
+        cell_mean=lambda partition_, j_: 0.0,
     )
 
 
@@ -242,8 +242,8 @@ def sharpness_sum(partition: Partition, alpha: float) -> TestFunction:
     cb = np.empty_like(ca)
     rho = np.empty(partition.N)
     theta = np.empty(partition.N)
-    for j, cell in enumerate(partition.cells):
-        a, b, r = _bump_centers(space, cell)
+    for j in range(partition.N):
+        a, b, r = _bump_centers(partition, j)
         ca[j], cb[j], rho[j] = a, b, r
         theta[j] = 1.0
 
@@ -262,5 +262,5 @@ def sharpness_sum(partition: Partition, alpha: float) -> TestFunction:
         params={"alpha": alpha, "min_rho": float(rho.min())},
         lipschitz=lip, sup_bound=1.0,
         besov_norm=_lipschitz_besov_norm(space, lip, 1.0),
-        cell_mean=lambda cell_: 0.0,
+        cell_mean=lambda partition_, j_: 0.0,
     )

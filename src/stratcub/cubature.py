@@ -21,7 +21,6 @@ import numpy as np
 from . import rng as rngmod
 from .funcs import TestFunction
 from .partition import Partition, cell_points
-from .space import TORUS
 
 
 @dataclass(frozen=True)
@@ -55,12 +54,7 @@ def sample_all_cells(partition: Partition, rng: np.random.Generator,
     Cells are consumed in id order from a single stream, which keeps the
     result independent of how callers split the work.
     """
-    N = partition.N
-    if partition.space.kind == TORUS:
-        u = rng.random((N, m, partition.space.d))
-    else:
-        u = rng.random((2, N, m))  # z-uniforms, then longitude-uniforms
-    return cell_points(partition, u)
+    return cell_points(partition, rng, m)
 
 
 def cubature_error(f: TestFunction, draw: NodeDraw, partition: Partition) -> float:

@@ -81,11 +81,16 @@ class ExperimentConfig:
             for a, b in zip(self.n_list[:-1], self.n_list[1:]):
                 if b < 2 * a:
                     raise ValueError("rate experiments need a geometric N list with ratio >= 2")
+        make_space(self.space_kind, self.dim)
+        if self.variant not in ("single", "sum"):
+            raise ValueError(f"variant must be 'single' or 'sum', got {self.variant!r}")
+        if self.set_kind not in ("arc", "box", "cap"):
+            raise ValueError(f"unknown region kind {self.set_kind!r}")
         if self.p < 1:
             raise ValueError("p must be >= 1")
         if self.n_draws < 2:
             raise ValueError(f"n_draws must be >= 2, got {self.n_draws}")
-        for name in ("m_y", "m_z", "workers"):
+        for name in ("m_y", "m_z", "workers", "sample_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -115,10 +120,8 @@ def _make_region(cfg: ExperimentConfig):
     if cfg.set_kind == "box":
         return make_box(cfg.set_params.get("lo", (0.2,) * cfg.dim),
                         cfg.set_params.get("hi", (0.7,) * cfg.dim))
-    if cfg.set_kind == "cap":
-        return make_cap(cfg.set_params.get("center", (1.0, 1.0, 1.0)),
-                        cfg.set_params.get("radius", 1.0))
-    raise ValueError(f"unknown region kind {cfg.set_kind!r}")
+    return make_cap(cfg.set_params.get("center", (1.0, 1.0, 1.0)),
+                    cfg.set_params.get("radius", 1.0))
 
 
 def _row(cfg: ExperimentConfig, N: int, value: float, stderr: float,

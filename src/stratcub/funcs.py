@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .partition import Cell
+from .partition import Partition
 from .sets import (SPHERE_CAP, TORUS_ARC, TORUS_BOX, SetDescriptor,
                    set_contains)
 from .space import (SPHERE2, TORUS, SpaceDescriptor, distance,
@@ -38,7 +38,7 @@ class TestFunction:
     lipschitz: float | None = None
     sup_bound: float | None = None
     besov_norm: Callable[[float, float], float] | None = None
-    cell_mean: Callable[[Cell], float] | None = None
+    cell_mean: Callable[[Partition, int], float] | None = None
 
     def __call__(self, pts) -> np.ndarray:
         return self.evaluate(np.atleast_2d(np.asarray(pts, dtype=float)))
@@ -59,7 +59,7 @@ def constant_fn(space: SpaceDescriptor, c: float) -> TestFunction:
         evaluate=lambda pts: np.full(len(np.atleast_2d(pts)), float(c)),
         exact_integral=c * space.total_measure,
         params={"c": c}, lipschitz=0.0, sup_bound=abs(c),
-        cell_mean=lambda cell: float(c),
+        cell_mean=lambda partition, j: float(c),
     )
 
 
@@ -68,10 +68,8 @@ def coordinate_fn(space: SpaceDescriptor, axis: int = 0) -> TestFunction:
     if space.kind != TORUS:
         raise ValueError("coordinate function lives on the torus")
 
-    def mean(cell: Cell) -> float:
-        lo = cell.geometry["lo"][axis]
-        hi = cell.geometry["hi"][axis]
-        return (lo + hi) / 2.0
+    def mean(partition: Partition, j: int) -> float:
+        return (partition.lo[j, axis].item() + partition.hi[j, axis].item()) / 2.0
 
     return TestFunction(
         fid="coordinate", space=space,
@@ -90,12 +88,11 @@ def square_wave_fn(space: SpaceDescriptor, k: int = 1) -> TestFunction:
         frac = np.mod(np.atleast_2d(pts)[:, 0] * k, 1.0)
         return np.where(frac < 0.5, 1.0, -1.0)
 
-    def mean(cell: Cell) -> float:
-        a = cell.geometry["lo"][0]
-        b = cell.geometry["hi"][0]
+    def mean(partition: Partition, j: int) -> float:
+        a, b = partition.lo[j, 0].item(), partition.hi[j, 0].item()
         plus = 0.0
-        for j in range(k):
-            plus += _interval_overlap(j / k, 0.5 / k, a, b - a)
+        for i in range(k):
+            plus += _interval_overlap(i / k, 0.5 / k, a, b - a)
         return (2.0 * plus - (b - a)) / (b - a)
 
     return TestFunction(
@@ -116,10 +113,10 @@ def cos_fn(space: SpaceDescriptor, freq) -> TestFunction:
     def evaluate(pts):
         return np.cos(2.0 * math.pi * (np.atleast_2d(pts) @ kvec))
 
-    def mean(cell: Cell) -> float:
+    def mean(partition: Partition, j: int) -> float:
         prod = 1.0 + 0.0j
         vol = 1.0
-        for a, (lo, hi) in enumerate(zip(cell.geometry["lo"], cell.geometry["hi"])):
+        for a, (lo, hi) in enumerate(zip(partition.lo[j].tolist(), partition.hi[j].tolist())):
             vol *= hi - lo
             ka = freq[a]
             if ka == 0:
@@ -164,9 +161,8 @@ def cone_bump_fn(space: SpaceDescriptor, center, radius: float) -> TestFunction:
                 return t - t * t / (2.0 * r)
             return r / 2.0
 
-        def mean(cell: Cell) -> float:
-            a = cell.geometry["lo"][0]
-            b = cell.geometry["hi"][0]
+        def mean(partition: Partition, j: int) -> float:
+            a, b = partition.lo[j, 0].item(), partition.hi[j, 0].item()
             return torus1d_radial_integral(antideriv, c0, a, b) / (b - a)
 
     return TestFunction(
@@ -191,19 +187,18 @@ def indicator_fn(space: SpaceDescriptor, setd: SetDescriptor) -> TestFunction:
         s = setd.params["start"]
         length = setd.params["length"]
 
-        def mean(cell: Cell) -> float:
-            a = cell.geometry["lo"][0]
-            b = cell.geometry["hi"][0]
+        def mean(partition: Partition, j: int) -> float:
+            a, b = partition.lo[j, 0].item(), partition.hi[j, 0].item()
             return _interval_overlap(s, length, a, b - a) / (b - a)
 
     elif setd.kind == TORUS_BOX:
         lo_s = setd.params["lo"]
         hi_s = setd.params["hi"]
 
-        def mean(cell: Cell) -> float:
+        def mean(partition: Partition, j: int) -> float:
             vol = 1.0
             over = 1.0
-            for a, (lo, hi) in enumerate(zip(cell.geometry["lo"], cell.geometry["hi"])):
+            for a, (lo, hi) in enumerate(zip(partition.lo[j].tolist(), partition.hi[j].tolist())):
                 vol *= hi - lo
                 over *= max(0.0, min(hi, hi_s[a]) - max(lo, lo_s[a]))
             return over / vol
@@ -213,8 +208,8 @@ def indicator_fn(space: SpaceDescriptor, setd: SetDescriptor) -> TestFunction:
         north = setd.params["center"][2] > 0
         z_edge = math.cos(setd.params["radius"])
 
-        def mean(cell: Cell) -> float:
-            z_top, z_bot = cell.geometry["z"]
+        def mean(partition: Partition, j: int) -> float:
+            z_top, z_bot = partition.z[j].tolist()
             if north:
                 over = max(0.0, min(z_top, 1.0) - max(z_bot, z_edge))
             else:
@@ -238,8 +233,8 @@ def zonal_monomial_fn(space: SpaceDescriptor, power: int) -> TestFunction:
     def evaluate(pts):
         return np.atleast_2d(pts)[:, 2] ** m
 
-    def mean(cell: Cell) -> float:
-        z_top, z_bot = cell.geometry["z"]
+    def mean(partition: Partition, j: int) -> float:
+        z_top, z_bot = partition.z[j].tolist()
         return (z_top ** (m + 1) - z_bot ** (m + 1)) / ((m + 1) * (z_top - z_bot))
 
     lip = float(m)  # |d/dtheta cos^m| <= m

@@ -101,10 +101,10 @@ def ratio_envelope(functions: list[TestFunction], partitions: list[Partition],
 def _cell_means(f: TestFunction, partition: Partition, seed: int,
                 m_cell: int) -> np.ndarray:
     if f.cell_mean is not None:
-        return np.array([f.cell_mean(c) for c in partition.cells])
+        return np.array([f.cell_mean(partition, j) for j in range(partition.N)])
     means = np.empty(partition.N)
-    for j, cell in enumerate(partition.cells):
+    for j in range(partition.N):
         rng = rngmod.substream(seed, rngmod.MZ, 1, j)
-        means[j] = float(f.evaluate(cell_sample(cell, rng, m_cell)).mean())
+        means[j] = float(f.evaluate(cell_sample(partition, j, rng, m_cell)).mean())
     return means
 

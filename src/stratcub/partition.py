@@ -5,6 +5,8 @@ equal-area layout (two polar caps plus collars cut into longitude sectors),
 with collar boundaries solved in closed form from the cap-area formula so
 that every cell has area exactly ``4*pi/N``.
 
+A partition is one set of read-only per-cell arrays, row ``j`` describing
+cell ``j``; membership, sampling and verification all read those rows.
 Cells are half-open in every splitting coordinate, so coverage and
 disjointness are exact, not approximate.
 """
@@ -13,8 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
@@ -24,31 +25,22 @@ from .space import (L2_BLOCK, SPHERE2, TORUS, SpaceDescriptor, distance,
                     make_space, sample_ball, sample_uniform)
 
 TWO_PI = 2.0 * math.pi
+_COLUMNS = ("measure", "diameter", "anchor", "lo", "hi", "z", "lon", "cap")
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One partition cell: exact measure, a closed-form diameter upper bound,
-    a designated interior anchor, and enough geometry to sample and test
-    membership exactly."""
+@dataclass(frozen=True, eq=False)
+class Partition:
+    """Read-only per-cell arrays, row ``j`` describing cell ``j``.
 
-    id: int
-    space_kind: str
-    measure: float
-    diameter: float
-    anchor: tuple[float, ...]
-    geometry: dict
-
-
-@dataclass(frozen=True)
-class CellArrays:
-    """Read-only per-cell arrays, row ``j`` describing ``cells[j]``.
-
-    Torus cells fill ``lo`` and ``hi`` (N, d); sphere cells fill ``z``
-    ((z_top, z_bot) per cell), ``lon`` ((lon_lo, lon_hi) per cell) and
+    Every cell has an exact ``measure`` (N,), a closed-form ``diameter``
+    upper bound (N,) and an interior ``anchor`` (N, dim).  Torus cells are
+    the boxes ``[lo, hi)``, ``lo`` and ``hi`` (N, d).  Sphere cells fill
+    ``z`` ((z_top, z_bot) per cell), ``lon`` ((lon_lo, lon_hi) per cell) and
     ``cap`` (+1 north cap, -1 south cap, 0 band), each (N, 2) or (N,).
     """
 
+    space: SpaceDescriptor
+    meta: dict
     measure: np.ndarray
     diameter: np.ndarray
     anchor: np.ndarray
@@ -58,66 +50,45 @@ class CellArrays:
     lon: np.ndarray | None = None
     cap: np.ndarray | None = None
 
-
-@dataclass(frozen=True)
-class Partition:
-    space: SpaceDescriptor
-    cells: tuple[Cell, ...]
-    meta: dict = field(default_factory=dict)
+    def __post_init__(self):
+        for name in _COLUMNS:
+            arr = getattr(self, name)
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def N(self) -> int:
-        return len(self.cells)
-
-    @cached_property
-    def arrays(self) -> CellArrays:
-        """The cells as arrays, built once; ``cells`` stays the source of truth."""
-        cells = self.cells
-        cols = {"measure": [c.measure for c in cells],
-                "diameter": [c.diameter for c in cells],
-                "anchor": [c.anchor for c in cells]}
-        keys = ("lo", "hi") if self.space.kind == TORUS else ("z", "lon")
-        for key in keys:
-            cols[key] = [c.geometry[key] for c in cells]
-        arrays = {name: np.array(col, dtype=float) for name, col in cols.items()}
-        if self.space.kind == SPHERE2:
-            arrays["cap"] = np.array([0 if c.geometry["shape"] != "cap"
-                                      else (1 if c.geometry["north"] else -1)
-                                      for c in cells], dtype=np.int8)
-        for arr in arrays.values():
-            arr.setflags(write=False)
-        return CellArrays(**arrays)
+        return len(self.measure)
 
     def weights(self) -> np.ndarray:
-        return self.arrays.measure.copy()
+        return self.measure.copy()
 
 
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
 
+def _check_size(name: str, value, least: int) -> None:
+    if not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def torus_grid_partition(space: SpaceDescriptor, m: int) -> Partition:
-    """Grid of m^d half-open boxes of side 1/m; exact weights m^{-d}."""
+    """Grid of m^d half-open boxes of side 1/m in row-major order; exact
+    weights m^{-d}."""
     if space.kind != TORUS:
         raise ValueError("torus_grid_partition needs a torus space")
-    if m < 1:
-        raise ValueError(f"grid resolution must be >= 1, got {m}")
-    d = space.d
-    measure = m ** (-d)
-    diam = 1.0 / m if m >= 2 else 0.5
-    cells = []
-    for cid in range(m ** d):
-        idx = []
-        k = cid
-        for _ in range(d):
-            idx.append(k % m)
-            k //= m
-        idx = idx[::-1]
-        lo = tuple(i / m for i in idx)
-        hi = tuple((i + 1) / m for i in idx)
-        anchor = tuple((i + 0.5) / m for i in idx)
-        cells.append(Cell(cid, TORUS, measure, diam, anchor, {"lo": lo, "hi": hi}))
-    return Partition(space, tuple(cells), {"scheme": "torus_grid", "m": m})
+    _check_size("grid resolution", m, 1)
+    m, d = int(m), space.d
+    N = m ** d
+    idx = _grid_index(m, d)
+    edges = _grid_edges(m)
+    return Partition(space, {"scheme": "torus_grid", "m": m},
+                     measure=np.full(N, m ** (-d)),
+                     diameter=np.full(N, 1.0 / m if m >= 2 else 0.5),
+                     anchor=(idx + 0.5) / m, lo=edges[idx], hi=edges[idx + 1])
 
 
 def sphere_zonal_partition(space: SpaceDescriptor, N: int) -> Partition:
@@ -126,39 +97,33 @@ def sphere_zonal_partition(space: SpaceDescriptor, N: int) -> Partition:
     Collar boundaries are placed at z = 1 - 2*c/N for cumulative cell counts
     c, so cell areas are exact by construction; sector counts per collar come
     from accumulator rounding of the ideal (area-proportional) counts.
+    ``meta["bands"]`` lists (z_top, z_bot, sectors, first cell id) per band,
+    the caps included.
     """
     if space.kind != SPHERE2:
         raise ValueError("sphere_zonal_partition needs the sphere space")
-    if N < 2:
-        raise ValueError(f"need at least 2 cells, got {N}")
-    measure = 4.0 * math.pi / N
-    counts = _collar_counts(N)
-    cells: list[Cell] = []
+    _check_size("cell count", N, 2)
+    N = int(N)
+    bands = [[1.0, 1.0 - 2.0 / N, 1, 0]]
     cum = 1
-    z_hi_cap = 1.0 - 2.0 / N
-    cells.append(_cap_cell(0, N, north=True, z_edge=z_hi_cap, measure=measure))
-    for k in counts:
-        z_top = 1.0 - 2.0 * cum / N
-        z_bot = 1.0 - 2.0 * (cum + k) / N
+    for k in _collar_counts(N):
+        bands.append([1.0 - 2.0 * cum / N, 1.0 - 2.0 * (cum + k) / N, k, cum])
+        cum += k
+    bands.append([1.0 - 2.0 * (N - 1) / N, -1.0, 1, N - 1])
+    cap = np.zeros(N, dtype=np.int8)
+    cap[0], cap[-1] = 1, -1
+    z, lon, diameter, anchor = [], [], [], []
+    for z_top, z_bot, k, first in bands:
         for s in range(k):
-            lon_lo = 2.0 * math.pi * s / k
-            lon_hi = 2.0 * math.pi * (s + 1) / k
-            cells.append(_band_cell(len(cells), z_top, z_bot, lon_lo, lon_hi,
-                                    full=(k == 1), measure=measure))
-        cum += k
-    z_lo_cap = 1.0 - 2.0 * (N - 1) / N
-    cells.append(_cap_cell(len(cells), N, north=False, z_edge=z_lo_cap, measure=measure))
-    if len(cells) != N:
-        raise AssertionError(f"built {len(cells)} cells for N={N}")
-    bands = [[1.0, z_hi_cap, 1, 0]]
-    first = 1
-    cum = 1
-    for k in counts:
-        bands.append([1.0 - 2.0 * cum / N, 1.0 - 2.0 * (cum + k) / N, k, first])
-        first += k
-        cum += k
-    bands.append([z_lo_cap, -1.0, 1, N - 1])
-    return Partition(space, tuple(cells), {"scheme": "sphere_zonal", "bands": bands})
+            lon_lo, lon_hi = TWO_PI * s / k, TWO_PI * (s + 1) / k
+            diam, anc = _zonal_cell(z_top, z_bot, lon_lo, lon_hi, int(cap[first + s]))
+            z.append((z_top, z_bot))
+            lon.append((lon_lo, lon_hi))
+            diameter.append(diam)
+            anchor.append(anc)
+    return Partition(space, {"scheme": "sphere_zonal", "bands": bands},
+                     measure=np.full(N, 4.0 * math.pi / N), diameter=np.array(diameter),
+                     anchor=np.array(anchor), z=np.array(z), lon=np.array(lon), cap=cap)
 
 
 def _collar_counts(N: int) -> list[int]:
@@ -182,26 +147,16 @@ def _collar_counts(N: int) -> list[int]:
     return counts
 
 
-def _cap_cell(cid: int, N: int, north: bool, z_edge: float, measure: float) -> Cell:
-    colat_edge = math.acos(z_edge)
-    if north:
-        geometry = {"shape": "cap", "north": True, "z": (1.0, z_edge),
-                    "lon": (0.0, 2.0 * math.pi)}
-        anchor = (0.0, 0.0, 1.0)
-        diam = min(2.0 * colat_edge, math.pi)
-    else:
-        geometry = {"shape": "cap", "north": False, "z": (z_edge, -1.0),
-                    "lon": (0.0, 2.0 * math.pi)}
-        anchor = (0.0, 0.0, -1.0)
-        diam = min(2.0 * (math.pi - colat_edge), math.pi)
-    return Cell(cid, SPHERE2, measure, diam, anchor, geometry)
-
-
-def _band_cell(cid: int, z_top: float, z_bot: float, lon_lo: float, lon_hi: float,
-               full: bool, measure: float) -> Cell:
+def _zonal_cell(z_top: float, z_bot: float, lon_lo: float, lon_hi: float,
+               cap: int) -> tuple[float, tuple[float, float, float]]:
+    """Closed-form diameter bound and anchor of one zonal cell."""
+    if cap == 1:
+        return min(2.0 * math.acos(z_bot), math.pi), (0.0, 0.0, 1.0)
+    if cap == -1:
+        return min(2.0 * (math.pi - math.acos(z_top)), math.pi), (0.0, 0.0, -1.0)
     colat_lo = math.acos(z_top)
     colat_hi = math.acos(z_bot)
-    if full:
+    if lon_hi - lon_lo >= TWO_PI:
         # full annulus: exact diameter from the antipodal-longitude pair
         if colat_lo <= math.pi / 2.0 <= colat_hi:
             diam = math.pi
@@ -218,35 +173,12 @@ def _band_cell(cid: int, z_top: float, z_bot: float, lon_lo: float, lon_hi: floa
     z_mid = 0.5 * (z_top + z_bot)
     lon_mid = 0.5 * (lon_lo + lon_hi)
     s = math.sqrt(max(0.0, 1.0 - z_mid * z_mid))
-    anchor = (s * math.cos(lon_mid), s * math.sin(lon_mid), z_mid)
-    geometry = {"shape": "band", "z": (z_top, z_bot), "lon": (lon_lo, lon_hi)}
-    return Cell(cid, SPHERE2, measure, diam, anchor, geometry)
+    return diam, (s * math.cos(lon_mid), s * math.sin(lon_mid), z_mid)
 
 
 # ---------------------------------------------------------------------------
 # membership, sampling, geometry queries
 # ---------------------------------------------------------------------------
-
-def cell_contains(cell: Cell, pts: np.ndarray) -> np.ndarray:
-    """Exact membership test; half-open conventions make it a true partition."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if cell.space_kind == TORUS:
-        lo = np.array(cell.geometry["lo"])
-        hi = np.array(cell.geometry["hi"])
-        return np.all((pts >= lo) & (pts < hi), axis=1)
-    z = pts[:, 2]
-    z_top, z_bot = cell.geometry["z"]
-    if cell.geometry["shape"] == "cap":
-        if cell.geometry["north"]:
-            return z > z_bot
-        return z <= z_top
-    in_band = (z <= z_top) & (z > z_bot)
-    lon_lo, lon_hi = cell.geometry["lon"]
-    if lon_hi - lon_lo >= 2.0 * math.pi:
-        return in_band
-    lon = _longitude(pts)
-    return in_band & (lon >= lon_lo) & (lon < lon_hi)
-
 
 def find_cell(partition: Partition, pts: np.ndarray) -> np.ndarray:
     """Index of the cell containing each point (vectorized)."""
@@ -262,12 +194,12 @@ def find_cell(partition: Partition, pts: np.ndarray) -> np.ndarray:
     # float rounding at sector boundaries: nudge to the true half-open cell
     for shift in (-1, 1):
         cand = out + shift
-        need = ~_inside(partition, out, pts)
+        need = ~cell_contains(partition, out, pts)
         if not np.any(need):
             break
         valid = need & (cand >= 0) & (cand < partition.N)
         ok = np.zeros(len(pts), dtype=bool)
-        ok[valid] = _inside(partition, cand[valid], pts[valid])
+        ok[valid] = cell_contains(partition, cand[valid], pts[valid])
         out = np.where(ok, cand, out)
     return out
 
@@ -301,62 +233,65 @@ def _zonal_estimate(partition: Partition, pts: np.ndarray):
     return first, k, _floor_index(_longitude(pts) * k / TWO_PI, k)
 
 
-def _inside(partition: Partition, ids: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Exact half-open membership from the cell arrays, as ``cell_contains``.
+def cell_contains(partition: Partition, ids, pts: np.ndarray) -> np.ndarray:
+    """Exact half-open membership; half-open conventions make it a true
+    partition.
 
-    ``ids`` (n,) tests point i against cell ``ids[i]``; ``ids`` (n, c) or
-    (1, c) tests it against each of ``ids[i, :]`` (or ``ids[0, :]``).
+    ``ids`` a cell id or (n,) tests point i against cell ``ids[i]``; ``ids``
+    (n, c) or (1, c) tests it against each of ``ids[i, :]`` (or ``ids[0, :]``).
     """
-    a = partition.arrays
+    ids = np.asarray(ids)
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if ids.ndim == 2:
         pts = pts[:, None, :]
     if partition.space.kind == TORUS:
-        return np.all((pts >= a.lo[ids]) & (pts < a.hi[ids]), axis=-1)
+        return np.all((pts >= partition.lo[ids]) & (pts < partition.hi[ids]), axis=-1)
     z = pts[..., 2]
     lon = _longitude(pts)
-    z_top, z_bot = a.z[ids, 0], a.z[ids, 1]
-    lon_lo, lon_hi = a.lon[ids, 0], a.lon[ids, 1]
-    cap = a.cap[ids]
+    z_top, z_bot = partition.z[ids, 0], partition.z[ids, 1]
+    lon_lo, lon_hi = partition.lon[ids, 0], partition.lon[ids, 1]
+    cap = partition.cap[ids]
     return (((cap == 1) | (z <= z_top)) & ((cap == -1) | (z > z_bot))
             & ((cap != 0) | (lon_hi - lon_lo >= TWO_PI)
                | ((lon >= lon_lo) & (lon < lon_hi))))
 
 
-def cell_sample(cell: Cell, rng: np.random.Generator, n: int | None = None):
-    """Uniform sample from the measure restricted to the cell.
+def cell_sample(partition: Partition, j: int, rng: np.random.Generator,
+                n: int | None = None):
+    """Uniform sample from the measure restricted to cell j.
 
     Torus boxes sample coordinates directly; sphere cells sample the
     z-coordinate uniformly on the cell's z-interval (area measure) and the
     longitude uniformly, which is exact for zonal geometry.
     """
     size = 1 if n is None else int(n)
-    if cell.space_kind == TORUS:
-        lo = np.array(cell.geometry["lo"])
-        hi = np.array(cell.geometry["hi"])
-        pts = lo + (hi - lo) * rng.random((size, len(lo)))
-    else:
-        z_top, z_bot = cell.geometry["z"]
-        # u=0 lands on the closed (top) edge, matching the half-open bands
-        z = z_top - (z_top - z_bot) * rng.random(size)
-        lon_lo, lon_hi = cell.geometry["lon"]
-        lon = lon_lo + (lon_hi - lon_lo) * rng.random(size)
-        pts = _sphere_point(z, lon)
+    pts = cell_points(partition, rng, size, slice(j, j + 1))[0]
     return pts[0] if n is None else pts
 
 
-def cell_points(partition: Partition, u: np.ndarray, ids=slice(None)) -> np.ndarray:
-    """Map uniforms to points of the cells ``ids``, as ``cell_sample`` does.
+def cell_points(partition: Partition, rng, m: int, ids=slice(None)) -> np.ndarray:
+    """m uniform points in each of the cells ``ids``; returns (cells, m, dim).
 
-    Torus: ``u`` is (n, m, d), m uniform vectors per cell.  Sphere: ``u``
-    is (2, n, m), the z-uniforms then the longitude-uniforms.  Returns
-    (n, m, dim).
+    ``rng`` is one generator, which fills the cells in id order, or a
+    sequence of generators, one per cell.  The uniforms are drawn as
+    (cells, m, d) on the torus and as (2, cells, m) on the sphere, the
+    z-uniforms then the longitude-uniforms.
     """
-    a = partition.arrays
-    if partition.space.kind == TORUS:
-        lo, hi = a.lo[ids, None, :], a.hi[ids, None, :]
+    torus = partition.space.kind == TORUS
+
+    def draw(g, cells):
+        return g.random((cells, m, partition.space.d) if torus else (2, cells, m))
+
+    if isinstance(rng, np.random.Generator):
+        u = draw(rng, partition.measure[ids].shape[0])
+    else:
+        u = np.concatenate([draw(g, 1) for g in rng], axis=0 if torus else 1)
+    if torus:
+        lo, hi = partition.lo[ids, None, :], partition.hi[ids, None, :]
         return lo + (hi - lo) * u
-    z_top, z_bot = a.z[ids, 0, None], a.z[ids, 1, None]
-    lon_lo, lon_hi = a.lon[ids, 0, None], a.lon[ids, 1, None]
+    z_top, z_bot = partition.z[ids, 0, None], partition.z[ids, 1, None]
+    lon_lo, lon_hi = partition.lon[ids, 0, None], partition.lon[ids, 1, None]
+    # u = 0 lands on the closed (top) edge, matching the half-open bands
     return _sphere_point(z_top - (z_top - z_bot) * u[0],
                          lon_lo + (lon_hi - lon_lo) * u[1])
 
@@ -366,33 +301,30 @@ def _sphere_point(z: np.ndarray, lon: np.ndarray) -> np.ndarray:
     return np.stack([s * np.cos(lon), s * np.sin(lon), z], axis=-1)
 
 
-def cell_inradius(cell: Cell) -> float:
-    """Closed-form lower bound on the radius of a ball around the anchor
-    that stays inside the cell."""
-    if cell.space_kind == TORUS:
-        lo = np.array(cell.geometry["lo"])
-        hi = np.array(cell.geometry["hi"])
-        return float(np.min(hi - lo) / 2.0)
-    z_top, z_bot = cell.geometry["z"]
+def cell_inradius(partition: Partition, j: int) -> float:
+    """Closed-form lower bound on the radius of a ball around cell j's
+    anchor that stays inside the cell."""
+    if partition.space.kind == TORUS:
+        return float(np.min(partition.hi[j] - partition.lo[j]) / 2.0)
+    z_top, z_bot = partition.z[j].tolist()
     colat_lo = math.acos(z_top)
     colat_hi = math.acos(z_bot)
-    if cell.geometry["shape"] == "cap":
+    if partition.cap[j] != 0:
         # the anchor is the pole, so the cap is itself a ball around it
         return colat_hi - colat_lo
     dth = (colat_hi - colat_lo) / 2.0
-    lon_lo, lon_hi = cell.geometry["lon"]
-    if lon_hi - lon_lo >= 2.0 * math.pi:
+    lon_lo, lon_hi = partition.lon[j].tolist()
+    if lon_hi - lon_lo >= TWO_PI:
         return dth
     sin_min = min(math.sin(colat_lo), math.sin(colat_hi))
     return min(dth, sin_min * (lon_hi - lon_lo) / 2.0)
 
 
-def cell_boundary_distance(cell: Cell, pts: np.ndarray) -> np.ndarray:
-    """Distance from points to the cell (0 inside). Exact on both spaces."""
+def cell_boundary_distance(partition: Partition, j: int, pts: np.ndarray) -> np.ndarray:
+    """Distance from points to cell j (0 inside). Exact on both spaces."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if cell.space_kind == TORUS:
-        lo = np.array(cell.geometry["lo"])
-        hi = np.array(cell.geometry["hi"])
+    if partition.space.kind == TORUS:
+        lo, hi = partition.lo[j], partition.hi[j]
         mid = (lo + hi) / 2.0
         half = (hi - lo) / 2.0
         diff = np.abs(pts - mid)
@@ -401,18 +333,18 @@ def cell_boundary_distance(cell: Cell, pts: np.ndarray) -> np.ndarray:
         return gap.max(axis=1)
     z = np.clip(pts[:, 2], -1.0, 1.0)
     colat = np.arccos(z)
-    z_top, z_bot = cell.geometry["z"]
+    z_top, z_bot = partition.z[j].tolist()
     colat_lo = math.acos(z_top)
     colat_hi = math.acos(min(max(z_bot, -1.0), 1.0))
-    if cell.geometry["shape"] == "cap":
-        if cell.geometry["north"]:
-            return np.maximum(colat - colat_hi, 0.0)
+    if partition.cap[j] == 1:
+        return np.maximum(colat - colat_hi, 0.0)
+    if partition.cap[j] == -1:
         return np.maximum(colat_lo - colat, 0.0)
-    lon_lo, lon_hi = cell.geometry["lon"]
+    lon_lo, lon_hi = partition.lon[j].tolist()
     band_gap = np.maximum(np.maximum(colat_lo - colat, colat - colat_hi), 0.0)
-    if lon_hi - lon_lo >= 2.0 * math.pi:
+    if lon_hi - lon_lo >= TWO_PI:
         return band_gap
-    dlon = np.mod(_longitude(pts) - lon_lo, 2.0 * math.pi)
+    dlon = np.mod(_longitude(pts) - lon_lo, TWO_PI)
     inside_lon = dlon < (lon_hi - lon_lo)
     out = np.where(inside_lon, band_gap, np.inf)
     miss = ~inside_lon
@@ -480,10 +412,10 @@ class PartitionReport:
 def geometric_cell_measures(partition: Partition) -> np.ndarray:
     """Recompute every cell's measure from its stored geometry (independent
     of the stored ``measure`` field)."""
-    a = partition.arrays
     if partition.space.kind == TORUS:
-        return np.prod(a.hi - a.lo, axis=1)
-    return (a.lon[:, 1] - a.lon[:, 0]) * (a.z[:, 0] - a.z[:, 1])
+        return np.prod(partition.hi - partition.lo, axis=1)
+    lon, z = partition.lon, partition.z
+    return (lon[:, 1] - lon[:, 0]) * (z[:, 0] - z[:, 1])
 
 
 def verify_partition(partition: Partition, sample_budget: int = 10_000,
@@ -507,16 +439,19 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
     own ``(seed, VERIFY, N, id, 0|1)`` streams, mapped to points and
     measured a block of cells at a time.
     """
+    for name, value in (("sample_budget", sample_budget), ("pairs_per_cell", pairs_per_cell),
+                        ("inradius_probe_cells", inradius_probe_cells)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     space = partition.space
     N = partition.N
     total = space.total_measure
     target = total / N
-    a = partition.arrays
 
     weights = partition.weights()
     measure_residual = abs(weights.sum() - total) / total
     max_cell_err = max(
-        float(np.max(np.abs(a.measure - target) / target)),
+        float(np.max(np.abs(partition.measure - target) / target)),
         float(np.max(np.abs(geometric_cell_measures(partition) - target) / target)),
     )
 
@@ -533,30 +468,18 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
     # about L2_BLOCK floats
     block = max(1, L2_BLOCK // (8 * pairs_per_cell))
     for i0 in range(0, N, block):
-        cells = partition.cells[i0:i0 + block]
-        ids = slice(i0, i0 + len(cells))
-        if space.kind == TORUS:
-            u = np.empty((2, len(cells), pairs_per_cell, space.d))
-        else:
-            u = np.empty((2, 2, len(cells), pairs_per_cell))
-        for j, cell in enumerate(cells):
-            for r in (0, 1):
-                rng = rngmod.substream(seed, rngmod.VERIFY, N, cell.id, r)
-                if space.kind == TORUS:
-                    rng.random(out=u[r, j])
-                else:
-                    rng.random(out=u[r, 0, j])
-                    rng.random(out=u[r, 1, j])
-        pa = cell_points(partition, u[0], ids)
-        pb = cell_points(partition, u[1], ids)
+        ids = slice(i0, min(N, i0 + block))
+        pa, pb = (cell_points(partition, [rngmod.substream(seed, rngmod.VERIFY, N, j, r)
+                                          for j in range(ids.start, ids.stop)],
+                              pairs_per_cell, ids) for r in (0, 1))
         dd = distance(space, pa, pb)
-        diam_violations += int(np.sum(dd > a.diameter[ids, None] * (1 + 1e-12)))
-        anchor = a.anchor[ids, None, :]
+        diam_violations += int(np.sum(dd > partition.diameter[ids, None] * (1 + 1e-12)))
+        anchor = partition.anchor[ids, None, :]
         c2 = max(c2, float(distance(space, anchor, pa).max()),
                  float(distance(space, anchor, pb).max()))
     c2 *= scale
 
-    deltas = a.diameter * scale
+    deltas = partition.diameter * scale
     c1 = _probe_inradius(partition, seed, inradius_probe_cells) * scale
 
     return PartitionReport(
@@ -586,13 +509,18 @@ def _membership_counts(partition: Partition, pts: np.ndarray) -> np.ndarray:
     ids = np.arange(partition.N)[None, :]
     rows = max(1, L2_BLOCK // partition.N)
     for i in range(0, len(pts), rows):
-        counts[i:i + rows] = _inside(partition, ids, pts[i:i + rows]).sum(axis=1)
+        counts[i:i + rows] = cell_contains(partition, ids, pts[i:i + rows]).sum(axis=1)
     return counts
 
 
 def _grid_edges(m: int) -> np.ndarray:
-    """Grid edges ``i / m``, i = 0..m, rounded as ``torus_grid_partition`` rounds them."""
+    """Grid edges ``i / m``, i = 0..m."""
     return np.arange(m + 1) / m
+
+
+def _grid_index(m: int, d: int) -> np.ndarray:
+    """Per-axis indices (m^d, d) of the grid cells in row-major order."""
+    return np.ascontiguousarray(np.indices((m,) * d).reshape(d, -1).T)
 
 
 def _layout_ok(partition: Partition) -> bool:
@@ -605,7 +533,6 @@ def _layout_ok(partition: Partition) -> bool:
     band's; and the sectors of each band tiling it in id order at
     longitudes ``2 pi s / k``.
     """
-    a = partition.arrays
     meta = partition.meta
     N = partition.N
     if partition.space.kind == TORUS:
@@ -614,9 +541,10 @@ def _layout_ok(partition: Partition) -> bool:
         if (meta.get("scheme") != "torus_grid" or not isinstance(m, Integral)
                 or m < 1 or m ** d != N):
             return False
-        idx = np.indices((m,) * d).reshape(d, N).T
+        idx = _grid_index(m, d)
         edges = _grid_edges(m)
-        return np.array_equal(a.lo, edges[idx]) and np.array_equal(a.hi, edges[idx + 1])
+        return (np.array_equal(partition.lo, edges[idx])
+                and np.array_equal(partition.hi, edges[idx + 1]))
     if meta.get("scheme") != "sphere_zonal":
         return False
     bands = np.asarray(meta.get("bands", []), dtype=float)
@@ -633,10 +561,10 @@ def _layout_ok(partition: Partition) -> bool:
     s = np.arange(N) - starts[band]
     cap = np.zeros(N, dtype=np.int8)
     cap[0], cap[-1] = 1, -1
-    return (np.array_equal(a.cap, cap)
-            and np.array_equal(a.z, np.stack([top[band], bot[band]], axis=1))
-            and np.array_equal(a.lon, np.stack([TWO_PI * s / ks[band],
-                                                TWO_PI * (s + 1) / ks[band]], axis=1)))
+    return (np.array_equal(partition.cap, cap)
+            and np.array_equal(partition.z, np.stack([top[band], bot[band]], axis=1))
+            and np.array_equal(partition.lon, np.stack([TWO_PI * s / ks[band],
+                                                        TWO_PI * (s + 1) / ks[band]], axis=1)))
 
 
 _NEIGHBOURS = np.array([-1, 0, 1])
@@ -669,7 +597,7 @@ def _zonal_counts(partition: Partition, pts: np.ndarray) -> np.ndarray:
     cand = sector[:, None] + _NEIGHBOURS
     valid = (cand >= 0) & (cand < k[:, None])
     ids = first[:, None] + np.clip(cand, 0, k[:, None] - 1)
-    return np.sum(valid & _inside(partition, ids, pts), axis=1, dtype=np.int32)
+    return np.sum(valid & cell_contains(partition, ids, pts), axis=1, dtype=np.int32)
 
 
 def _probe_inradius(partition: Partition, seed: int, max_cells: int) -> float:
@@ -678,14 +606,13 @@ def _probe_inradius(partition: Partition, seed: int, max_cells: int) -> float:
     ids = range(N) if N <= max_cells else np.linspace(0, N - 1, max_cells, dtype=int)
     worst = np.inf
     for cid in ids:
-        cell = partition.cells[int(cid)]
-        anchor = np.asarray(cell.anchor)
-        lo_r, hi_r = 0.0, cell.diameter
+        anchor = partition.anchor[cid]
+        lo_r, hi_r = 0.0, float(partition.diameter[cid])
         rng = rngmod.substream(seed, rngmod.VERIFY, N, cid, 2)
         for _ in range(14):
             mid = 0.5 * (lo_r + hi_r)
             ball = sample_ball(partition.space, anchor, mid, rng, 48)
-            if bool(np.all(cell_contains(cell, ball))):
+            if bool(np.all(cell_contains(partition, cid, ball))):
                 lo_r = mid
             else:
                 hi_r = mid
@@ -698,35 +625,19 @@ def _probe_inradius(partition: Partition, seed: int, max_cells: int) -> float:
 # ---------------------------------------------------------------------------
 
 def partition_to_json(partition: Partition) -> str:
-    doc = {
-        "space": {"kind": partition.space.kind, "d": partition.space.d},
-        "N": partition.N,
-        "meta": partition.meta,
-        "cells": [
-            {
-                "id": c.id,
-                "measure": c.measure,
-                "diameter": c.diameter,
-                "anchor": list(c.anchor),
-                "geometry": _geometry_doc(c.geometry),
-            }
-            for c in partition.cells
-        ],
-    }
+    """The partition as JSON: space, N, meta and one list per cell array."""
+    doc = {"space": {"kind": partition.space.kind, "d": partition.space.d},
+           "N": partition.N, "meta": partition.meta}
+    for name in _COLUMNS:
+        arr = getattr(partition, name)
+        if arr is not None:
+            doc[name] = arr.tolist()
     return json.dumps(doc)
-
-
-def _geometry_doc(geometry: dict) -> dict:
-    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in geometry.items()}
 
 
 def partition_from_json(text: str) -> Partition:
     doc = json.loads(text)
     space = make_space(doc["space"]["kind"], doc["space"]["d"])
-    cells = []
-    for c in doc["cells"]:
-        geometry = {k: (tuple(v) if isinstance(v, list) else v)
-                    for k, v in c["geometry"].items()}
-        cells.append(Cell(c["id"], space.kind, c["measure"], c["diameter"],
-                          tuple(c["anchor"]), geometry))
-    return Partition(space, tuple(cells), doc.get("meta", {}))
+    arrays = {name: np.array(doc[name], dtype=np.int8 if name == "cap" else float)
+              for name in _COLUMNS if name in doc}
+    return Partition(space, doc["meta"], **arrays)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -40,7 +41,9 @@ class SpaceDescriptor:
 
 
 def make_space(kind: str, d: int = 2) -> SpaceDescriptor:
-    """Build a space descriptor. The torus needs d >= 1; only S^2 is supported."""
+    """Build a space descriptor. The torus needs an integer d >= 1; only S^2 is supported."""
+    if not isinstance(d, Integral):
+        raise ValueError(f"space dimension must be an integer, got {d!r}")
     if kind == TORUS:
         if d < 1:
             raise ValueError(f"torus dimension must be >= 1, got {d}")

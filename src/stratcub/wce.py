@@ -401,22 +401,21 @@ def lower_hypothesis_probe(cfg: WceConfig, n_pairs: int) -> ProbeReport:
     skipped = 0
     for _ in range(n_pairs):
         j = int(rng.integers(part.N))
-        cell = part.cells[j]
-        z = cell_sample(cell, rng)
+        z = cell_sample(part, j, rng)
         y = None
         for _ in range(200):
             cand = sample_uniform(space, rng)
-            dist_cell = float(cell_boundary_distance(cell, cand[None, :])[0])
-            if dist_cell >= 2.0 * cell.diameter and dist_cell > SINGULAR_TOL:
+            dist_cell = float(cell_boundary_distance(part, j, cand[None, :])[0])
+            if dist_cell >= 2.0 * float(part.diameter[j]) and dist_cell > SINGULAR_TOL:
                 y = cand
                 break
         if y is None:
             skipped += 1
             continue
-        x = cell_sample(cell, rng, 32)  # Monte Carlo points of the x integral
+        x = cell_sample(part, j, rng, 32)  # Monte Carlo points of the x integral
         phi_x = kernel_profile(kern, np.maximum(distance(space, x, y), SINGULAR_TOL))
         phi_z = kernel_profile(kern, np.maximum(distance(space, z, y)[None], SINGULAR_TOL))
-        lhs = cell.measure * float(np.mean(np.abs(phi_x - phi_z)))
+        lhs = float(part.measure[j]) * float(np.mean(np.abs(phi_x - phi_z)))
         rhs = part.N ** (-1.0 - eps / d) * dist_cell ** (alpha - d - eps)
         ratios.append(lhs / rhs)
     if not ratios:

@@ -10,7 +10,8 @@ from stratcub.besov import (PhiGradient, besov_norm_bound_chi, besov_rhs_bounds,
                             sharpness_fj, sharpness_sum)
 from stratcub.cubature import estimate_BN
 from stratcub.funcs import constant_fn, coordinate_fn
-from stratcub.partition import cell_contains, sphere_zonal_partition, torus_grid_partition
+from stratcub.partition import (cell_contains, cell_sample, sphere_zonal_partition,
+                                torus_grid_partition)
 from stratcub.sets import (boundary_distance, make_arc, make_box, make_cap,
                            psi_tube_measure, set_contains)
 from stratcub.space import SPHERE2, TORUS, distance, make_space, sample_uniform
@@ -108,7 +109,7 @@ def test_besov_norm_bound_chi_cap_finite():
 def test_poincare_constant_function_holds():
     part = torus_grid_partition(T1, 8)
     grad = PhiGradient(1.0, scale_floor(T1), lambda n, pts: np.zeros(len(np.atleast_2d(pts))))
-    rep = poincare_check(T1, constant_fn(T1, 4.2), grad, part.cells[0], p=2.0, n=3)
+    rep = poincare_check(part, 0, constant_fn(T1, 4.2), grad, p=2.0, n=3)
     assert rep.lhs == pytest.approx(0.0, abs=1e-13)
     assert rep.holds
 
@@ -118,7 +119,7 @@ def test_poincare_coordinate_analytic():
     grad = PhiGradient(1.0, scale_floor(T1),
                        lambda n, pts: np.full(len(np.atleast_2d(pts)), 0.5))
     for p in (1.0, 2.0, 3.0):
-        rep = poincare_check(T1, coordinate_fn(T1), grad, part.cells[2], p=p,
+        rep = poincare_check(part, 2, coordinate_fn(T1), grad, p=p,
                              n=3, budget=8192, seed=2)
         w = 1.0 / 8
         lhs_exact = (w / 2.0) * (p + 1.0) ** (-1.0 / p)
@@ -130,7 +131,7 @@ def test_poincare_adversarial_zero_gradient_fails():
     part = torus_grid_partition(T1, 8)
     grad = PhiGradient(1.0, scale_floor(T1),
                        lambda n, pts: np.zeros(len(np.atleast_2d(pts))))
-    rep = poincare_check(T1, coordinate_fn(T1), grad, part.cells[2], p=2.0, n=3)
+    rep = poincare_check(part, 2, coordinate_fn(T1), grad, p=2.0, n=3)
     assert not rep.holds
 
 
@@ -138,7 +139,7 @@ def test_poincare_scale_precondition():
     part = torus_grid_partition(T1, 4)  # diameter 1/4 > 2^-3
     grad = PhiGradient(1.0, scale_floor(T1), lambda n, pts: np.ones(1))
     with pytest.raises(ValueError):
-        poincare_check(T1, coordinate_fn(T1), grad, part.cells[0], p=2.0, n=3)
+        poincare_check(part, 0, coordinate_fn(T1), grad, p=2.0, n=3)
 
 
 def test_poincare_rejects_budget_below_two():
@@ -146,7 +147,7 @@ def test_poincare_rejects_budget_below_two():
     part = torus_grid_partition(T1, 8)
     grad = PhiGradient(1.0, scale_floor(T1), lambda n, pts: np.ones(len(np.atleast_2d(pts))))
     with pytest.raises(ValueError, match="budget"):
-        poincare_check(T1, coordinate_fn(T1), grad, part.cells[2], p=2.0, n=3, budget=1)
+        poincare_check(part, 2, coordinate_fn(T1), grad, p=2.0, n=3, budget=1)
 
 
 def test_rhs_bounds_formulas():
@@ -173,25 +174,22 @@ def test_sharpness_fj_construction():
     assert f.params["theta"] == pytest.approx(1.0, abs=1e-12)
     assert f.exact_integral == 0.0
     # mean zero against brute-force integration over the cell
-    cell = part.cells[3]
-    from stratcub.partition import cell_sample
-    pts = cell_sample(cell, rngmod.substream(5, 1), 200_000)
+    pts = cell_sample(part, 3, rngmod.substream(5, 1), 200_000)
     vals = f.evaluate(pts)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean()) <= 4 * se
     # support inside the cell
     sup_pts = pts[np.abs(vals) > 0]
-    assert np.all(cell_contains(cell, sup_pts))
+    assert np.all(cell_contains(part, 3, sup_pts))
 
 
 def test_sharpness_fj_sphere_theta_one():
     part = sphere_zonal_partition(S2, 32)
     f = sharpness_fj(part, 7, alpha=1.0)
     assert abs(f.params["theta"] - 1.0) < 1e-12
-    cell = part.cells[7]
     ca, cb = (np.array(c) for c in f.params["centers"])
     for c in (ca, cb):
-        assert cell_contains(cell, c[None, :])[0]
+        assert cell_contains(part, 7, c[None, :])[0]
 
 
 def test_sharpness_sum_properties():

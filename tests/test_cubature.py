@@ -18,8 +18,7 @@ T1 = make_space(TORUS, 1)
 def test_draw_nodes_containment_and_determinism():
     part = torus_grid_partition(T1, 4)
     draw = draw_nodes(part, seed=7)
-    for j, cell in enumerate(part.cells):
-        assert cell_contains(cell, draw.nodes[j][None, :])[0]
+    assert np.all(cell_contains(part, np.arange(part.N), draw.nodes))
     again = draw_nodes(part, seed=7)
     assert np.array_equal(draw.nodes, again.nodes)
     other = draw_nodes(part, seed=7, index=1)

@@ -75,7 +75,14 @@ def test_config_validation():
         with pytest.raises(ValueError):
             ExperimentConfig(kind="mz", n_list=(8, 12), workers=workers)
     for field, bad in (("m_y", {"m_y": 0}), ("m_z", {"m_z": 0}),
-                       ("n_draws", {"n_draws": 1}), ("n_list", {"n_list": (0, 1, 2, 4)})):
+                       ("n_draws", {"n_draws": 1}), ("n_list", {"n_list": (0, 1, 2, 4)}),
+                       ("sample_budget", {"sample_budget": 0}),
+                       ("sample_budget", {"sample_budget": -5}),
+                       ("variant", {"variant": "singel"}), ("region", {"set_kind": "disk"}),
+                       ("2-sphere", {"space_kind": "sphere2", "dim": 1}),
+                       ("dimension", {"space_kind": "torus", "dim": 0}),
+                       ("dimension", {"space_kind": "torus", "dim": 1.5}),
+                       ("space kind", {"space_kind": "plane"})):
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(kind="wce", **bad)
     cfg = ExperimentConfig(kind="mz", n_list=(8, 12))  # mz exempt from ratios

@@ -21,7 +21,8 @@ def test_make_space_constants():
     assert S2.d == 2
 
 
-@pytest.mark.parametrize("kind,d", [(TORUS, 0), (SPHERE2, 3), ("plane", 2)])
+@pytest.mark.parametrize("kind,d", [(TORUS, 0), (SPHERE2, 3), ("plane", 2), (TORUS, 1.5),
+                                    (TORUS, 2.0), (SPHERE2, 2.0)])
 def test_make_space_rejects(kind, d):
     with pytest.raises(ValueError):
         make_space(kind, d)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,8 +10,7 @@ from stratcub import wce
 from stratcub.cubature import NodeDraw, draw_nodes, sample_all_cells
 from stratcub.kernel import (CONST, RIESZ, ROUGH_RIESZ, SINGULAR_TOL, KernelSpec,
                              kernel_profile, total_integral)
-from stratcub.partition import (Partition, sphere_zonal_partition,
-                                torus_grid_partition)
+from stratcub.partition import sphere_zonal_partition, torus_grid_partition
 from stratcub.space import (L2_BLOCK, SPHERE2, TORUS, distance, make_space,
                             pairwise_distance, sample_uniform)
 from stratcub.wce import (GAMMA_BLOCKS, WceConfig, _cell_means, _draw_tables, delta_phi,
@@ -124,8 +124,8 @@ def test_worst_case_error_permutation_invariant():
     draw = draw_nodes(PART4, 5)
     base = worst_case_error(cfg, draw)
     perm = [2, 0, 3, 1]
-    cells = tuple(PART4.cells[i] for i in perm)
-    part_p = Partition(PART4.space, cells, PART4.meta)
+    rows = ("measure", "diameter", "anchor", "lo", "hi")
+    part_p = dataclasses.replace(PART4, **{name: getattr(PART4, name)[perm] for name in rows})
     cfg_p = _cfg(part_p, RIESZ75, m_y=2000, m_z=16)
     draw_p = NodeDraw(seed=draw.seed, index=draw.index, nodes=draw.nodes[perm])
     val_p = worst_case_error(cfg_p, draw_p)
