@@ -72,7 +72,10 @@ def _config_from_args(kind: str, args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _run_kind(kind: str, args: argparse.Namespace) -> int:
-    cfg = _config_from_args(kind, args)
+    try:
+        cfg = _config_from_args(kind, args)
+    except ValueError as exc:
+        raise SystemExit(f"stratcub: {exc}")
     rows, summary = run_experiment(cfg)
     print(json.dumps(summary, sort_keys=True, default=str, indent=1))
     return 0 if summary.get("verdict", True) else 1

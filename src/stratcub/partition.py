@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -37,6 +38,7 @@ class Partition:
     the boxes ``[lo, hi)``, ``lo`` and ``hi`` (N, d).  Sphere cells fill
     ``z`` ((z_top, z_bot) per cell), ``lon`` ((lon_lo, lon_hi) per cell) and
     ``cap`` (+1 north cap, -1 south cap, 0 band), each (N, 2) or (N,).
+    ``layout_ok`` tells whether the rows follow the layout in ``meta``.
     """
 
     space: SpaceDescriptor
@@ -62,6 +64,10 @@ class Partition:
 
     def weights(self) -> np.ndarray:
         return self.measure.copy()
+
+    @cached_property
+    def layout_ok(self) -> bool:
+        return _layout_ok(self)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +187,14 @@ def _zonal_cell(z_top: float, z_bot: float, lon_lo: float, lon_hi: float,
 # ---------------------------------------------------------------------------
 
 def find_cell(partition: Partition, pts: np.ndarray) -> np.ndarray:
-    """Index of the cell containing each point (vectorized)."""
+    """Index of the cell containing each point (vectorized).
+
+    Reads the cell off the grid or band/sector position when the rows
+    follow ``meta``, and tests every cell otherwise.
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if not partition.layout_ok:
+        return _brute_force(partition, pts, np.argmax)
     if partition.space.kind == TORUS:
         m = partition.meta["m"]
         flat = np.zeros(len(pts), dtype=int)
@@ -469,9 +481,9 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
     block = max(1, L2_BLOCK // (8 * pairs_per_cell))
     for i0 in range(0, N, block):
         ids = slice(i0, min(N, i0 + block))
-        pa, pb = (cell_points(partition, [rngmod.substream(seed, rngmod.VERIFY, N, j, r)
-                                          for j in range(ids.start, ids.stop)],
-                              pairs_per_cell, ids) for r in (0, 1))
+        pa, pb = (cell_points(partition, rngmod.substreams(
+                      seed, rngmod.VERIFY, N, np.arange(ids.start, ids.stop), r),
+                      pairs_per_cell, ids) for r in (0, 1))
         dd = distance(space, pa, pb)
         diam_violations += int(np.sum(dd > partition.diameter[ids, None] * (1 + 1e-12)))
         anchor = partition.anchor[ids, None, :]
@@ -501,16 +513,22 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
 
 def _membership_counts(partition: Partition, pts: np.ndarray) -> np.ndarray:
     """Number of cells containing each point under the exact half-open test."""
-    if _layout_ok(partition):
-        if partition.space.kind == TORUS:
-            return _grid_counts(partition, pts)
-        return _zonal_counts(partition, pts)
-    counts = np.zeros(len(pts), dtype=np.int32)
+    if not partition.layout_ok:
+        return _brute_force(partition, pts, np.sum)
+    if partition.space.kind == TORUS:
+        return _grid_counts(partition, pts)
+    return _zonal_counts(partition, pts)
+
+
+def _brute_force(partition: Partition, pts: np.ndarray, reduce) -> np.ndarray:
+    """``reduce(hit, axis=1)`` of the (points, N) table of every cell's
+    membership test, built a block of points at a time."""
+    out = np.zeros(len(pts), dtype=int)
     ids = np.arange(partition.N)[None, :]
     rows = max(1, L2_BLOCK // partition.N)
     for i in range(0, len(pts), rows):
-        counts[i:i + rows] = cell_contains(partition, ids, pts[i:i + rows]).sum(axis=1)
-    return counts
+        out[i:i + rows] = reduce(cell_contains(partition, ids, pts[i:i + rows]), axis=1)
+    return out
 
 
 def _grid_edges(m: int) -> np.ndarray:

@@ -22,8 +22,11 @@ def rate_fit(points, n_boot: int = 1000, seed: int = 0) -> RateFit:
     """Ordinary least squares of log(value) on log(N).
 
     Needs at least 4 strictly positive values; the slope CI comes from
-    residual resampling (percentile 95%).
+    ``n_boot`` residual resamples (percentile 95%), drawn as one
+    (n_boot, points) table.
     """
+    if n_boot < 2:
+        raise ValueError(f"rate fit needs n_boot >= 2, got {n_boot}")
     pts = [(float(n), float(v), float(se)) for n, v, se in points]
     if len(pts) < 4:
         raise ValueError(f"rate fit needs >= 4 points, got {len(pts)}")
@@ -31,26 +34,25 @@ def rate_fit(points, n_boot: int = 1000, seed: int = 0) -> RateFit:
         raise ValueError("rate fit needs strictly positive values")
     x = np.log(np.array([n for n, _, _ in pts]))
     y = np.log(np.array([v for _, v, _ in pts]))
-    slope, intercept = _ols(x, y)
+    slope, intercept = map(float, _ols(x, y))
     fitted = intercept + slope * x
     resid = y - fitted
     ss_res = float(np.sum(resid ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     rng = rngmod.substream(seed, rngmod.BOOT)
-    slopes = np.empty(n_boot)
-    for b in range(n_boot):
-        y_b = fitted + rng.choice(resid, size=len(resid), replace=True)
-        slopes[b], _ = _ols(x, y_b)
+    y_b = fitted + rng.choice(resid, size=(n_boot, len(resid)), replace=True)
+    slopes, _ = _ols(x, y_b)
     lo, hi = np.percentile(slopes, [2.5, 97.5])
     return RateFit(points=pts, slope=slope, intercept=intercept, r2=r2,
                    slope_ci=(float(min(lo, slope)), float(max(hi, slope))))
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    xm, ym = x.mean(), y.mean()
-    slope = float(np.sum((x - xm) * (y - ym)) / np.sum((x - xm) ** 2))
-    return slope, float(ym - slope * xm)
+def _ols(x: np.ndarray, y: np.ndarray):
+    """Slope and intercept of y on x, fitted along y's last axis."""
+    xm, ym = x.mean(), y.mean(axis=-1)
+    slope = np.sum((x - xm) * (y - ym[..., None]), axis=-1) / np.sum((x - xm) ** 2)
+    return slope, ym - slope * xm
 
 
 def predicted_wce_exponent(regime: str, alpha: float, eps: float, d: int) -> float | None:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from stratcub import cli
 from stratcub.cli import main
 from stratcub.experiments import CSV_FIELDS
 
@@ -61,6 +62,26 @@ def test_cli_verify_smoke(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "all checks passed" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["partition", "--budget", "0"], "sample_budget must be >= 1, got 0"),
+    (["wce", "--draws", "1"], "n_draws must be >= 2, got 1"),
+], ids=["budget", "draws"])
+def test_cli_reports_bad_config_in_one_line(argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    text = str(exc.value.code)
+    assert text.startswith("stratcub: ") and message in text and "\n" not in text
+
+
+def test_cli_keeps_run_time_errors(monkeypatch):
+    def fail(cfg):
+        raise ValueError("raised while running")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    with pytest.raises(ValueError, match="raised while running"):
+        main(["partition"])
 
 
 def _wce_report_main():

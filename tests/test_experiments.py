@@ -10,7 +10,7 @@ from stratcub import rng as rngmod
 from stratcub.experiments import (CSV_FIELDS, ExperimentConfig, build_partition,
                                   run_experiment)
 from stratcub.kernel import KernelSpec, regime_classify
-from stratcub.rates import (predicted_bn_exponent, predicted_indicator_exponent,
+from stratcub.rates import (RateFit, predicted_bn_exponent, predicted_indicator_exponent,
                             predicted_wce_exponent, rate_fit)
 
 
@@ -43,6 +43,52 @@ def test_rate_fit_rejects_bad_input():
         rate_fit([(8, 1.0, 0.0), (16, 0.5, 0.0), (32, 0.25, 0.0)])
     with pytest.raises(ValueError):
         rate_fit([(8, 1.0, 0.0), (16, 0.0, 0.0), (32, 0.25, 0.0), (64, 0.1, 0.0)])
+
+
+def _ols(x, y):
+    xm, ym = x.mean(), y.mean()
+    slope = float(np.sum((x - xm) * (y - ym)) / np.sum((x - xm) ** 2))
+    return slope, float(ym - slope * xm)
+
+
+def _rate_fit_per_resample(points, n_boot, seed):
+    """rate_fit drawing and fitting one bootstrap resample per loop pass."""
+    pts = [(float(n), float(v), float(se)) for n, v, se in points]
+    x = np.log(np.array([n for n, _, _ in pts]))
+    y = np.log(np.array([v for _, v, _ in pts]))
+    slope, intercept = _ols(x, y)
+    fitted = intercept + slope * x
+    resid = y - fitted
+    ss_res = float(np.sum(resid ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    rng = rngmod.substream(seed, rngmod.BOOT)
+    slopes = np.empty(n_boot)
+    for b in range(n_boot):
+        y_b = fitted + rng.choice(resid, size=len(resid), replace=True)
+        slopes[b], _ = _ols(x, y_b)
+    lo, hi = np.percentile(slopes, [2.5, 97.5])
+    return RateFit(points=pts, slope=slope, intercept=intercept, r2=r2,
+                   slope_ci=(float(min(lo, slope)), float(max(hi, slope))))
+
+
+@pytest.mark.parametrize("n_points", [4, 6])
+@pytest.mark.parametrize("seed", [0, 12345])
+@pytest.mark.parametrize("n_boot", [50, 1000])
+def test_rate_fit_matches_per_resample_bootstrap(n_points, seed, n_boot):
+    rng = rngmod.substream(seed, rngmod.SELFTEST, n_points)
+    ns = 8 * 2 ** np.arange(n_points)
+    values = ns ** -0.6 * rng.uniform(0.5, 2.0, n_points)
+    pts = [(int(n), float(v), 0.01) for n, v in zip(ns, values)]
+    assert repr(rate_fit(pts, n_boot=n_boot, seed=seed)) == repr(
+        _rate_fit_per_resample(pts, n_boot, seed))
+
+
+@pytest.mark.parametrize("n_boot", [-1, 0, 1])
+def test_rate_fit_rejects_fewer_than_two_resamples(n_boot):
+    pts = [(n, 1.0 / n, 0.0) for n in (8, 16, 32, 64)]
+    with pytest.raises(ValueError, match="n_boot"):
+        rate_fit(pts, n_boot=n_boot)
 
 
 def test_regime_classification_cases():

@@ -267,6 +267,24 @@ def test_zonal_membership_on_cell_edges(N):
     assert np.all(cell_contains(part, find_cell(part, pts), pts))
 
 
+def _permuted(part, seed):
+    """``part`` with its rows in a random order, ``meta`` left as it was."""
+    perm = np.random.default_rng(seed).permutation(part.N)
+    return dataclasses.replace(part, **{name: getattr(part, name)[perm] for name in _COLUMNS
+                                        if getattr(part, name) is not None})
+
+
+@pytest.mark.parametrize("part", [torus_grid_partition(T1, 4), sphere_zonal_partition(S2, 33)],
+                         ids=["T1", "S2"])
+def test_find_cell_on_rows_that_do_not_follow_meta(part):
+    perm = _permuted(part, 3)
+    assert _layout_ok(part) and not _layout_ok(perm)
+    assert verify_partition(perm, 2000).ok
+    pts = sample_uniform(part.space, rngmod.substream(0, rngmod.SELFTEST, 5), 1000)
+    assert np.all(cell_contains(perm, find_cell(perm, pts), pts))
+    assert np.array_equal(perm.anchor[find_cell(perm, pts)], part.anchor[find_cell(part, pts)])
+
+
 def test_cell_inradius_ball_inside():
     for part in (torus_grid_partition(T2, 4), sphere_zonal_partition(S2, 24)):
         for j in range(0, part.N, max(1, part.N // 6)):
