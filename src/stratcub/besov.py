@@ -177,13 +177,6 @@ def besov_rhs_bounds(partition: Partition, p: float, alpha: float,
 # sharpness constructions
 # ---------------------------------------------------------------------------
 
-def _bump_integral(space: SpaceDescriptor, rho: float) -> float:
-    """Integral of (1 - dist/rho)_+ around any center (homogeneous spaces)."""
-    if space.kind == TORUS:
-        return (2.0 * rho) ** space.d / (space.d + 1)
-    return 2.0 * math.pi * (1.0 - math.sin(rho) / rho)
-
-
 def _bump_centers(partition: Partition, j: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Two centers inside cell j holding disjoint balls of radius r_in/4;
     returns (center_a, center_b, support_radius) with support = r_in/8."""
@@ -204,29 +197,24 @@ def _bump_centers(partition: Partition, j: int) -> tuple[np.ndarray, np.ndarray,
 
 def sharpness_fj(partition: Partition, j: int, alpha: float) -> TestFunction:
     """Mean-zero two-bump function supported in cell j: a positive cone at
-    one center minus theta times the twin cone; theta = 1 by the equal-radius
-    symmetry (computed from the closed forms and asserted, not assumed)."""
+    one center minus the equal-radius twin cone at the other."""
     space = partition.space
     ca, cb, rho = _bump_centers(partition, j)
-    integral_a = _bump_integral(space, rho)
-    integral_b = _bump_integral(space, rho)
-    theta = integral_a / integral_b
 
     def evaluate(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         ta = distance(space, pts, ca)
         tb = distance(space, pts, cb)
-        return (np.maximum(0.0, 1.0 - ta / rho)
-                - theta * np.maximum(0.0, 1.0 - tb / rho))
+        return np.maximum(0.0, 1.0 - ta / rho) - np.maximum(0.0, 1.0 - tb / rho)
 
     lip = 1.0 / rho
     return TestFunction(
         fid=f"sharpness_cell{j}", space=space, evaluate=evaluate,
         exact_integral=0.0,
         params={"cell": j, "centers": (tuple(ca), tuple(cb)), "rho": rho,
-                "theta": theta, "alpha": alpha},
-        lipschitz=lip, sup_bound=max(1.0, theta),
-        besov_norm=_lipschitz_besov_norm(space, lip, max(1.0, theta)),
+                "alpha": alpha},
+        lipschitz=lip, sup_bound=1.0,
+        besov_norm=_lipschitz_besov_norm(space, lip, 1.0),
         cell_mean=lambda partition_, j_: 0.0,
     )
 
@@ -241,11 +229,8 @@ def sharpness_sum(partition: Partition, alpha: float) -> TestFunction:
     ca = np.empty((partition.N, 3 if space.kind == SPHERE2 else space.d))
     cb = np.empty_like(ca)
     rho = np.empty(partition.N)
-    theta = np.empty(partition.N)
     for j in range(partition.N):
-        a, b, r = _bump_centers(partition, j)
-        ca[j], cb[j], rho[j] = a, b, r
-        theta[j] = 1.0
+        ca[j], cb[j], rho[j] = _bump_centers(partition, j)
 
     def evaluate(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -253,8 +238,7 @@ def sharpness_sum(partition: Partition, alpha: float) -> TestFunction:
         ta = distance(space, pts, ca[cid])
         tb = distance(space, pts, cb[cid])
         r = rho[cid]
-        return (np.maximum(0.0, 1.0 - ta / r)
-                - theta[cid] * np.maximum(0.0, 1.0 - tb / r))
+        return np.maximum(0.0, 1.0 - ta / r) - np.maximum(0.0, 1.0 - tb / r)
 
     lip = float(1.0 / rho.min())
     return TestFunction(

@@ -36,7 +36,6 @@ class ErrorStats:
     n_draws: int
     moment: float
     stderr: float
-    values: np.ndarray | None = None
 
 
 def draw_nodes(partition: Partition, seed: int, index: int = 0,
@@ -63,7 +62,7 @@ def cubature_error(f: TestFunction, draw: NodeDraw, partition: Partition) -> flo
 
 
 def estimate_BN(f: TestFunction, partition: Partition, p: float, n_draws: int,
-                seed: int, keep_values: bool = False) -> ErrorStats:
+                seed: int) -> ErrorStats:
     """{mean over draws of |E(f)|^p}^{1/p} with a jackknife standard error."""
     if p < 1:
         raise ValueError(f"moment exponent must be >= 1, got {p}")
@@ -75,8 +74,7 @@ def estimate_BN(f: TestFunction, partition: Partition, p: float, n_draws: int,
         nodes = draw_nodes(partition, seed, k).nodes
         errors[k] = w @ f.evaluate(nodes) - f.exact_integral
     moment, stderr = jackknife_power_mean(np.abs(errors) ** p, 1.0 / p)
-    return ErrorStats(p=p, n_draws=n_draws, moment=moment, stderr=stderr,
-                      values=errors if keep_values else None)
+    return ErrorStats(p=p, n_draws=n_draws, moment=moment, stderr=stderr)
 
 
 def jackknife_power_mean(u: np.ndarray, power: float) -> tuple[float, float]:

@@ -86,6 +86,9 @@ class ExperimentConfig:
             raise ValueError(f"variant must be 'single' or 'sum', got {self.variant!r}")
         if self.set_kind not in ("arc", "box", "cap"):
             raise ValueError(f"unknown region kind {self.set_kind!r}")
+        if self.kind == "indicator" and _make_region(self).space_kind != self.space_kind:
+            raise ValueError(f"region kind {self.set_kind!r} does not lie on the "
+                             f"{self.space_kind} space")
         if self.p < 1:
             raise ValueError("p must be >= 1")
         if self.n_draws < 2:

@@ -189,31 +189,11 @@ def _zonal_cell(z_top: float, z_bot: float, lon_lo: float, lon_hi: float,
 def find_cell(partition: Partition, pts: np.ndarray) -> np.ndarray:
     """Index of the cell containing each point (vectorized).
 
-    Reads the cell off the grid or band/sector position when the rows
-    follow ``meta``, and tests every cell otherwise.
+    Found by the same exact half-open test that ``verify_partition`` counts
+    with.  A point that no cell holds (NaN, outside the unit cube, off the
+    sphere) gets a valid but arbitrary cell id.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if not partition.layout_ok:
-        return _brute_force(partition, pts, np.argmax)
-    if partition.space.kind == TORUS:
-        m = partition.meta["m"]
-        flat = np.zeros(len(pts), dtype=int)
-        for a in range(partition.space.d):
-            flat = flat * m + _floor_index(pts[:, a] * m, m)
-        return flat
-    first, k, sector = _zonal_estimate(partition, pts)
-    out = first + sector
-    # float rounding at sector boundaries: nudge to the true half-open cell
-    for shift in (-1, 1):
-        cand = out + shift
-        need = ~cell_contains(partition, out, pts)
-        if not np.any(need):
-            break
-        valid = need & (cand >= 0) & (cand < partition.N)
-        ok = np.zeros(len(pts), dtype=bool)
-        ok[valid] = cell_contains(partition, cand[valid], pts[valid])
-        out = np.where(ok, cand, out)
-    return out
+    return _locate(partition, np.atleast_2d(np.asarray(pts, dtype=float)))[0]
 
 
 def _floor_index(v: np.ndarray, k) -> np.ndarray:
@@ -243,6 +223,51 @@ def _zonal_estimate(partition: Partition, pts: np.ndarray):
     k = bands[band, 2].astype(int)
     first = bands[band, 3].astype(int)
     return first, k, _floor_index(_longitude(pts) * k / TWO_PI, k)
+
+
+_NEIGHBOURS = np.array([-1, 0, 1])
+
+
+def _locate(partition: Partition, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, the id of a cell holding it and the number of cells that
+    do, under the exact half-open test.
+
+    On rows that follow ``meta`` only the cells next to a point's grid or
+    band/sector position can hold it (rounding moves the estimate by at most
+    one): per grid axis, ``floor(x m)`` and its neighbours are tested against
+    the exact edges, and in the point's exact zonal band the estimated
+    sector and its neighbours.  Other rows have every cell tested, a block
+    of points at a time.  A point no cell holds gets an arbitrary valid id.
+    """
+    n = len(pts)
+    if not partition.layout_ok:
+        ids, counts = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+        cells = np.arange(partition.N)[None, :]
+        rows = max(1, L2_BLOCK // partition.N)
+        for i in range(0, n, rows):
+            hit = cell_contains(partition, cells, pts[i:i + rows])
+            ids[i:i + rows] = np.argmax(hit, axis=1)
+            counts[i:i + rows] = np.sum(hit, axis=1)
+        return ids, counts
+    pt = np.arange(n)
+    if partition.space.kind == TORUS:
+        m = partition.meta["m"]
+        edges = _grid_edges(m)
+        ids, counts = np.zeros(n, dtype=int), np.ones(n, dtype=np.int32)
+        for x in pts.T:
+            cand = _floor_index(x * m, m)[:, None] + _NEIGHBOURS
+            valid = (cand >= 0) & (cand < m)
+            cand = np.clip(cand, 0, m - 1)
+            hit = valid & (edges[cand] <= x[:, None]) & (x[:, None] < edges[cand + 1])
+            ids = ids * m + cand[pt, np.argmax(hit, axis=1)]
+            counts *= np.sum(hit, axis=1, dtype=np.int32)
+        return ids, counts
+    first, k, sector = _zonal_estimate(partition, pts)
+    cand = sector[:, None] + _NEIGHBOURS
+    valid = (cand >= 0) & (cand < k[:, None])
+    cand = first[:, None] + np.clip(cand, 0, k[:, None] - 1)
+    hit = valid & cell_contains(partition, cand, pts)
+    return cand[pt, np.argmax(hit, axis=1)], np.sum(hit, axis=1, dtype=np.int32)
 
 
 def cell_contains(partition: Partition, ids, pts: np.ndarray) -> np.ndarray:
@@ -443,13 +468,13 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
     the farthest sampled cell point from the anchor (both scaled by
     ``N^{1/d}``).
 
-    The membership counts equal a brute-force test of every (sample, cell)
-    pair.  When the stored cells match the layout recorded in ``meta`` (an
+    The membership counts come from ``_locate``, the same cell locator as
+    ``find_cell``, and equal a brute-force test of every (sample, cell)
+    pair: when the stored cells match the layout recorded in ``meta`` (an
     O(N) check), only the cells next to each sample's grid or band/sector
-    position can contain it, so only those are tested; any other partition
-    gets the brute-force count.  Each cell's diameter samples come from its
-    own ``(seed, VERIFY, N, id, 0|1)`` streams, mapped to points and
-    measured a block of cells at a time.
+    position are tested; any other partition has every cell tested.  Each
+    cell's diameter samples come from its own ``(seed, VERIFY, N, id, 0|1)``
+    streams, mapped to points and measured a block of cells at a time.
     """
     for name, value in (("sample_budget", sample_budget), ("pairs_per_cell", pairs_per_cell),
                         ("inradius_probe_cells", inradius_probe_cells)):
@@ -469,7 +494,7 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
 
     rng = rngmod.substream(seed, rngmod.VERIFY, N)
     pts = sample_uniform(space, rng, sample_budget)
-    counts = _membership_counts(partition, pts)
+    counts = _locate(partition, pts)[1]
     coverage_violations = int(np.sum(counts == 0))
     overlap_violations = int(np.sum(counts > 1))
 
@@ -509,26 +534,6 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
         coverage_ok=(coverage_violations == 0 and overlap_violations == 0),
         diameter_ok=(diam_violations == 0),
     )
-
-
-def _membership_counts(partition: Partition, pts: np.ndarray) -> np.ndarray:
-    """Number of cells containing each point under the exact half-open test."""
-    if not partition.layout_ok:
-        return _brute_force(partition, pts, np.sum)
-    if partition.space.kind == TORUS:
-        return _grid_counts(partition, pts)
-    return _zonal_counts(partition, pts)
-
-
-def _brute_force(partition: Partition, pts: np.ndarray, reduce) -> np.ndarray:
-    """``reduce(hit, axis=1)`` of the (points, N) table of every cell's
-    membership test, built a block of points at a time."""
-    out = np.zeros(len(pts), dtype=int)
-    ids = np.arange(partition.N)[None, :]
-    rows = max(1, L2_BLOCK // partition.N)
-    for i in range(0, len(pts), rows):
-        out[i:i + rows] = reduce(cell_contains(partition, ids, pts[i:i + rows]), axis=1)
-    return out
 
 
 def _grid_edges(m: int) -> np.ndarray:
@@ -583,39 +588,6 @@ def _layout_ok(partition: Partition) -> bool:
             and np.array_equal(partition.z, np.stack([top[band], bot[band]], axis=1))
             and np.array_equal(partition.lon, np.stack([TWO_PI * s / ks[band],
                                                         TWO_PI * (s + 1) / ks[band]], axis=1)))
-
-
-_NEIGHBOURS = np.array([-1, 0, 1])
-
-
-def _grid_counts(partition: Partition, pts: np.ndarray) -> np.ndarray:
-    """Membership counts on a verified grid: a product of per-axis counts.
-
-    Per axis, only the estimated interval ``floor(x m)`` and its two
-    neighbours can hold x (rounding moves the estimate by at most one), and
-    each is tested exactly.
-    """
-    m = partition.meta["m"]
-    edges = _grid_edges(m)
-    counts = np.ones(len(pts), dtype=np.int32)
-    for x in pts.T:
-        cand = _floor_index(x * m, m)[:, None] + _NEIGHBOURS
-        valid = (cand >= 0) & (cand < m)
-        cand = np.clip(cand, 0, m - 1)
-        hit = valid & (edges[cand] <= x[:, None]) & (x[:, None] < edges[cand + 1])
-        counts *= np.sum(hit, axis=1, dtype=np.int32)
-    return counts
-
-
-def _zonal_counts(partition: Partition, pts: np.ndarray) -> np.ndarray:
-    """Membership counts on a verified zonal layout: the point's band is
-    exact, so only the estimated sector and its neighbours in that band are
-    tested."""
-    first, k, sector = _zonal_estimate(partition, pts)
-    cand = sector[:, None] + _NEIGHBOURS
-    valid = (cand >= 0) & (cand < k[:, None])
-    ids = first[:, None] + np.clip(cand, 0, k[:, None] - 1)
-    return np.sum(valid & cell_contains(partition, ids, pts), axis=1, dtype=np.int32)
 
 
 def _probe_inradius(partition: Partition, seed: int, max_cells: int) -> float:

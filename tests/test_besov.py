@@ -169,9 +169,8 @@ def test_sharpness_fj_construction():
     part = torus_grid_partition(T1, 16)
     f = sharpness_fj(part, 3, alpha=1.0)
     ca, cb = (np.array(c) for c in f.params["centers"])
-    assert f.evaluate(ca[None, :])[0] == pytest.approx(1.0)
-    assert f.evaluate(cb[None, :])[0] == pytest.approx(-f.params["theta"])
-    assert f.params["theta"] == pytest.approx(1.0, abs=1e-12)
+    assert f.evaluate(ca[None, :])[0] == 1.0
+    assert f.evaluate(cb[None, :])[0] == -1.0
     assert f.exact_integral == 0.0
     # mean zero against brute-force integration over the cell
     pts = cell_sample(part, 3, rngmod.substream(5, 1), 200_000)
@@ -183,11 +182,12 @@ def test_sharpness_fj_construction():
     assert np.all(cell_contains(part, 3, sup_pts))
 
 
-def test_sharpness_fj_sphere_theta_one():
+def test_sharpness_fj_sphere_bumps():
     part = sphere_zonal_partition(S2, 32)
     f = sharpness_fj(part, 7, alpha=1.0)
-    assert abs(f.params["theta"] - 1.0) < 1e-12
     ca, cb = (np.array(c) for c in f.params["centers"])
+    assert f.evaluate(ca[None, :])[0] == pytest.approx(1.0)
+    assert f.evaluate(cb[None, :])[0] == pytest.approx(-1.0)
     for c in (ca, cb):
         assert cell_contains(part, 7, c[None, :])[0]
 
@@ -242,7 +242,7 @@ def test_error_bound_holds_for_indicator():
 
 
 def test_sharpness_bn_scaling_constant():
-    # closed form: BN(f_j, 2)^2 = w * (1 + theta^2) * (2 rho / 3)
+    # closed form: BN(f_j, 2)^2 = w * 2 * (2 rho / 3), two cones of height 1
     for N in (16, 64):
         part = torus_grid_partition(T1, N)
         f = sharpness_fj(part, 0, 1.0)

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -67,12 +69,26 @@ def test_cli_verify_smoke(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["partition", "--budget", "0"], "sample_budget must be >= 1, got 0"),
     (["wce", "--draws", "1"], "n_draws must be >= 2, got 1"),
-], ids=["budget", "draws"])
+    (["indicator", "--set", "box", "--space", "sphere2", "--dim", "2"],
+     "region kind 'box' does not lie on the sphere2 space"),
+    (["indicator", "--set", "cap", "--space", "torus"],
+     "region kind 'cap' does not lie on the torus space"),
+], ids=["budget", "draws", "box-on-sphere", "cap-on-torus"])
 def test_cli_reports_bad_config_in_one_line(argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     text = str(exc.value.code)
     assert text.startswith("stratcub: ") and message in text and "\n" not in text
+
+
+def test_cli_bad_config_exits_with_status_one():
+    src = Path(cli.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-m", "stratcub", "indicator", "--set", "arc",
+                          "--space", "sphere2", "--dim", "2"],
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert run.returncode == 1 and run.stdout == ""
+    assert run.stderr == "stratcub: region kind 'arc' does not lie on the sphere2 space\n"
 
 
 def test_cli_keeps_run_time_errors(monkeypatch):

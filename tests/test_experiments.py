@@ -131,6 +131,15 @@ def test_config_validation():
                        ("space kind", {"space_kind": "plane"})):
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(kind="wce", **bad)
+    for set_kind, space in (("box", {"space_kind": "sphere2", "dim": 2}),
+                            ("cap", {"space_kind": "torus"}),
+                            ("arc", {"space_kind": "sphere2", "dim": 2})):
+        with pytest.raises(ValueError, match="does not lie on"):
+            ExperimentConfig(kind="indicator", set_kind=set_kind, **space)
+        if set_kind == "arc":  # only indicator runs build the region
+            ExperimentConfig(kind="wce", set_kind=set_kind, **space)
+    with pytest.raises(ValueError, match="arc length"):
+        ExperimentConfig(kind="indicator", set_params={"length": 1.5})
     cfg = ExperimentConfig(kind="mz", n_list=(8, 12))  # mz exempt from ratios
     assert cfg.q == 2.0
 

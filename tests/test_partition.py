@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stratcub import rng as rngmod
-from stratcub.partition import (_COLUMNS, _layout_ok, _membership_counts,
+from stratcub.partition import (_COLUMNS, _layout_ok, _locate,
                                 cell_boundary_distance,
                                 cell_contains, cell_inradius, cell_sample,
                                 find_cell, geometric_cell_measures,
@@ -224,20 +224,42 @@ def _edge_values(m):
     return np.unique(np.concatenate([edges, np.nextafter(edges, 0.0)]))
 
 
-@pytest.mark.parametrize("space", [T1, T2, T3])
-@pytest.mark.parametrize("m", [3, 5, 7])
-def test_grid_membership_on_cell_edges(space, m):
-    part = torus_grid_partition(space, m)
-    assert _layout_ok(part) and _layout_ok(partition_from_json(partition_to_json(part)))
+def _grid_edge_points(space, m):
+    """Every combination of edge values per axis, then points outside."""
     axes = [_edge_values(m)] * space.d
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, space.d)
     outside = np.array([-0.25, 1.0, 1.5, np.nan, np.inf])
-    pts = np.concatenate([pts, np.repeat(outside[:, None], space.d, axis=1)])
+    return np.concatenate([pts, np.repeat(outside[:, None], space.d, axis=1)])
+
+
+def _check_locate(part, pts):
+    """``_locate`` counts as brute force does, and ``find_cell``'s id holds a
+    point exactly where one cell does; returns the brute-force counts."""
     counts = _brute_counts(part, pts)
-    assert np.array_equal(_membership_counts(part, pts), counts)
+    assert np.array_equal(_locate(part, pts)[1], counts)
+    assert np.array_equal(cell_contains(part, find_cell(part, pts), pts), counts == 1)
+    return counts
+
+
+@pytest.mark.parametrize("space", [T1, T2, T3])
+@pytest.mark.parametrize("m", [3, 5, 6, 7])
+def test_grid_membership_on_cell_edges(space, m):
+    part = torus_grid_partition(space, m)
+    assert _layout_ok(part) and _layout_ok(partition_from_json(partition_to_json(part)))
+    pts = _grid_edge_points(space, m)
+    counts = _check_locate(part, pts)
     inside = np.all((pts >= 0.0) & (pts < 1.0), axis=1)
     assert np.all(counts[inside] == 1) and np.all(counts[~inside] == 0)
     assert np.all(cell_contains(part, find_cell(part, pts[inside]), pts[inside]))
+
+
+def test_t1_find_cell_on_every_grid_edge():
+    # floor(x m) alone puts x = 1/49 in cell 0 = [0, 1/49), and the float just
+    # below the m = 6 edge 5/6 in cell 5
+    for m in range(2, 200):
+        part = torus_grid_partition(T1, m)
+        counts = _check_locate(part, _grid_edge_points(T1, m))
+        assert np.sum(counts == 1) == len(_edge_values(m)) - 1
 
 
 def _zonal_edge_points(part):
@@ -260,8 +282,7 @@ def test_zonal_membership_on_cell_edges(N):
     part = sphere_zonal_partition(S2, N)
     assert _layout_ok(part) and _layout_ok(partition_from_json(partition_to_json(part)))
     pts = _zonal_edge_points(part)
-    counts = _brute_counts(part, pts)
-    assert np.array_equal(_membership_counts(part, pts), counts)
+    _check_locate(part, pts)
     pts = pts[~np.isnan(pts).any(axis=1)]  # NaN points lie in no cell
     assert np.all(_brute_counts(part, pts) == 1)
     assert np.all(cell_contains(part, find_cell(part, pts), pts))
@@ -282,6 +303,8 @@ def test_find_cell_on_rows_that_do_not_follow_meta(part):
     assert verify_partition(perm, 2000).ok
     pts = sample_uniform(part.space, rngmod.substream(0, rngmod.SELFTEST, 5), 1000)
     assert np.all(cell_contains(perm, find_cell(perm, pts), pts))
+    edges = _grid_edge_points(T1, 4) if part.space.kind == TORUS else _zonal_edge_points(part)
+    _check_locate(perm, edges)
     assert np.array_equal(perm.anchor[find_cell(perm, pts)], part.anchor[find_cell(part, pts)])
 
 
