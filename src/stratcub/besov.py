@@ -122,8 +122,8 @@ def poincare_check(partition: Partition, j: int, f: TestFunction, gradient: PhiG
     rng = rngmod.substream(seed, rngmod.POINCARE, j, n)
     x = cell_sample(partition, j, rng, budget)
     fx = f.evaluate(x)
-    if f.cell_mean is not None:
-        f_mean = f.cell_mean(partition, j)
+    if f.cell_means is not None:
+        f_mean = f.cell_means(partition)[j]
     else:
         f_mean = float(f.evaluate(cell_sample(partition, j, rng, budget)).mean())
     lhs, lhs_se = jackknife_power_mean(np.abs(fx - f_mean) ** p, 1.0 / p)
@@ -215,7 +215,7 @@ def sharpness_fj(partition: Partition, j: int, alpha: float) -> TestFunction:
                 "alpha": alpha},
         lipschitz=lip, sup_bound=1.0,
         besov_norm=_lipschitz_besov_norm(space, lip, 1.0),
-        cell_mean=lambda partition_, j_: 0.0,
+        cell_means=lambda partition_: np.zeros(partition_.N),
     )
 
 
@@ -246,5 +246,5 @@ def sharpness_sum(partition: Partition, alpha: float) -> TestFunction:
         params={"alpha": alpha, "min_rho": float(rho.min())},
         lipschitz=lip, sup_bound=1.0,
         besov_norm=_lipschitz_besov_norm(space, lip, 1.0),
-        cell_mean=lambda partition_, j_: 0.0,
+        cell_means=lambda partition_: np.zeros(partition_.N),
     )

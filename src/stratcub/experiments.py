@@ -81,14 +81,19 @@ class ExperimentConfig:
             for a, b in zip(self.n_list[:-1], self.n_list[1:]):
                 if b < 2 * a:
                     raise ValueError("rate experiments need a geometric N list with ratio >= 2")
-        make_space(self.space_kind, self.dim)
+        space = make_space(self.space_kind, self.dim)
         if self.variant not in ("single", "sum"):
             raise ValueError(f"variant must be 'single' or 'sum', got {self.variant!r}")
         if self.set_kind not in ("arc", "box", "cap"):
             raise ValueError(f"unknown region kind {self.set_kind!r}")
-        if self.kind == "indicator" and _make_region(self).space_kind != self.space_kind:
-            raise ValueError(f"region kind {self.set_kind!r} does not lie on the "
-                             f"{self.space_kind} space")
+        if self.kind == "indicator":
+            region = _make_region(self)
+            if region.space_kind != self.space_kind:
+                raise ValueError(f"region kind {self.set_kind!r} does not lie on the "
+                                 f"{self.space_kind} space")
+            indicator_fn(space, region)
+        if self.kind in ("besov", "mz"):
+            make_function(space, self.function, **self.fn_params)
         if self.p < 1:
             raise ValueError("p must be >= 1")
         if self.n_draws < 2:

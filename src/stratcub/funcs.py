@@ -2,8 +2,13 @@
 
 Every function carries an exact integral (never a numerical quadrature), so
 the cubature oracles stay independent of the machinery under test.  Where a
-closed form exists, functions also carry exact per-cell means against the
-grid/zonal partitions, which the moment-bracket estimators use.
+closed form exists, functions also carry ``cell_means(partition)``: the exact
+mean over every cell as an (N,) array, computed from the partition's
+``lo``/``hi`` (torus grids) or ``z`` (zonal sphere cells) columns.  Radial
+profiles on T^1 (the cone, the arc, the square wave) all integrate through
+``space.torus1d_radial_integral``.  The cone off T^1 and caps off the poles
+have no closed form and leave ``cell_means`` as None; callers fall back to
+Monte Carlo.
 
 Smoothness certificates: a bounded L-Lipschitz function with sup bound S
 admits the constant gradient family ``g_n == (L/2)^alpha * S^(1-alpha)``
@@ -38,7 +43,7 @@ class TestFunction:
     lipschitz: float | None = None
     sup_bound: float | None = None
     besov_norm: Callable[[float, float], float] | None = None
-    cell_mean: Callable[[Partition, int], float] | None = None
+    cell_means: Callable[[Partition], np.ndarray] | None = None
 
     def __call__(self, pts) -> np.ndarray:
         return self.evaluate(np.atleast_2d(np.asarray(pts, dtype=float)))
@@ -59,7 +64,7 @@ def constant_fn(space: SpaceDescriptor, c: float) -> TestFunction:
         evaluate=lambda pts: np.full(len(np.atleast_2d(pts)), float(c)),
         exact_integral=c * space.total_measure,
         params={"c": c}, lipschitz=0.0, sup_bound=abs(c),
-        cell_mean=lambda partition, j: float(c),
+        cell_means=lambda partition: np.full(partition.N, float(c)),
     )
 
 
@@ -67,15 +72,13 @@ def coordinate_fn(space: SpaceDescriptor, axis: int = 0) -> TestFunction:
     """f(x) = x_axis on the torus (a measurable, not continuous, function)."""
     if space.kind != TORUS:
         raise ValueError("coordinate function lives on the torus")
-
-    def mean(partition: Partition, j: int) -> float:
-        return (partition.lo[j, axis].item() + partition.hi[j, axis].item()) / 2.0
-
+    if not 0 <= axis < space.d:
+        raise ValueError(f"coordinate axis must be in [0, {space.d}), got {axis}")
     return TestFunction(
         fid="coordinate", space=space,
         evaluate=lambda pts: np.atleast_2d(pts)[:, axis].astype(float),
-        exact_integral=0.5, params={"axis": axis},
-        sup_bound=1.0, cell_mean=mean,
+        exact_integral=0.5, params={"axis": axis}, sup_bound=1.0,
+        cell_means=lambda partition: (partition.lo[:, axis] + partition.hi[:, axis]) / 2.0,
     )
 
 
@@ -83,21 +86,22 @@ def square_wave_fn(space: SpaceDescriptor, k: int = 1) -> TestFunction:
     """+-1 square wave with k periods on T^1; mean zero."""
     if space.kind != TORUS or space.d != 1:
         raise ValueError("square wave lives on T^1")
+    if k != int(k) or k < 1:
+        raise ValueError(f"square wave frequency must be a positive integer, got {k}")
 
     def evaluate(pts):
         frac = np.mod(np.atleast_2d(pts)[:, 0] * k, 1.0)
         return np.where(frac < 0.5, 1.0, -1.0)
 
-    def mean(partition: Partition, j: int) -> float:
-        a, b = partition.lo[j, 0].item(), partition.hi[j, 0].item()
-        plus = 0.0
-        for i in range(k):
-            plus += _interval_overlap(i / k, 0.5 / k, a, b - a)
+    def means(partition: Partition) -> np.ndarray:
+        # the +1 set is the arc [0, 1/2) at frequency k
+        a, b = partition.lo[:, 0], partition.hi[:, 0]
+        plus = _arc_integral(0.0, 0.5, k * a, k * b) / k
         return (2.0 * plus - (b - a)) / (b - a)
 
     return TestFunction(
         fid="square_wave", space=space, evaluate=evaluate, exact_integral=0.0,
-        params={"k": k}, sup_bound=1.0, cell_mean=mean,
+        params={"k": k}, sup_bound=1.0, cell_means=means,
     )
 
 
@@ -113,18 +117,20 @@ def cos_fn(space: SpaceDescriptor, freq) -> TestFunction:
     def evaluate(pts):
         return np.cos(2.0 * math.pi * (np.atleast_2d(pts) @ kvec))
 
-    def mean(partition: Partition, j: int) -> float:
-        prod = 1.0 + 0.0j
-        vol = 1.0
-        for a, (lo, hi) in enumerate(zip(partition.lo[j].tolist(), partition.hi[j].tolist())):
-            vol *= hi - lo
-            ka = freq[a]
+    def means(partition: Partition) -> np.ndarray:
+        lo, hi = partition.lo, partition.hi
+        re, im = np.ones(partition.N), np.zeros(partition.N)
+        for a, ka in enumerate(freq):
             if ka == 0:
-                prod *= hi - lo
+                fr, fi = hi[:, a] - lo[:, a], 0.0
             else:
                 w = 2.0j * math.pi * ka
-                prod *= (np.exp(w * hi) - np.exp(w * lo)) / w
-        return float(prod.real) / vol
+                fac = (np.exp(w * hi[:, a]) - np.exp(w * lo[:, a])) / w
+                fr, fi = fac.real, fac.imag
+            # the complex product written out: numpy's complex array multiply
+            # rounds differently from its scalar one
+            re, im = re * fr - im * fi, re * fi + im * fr
+        return re / np.prod(hi - lo, axis=1)
 
     exact = space.total_measure if all(v == 0 for v in freq) else 0.0
     lip = 2.0 * math.pi * float(np.abs(kvec).sum())  # sup-metric Lipschitz bound
@@ -132,7 +138,7 @@ def cos_fn(space: SpaceDescriptor, freq) -> TestFunction:
         fid="cos", space=space, evaluate=evaluate, exact_integral=exact,
         params={"freq": freq}, lipschitz=lip, sup_bound=1.0,
         besov_norm=_lipschitz_besov_norm(space, lip, 1.0),
-        cell_mean=mean,
+        cell_means=means,
     )
 
 
@@ -152,25 +158,22 @@ def cone_bump_fn(space: SpaceDescriptor, center, radius: float) -> TestFunction:
         t = distance(space, np.atleast_2d(pts), center)
         return np.maximum(0.0, 1.0 - t / radius)
 
-    mean = None
+    means = None
     if space.kind == TORUS and space.d == 1:
-        c0 = float(center[0])
+        def antideriv(t):
+            t = np.minimum(t, radius)
+            return t - t * t / (2.0 * radius)
 
-        def antideriv(t, r=radius):
-            if t <= r:
-                return t - t * t / (2.0 * r)
-            return r / 2.0
-
-        def mean(partition: Partition, j: int) -> float:
-            a, b = partition.lo[j, 0].item(), partition.hi[j, 0].item()
-            return torus1d_radial_integral(antideriv, c0, a, b) / (b - a)
+        def means(partition: Partition) -> np.ndarray:
+            a, b = partition.lo[:, 0], partition.hi[:, 0]
+            return torus1d_radial_integral(antideriv, float(center[0]), a, b) / (b - a)
 
     return TestFunction(
         fid="cone", space=space, evaluate=evaluate, exact_integral=exact,
         params={"center": tuple(center), "radius": radius},
         lipschitz=1.0 / radius, sup_bound=1.0,
         besov_norm=_lipschitz_besov_norm(space, 1.0 / radius, 1.0),
-        cell_mean=mean,
+        cell_means=means,
     )
 
 
@@ -178,48 +181,40 @@ def indicator_fn(space: SpaceDescriptor, setd: SetDescriptor) -> TestFunction:
     """Characteristic function of a region; integral = its measure."""
     if setd.space_kind != space.kind:
         raise ValueError("region and space kinds disagree")
+    if setd.kind == TORUS_BOX and len(setd.params["lo"]) != space.d:
+        raise ValueError(f"box has {len(setd.params['lo'])} coordinates, "
+                         f"the torus has d={space.d}")
 
     def evaluate(pts):
         return set_contains(setd, pts).astype(float)
 
-    mean = None
+    means = None
     if setd.kind == TORUS_ARC:
-        s = setd.params["start"]
-        length = setd.params["length"]
-
-        def mean(partition: Partition, j: int) -> float:
-            a, b = partition.lo[j, 0].item(), partition.hi[j, 0].item()
-            return _interval_overlap(s, length, a, b - a) / (b - a)
+        def means(partition: Partition) -> np.ndarray:
+            a, b = partition.lo[:, 0], partition.hi[:, 0]
+            return _arc_integral(setd.params["start"], setd.params["length"], a, b) / (b - a)
 
     elif setd.kind == TORUS_BOX:
-        lo_s = setd.params["lo"]
-        hi_s = setd.params["hi"]
-
-        def mean(partition: Partition, j: int) -> float:
-            vol = 1.0
-            over = 1.0
-            for a, (lo, hi) in enumerate(zip(partition.lo[j].tolist(), partition.hi[j].tolist())):
-                vol *= hi - lo
-                over *= max(0.0, min(hi, hi_s[a]) - max(lo, lo_s[a]))
-            return over / vol
+        def means(partition: Partition) -> np.ndarray:
+            lo, hi = partition.lo, partition.hi
+            over = np.maximum(0.0, np.minimum(hi, setd.params["hi"])
+                              - np.maximum(lo, setd.params["lo"]))
+            return np.prod(over, axis=1) / np.prod(hi - lo, axis=1)
 
     elif setd.kind == SPHERE_CAP and abs(setd.params["center"][2]) > 1.0 - 1e-15:
         # pole-centered cap against zonal cells: z-interval overlap
-        north = setd.params["center"][2] > 0
         z_edge = math.cos(setd.params["radius"])
+        z_lo, z_hi = (z_edge, 1.0) if setd.params["center"][2] > 0 else (-1.0, -z_edge)
 
-        def mean(partition: Partition, j: int) -> float:
-            z_top, z_bot = partition.z[j].tolist()
-            if north:
-                over = max(0.0, min(z_top, 1.0) - max(z_bot, z_edge))
-            else:
-                over = max(0.0, min(z_top, z_edge) - max(z_bot, -1.0))
+        def means(partition: Partition) -> np.ndarray:
+            z_top, z_bot = partition.z[:, 0], partition.z[:, 1]
+            over = np.maximum(0.0, np.minimum(z_top, z_hi) - np.maximum(z_bot, z_lo))
             return over / (z_top - z_bot)
 
     return TestFunction(
         fid=f"indicator_{setd.kind}", space=space, evaluate=evaluate,
         exact_integral=setd.measure, params={"set": setd}, sup_bound=1.0,
-        cell_mean=mean,
+        cell_means=means,
     )
 
 
@@ -233,8 +228,8 @@ def zonal_monomial_fn(space: SpaceDescriptor, power: int) -> TestFunction:
     def evaluate(pts):
         return np.atleast_2d(pts)[:, 2] ** m
 
-    def mean(partition: Partition, j: int) -> float:
-        z_top, z_bot = partition.z[j].tolist()
+    def means(partition: Partition) -> np.ndarray:
+        z_top, z_bot = partition.z[:, 0], partition.z[:, 1]
         return (z_top ** (m + 1) - z_bot ** (m + 1)) / ((m + 1) * (z_top - z_bot))
 
     lip = float(m)  # |d/dtheta cos^m| <= m
@@ -242,25 +237,14 @@ def zonal_monomial_fn(space: SpaceDescriptor, power: int) -> TestFunction:
         fid="zonal", space=space, evaluate=evaluate, exact_integral=exact,
         params={"power": m}, lipschitz=lip, sup_bound=1.0,
         besov_norm=_lipschitz_besov_norm(space, lip, 1.0) if m > 0 else None,
-        cell_mean=mean,
+        cell_means=means,
     )
 
 
-def _interval_overlap(start: float, length: float, a: float, width: float) -> float:
-    """Overlap measure of circle intervals [start, start+length) and [a, a+width)."""
-    total = 0.0
-    for s0, l0 in _unroll(start, length):
-        for a0, w0 in _unroll(a % 1.0, width):
-            total += max(0.0, min(s0 + l0, a0 + w0) - max(s0, a0))
-    return total
-
-
-def _unroll(start: float, length: float):
-    """Split a circle interval into at most two linear pieces in [0, 1]."""
-    start = start % 1.0
-    if start + length <= 1.0:
-        return [(start, length)]
-    return [(start, 1.0 - start), (0.0, start + length - 1.0)]
+def _arc_integral(start: float, length: float, lo, hi) -> np.ndarray:
+    """Measure of the arc [start, start + length) inside each [lo, hi] on the circle."""
+    half = length / 2.0
+    return torus1d_radial_integral(lambda t: np.minimum(t, half), start + half, lo, hi)
 
 
 def make_function(space: SpaceDescriptor, fid: str, **params) -> TestFunction:

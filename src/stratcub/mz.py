@@ -63,6 +63,8 @@ def mz_pair(f: TestFunction, partition: Partition, p: float, n_draws: int,
         raise ValueError("p must be >= 1")
     if n_draws < 2:
         raise ValueError("need at least 2 draws")
+    if m_cell < 1:
+        raise ValueError(f"m_cell must be >= 1, got {m_cell}")
     w = partition.weights()
     means = _cell_means(f, partition, seed, m_cell)
     mid_pow = np.empty(n_draws)
@@ -100,8 +102,8 @@ def ratio_envelope(functions: list[TestFunction], partitions: list[Partition],
 
 def _cell_means(f: TestFunction, partition: Partition, seed: int,
                 m_cell: int) -> np.ndarray:
-    if f.cell_mean is not None:
-        return np.array([f.cell_mean(partition, j) for j in range(partition.N)])
+    if f.cell_means is not None:
+        return f.cell_means(partition)
     means = np.empty(partition.N)
     for j in range(partition.N):
         rng = rngmod.substream(seed, rngmod.MZ, 1, j)

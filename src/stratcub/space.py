@@ -183,31 +183,23 @@ def east_tangent(p: np.ndarray) -> np.ndarray:
     return np.array([-y / h, x / h, 0.0])
 
 
-def torus1d_radial_integral(antideriv, center: float, lo: float, hi: float) -> float:
-    """Integrate ``profile(dist(z, center))`` for z in [lo, hi] on the circle.
+def torus1d_radial_integral(antideriv, center: float, lo, hi) -> np.ndarray:
+    """Integrate ``profile(dist(z, center))`` over z in [lo, hi] on the circle.
 
-    ``antideriv(t)`` must be the antiderivative of the radial profile with
-    antideriv(0) = 0.  The distance to ``center`` is piecewise linear in z
-    with slope +-1 and breakpoints at center and center + 1/2 (mod 1); the
-    integral over each monotone piece is |A(t_hi) - A(t_lo)|.
+    ``lo`` and ``hi`` are arrays of interval ends (any length, ``hi >= lo``);
+    ``antideriv`` is the vectorised antiderivative A of the radial profile
+    with A(0) = 0.  Writing u = z - center = round(u) + r, the line
+    antiderivative is G(u) = 2 round(u) A(1/2) + sign(r) A(|r|), and the
+    integral is G(hi - center) - G(lo - center).
     """
-    if hi < lo:
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if np.any(hi < lo):
         raise ValueError("need lo <= hi")
-    if hi - lo >= 1.0:
-        full = 2.0 * float(antideriv(0.5))
-        return full * (hi - lo)
-    breaks = [lo, hi]
-    z = center + 0.5 * math.floor((lo - center) / 0.5)
-    while z <= hi:
-        if lo < z < hi:
-            breaks.append(z)
-        z += 0.5
-    breaks = sorted(set(breaks))
-    total = 0.0
-    for z0, z1 in zip(breaks[:-1], breaks[1:]):
-        d0 = abs(z0 - center) % 1.0
-        d0 = min(d0, 1.0 - d0)
-        d1 = abs(z1 - center) % 1.0
-        d1 = min(d1, 1.0 - d1)
-        total += abs(float(antideriv(d1)) - float(antideriv(d0)))
-    return total
+
+    def line(u):
+        n = np.round(u)
+        r = u - n
+        return 2.0 * n * antideriv(0.5) + np.sign(r) * antideriv(np.abs(r))
+
+    return line(hi - center) - line(lo - center)

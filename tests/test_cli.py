@@ -73,12 +73,22 @@ def test_cli_verify_smoke(tmp_path, capsys):
      "region kind 'box' does not lie on the sphere2 space"),
     (["indicator", "--set", "cap", "--space", "torus"],
      "region kind 'cap' does not lie on the torus space"),
-], ids=["budget", "draws", "box-on-sphere", "cap-on-torus"])
+    (["mz", "--fn", "nonesuch"], "unknown function id 'nonesuch'"),
+    (["besov", "--fn", "nonesuch"], "unknown function id 'nonesuch'"),
+], ids=["budget", "draws", "box-on-sphere", "cap-on-torus", "mz-fn", "besov-fn"])
 def test_cli_reports_bad_config_in_one_line(argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     text = str(exc.value.code)
     assert text.startswith("stratcub: ") and message in text and "\n" not in text
+
+
+def test_cli_reports_bad_fn_params_in_one_line(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"function": "coordinate", "fn_params": {"axis": 1}}))
+    with pytest.raises(SystemExit) as exc:
+        main(["mz", "--config", str(cfg)])
+    assert str(exc.value.code) == "stratcub: coordinate axis must be in [0, 1), got 1"
 
 
 def test_cli_bad_config_exits_with_status_one():

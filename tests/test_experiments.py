@@ -140,6 +140,17 @@ def test_config_validation():
             ExperimentConfig(kind="wce", set_kind=set_kind, **space)
     with pytest.raises(ValueError, match="arc length"):
         ExperimentConfig(kind="indicator", set_params={"length": 1.5})
+    with pytest.raises(ValueError, match="box has 1 coordinates, the torus has d=2"):
+        ExperimentConfig(kind="indicator", dim=2, set_kind="box",
+                         set_params={"lo": (0.2,), "hi": (0.7,)})
+    for kind in ("besov", "mz"):
+        with pytest.raises(ValueError, match="unknown function id 'nonesuch'"):
+            ExperimentConfig(kind=kind, function="nonesuch")
+        with pytest.raises(ValueError, match="coordinate axis must be in"):
+            ExperimentConfig(kind=kind, function="coordinate", fn_params={"axis": 1})
+        with pytest.raises(ValueError, match="positive integer"):
+            ExperimentConfig(kind=kind, function="square_wave", fn_params={"k": 0})
+    ExperimentConfig(kind="wce", function="nonesuch")  # only besov and mz build it
     cfg = ExperimentConfig(kind="mz", n_list=(8, 12))  # mz exempt from ratios
     assert cfg.q == 2.0
 

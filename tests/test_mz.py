@@ -52,10 +52,17 @@ def test_constant_function_degenerate():
 def test_mc_cell_mean_fallback():
     # a function without closed-form cell means still yields ratio ~ 1 at p=2
     f = cone_bump_fn(S2, (0.0, 0.0, 1.0), 1.2)
-    assert f.cell_mean is None
+    assert f.cell_means is None
     part = sphere_zonal_partition(S2, 8)
     rep = mz_pair(f, part, p=2.0, n_draws=1200, seed=5)
     assert abs(rep.ratio - 1.0) <= 3 * rep.ratio_se + 0.02
+
+
+def test_mz_pair_needs_a_cell_sample():
+    # with no samples the fallback cell means, and every output, would be NaN
+    f = cone_bump_fn(S2, (0.0, 0.0, 1.0), 1.2)
+    with pytest.raises(ValueError, match="m_cell must be >= 1, got 0"):
+        mz_pair(f, sphere_zonal_partition(S2, 8), p=2.0, n_draws=10, seed=5, m_cell=0)
 
 
 def test_ratio_envelope_p2_tight():
@@ -91,7 +98,7 @@ def test_mz_pair_jackknife_matches_inline(p):
     f, part, K = coordinate_fn(T1), torus_grid_partition(T1, 8), 40
     rep = mz_pair(f, part, p, K, seed=3)
     w = part.weights()
-    means = np.array([f.cell_mean(part, j) for j in range(part.N)])
+    means = f.cell_means(part)
     mid, brk = np.empty(K), np.empty(K)
     for k in range(K):
         c = w * (f.evaluate(draw_nodes(part, 3, k, stream=rngmod.MZ).nodes) - means)

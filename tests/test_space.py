@@ -147,17 +147,24 @@ def test_sample_ball_stays_inside():
 
 
 def test_torus1d_radial_integral_against_quadrature():
-    # profile (1 - t/r)_+ around a wrapping center
+    # profile (1 - t/r)_+ around wrapping and interior centers, one array of
+    # intervals per center, one of them longer than the circle
     r = 0.2
 
     def antideriv(t):
-        t1 = min(t, r)
-        return t1 - t1 * t1 / (2 * r)
+        t = np.minimum(t, r)
+        return t - t * t / (2 * r)
 
-    for center, lo, hi in [(0.05, 0.9, 1.3), (0.5, 0.0, 1.0), (0.7, 0.6, 0.8)]:
-        zs = np.linspace(lo, hi, 400_001)
-        t = np.abs(np.mod(zs, 1.0) - center)
-        t = np.minimum(t, 1 - t)
-        brute = np.trapezoid(np.maximum(0, 1 - t / r), zs)
+    lo = np.array([0.9, 0.0, 0.6, -0.35, 0.3])
+    hi = np.array([1.3, 1.0, 0.8, 1.4, 0.3])
+    for center in (0.05, 0.5, 0.7):
         exact = torus1d_radial_integral(antideriv, center, lo, hi)
-        assert exact == pytest.approx(brute, abs=1e-8)
+        assert exact.shape == lo.shape
+        for a, b, e in zip(lo, hi, exact):
+            zs = np.linspace(a, b, 400_001)
+            t = np.abs(np.mod(zs, 1.0) - center)
+            t = np.minimum(t, 1 - t)
+            brute = np.trapezoid(np.maximum(0, 1 - t / r), zs)
+            assert e == pytest.approx(brute, abs=1e-8)
+    with pytest.raises(ValueError, match="lo <= hi"):
+        torus1d_radial_integral(antideriv, 0.5, [0.4], [0.3])
