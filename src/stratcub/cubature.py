@@ -9,6 +9,13 @@ whose p-th moment over draws is the fixed-function error estimated by
 ``estimate_BN``.  Nodes for draw k come from the stream keyed (seed, stream,
 k), consumed in cell order, so node j derives from (seed, k, j) by counter
 position: deterministic and parallel-safe across draws.
+
+The draw loops of ``estimate_BN`` and ``mz.mz_pair`` take their nodes a
+block of draws at a time (``value_blocks``): the block's streams open in one
+``substreams`` call, each draws what ``draw_nodes`` draws for its index, one
+map turns all their uniforms into a (draws, N, dim) table, and the function
+is evaluated on it in one call.  A block holds at most ``L2_BLOCK // 8``
+node coordinates.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ import numpy as np
 
 from . import rng as rngmod
 from .funcs import TestFunction
-from .partition import Partition, cell_points
+from .partition import Partition, cell_points, stream_points
+from .space import L2_BLOCK
 
 
 @dataclass(frozen=True)
@@ -46,6 +54,20 @@ def draw_nodes(partition: Partition, seed: int, index: int = 0,
     return NodeDraw(seed=seed, index=index, nodes=nodes)
 
 
+def value_blocks(f: TestFunction, partition: Partition, seed: int, n_draws: int,
+                 stream: int = rngmod.NODES):
+    """Yield ``(k0, values)`` over draws 0 .. n_draws - 1 in blocks: row i of
+    ``values`` (K, N) is ``f`` at ``draw_nodes(partition, seed, k0 + i,
+    stream).nodes``.  A block's nodes, at most ``L2_BLOCK // 8`` coordinates
+    (at least one draw), are drawn as one table and evaluated in one call."""
+    dim = partition.anchor.shape[1]
+    K = max(1, L2_BLOCK // (8 * partition.N * dim))
+    for k0 in range(0, n_draws, K):
+        draws = np.arange(k0, min(n_draws, k0 + K))
+        nodes = stream_points(partition, rngmod.substreams(seed, stream, draws))
+        yield k0, f.evaluate(nodes.reshape(-1, dim)).reshape(len(draws), partition.N)
+
+
 def sample_all_cells(partition: Partition, rng: np.random.Generator,
                      m: int) -> np.ndarray:
     """m uniform samples from every cell at once; shape (N, m, dim).
@@ -63,16 +85,21 @@ def cubature_error(f: TestFunction, draw: NodeDraw, partition: Partition) -> flo
 
 def estimate_BN(f: TestFunction, partition: Partition, p: float, n_draws: int,
                 seed: int) -> ErrorStats:
-    """{mean over draws of |E(f)|^p}^{1/p} with a jackknife standard error."""
+    """{mean over draws of |E(f)|^p}^{1/p} with a jackknife standard error.
+
+    Draw k's nodes are ``draw_nodes(partition, seed, k)``, taken and
+    evaluated a block of draws at a time (``value_blocks``).
+    """
     if p < 1:
         raise ValueError(f"moment exponent must be >= 1, got {p}")
     if n_draws < 2:
         raise ValueError("need at least 2 draws")
     w = partition.weights()
     errors = np.empty(n_draws)
-    for k in range(n_draws):
-        nodes = draw_nodes(partition, seed, k).nodes
-        errors[k] = w @ f.evaluate(nodes) - f.exact_integral
+    for k0, values in value_blocks(f, partition, seed, n_draws):
+        # w @ v per draw: a matrix-vector product need not round as each row's dot
+        for k, v in enumerate(values, k0):
+            errors[k] = w @ v - f.exact_integral
     moment, stderr = jackknife_power_mean(np.abs(errors) ** p, 1.0 / p)
     return ErrorStats(p=p, n_draws=n_draws, moment=moment, stderr=stderr)
 

@@ -231,11 +231,13 @@ def _summarize(cfg: ExperimentConfig, rows: list[dict]) -> dict:
     if cfg.kind == "mz":
         reports = [r["_report"] for r in rows]
         ratios = [r.ratio for r in reports if not r.degenerate]
+        # every N degenerate: no ratio, so no envelope, no p = 2 check, a NaN
+        # stability and a failed verdict
         p2_ok = all(abs(r.ratio - 1.0) <= 3.0 * r.ratio_se
-                    for r in reports if not r.degenerate) if cfg.p == 2.0 else None
+                    for r in reports if not r.degenerate) if cfg.p == 2.0 and ratios else None
         stability = (max(ratios) / min(ratios)) if ratios else math.nan
         verdict = stability <= 2.0 and (p2_ok is None or p2_ok)
-        summary.update({"envelope": [min(ratios), max(ratios)],
+        summary.update({"envelope": [min(ratios), max(ratios)] if ratios else None,
                         "envelope_label": "empirical, not certified",
                         "p2_identity_ok": p2_ok,
                         "stability_ratio": stability, "verdict": verdict,

@@ -247,8 +247,23 @@ def _arc_integral(start: float, length: float, lo, hi) -> np.ndarray:
     return torus1d_radial_integral(lambda t: np.minimum(t, half), start + half, lo, hi)
 
 
+# the parameters each registered function reads
+_PARAMS = {"constant": ("c",), "coordinate": ("axis",), "square_wave": ("k",),
+           "cos": ("freq",), "cone": ("center", "radius"), "zonal": ("power",)}
+
+
 def make_function(space: SpaceDescriptor, fid: str, **params) -> TestFunction:
-    """Registry entry point used by the CLI and experiment configs."""
+    """Registry entry point used by the CLI and experiment configs.
+
+    A parameter that the function does not read is an error, so a
+    misspelt key cannot silently run with the default.
+    """
+    if fid not in _PARAMS:
+        raise ValueError(f"unknown function id {fid!r}")
+    unknown = sorted(set(params) - set(_PARAMS[fid]))
+    if unknown:
+        raise ValueError(f"unknown parameter {unknown[0]!r} for function {fid!r}; "
+                         f"it takes {', '.join(_PARAMS[fid])}")
     if fid == "constant":
         return constant_fn(space, params.get("c", 1.0))
     if fid == "coordinate":
@@ -263,6 +278,4 @@ def make_function(space: SpaceDescriptor, fid: str, **params) -> TestFunction:
             center = (0.5,) * space.d if space.kind == TORUS else (0.0, 0.0, 1.0)
         radius = params.get("radius", 0.25 if space.kind == TORUS else 1.0)
         return cone_bump_fn(space, center, radius)
-    if fid == "zonal":
-        return zonal_monomial_fn(space, params.get("power", 2))
-    raise ValueError(f"unknown function id {fid!r}")
+    return zonal_monomial_fn(space, params.get("power", 2))

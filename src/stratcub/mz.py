@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .cubature import draw_nodes, jackknife, jackknife_power_mean
+from .cubature import jackknife, jackknife_power_mean, value_blocks
 from .funcs import TestFunction
 from .partition import Partition, cell_sample
 
@@ -58,6 +58,8 @@ def mz_pair(f: TestFunction, partition: Partition, p: float, n_draws: int,
     per cell (the induced relative bias on the bracket is O(1/m_cell)).
     Standard errors and the ratio's standard error are draw-jackknives
     (middle and bracket share draws, so the ratio is jackknifed directly).
+    Draw k's nodes are ``draw_nodes(partition, seed, k, MZ)``, taken and
+    evaluated a block of draws at a time (``cubature.value_blocks``).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -69,11 +71,12 @@ def mz_pair(f: TestFunction, partition: Partition, p: float, n_draws: int,
     means = _cell_means(f, partition, seed, m_cell)
     mid_pow = np.empty(n_draws)
     brk_pow = np.empty(n_draws)
-    for k in range(n_draws):
-        nodes = draw_nodes(partition, seed, k, stream=rngmod.MZ).nodes
-        c = w * (f.evaluate(nodes) - means)
-        mid_pow[k] = abs(c.sum()) ** p
-        brk_pow[k] = float(c @ c) ** (p / 2.0)
+    for k0, values in value_blocks(f, partition, seed, n_draws, rngmod.MZ):
+        # per draw, the scalar forms: array powers and row-wise dot products
+        # round differently
+        for k, c in enumerate(w * (values - means), k0):
+            mid_pow[k] = abs(c.sum()) ** p
+            brk_pow[k] = float(c @ c) ** (p / 2.0)
     power = 1.0 / p
     middle, middle_se = jackknife_power_mean(mid_pow, power)
     bracket, bracket_se = jackknife_power_mean(brk_pow, power)

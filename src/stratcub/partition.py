@@ -22,8 +22,8 @@ from numbers import Integral
 import numpy as np
 
 from . import rng as rngmod
-from .space import (L2_BLOCK, SPHERE2, TORUS, SpaceDescriptor, distance,
-                    make_space, sample_ball, sample_uniform)
+from .space import (L2_BLOCK, SPHERE2, TORUS, SpaceDescriptor, ball_points, distance,
+                    make_space, sample_uniform, unit_tangents)
 
 TWO_PI = 2.0 * math.pi
 _COLUMNS = ("measure", "diameter", "anchor", "lo", "hi", "z", "lon", "cap")
@@ -314,16 +314,40 @@ def cell_points(partition: Partition, rng, m: int, ids=slice(None)) -> np.ndarra
     (cells, m, d) on the torus and as (2, cells, m) on the sphere, the
     z-uniforms then the longitude-uniforms.
     """
-    torus = partition.space.kind == TORUS
-
-    def draw(g, cells):
-        return g.random((cells, m, partition.space.d) if torus else (2, cells, m))
-
     if isinstance(rng, np.random.Generator):
-        u = draw(rng, partition.measure[ids].shape[0])
+        u = rng.random(_uniform_shape(partition, partition.measure[ids].shape[0], m))
     else:
-        u = np.concatenate([draw(g, 1) for g in rng], axis=0 if torus else 1)
-    if torus:
+        u = np.concatenate([g.random(_uniform_shape(partition, 1, m)) for g in rng],
+                           axis=0 if partition.space.kind == TORUS else 1)
+    return _cell_map(partition, u, ids)
+
+
+def stream_points(partition: Partition, rngs) -> np.ndarray:
+    """One uniform point in every cell per generator; returns (len(rngs), N, dim).
+
+    Row k is ``cell_points(partition, rngs[k], 1)[:, 0]`` bit for bit: each
+    generator draws the uniforms ``cell_points`` would draw from it, into
+    one table that goes through the cell map once.
+    """
+    u = np.empty((len(rngs),) + _uniform_shape(partition, partition.N, 1))
+    for g, row in zip(rngs, u):
+        g.random(out=row)
+    if partition.space.kind != TORUS:
+        u = u.swapaxes(0, 1)  # the sphere map takes the (z, lon) axis first
+    return _cell_map(partition, u, slice(None))[..., 0, :]
+
+
+def _uniform_shape(partition: Partition, cells: int, m: int) -> tuple[int, ...]:
+    if partition.space.kind == TORUS:
+        return (cells, m, partition.space.d)
+    return (2, cells, m)
+
+
+def _cell_map(partition: Partition, u: np.ndarray, ids) -> np.ndarray:
+    """Points of the cells ``ids`` from their uniforms: (..., cells, m, d)
+    on the torus, (2, ..., cells, m) on the sphere; elementwise, so any
+    leading axes of ``u`` map as one slice at a time would."""
+    if partition.space.kind == TORUS:
         lo, hi = partition.lo[ids, None, :], partition.hi[ids, None, :]
         return lo + (hi - lo) * u
     z_top, z_bot = partition.z[ids, 0, None], partition.z[ids, 1, None]
@@ -474,7 +498,10 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
     O(N) check), only the cells next to each sample's grid or band/sector
     position are tested; any other partition has every cell tested.  Each
     cell's diameter samples come from its own ``(seed, VERIFY, N, id, 0|1)``
-    streams, mapped to points and measured a block of cells at a time.
+    streams, mapped to points and measured a block of cells at a time.  The
+    inradius probe (``_probe_inradius``) draws each probed cell's ball
+    samples from its own ``(seed, VERIFY, N, id, 2)`` stream up front, then
+    runs each bisection step for all probed cells at once.
     """
     for name, value in (("sample_budget", sample_budget), ("pairs_per_cell", pairs_per_cell),
                         ("inradius_probe_cells", inradius_probe_cells)):
@@ -591,23 +618,47 @@ def _layout_ok(partition: Partition) -> bool:
 
 
 def _probe_inradius(partition: Partition, seed: int, max_cells: int) -> float:
-    """Largest r (min over probed cells) with sampled B(anchor, r) inside."""
+    """Largest r (min over probed cells) with sampled B(anchor, r) inside.
+
+    Each probed cell bisects r over 14 steps, testing 48 ball points per
+    step.  The draws do not depend on r, so every cell's draws for all steps
+    come first, from its own ``(seed, VERIFY, N, id, 2)`` stream in the order
+    one step at a time would take them; then each step tests the balls of
+    all probed cells at once.
+    """
     N = partition.N
-    ids = range(N) if N <= max_cells else np.linspace(0, N - 1, max_cells, dtype=int)
-    worst = np.inf
-    for cid in ids:
-        anchor = partition.anchor[cid]
-        lo_r, hi_r = 0.0, float(partition.diameter[cid])
-        rng = rngmod.substream(seed, rngmod.VERIFY, N, cid, 2)
-        for _ in range(14):
-            mid = 0.5 * (lo_r + hi_r)
-            ball = sample_ball(partition.space, anchor, mid, rng, 48)
-            if bool(np.all(cell_contains(partition, cid, ball))):
-                lo_r = mid
-            else:
-                hi_r = mid
-        worst = min(worst, lo_r)
-    return float(worst)
+    space = partition.space
+    steps, n = 14, 48
+    ids = np.arange(N) if N <= max_cells else np.linspace(0, N - 1, max_cells, dtype=int)
+    anchor = partition.anchor[ids]
+    rngs = rngmod.substreams(seed, rngmod.VERIFY, N, ids, 2)
+    t = None
+    if space.kind == TORUS:
+        u = np.stack([g.random((steps, n, space.d)) for g in rngs])
+    else:
+        # per step the radius uniforms, then the tangent normals, as
+        # sample_ball draws them
+        u = np.empty((len(ids), steps, n))
+        t = np.empty((len(ids), steps, n, 3))
+        for g, uc, tc in zip(rngs, u, t):
+            for s in range(steps):
+                uc[s] = g.random(n)
+                tc[s] = g.standard_normal((n, 3))
+        # one matrix-vector product per cell over all its steps rounds as
+        # one per step does
+        for a, tc in zip(anchor, t):
+            tc[...] = unit_tangents(a, tc.reshape(-1, 3)).reshape(steps, n, 3)
+    lo_r = np.zeros(len(ids))
+    hi_r = partition.diameter[ids].copy()
+    owner = np.repeat(ids, n)
+    for s in range(steps):
+        mid = 0.5 * (lo_r + hi_r)
+        ball = ball_points(space, anchor, mid, u[:, s], None if t is None else t[:, s])
+        inside = cell_contains(partition, owner, ball.reshape(len(ids) * n, -1))
+        inside = np.all(inside.reshape(len(ids), n), axis=1)
+        lo_r = np.where(inside, mid, lo_r)
+        hi_r = np.where(inside, hi_r, mid)
+    return float(lo_r.min())
 
 
 # ---------------------------------------------------------------------------

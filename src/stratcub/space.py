@@ -151,17 +151,35 @@ def sample_ball(space: SpaceDescriptor, center, r: float,
     """Sample ``n`` points uniformly from the metric ball B(center, r)."""
     center = np.asarray(center, dtype=float)
     if space.kind == TORUS:
-        off = r * (2.0 * rng.random((n, space.d)) - 1.0)
-        return np.mod(center + off, 1.0)
+        return ball_points(space, center, r, rng.random((n, space.d)))
     # area-uniform radius in a cap, then a uniform tangent direction
     u = rng.random(n)
-    s = np.arccos(1.0 - u * (1.0 - math.cos(min(r, math.pi))))
-    t = _random_tangent(center, rng, n)
-    return np.cos(s)[:, None] * center + np.sin(s)[:, None] * t
+    return ball_points(space, center, r, u, unit_tangents(center, rng.standard_normal((n, 3))))
 
 
-def _random_tangent(center: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.standard_normal((n, 3))
+def ball_points(space: SpaceDescriptor, center, r, u: np.ndarray,
+                t: np.ndarray | None = None) -> np.ndarray:
+    """The points of the ball B(center, r) that the uniforms ``u`` name.
+
+    Torus: ``u (..., n, d)`` scales to the offsets.  Sphere: ``u (..., n)``
+    gives the area-uniform geodesic radius and ``t (..., n, 3)`` the unit
+    tangent directions at the center.  ``center (..., dim)`` and ``r (...)``
+    hold one ball per leading index; the map is elementwise, so a batch of
+    balls rounds exactly as one ball at a time.
+    """
+    center = np.asarray(center, dtype=float)[..., None, :]
+    r = np.asarray(r, dtype=float)
+    if space.kind == TORUS:
+        return np.mod(center + r[..., None, None] * (2.0 * u - 1.0), 1.0)
+    # math.cos, not np.cos: the scalar and SIMD cosines can round differently
+    one_minus_cos = np.array([1.0 - math.cos(min(x, math.pi)) for x in r.flat])
+    s = np.arccos(1.0 - u * one_minus_cos.reshape(r.shape)[..., None])
+    return np.cos(s)[..., None] * center + np.sin(s)[..., None] * t
+
+
+def unit_tangents(center: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The normal draws ``v (n, 3)`` projected to the tangent plane at
+    ``center`` and normalised: uniform unit tangent directions."""
     v -= (v @ center)[:, None] * center
     norms = np.linalg.norm(v, axis=1, keepdims=True)
     # degenerate draws are measure zero; nudge deterministically

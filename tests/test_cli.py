@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -89,6 +90,33 @@ def test_cli_reports_bad_fn_params_in_one_line(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["mz", "--config", str(cfg)])
     assert str(exc.value.code) == "stratcub: coordinate axis must be in [0, 1), got 1"
+
+
+def test_cli_reports_unknown_fn_param_in_one_line(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"function": "coordinate", "fn_params": {"axsi": 1}}))
+    with pytest.raises(SystemExit) as exc:
+        main(["mz", "--config", str(cfg)])
+    assert str(exc.value.code) == ("stratcub: unknown parameter 'axsi' for function "
+                                   "'coordinate'; it takes axis")
+
+
+@pytest.mark.parametrize("p", ["4", "2"])
+def test_cli_mz_all_degenerate_reports_and_writes(tmp_path, capsys, p):
+    # the k = 1 square wave is constant on every grid cell: every N is degenerate
+    out = tmp_path / "deg"
+    rc = main(["mz", "--space", "torus", "--dim", "1", "--n", "8", "16", "64",
+               "--fn", "square_wave", "--p", p, "--out", str(out)])
+    summary = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert summary["envelope"] is None and summary["verdict"] is False
+    assert summary["p2_identity_ok"] is None  # nothing to check at p = 2 either
+    assert math.isnan(summary["stability_ratio"])
+    assert [r["N"] for r in summary["rows"]] == [8, 16, 64]
+    assert all(math.isnan(r["ratio"]) for r in summary["rows"])
+    assert json.loads(Path(str(out) + ".json").read_text()) == json.loads(json.dumps(summary))
+    lines = Path(str(out) + ".csv").read_text().splitlines()
+    assert len(lines) == 4 and all(",nan,nan," in ln for ln in lines[1:])
 
 
 def test_cli_bad_config_exits_with_status_one():

@@ -6,13 +6,18 @@ import pytest
 from stratcub import rng as rngmod
 from stratcub.cubature import (NodeDraw, cubature_error, draw_nodes,
                                estimate_BN, jackknife, jackknife_power_mean)
-from stratcub.funcs import (cone_bump_fn, constant_fn, coordinate_fn,
-                            indicator_fn)
-from stratcub.partition import cell_contains, torus_grid_partition
-from stratcub.sets import make_arc
-from stratcub.space import TORUS, make_space
+from stratcub.funcs import (cone_bump_fn, constant_fn, coordinate_fn, cos_fn,
+                            indicator_fn, make_function, square_wave_fn,
+                            zonal_monomial_fn)
+from stratcub.mz import mz_pair
+from stratcub.partition import (cell_contains, cell_points, sphere_zonal_partition,
+                                stream_points, torus_grid_partition)
+from stratcub.sets import make_arc, make_box, make_cap
+from stratcub.space import L2_BLOCK, SPHERE2, TORUS, make_space
 
 T1 = make_space(TORUS, 1)
+T2 = make_space(TORUS, 2)
+S2 = make_space(SPHERE2)
 
 
 def test_draw_nodes_containment_and_determinism():
@@ -122,3 +127,101 @@ def test_jackknife_ratio_matches_inline_formula():
         se = math.sqrt((K - 1) / K * float(np.sum((loo - loo.mean()) ** 2)))
         got = jackknife(lambda m, b: m ** power / b ** power, mid, brk)
         assert got == (theta, se)
+
+
+def _block_draws(part) -> int:
+    """Draws per block of the batched draw loops (at most L2_BLOCK // 8 node
+    coordinates); used here only to choose draw counts that end mid-block."""
+    return max(1, L2_BLOCK // (8 * part.N * part.anchor.shape[1]))
+
+
+@pytest.mark.parametrize("part", [torus_grid_partition(T1, 7), torus_grid_partition(T2, 3),
+                                  sphere_zonal_partition(S2, 33)], ids=["T1", "T2", "S2"])
+def test_stream_points_rows_are_draw_nodes(part):
+    draws = np.arange(5)
+    table = stream_points(part, rngmod.substreams(4, rngmod.MZ, draws))
+    assert table.shape == (5, part.N, part.anchor.shape[1])
+    for k in draws:
+        assert np.array_equal(table[k], draw_nodes(part, 4, k, rngmod.MZ).nodes)
+
+
+def _per_draw_values(f, part, seed, n_draws, stream):
+    """f at each draw's nodes, one draw at a time: its own stream, one node
+    per cell from ``cell_points``."""
+    return [f.evaluate(cell_points(part, rngmod.substream(seed, stream, k), 1)[:, 0])
+            for k in range(n_draws)]
+
+
+def _batched_cases():
+    box2 = make_box((0.2, 0.35), (0.7, 0.6))
+    cases = []
+    for m in (1, 16, 512, 2048):
+        part = torus_grid_partition(T1, m)
+        fs = [cone_bump_fn(T1, (0.4,), 0.3), coordinate_fn(T1), square_wave_fn(T1, 3),
+              indicator_fn(T1, make_arc(0.2, 0.5))]
+        cases += [(f"T1-N{m}-{f.fid}", part, f) for f in fs]
+    for m in (1, 4, 23, 45):  # N = 1, 16, 529, 2025
+        part = torus_grid_partition(T2, m)
+        fs = [make_function(T2, "cone"), coordinate_fn(T2, 1), indicator_fn(T2, box2)]
+        if m > 1:
+            fs.append(cos_fn(T2, (1, 3)))
+        cases += [(f"T2-N{m * m}-{f.fid}", part, f) for f in fs]
+    for n in (16, 512, 2048):
+        part = sphere_zonal_partition(S2, n)
+        fs = [make_function(S2, "cone"), zonal_monomial_fn(S2, 3),
+              indicator_fn(S2, make_cap((1.0, 1.0, 1.0), 1.0)),
+              indicator_fn(S2, make_cap((0.0, 0.0, -1.0), 2.0))]
+        cases += [(f"S2-N{n}-{f.fid}", part, f) for f in fs]
+    return cases
+
+
+@pytest.mark.parametrize("part,f", [c[1:] for c in _batched_cases()],
+                         ids=[c[0] for c in _batched_cases()])
+def test_batched_draws_match_per_draw_loop(part, f):
+    """estimate_BN and mz_pair equal (==) a loop over draws that opens one
+    stream, samples one node per cell and evaluates f per draw.  The draw
+    counts end inside a block, after one or more full blocks; at N = 1 the
+    blocks hold 8192 (T^1) or 4096 (T^2) draws, so only one case there, the
+    cone on T^2, spans two."""
+    K = _block_draws(part)
+    n_draws = 2 * K + 3 if K <= 512 else 13
+    if part.N == 1 and part.space.d == 2 and f.fid == "cone":
+        n_draws = K + 3
+    seed = 11
+    w = part.weights()
+    values = _per_draw_values(f, part, seed, n_draws, rngmod.NODES)
+    errors = np.array([w @ v - f.exact_integral for v in values])
+    for p in (1.0, 2.0, 4.0):
+        st = estimate_BN(f, part, p, n_draws, seed)
+        assert (st.moment, st.stderr) == jackknife_power_mean(np.abs(errors) ** p, 1.0 / p)
+    if f.cell_means is None:
+        return
+    means = f.cell_means(part)
+    cs = [w * (v - means) for v in _per_draw_values(f, part, seed, n_draws, rngmod.MZ)]
+    for p in (1.0, 2.0, 4.0):
+        power = 1.0 / p
+        mid = np.array([abs(c.sum()) ** p for c in cs])
+        brk = np.array([float(c @ c) ** (p / 2.0) for c in cs])
+        rep = mz_pair(f, part, p, n_draws, seed)
+        assert (rep.middle, rep.middle_se) == jackknife_power_mean(mid, power)
+        assert (rep.bracket, rep.bracket_se) == jackknife_power_mean(brk, power)
+        if rep.degenerate:
+            assert math.isnan(rep.ratio)
+        else:
+            ratio = jackknife(lambda a, b: a ** power / b ** power, mid, brk)
+            assert (rep.ratio, rep.ratio_se) == ratio
+
+
+def test_batched_draws_single_cell_cos_rounding():
+    """At N = 1 a draw's nodes are one row, which numpy's matmul takes
+    through a dot kernel; a block of rows goes through the matrix-vector
+    kernel that every N >= 2 uses.  cos on T^2 with a frequency that is not
+    a power of two rounds its phase in that product, so the batched
+    estimate matches the per-draw loop only to rounding there."""
+    part, f, n_draws, seed = torus_grid_partition(T2, 1), cos_fn(T2, (1, 3)), 300, 1
+    errors = np.array([float(v[0]) - f.exact_integral
+                       for v in _per_draw_values(f, part, seed, n_draws, rngmod.NODES)])
+    st = estimate_BN(f, part, 2.0, n_draws, seed)
+    moment, stderr = jackknife_power_mean(errors ** 2, 0.5)
+    assert st.moment == pytest.approx(moment, rel=1e-14)
+    assert st.stderr == pytest.approx(stderr, rel=1e-12)

@@ -150,6 +150,9 @@ def test_config_validation():
             ExperimentConfig(kind=kind, function="coordinate", fn_params={"axis": 1})
         with pytest.raises(ValueError, match="positive integer"):
             ExperimentConfig(kind=kind, function="square_wave", fn_params={"k": 0})
+        with pytest.raises(ValueError, match="unknown parameter 'axsi' for function "
+                                             "'coordinate'"):
+            ExperimentConfig(kind=kind, function="coordinate", fn_params={"axsi": 1})
     ExperimentConfig(kind="wce", function="nonesuch")  # only besov and mz build it
     cfg = ExperimentConfig(kind="mz", n_list=(8, 12))  # mz exempt from ratios
     assert cfg.q == 2.0

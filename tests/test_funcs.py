@@ -156,6 +156,11 @@ def test_make_function_registry():
     assert f.params["radius"] == 0.1
     with pytest.raises(ValueError):
         make_function(T1, "nonesuch")
+    with pytest.raises(ValueError, match="unknown parameter 'axsi'"):
+        make_function(T1, "coordinate", axsi=1)
+    with pytest.raises(ValueError, match="unknown parameter 'k' for function 'cone'; "
+                                         "it takes center, radius"):
+        make_function(T1, "cone", radius=0.1, k=2)
     with pytest.raises(ValueError):
         coordinate_fn(S2)
     with pytest.raises(ValueError):

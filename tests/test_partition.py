@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stratcub import rng as rngmod
-from stratcub.partition import (_COLUMNS, _layout_ok, _locate,
+from stratcub.partition import (_COLUMNS, _layout_ok, _locate, _probe_inradius,
                                 cell_boundary_distance,
                                 cell_contains, cell_inradius, cell_sample,
                                 find_cell, geometric_cell_measures,
@@ -316,6 +316,43 @@ def test_cell_inradius_ball_inside():
             pts = sample_ball(part.space, part.anchor[j], r * 0.999,
                               rngmod.substream(7, j), 200)
             assert np.all(cell_contains(part, j, pts))
+
+
+def _probe_inradius_per_cell(partition, seed, max_cells):
+    """The bisection ``_probe_inradius`` runs for all probed cells at once,
+    one cell and one step at a time."""
+    N = partition.N
+    ids = range(N) if N <= max_cells else np.linspace(0, N - 1, max_cells, dtype=int)
+    worst = np.inf
+    for cid in ids:
+        anchor = partition.anchor[cid]
+        lo_r, hi_r = 0.0, float(partition.diameter[cid])
+        rng = rngmod.substream(seed, rngmod.VERIFY, N, cid, 2)
+        for _ in range(14):
+            mid = 0.5 * (lo_r + hi_r)
+            ball = sample_ball(partition.space, anchor, mid, rng, 48)
+            if bool(np.all(cell_contains(partition, cid, ball))):
+                lo_r = mid
+            else:
+                hi_r = mid
+        worst = min(worst, lo_r)
+    return float(worst)
+
+
+# N <= 64 probes every cell, N > 64 a spread of 64
+_PROBE_PARTS = ([(f"T1-m{m}", T1, m) for m in (1, 2, 3, 33, 2048)]
+                + [(f"T2-m{m}", T2, m) for m in (1, 3, 46)]
+                + [(f"T3-m{m}", T3, m) for m in (1, 2, 13)]
+                + [(f"S2-N{n}", S2, n) for n in (2, 3, 33, 2048)])
+
+
+@pytest.mark.parametrize("space,size", [p[1:] for p in _PROBE_PARTS],
+                         ids=[p[0] for p in _PROBE_PARTS])
+def test_probe_inradius_matches_per_cell_bisection(space, size):
+    part = (torus_grid_partition(space, size) if space.kind == TORUS
+            else sphere_zonal_partition(space, size))
+    for seed in (0, 1, 5):
+        assert _probe_inradius(part, seed, 64) == _probe_inradius_per_cell(part, seed, 64)
 
 
 def test_cell_boundary_distance():
