@@ -3,7 +3,8 @@
 Subcommands mirror the experiment kinds (partition, wce, besov, mz,
 indicator, sharpness) plus ``rates`` (refit an existing CSV) and ``verify``
 (a fast self-check battery).  Every experiment writes ``<out>.csv`` and
-``<out>.json``; the exit code is nonzero iff any verdict fails.
+``<out>.json``; the exit code is nonzero iff any verdict fails.  Printed and
+written JSON is strict: a non-finite value (an undefined ratio) is ``null``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from .experiments import ExperimentConfig, run_experiment
+from .experiments import ExperimentConfig, run_experiment, to_json
 from .rates import rate_fit
 
 
@@ -77,7 +78,7 @@ def _run_kind(kind: str, args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(f"stratcub: {exc}")
     rows, summary = run_experiment(cfg)
-    print(json.dumps(summary, sort_keys=True, default=str, indent=1))
+    print(to_json(summary, sort_keys=True, default=str, indent=1))
     return 0 if summary.get("verdict", True) else 1
 
 
@@ -93,7 +94,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
         ok = abs(fit.slope - args.expected) <= args.tol
         result["expected"] = args.expected
         result["verdict"] = ok
-    print(json.dumps(result, sort_keys=True, indent=1))
+    print(to_json(result, sort_keys=True, indent=1))
     return 0 if ok else 1
 
 
@@ -123,7 +124,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                                             "predicted_exponent") if k in summary}
         # wall time goes on the printed line only, never into the output files
         line["elapsed_s"] = round(time.perf_counter() - t0, 3)
-        print(json.dumps(line, sort_keys=True, default=str))
+        print(to_json(line, sort_keys=True, default=str))
         if not summary.get("verdict", True):
             failures.append(cfg.kind)
     if failures:

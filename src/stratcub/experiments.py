@@ -208,7 +208,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     if cfg.out:
         write_csv(Path(str(cfg.out) + ".csv"), clean)
         Path(str(cfg.out) + ".json").write_text(
-            json.dumps(summary, sort_keys=True, indent=1, default=_json_default))
+            to_json(summary, sort_keys=True, indent=1, default=_json_default))
     return clean, summary
 
 
@@ -297,6 +297,27 @@ def write_csv(path: Path, rows: list[dict]) -> None:
     for r in rows:
         lines.append(",".join(_fmt(r[k]) for k in CSV_FIELDS))
     path.write_text("\n".join(lines) + "\n")
+
+
+def to_json(obj, **kw) -> str:
+    """``obj`` as JSON text (RFC 8259), with non-finite floats written as null.
+
+    Dumps with ``allow_nan=False``, so a non-finite value that escapes the
+    conversion (one made by a ``default`` hook) raises instead of being
+    written as a bare ``NaN`` or ``Infinity`` token.  ``kw`` goes to
+    ``json.dumps``.
+    """
+    return json.dumps(_finite(obj), allow_nan=False, **kw)
+
+
+def _finite(obj):
+    if isinstance(obj, (float, np.floating)):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
 
 
 def _json_default(obj):

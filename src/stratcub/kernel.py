@@ -88,21 +88,33 @@ def rough_series(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
     return acc
 
 
-def kernel_profile(spec: KernelSpec, t):
-    """Kernel value as a function of distance (vectorized).
+def kernel_profile(spec: KernelSpec, t, out: np.ndarray | None = None):
+    """Kernel value as a function of distance (vectorized), written into ``out``.
 
-    Raises ``SingularPairError`` if any distance is below ``SINGULAR_TOL``
-    (for the singular families).
+    ``out`` may be ``t`` itself, so a caller that owns its distance table
+    evaluates the kernel in place; a missing ``out`` is allocated.  Raises
+    ``SingularPairError`` if any distance is below ``SINGULAR_TOL`` (for the
+    singular families), before anything is written.  The power is taken with
+    in-place ``**=``, which takes the same special paths (exponents -1, 0.5
+    and 2) as ``t ** (alpha - d)``, so the values equal it bit for bit.
     """
     t = np.asarray(t, dtype=float)
+    if out is None:
+        out = np.empty_like(t)
     if spec.family == CONST:
-        return np.full_like(t, spec.kappa)
+        out.fill(spec.kappa)
+        return out if out.ndim else out[()]
     if np.any(t < SINGULAR_TOL):
         raise SingularPairError("kernel evaluated at coincident points")
-    out = t ** (spec.alpha - spec.d)
-    if spec.family == ROUGH_RIESZ and spec.kappa != 0.0:
-        out = out + spec.kappa * rough_series(spec, t)
-    return out
+    # the rough term reads t, so it is taken before the power may overwrite t
+    rough = (spec.kappa * rough_series(spec, t)
+             if spec.family == ROUGH_RIESZ and spec.kappa != 0.0 else None)
+    if out is not t:
+        np.copyto(out, t)
+    out **= spec.alpha - spec.d
+    if rough is not None:
+        out += rough
+    return out if out.ndim else out[()]
 
 
 def kernel_eval(spec: KernelSpec, space: SpaceDescriptor, x, y):

@@ -21,10 +21,14 @@ TORUS = "torus"
 SPHERE2 = "sphere2"
 
 # Distances per block in blocked table builds (``pairwise_distance`` and the
-# wce cell means).  A block (0.5 MB) and the two temporaries of its size that
-# each step makes stay inside a 2 MB L2 cache; on a 2-core x86 host with
-# 2 MB L2, a 16384 x 128 T^2 table took about twice as long with 4M-distance
-# blocks.
+# wce cell means).  A block (0.5 MB) and the scratch of its size that a step
+# needs stay inside a 2 MB L2 cache; on a 2-core x86 host with 2 MB L2, a
+# 16384 x 128 T^2 table took about twice as long with 4M-distance blocks.
+# Blocks are computed into buffers that outlive them (``out=``), not into
+# fresh temporaries: glibc returns freed block-sized temporaries to the OS,
+# so each new block page-faulted its memory back in (one run_report over
+# S^2 N = 32..256, m_y = 256, m_z = 8, 16 draws: 25,088 minor faults with
+# fresh temporaries, about 1,090 with reused buffers).
 L2_BLOCK = 65_536
 
 
@@ -73,39 +77,54 @@ def distance(space: SpaceDescriptor, a, b):
 
 
 def pairwise_distance(space: SpaceDescriptor, a: np.ndarray, b: np.ndarray,
-                      chunk: int = L2_BLOCK) -> np.ndarray:
+                      out: np.ndarray | None = None, chunk: int = L2_BLOCK) -> np.ndarray:
     """Distance matrix between point sets ``a (n, dim)`` and ``b (m, dim)``.
 
+    The distances are written into ``out (n, m)``; a missing ``out`` is
+    allocated.  The sphere's product, clip and arccos all run in ``out``.
     Torus rows are processed in blocks of at most ``max(chunk, m)``
-    distances, which bounds each of the two per-axis scratch arrays.
+    distances, through per-axis scratch allocated once per call.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    if space.kind == SPHERE2:
-        dot = np.clip(a @ b.T, -1.0, 1.0)
-        return np.arccos(dot)
     n, m = a.shape[0], b.shape[0]
+    if out is None:
+        out = np.empty((n, m))
+    if space.kind == SPHERE2:
+        np.matmul(a, b.T, out=out)
+        np.clip(out, -1.0, 1.0, out=out)
+        return np.arccos(out, out=out)
     rows = max(1, chunk // max(1, m))
-    out = np.empty((n, m))
+    flip = np.empty((min(rows, n), m))
+    diff = np.empty_like(flip) if a.shape[1] > 1 else None
     for i in range(0, n, rows):
-        _torus_distance(a[i:i + rows, None, :], b[None, :, :], out[i:i + rows])
+        block = out[i:i + rows]
+        k = len(block)
+        _torus_distance(a[i:i + rows, None, :], b[None, :, :], block, flip[:k],
+                        None if diff is None else diff[:k])
     return out
 
 
-def _torus_distance(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _torus_distance(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+                    flip: np.ndarray | None = None,
+                    diff: np.ndarray | None = None) -> np.ndarray:
     """Torus sup-metric distance between ``a`` and ``b``, written into ``out``.
 
     ``a (..., d)`` and ``b (..., d)`` broadcast over their leading axes; a
-    missing ``out`` is allocated.  Each axis's wrapped distance is built in
-    place and folded into a running maximum, so no temporary is larger than
-    ``out``.  Every step rounds exactly as a reduction over an ``(..., d)``
-    difference array would, so the result is bit-identical to it.
+    missing ``out`` is allocated, and so is missing per-axis scratch ``flip``
+    and ``diff`` (of ``out``'s shape; ``diff`` only when d > 1).  Each axis's
+    wrapped distance is built in place and folded into a running maximum, so
+    no temporary is larger than ``out``.  Every step rounds exactly as a
+    reduction over an ``(..., d)`` difference array would, so the result is
+    bit-identical to it.
     """
     out = np.asarray(np.subtract(a[..., 0], b[..., 0], out=out))
-    flip = np.empty_like(out)
+    if flip is None:
+        flip = np.empty_like(out)
     _wrap(out, flip)
     if a.shape[-1] > 1:
-        diff = np.empty_like(out)
+        if diff is None:
+            diff = np.empty_like(out)
         for k in range(1, a.shape[-1]):
             np.subtract(a[..., k], b[..., k], out=diff)
             _wrap(diff, flip)

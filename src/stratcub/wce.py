@@ -30,8 +30,8 @@ from . import rng as rngmod
 from .cubature import (ErrorStats, NodeDraw, cubature_error, draw_nodes,
                        jackknife_power_mean, sample_all_cells)
 from .funcs import TestFunction
-from .kernel import (CONST, SINGULAR_TOL, KernelSpec, kernel_profile, regime_classify,
-                     total_integral)
+from .kernel import (CONST, SINGULAR_TOL, KernelSpec, SingularPairError, kernel_profile,
+                     regime_classify, total_integral)
 from .partition import Partition, cell_boundary_distance, cell_sample
 from .space import (L2_BLOCK, TORUS, SpaceDescriptor, distance, pairwise_distance,
                     sample_uniform)
@@ -101,47 +101,54 @@ class WceReport:
 # per-draw tables
 # ---------------------------------------------------------------------------
 
-def _cell_means(cfg: WceConfig, rng_z: np.random.Generator,
-                Y: np.ndarray) -> np.ndarray:
+def _cell_means(cfg: WceConfig, rng_z: np.random.Generator, Y: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Cell kernel means (N, len(Y)) over one replica of m_z samples per cell.
 
+    The means are written into ``out``; a missing ``out`` is allocated.
     Streams blocks of about ``L2_BLOCK`` distances through distance table,
-    kernel and mean, so no (N, m_z, m_y) table is built.  A block's
-    distances are one ``pairwise_distance`` table on either space.  A block
-    with a singular distance redraws the whole Z before its kernel is
-    evaluated; the random stream and the result are those of the unblocked
-    table.
+    kernel and mean, so no (N, m_z, m_y) table is built.  Every block and
+    every redraw reuses one block buffer, in which a block's distances (one
+    ``pairwise_distance`` table on either space) become its kernel values.
+    A block whose kernel meets a singular distance redraws the whole Z; the
+    random stream and the result are those of the unblocked table.
     """
     part = cfg.partition
     m_y = len(Y)
-    rows = max(1, L2_BLOCK // (cfg.m_z * m_y))
-    out = np.empty((part.N, m_y))
+    rows = min(part.N, max(1, L2_BLOCK // (cfg.m_z * m_y)))
+    if out is None:
+        out = np.empty((part.N, m_y))
+    buf = np.empty((rows * cfg.m_z, m_y))
     for _ in range(MAX_REDRAWS):
         Z = sample_all_cells(part, rng_z, cfg.m_z)
         for i in range(0, part.N, rows):
             Zb = Z[i:i + rows]
-            D = pairwise_distance(part.space, Zb.reshape(-1, Zb.shape[-1]), Y)
-            D = D.reshape(len(Zb), cfg.m_z, m_y)
-            if D.min() < SINGULAR_TOL:
+            D = buf[:len(Zb) * cfg.m_z]
+            pairwise_distance(part.space, Zb.reshape(len(D), -1), Y, out=D)
+            try:
+                kernel_profile(cfg.kernel, D, out=D)
+            except SingularPairError:
                 break
-            kernel_profile(cfg.kernel, D).mean(axis=1, out=out[i:i + rows])
+            D.reshape(len(Zb), cfg.m_z, m_y).mean(axis=1, out=out[i:i + rows])
         else:
             return out
     raise RuntimeError("singular cell-sample redraw budget exhausted")
 
 
 def _cell_terms(cfg: WceConfig, phi: np.ndarray, Y: np.ndarray,
-                z_path: tuple[int, ...]) -> np.ndarray:
+                z_path: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
     """Two-replica per-cell terms T (2, N, len(Y)) = w_j (phi_j - cell mean j).
 
     ``phi`` (N, len(Y)) holds Phi(x_j, y); replica r draws its cell samples
-    from the stream ``(seed, *z_path, r)``.
+    from the stream ``(seed, *z_path, r)``.  T is built in ``out``
+    (allocated when missing).
     """
     w = cfg.partition.weights()
-    T = np.empty((2,) + phi.shape)
+    T = np.empty((2,) + phi.shape) if out is None else out
     for r in (0, 1):
-        rng_z = rngmod.substream(cfg.seed, *z_path, r)
-        T[r] = w[:, None] * (phi - _cell_means(cfg, rng_z, Y))
+        _cell_means(cfg, rngmod.substream(cfg.seed, *z_path, r), Y, out=T[r])
+        np.subtract(phi, T[r], out=T[r])
+        T[r] *= w[:, None]
     return T
 
 
@@ -163,8 +170,13 @@ def _redraw_singular_y(space: SpaceDescriptor, rng_y: np.random.Generator,
 
 
 def _node_table(cfg: WceConfig, ctx: int, index: int, rep: int = 0,
-                nodes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel table Phi(x_j, y) (N, m_y) and the y sample Y of one draw."""
+                nodes: np.ndarray | None = None,
+                out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel table Phi(x_j, y) (N, m_y) and the y sample Y of one draw.
+
+    The table is built in ``out`` (allocated when missing): distances first,
+    then the kernel in place.
+    """
     part = cfg.partition
     space = part.space
     if nodes is None:
@@ -173,29 +185,40 @@ def _node_table(cfg: WceConfig, ctx: int, index: int, rep: int = 0,
     rng_y = rngmod.substream(cfg.seed, ctx, rngmod.WCE_Y, index, rep)
     Y = sample_uniform(space, rng_y, cfg.m_y)
     dn = _redraw_singular_y(space, rng_y, Y,
-                            lambda Y: pairwise_distance(space, nodes, Y))
-    return kernel_profile(cfg.kernel, dn), Y
+                            lambda Y: pairwise_distance(space, nodes, Y, out=out))
+    return kernel_profile(cfg.kernel, dn, out=dn), Y
 
 
-def _draw_tables(cfg: WceConfig, ctx: int, index: int) -> np.ndarray:
-    """Two-replica per-cell terms T (2, N, m_y) for one draw."""
-    phi_nodes, Y = _node_table(cfg, ctx, index)
-    return _cell_terms(cfg, phi_nodes, Y, (ctx, rngmod.WCE_Z, index, 0))
+def _draw_tables(cfg: WceConfig, ctx: int, index: int, phi: np.ndarray | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Two-replica per-cell terms T (2, N, m_y) for one draw.
+
+    The node table is built in ``phi`` and T in ``out``; each is allocated
+    when missing.
+    """
+    phi, Y = _node_table(cfg, ctx, index, out=phi)
+    return _cell_terms(cfg, phi, Y, (ctx, rngmod.WCE_Z, index, 0), out)
 
 
 def _wq(cfg: WceConfig, ctx: int, index: int, rep: int = 0,
-        nodes: np.ndarray | None = None) -> float:
-    """|M| mean_y |F(y)|^q, unbiased for wce^q of one draw, from the exact F."""
+        nodes: np.ndarray | None = None, out: np.ndarray | None = None) -> float:
+    """|M| mean_y |F(y)|^q, unbiased for wce^q of one draw, from the exact F.
+
+    ``out`` is the (N, m_y) buffer for the node table (allocated when missing).
+    """
     space = cfg.partition.space
-    phi_nodes, _ = _node_table(cfg, ctx, index, rep, nodes)
+    phi_nodes, _ = _node_table(cfg, ctx, index, rep, nodes, out)
     F = cfg.partition.weights() @ phi_nodes - total_integral(cfg.kernel, space)
     return space.total_measure * float(np.mean(np.abs(F) ** cfg.q))
 
 
 def _dq_samples(cfg: WceConfig, T: np.ndarray) -> np.ndarray:
-    """Per-y samples whose mean estimates the square-function form^q."""
+    """Per-y samples whose mean estimates the square-function form^q.
+
+    The replica product is formed in ``T[0]``, which is overwritten.
+    """
     total = cfg.partition.space.total_measure
-    S = (T[0] * T[1]).sum(axis=0)  # unbiased for sum_j T_j^2
+    S = np.multiply(T[0], T[1], out=T[0]).sum(axis=0)  # unbiased for sum_j T_j^2
     if cfg.q == 2.0:
         return total * S
     return total * np.clip(S, 0.0, None) ** (cfg.q / 2.0)
@@ -222,7 +245,8 @@ def worst_case_error(cfg: WceConfig, draw: NodeDraw, rep: int = 0) -> float:
 
 def estimate_AN(cfg: WceConfig) -> ErrorStats:
     """{mean over draws of wce^q}^{1/q} with jackknife standard error."""
-    return _draw_moment(cfg, lambda k: _wq(cfg, rngmod.AN, k))
+    table = np.empty((cfg.partition.N, cfg.m_y))  # every draw's node table
+    return _draw_moment(cfg, lambda k: _wq(cfg, rngmod.AN, k, out=table))
 
 
 def delta_phi(cfg: WceConfig) -> ErrorStats:
@@ -232,8 +256,10 @@ def delta_phi(cfg: WceConfig) -> ErrorStats:
     means against A_N's exact integral), so the p = q = 2 identity between
     the two is a genuine dual-route check.
     """
+    phi = np.empty((cfg.partition.N, cfg.m_y))  # every draw's node table
+    T = np.empty((2,) + phi.shape)  # and its per-cell terms
     return _draw_moment(
-        cfg, lambda k: _dq_samples(cfg, _draw_tables(cfg, rngmod.DELTA, k)).mean())
+        cfg, lambda k: _dq_samples(cfg, _draw_tables(cfg, rngmod.DELTA, k, phi, T)).mean())
 
 
 def gamma_phi(cfg: WceConfig) -> ErrorStats:
@@ -253,7 +279,7 @@ def gamma_phi(cfg: WceConfig) -> ErrorStats:
     rng_y = rngmod.substream(cfg.seed, rngmod.GAMMA, rngmod.WCE_Y)
     Y = sample_uniform(space, rng_y, P)
     t = _redraw_singular_y(space, rng_y, Y, lambda Y: distance(space, X, Y))
-    T = _cell_terms(cfg, kernel_profile(cfg.kernel, t), Y, (rngmod.GAMMA, rngmod.WCE_Z))
+    T = _cell_terms(cfg, kernel_profile(cfg.kernel, t, out=t), Y, (rngmod.GAMMA, rngmod.WCE_Z))
     # per-cell, per-pair samples u with E[u] = |M| * E_x E_y |T_j|^q
     if q == 2.0:
         u_all = space.total_measure * T[0] * T[1]

@@ -1,6 +1,5 @@
 import importlib.util
 import json
-import math
 import os
 import subprocess
 import sys
@@ -101,20 +100,27 @@ def test_cli_reports_unknown_fn_param_in_one_line(tmp_path):
                                    "'coordinate'; it takes axis")
 
 
+def _strict_loads(text):
+    """json.loads that rejects the NaN and Infinity tokens RFC 8259 lacks."""
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.mark.parametrize("p", ["4", "2"])
 def test_cli_mz_all_degenerate_reports_and_writes(tmp_path, capsys, p):
     # the k = 1 square wave is constant on every grid cell: every N is degenerate
     out = tmp_path / "deg"
     rc = main(["mz", "--space", "torus", "--dim", "1", "--n", "8", "16", "64",
                "--fn", "square_wave", "--p", p, "--out", str(out)])
-    summary = json.loads(capsys.readouterr().out)
+    summary = _strict_loads(capsys.readouterr().out)
     assert rc == 1
     assert summary["envelope"] is None and summary["verdict"] is False
     assert summary["p2_identity_ok"] is None  # nothing to check at p = 2 either
-    assert math.isnan(summary["stability_ratio"])
+    assert summary["stability_ratio"] is None  # undefined, written as null
     assert [r["N"] for r in summary["rows"]] == [8, 16, 64]
-    assert all(math.isnan(r["ratio"]) for r in summary["rows"])
-    assert json.loads(Path(str(out) + ".json").read_text()) == json.loads(json.dumps(summary))
+    assert all(r["ratio"] is None for r in summary["rows"])
+    assert _strict_loads(Path(str(out) + ".json").read_text()) == summary
     lines = Path(str(out) + ".csv").read_text().splitlines()
     assert len(lines) == 4 and all(",nan,nan," in ln for ln in lines[1:])
 

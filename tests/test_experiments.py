@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from stratcub import rng as rngmod
 from stratcub.experiments import (CSV_FIELDS, ExperimentConfig, build_partition,
-                                  run_experiment)
+                                  run_experiment, to_json)
 from stratcub.kernel import KernelSpec, regime_classify
 from stratcub.rates import (RateFit, predicted_bn_exponent, predicted_indicator_exponent,
                             predicted_wce_exponent, rate_fit)
@@ -223,3 +223,11 @@ def test_sharpness_single_summary():
     rows, summary = run_experiment(cfg)
     assert summary["interval_ratio"] <= 2.0
     assert summary["verdict"]
+
+
+def test_to_json_writes_non_finite_as_null_and_rejects_escapes():
+    doc = {"b": [np.float64("nan"), 1.5, (math.inf, -math.inf)], "a": np.float64(0.25)}
+    assert to_json(doc, sort_keys=True) == '{"a": 0.25, "b": [null, 1.5, [null, null]]}'
+    # a non-finite value made by the default hook is not converted: it raises
+    with pytest.raises(ValueError):
+        to_json({"x": object()}, default=lambda o: math.nan)

@@ -40,6 +40,34 @@ def test_singularity_raises():
         kernel_eval(RIESZ06, T1, np.array([0.3]), np.array([0.3]))
 
 
+@pytest.mark.parametrize("spec", [
+    KernelSpec(RIESZ, alpha=1.0, d=2),  # alpha - d = -1: the reciprocal path of **
+    KernelSpec(RIESZ, alpha=0.5, d=1),  # -0.5
+    RIESZ06,  # a generic exponent
+    ROUGH,
+    KernelSpec(CONST, kappa=2.0),
+], ids=["riesz-1", "riesz-0.5", "riesz-0.4", "rough", "const"])
+def test_kernel_profile_in_place_equals_fresh(spec):
+    t = 0.5 * rngmod.substream(3, rngmod.SELFTEST, 3).random((7, 33)) + 1e-3
+    fresh = kernel_profile(spec, t)
+    if spec.family == RIESZ:
+        assert np.array_equal(fresh, t ** (spec.alpha - spec.d))
+    out = np.empty_like(t)
+    assert kernel_profile(spec, t, out=out) is out
+    assert np.array_equal(out, fresh)
+    assert kernel_profile(spec, t, out=t) is t
+    assert np.array_equal(t, fresh)
+
+
+@pytest.mark.parametrize("spec", [RIESZ06, ROUGH])
+def test_singular_table_raises_before_writing(spec):
+    t = np.array([[0.3, 0.1], [0.0, 0.2]])
+    before = t.copy()
+    with pytest.raises(SingularPairError):
+        kernel_profile(spec, t, out=t)
+    assert np.array_equal(t, before)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(RIESZ, alpha=1.5, d=1)

@@ -122,6 +122,22 @@ def test_pairwise_matches_broadcast():
                        distance(S2, sa[:, None, :], sb[None, :, :]))
 
 
+@pytest.mark.parametrize("space", [T1, T2, make_space(TORUS, 3), S2],
+                         ids=["T1", "T2", "T3", "S2"])
+def test_pairwise_into_out_equals_fresh(space):
+    rng = rngmod.substream(5, rngmod.SELFTEST, 7)
+    a = sample_uniform(space, rng, 42)
+    b = sample_uniform(space, rng, 23)
+    chunk = 4 * len(b) + 1  # 4-row blocks over 42 rows leave a 2-row last block
+    fresh = pairwise_distance(space, a, b, chunk=chunk)
+    big = np.full((len(a) + 3, len(b)), -1.0)
+    out = big[1:1 + len(a)]  # rows of a larger buffer
+    assert pairwise_distance(space, a, b, out=out, chunk=chunk) is out
+    assert np.array_equal(out, fresh)
+    assert np.array_equal(pairwise_distance(space, a, b), fresh)
+    assert (big[0] == -1.0).all() and (big[-2:] == -1.0).all()
+
+
 def test_pairwise_torus_memory_stays_near_output_size():
     # an (n, m, d) temporary on T^3 alone would be 3x the output
     T3 = make_space(TORUS, 3)

@@ -7,9 +7,9 @@ import pytest
 
 from stratcub import rng as rngmod
 from stratcub import wce
-from stratcub.cubature import NodeDraw, draw_nodes, sample_all_cells
+from stratcub.cubature import NodeDraw, draw_nodes, jackknife_power_mean, sample_all_cells
 from stratcub.kernel import (CONST, RIESZ, ROUGH_RIESZ, SINGULAR_TOL, KernelSpec,
-                             kernel_profile, total_integral)
+                             kernel_profile, rough_series, total_integral)
 from stratcub.partition import sphere_zonal_partition, torus_grid_partition
 from stratcub.space import (L2_BLOCK, SPHERE2, TORUS, distance, make_space,
                             pairwise_distance, sample_uniform)
@@ -295,25 +295,45 @@ def test_cell_y_distances_torus_matches_broadcast():
     assert np.array_equal(_cell_y_distances(T2, Z, Y), full)
 
 
+def _reference_distances(space, a, b):
+    """Distances (len(a), len(b)) by the textbook formulas, in one table."""
+    if space.kind == SPHERE2:
+        return np.arccos(np.clip(a @ b.T, -1.0, 1.0))
+    diff = np.abs(a[:, None, :] - b[None, :, :])
+    return np.minimum(diff, 1.0 - diff).max(axis=-1)
+
+
+def _reference_kernel(spec, t):
+    out = t ** (spec.alpha - spec.d)
+    if spec.family == ROUGH_RIESZ:
+        out = out + spec.kappa * rough_series(spec, t)
+    return out
+
+
 def _draw_tables_reference(cfg, ctx, index, sample=sample_all_cells, Y=None):
-    """The unblocked formula: full (N, m_z, m_y) tables, then the mean."""
+    """The unblocked formula: full (N, m_z, m_y) tables, then the mean.
+
+    Distances and kernel are written out here, not taken from the package,
+    so the streamed tables are checked against independent arithmetic.
+    """
     part = cfg.partition
     nodes = draw_nodes(part, cfg.seed, index,
                        stream=rngmod.path_key(ctx, rngmod.NODES)).nodes
     if Y is None:
         Y = sample_uniform(part.space, rngmod.substream(cfg.seed, ctx, rngmod.WCE_Y,
                                                         index, 0), cfg.m_y)
-    dn = pairwise_distance(part.space, nodes, Y)
+    dn = _reference_distances(part.space, nodes, Y)
     assert dn.min() >= SINGULAR_TOL  # no y redraw on these seeds
-    phi_nodes = kernel_profile(cfg.kernel, dn)
+    phi_nodes = _reference_kernel(cfg.kernel, dn)
     T = np.empty((2, part.N, cfg.m_y))
     for r in (0, 1):
         rng_z = rngmod.substream(cfg.seed, ctx, rngmod.WCE_Z, index, 0, r)
         while True:
-            D = _cell_y_distances(part.space, sample(part, rng_z, cfg.m_z), Y)
+            Z = sample(part, rng_z, cfg.m_z)
+            D = _reference_distances(part.space, Z.reshape(-1, Z.shape[-1]), Y)
             if D.min() >= SINGULAR_TOL:
                 break
-        mean = kernel_profile(cfg.kernel, D).mean(axis=1)
+        mean = _reference_kernel(cfg.kernel, D).reshape(part.N, cfg.m_z, -1).mean(axis=1)
         T[r] = part.weights()[:, None] * (phi_nodes - mean)
     return T, Y
 
@@ -340,6 +360,21 @@ def test_draw_tables_streamed_matches_full_table(case):
     for index in (0, 1):
         T_ref, _ = _draw_tables_reference(cfg, rngmod.AN, index)
         assert np.array_equal(_draw_tables(cfg, rngmod.AN, index), T_ref)
+
+
+@pytest.mark.parametrize("case", ["t1-rough", "t2-riesz", "s2-riesz"])
+def test_delta_phi_matches_reference_tables(case):
+    cfg, _ = _stream_cfg(case)
+    total = cfg.partition.space.total_measure
+    u = []
+    for index in range(cfg.n_draws):
+        T, _ = _draw_tables_reference(cfg, rngmod.DELTA, index)
+        S = (T[0] * T[1]).sum(axis=0)
+        u.append((total * S if cfg.q == 2.0
+                  else total * np.clip(S, 0.0, None) ** (cfg.q / 2.0)).mean())
+    moment, se = jackknife_power_mean(np.array(u), 1.0 / cfg.q)
+    est = delta_phi(cfg)
+    assert (est.moment, est.stderr) == (moment, se)
 
 
 def test_draw_tables_singular_block_redraws_whole_z(monkeypatch):
