@@ -34,6 +34,9 @@ from .sets import SetDescriptor, boundary_distance, psi_tube_measure, set_contai
 from .space import (SPHERE2, TORUS, SpaceDescriptor, distance, east_tangent,
                     geodesic_step)
 
+# tube measures below this fraction of the space end the sup over scales
+TAIL_MEASURE = 1e-9
+
 
 @dataclass
 class PhiGradient:
@@ -66,8 +69,7 @@ def chi_phi_gradient(space: SpaceDescriptor, setd: SetDescriptor,
 
 
 def besov_norm_bound_chi(space: SpaceDescriptor, setd: SetDescriptor,
-                         alpha: float, p: float,
-                         tail_measure: float = 1e-9) -> float:
+                         alpha: float, p: float) -> float:
     """sup_n of phi(2^-n)^{-1} psi(2^-n)^{1/p} over the admissible scales.
 
     Valid (finite) for p * alpha <= beta; otherwise the sup diverges along
@@ -80,7 +82,7 @@ def besov_norm_bound_chi(space: SpaceDescriptor, setd: SetDescriptor,
         return math.inf
     n = scale_floor(space)
     best = 0.0
-    floor = tail_measure * space.total_measure
+    floor = TAIL_MEASURE * space.total_measure
     while True:
         t = 2.0 ** (-n)
         psi = psi_tube_measure(space, setd, t)

@@ -20,6 +20,7 @@ node coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -90,8 +91,8 @@ def estimate_BN(f: TestFunction, partition: Partition, p: float, n_draws: int,
     Draw k's nodes are ``draw_nodes(partition, seed, k)``, taken and
     evaluated a block of draws at a time (``value_blocks``).
     """
-    if p < 1:
-        raise ValueError(f"moment exponent must be >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"moment exponent must be finite and >= 1, got {p}")
     if n_draws < 2:
         raise ValueError("need at least 2 draws")
     w = partition.weights()
@@ -119,12 +120,13 @@ def jackknife(stat: Callable[..., np.ndarray],
     error over draws (Efron & Tibshirani, *An Introduction to the
     Bootstrap*, ch. 11).
 
-    Each column holds one per-draw value per draw; ``stat`` takes one mean
-    per column and must accept arrays of leave-one-out means as well.
+    Each column holds one per-draw value per draw, or one row of values per
+    draw (K, n); ``stat`` takes one mean per column and must accept arrays
+    of leave-one-out means as well, one per draw along the first axis.
     """
     cols = [np.asarray(c, dtype=float) for c in columns]
     K = len(cols[0])
-    totals = [c.sum() for c in cols]
+    totals = [c.sum(axis=0) for c in cols]
     theta = stat(*(t / K for t in totals))
     loo = stat(*((t - c) / (K - 1) for t, c in zip(totals, cols)))
     se = np.sqrt((K - 1) / K * np.sum((loo - loo.mean()) ** 2))

@@ -28,8 +28,8 @@ from .partition import Partition, sphere_zonal_partition, torus_grid_partition, 
 from .rates import (predicted_bn_exponent, predicted_indicator_exponent,
                     predicted_wce_exponent, rate_fit)
 from .sets import make_arc, make_box, make_cap
-from .space import TORUS, make_space
-from .wce import WceConfig, estimate_AN
+from .space import TORUS, SpaceDescriptor, make_space
+from .wce import WceConfig, check_exponents, conjugate_exponent, estimate_AN
 
 SLOPE_TOL = 0.1
 RATE_KINDS = ("wce", "besov", "indicator", "sharpness")
@@ -94,8 +94,16 @@ class ExperimentConfig:
             indicator_fn(space, region)
         if self.kind in ("besov", "mz"):
             make_function(space, self.function, **self.fn_params)
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
+        for N in self.n_list:
+            _partition_size(space, N)
+        if not self.p >= 1:
+            raise ValueError(f"p must be >= 1, got {self.p}")
+        if self.kind == "wce":
+            kernel = _kernel(self)
+            regime_classify(kernel)
+            check_exponents(kernel, space.d, self.p)
+        elif self.kind != "partition" and math.isinf(self.p):
+            raise ValueError(f"p = inf is for wce experiments only, not {self.kind}")
         if self.n_draws < 2:
             raise ValueError(f"n_draws must be >= 2, got {self.n_draws}")
         for name in ("m_y", "m_z", "workers", "sample_budget"):
@@ -104,17 +112,31 @@ class ExperimentConfig:
 
     @property
     def q(self) -> float:
-        return math.inf if self.p == 1.0 else self.p / (self.p - 1.0)
+        return conjugate_exponent(self.p)
 
 
-def build_partition(cfg: ExperimentConfig, N: int) -> Partition:
-    space = make_space(cfg.space_kind, cfg.dim)
+def _kernel(cfg: ExperimentConfig) -> KernelSpec:
+    """The kernel of a wce experiment (``make_space`` pins dim = 2 on the sphere)."""
+    return KernelSpec(cfg.family, cfg.alpha, cfg.dim, cfg.eps, cfg.kappa)
+
+
+def _partition_size(space: SpaceDescriptor, N: int) -> int:
+    """The size argument (torus grid resolution, or N on the sphere) of the
+    partition of ``space`` into N cells; ``ValueError`` if there is none."""
     if space.kind == TORUS:
         m = round(N ** (1.0 / space.d))
         if m ** space.d != N:
             raise ValueError(f"N={N} is not a d={space.d} grid size")
-        return torus_grid_partition(space, m)
-    return sphere_zonal_partition(space, N)
+        return m
+    if N < 2:
+        raise ValueError(f"a sphere partition needs N >= 2 cells, got N={N}")
+    return N
+
+
+def build_partition(cfg: ExperimentConfig, N: int) -> Partition:
+    space = make_space(cfg.space_kind, cfg.dim)
+    build = torus_grid_partition if space.kind == TORUS else sphere_zonal_partition
+    return build(space, _partition_size(space, N))
 
 
 def _seed_for(cfg: ExperimentConfig, N: int) -> int:
@@ -137,7 +159,7 @@ def _row(cfg: ExperimentConfig, N: int, value: float, stderr: float,
     return {
         "experiment": cfg.kind, "space": cfg.space_kind, "d": cfg.dim, "N": N,
         "alpha": alpha, "eps": eps, "kappa": kappa,
-        "p": cfg.p, "q": (cfg.q if math.isfinite(cfg.q) else "inf"),
+        "p": cfg.p, "q": cfg.q,
         "beta": beta, "value": value, "stderr": stderr, "seed": cfg.seed,
         "n_draws": cfg.n_draws, "m_y": cfg.m_y, "m_z": cfg.m_z,
     }
@@ -145,39 +167,33 @@ def _row(cfg: ExperimentConfig, N: int, value: float, stderr: float,
 
 def _run_one(cfg: ExperimentConfig, N: int) -> dict:
     seed_n = _seed_for(cfg, N)
+    part = build_partition(cfg, N)
     if cfg.kind == "partition":
-        part = build_partition(cfg, N)
         rep = verify_partition(part, cfg.sample_budget, seed=seed_n)
         row = _row(cfg, N, rep.delta_scaled[1], 0.0)
         row["_report"] = rep
         return row
     if cfg.kind == "wce":
-        part = build_partition(cfg, N)
-        kern = KernelSpec(cfg.family, cfg.alpha, part.space.d, cfg.eps, cfg.kappa)
-        wcfg = WceConfig(part, kern, cfg.p, cfg.m_y, cfg.m_z, cfg.n_draws, seed=seed_n)
+        wcfg = WceConfig(part, _kernel(cfg), cfg.p, cfg.m_y, cfg.m_z, cfg.n_draws, seed=seed_n)
         st = estimate_AN(wcfg)
         return _row(cfg, N, st.moment, st.stderr,
                     alpha=cfg.alpha, eps=cfg.eps, kappa=cfg.kappa)
     if cfg.kind == "besov":
-        part = build_partition(cfg, N)
         f = make_function(part.space, cfg.function, **cfg.fn_params)
         st = estimate_BN(f, part, cfg.p, cfg.n_draws, seed_n)
         return _row(cfg, N, st.moment, st.stderr, alpha=cfg.fn_alpha)
     if cfg.kind == "indicator":
-        part = build_partition(cfg, N)
         setd = _make_region(cfg)
         f = indicator_fn(part.space, setd)
         st = estimate_BN(f, part, cfg.p, cfg.n_draws, seed_n)
         return _row(cfg, N, st.moment, st.stderr, beta=setd.beta)
     if cfg.kind == "mz":
-        part = build_partition(cfg, N)
         f = make_function(part.space, cfg.function, **cfg.fn_params)
         rep = mz_pair(f, part, cfg.p, cfg.n_draws, seed_n)
         row = _row(cfg, N, rep.ratio, rep.ratio_se)
         row["_report"] = rep
         return row
     # sharpness
-    part = build_partition(cfg, N)
     if cfg.variant == "single":
         f = sharpness_fj(part, 0, cfg.fn_alpha)
     else:
@@ -269,18 +285,15 @@ def _summarize(cfg: ExperimentConfig, rows: list[dict]) -> dict:
 
 def _predicted(cfg: ExperimentConfig) -> tuple[float | None, str]:
     if cfg.kind == "wce":
-        kern = KernelSpec(cfg.family, cfg.alpha, cfg.dim if cfg.space_kind == TORUS else 2,
-                          cfg.eps, cfg.kappa)
-        regime = regime_classify(kern)
-        pred = predicted_wce_exponent(regime, kern.alpha, kern.eps, kern.d)
+        regime = regime_classify(_kernel(cfg))
+        pred = predicted_wce_exponent(regime, cfg.alpha, cfg.eps, cfg.dim)
         note = ("critical regime: rate carries a (log N)^(1/2) factor, "
                 "no slope verdict") if regime == "critical" else ""
         return pred, note
-    d = cfg.dim if cfg.space_kind == TORUS else 2
     if cfg.kind == "besov":
-        return predicted_bn_exponent(cfg.p, cfg.fn_alpha, d), ""
+        return predicted_bn_exponent(cfg.p, cfg.fn_alpha, cfg.dim), ""
     if cfg.kind == "indicator":
-        return predicted_indicator_exponent(1.0, d), ""
+        return predicted_indicator_exponent(1.0, cfg.dim), ""
     if cfg.kind == "sharpness":
         return -0.5, ""
     return None, ""

@@ -115,7 +115,10 @@ def cos_fn(space: SpaceDescriptor, freq) -> TestFunction:
     kvec = np.array(freq, dtype=float)
 
     def evaluate(pts):
-        return np.cos(2.0 * math.pi * (np.atleast_2d(pts) @ kvec))
+        pts = np.atleast_2d(pts)
+        # k . x summed left to right, elementwise: a matrix product can round
+        # one row differently from a block of rows
+        return np.cos(2.0 * math.pi * sum(k * pts[..., a] for a, k in enumerate(kvec)))
 
     def means(partition: Partition) -> np.ndarray:
         lo, hi = partition.lo, partition.hi

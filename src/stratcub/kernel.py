@@ -7,7 +7,7 @@ Two production families plus a diagnostic stub:
 * ``rough_riesz``: ``t^(alpha - d) + kappa * W_eps(t)`` where ``W_eps`` is a
   truncated lacunary cosine series ``sum_m 2^(-eps*m) cos(2*pi*2^m*t)``.
   The series is eps-Hoelder with genuine oscillation of size ``h^eps`` at
-  every scale ``h`` down to ``2^-n_scales``, which is what makes the
+  every scale ``h`` down to ``2^-N_SCALES``, which is what makes the
   saturated convergence regime ``alpha > d/2 + eps`` actually attainable.
   A plain additive power term ``kappa * t^eps`` does not work here: away
   from the origin it is smooth, so it also satisfies the exponent-1
@@ -33,6 +33,8 @@ ROUGH_RIESZ = "rough_riesz"
 CONST = "const"
 
 SINGULAR_TOL = 1e-12
+# terms of the rough family's lacunary cosine series
+N_SCALES = 20
 
 
 class SingularPairError(ValueError):
@@ -49,7 +51,6 @@ class KernelSpec:
     d: int = 1
     eps: float = 1.0
     kappa: float = 0.0
-    n_scales: int = 20
 
     def __post_init__(self):
         if self.family not in (RIESZ, ROUGH_RIESZ, CONST):
@@ -81,7 +82,7 @@ def rough_series(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
     acc = c.copy()
     w = 1.0
     decay = 2.0 ** (-spec.eps)
-    for _ in range(1, spec.n_scales):
+    for _ in range(1, N_SCALES):
         c = 2.0 * c * c - 1.0
         w *= decay
         acc += w * c
@@ -133,7 +134,7 @@ def total_integral(spec: KernelSpec, space: SpaceDescriptor) -> float:
         return spec.kappa * space.total_measure
     a, d = spec.alpha, space.d
     rough = [(spec.kappa * 2.0 ** (-spec.eps * m), 2.0 * math.pi * 2.0 ** m)
-             for m in range(spec.n_scales)] if spec.kappa else []
+             for m in range(N_SCALES)] if spec.kappa else []
     if space.kind == TORUS:
         # dist(z, y) has density d 2^d t^(d-1) on [0, 1/2] (balls are cubes);
         # J_k = int_0^(1/2) t^k e^(i om t) dt, by parts up from J_0
@@ -171,7 +172,7 @@ def size_bound_constant(spec: KernelSpec, space: SpaceDescriptor) -> float:
         raise ValueError("size bound is for the singular families")
     if spec.kappa == 0.0:
         return 1.0
-    w_max = sum(2.0 ** (-spec.eps * m) for m in range(spec.n_scales))
+    w_max = sum(2.0 ** (-spec.eps * m) for m in range(N_SCALES))
     return 1.0 + spec.kappa * w_max * space.diameter ** (spec.d - spec.alpha)
 
 

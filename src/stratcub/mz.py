@@ -25,6 +25,8 @@ from .funcs import TestFunction
 from .partition import Partition, cell_sample
 
 DEGENERATE_TOL = 1e-15
+# samples per cell for Monte Carlo cell means (bracket bias O(1/M_CELL))
+M_CELL = 4096
 
 
 @dataclass
@@ -50,25 +52,23 @@ class RatioEnvelope:
 
 
 def mz_pair(f: TestFunction, partition: Partition, p: float, n_draws: int,
-            seed: int, m_cell: int = 4096) -> MzReport:
+            seed: int) -> MzReport:
     """Monte Carlo estimates of the middle and bracket quantities.
 
     Cell integrals of f come from closed forms when the function provides
-    them; otherwise from a dedicated Monte Carlo batch of ``m_cell`` samples
-    per cell (the induced relative bias on the bracket is O(1/m_cell)).
+    them; otherwise from a dedicated Monte Carlo batch of ``M_CELL``
+    samples per cell.
     Standard errors and the ratio's standard error are draw-jackknives
     (middle and bracket share draws, so the ratio is jackknifed directly).
     Draw k's nodes are ``draw_nodes(partition, seed, k, MZ)``, taken and
     evaluated a block of draws at a time (``cubature.value_blocks``).
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     if n_draws < 2:
         raise ValueError("need at least 2 draws")
-    if m_cell < 1:
-        raise ValueError(f"m_cell must be >= 1, got {m_cell}")
     w = partition.weights()
-    means = _cell_means(f, partition, seed, m_cell)
+    means = _cell_means(f, partition, seed)
     mid_pow = np.empty(n_draws)
     brk_pow = np.empty(n_draws)
     for k0, values in value_blocks(f, partition, seed, n_draws, rngmod.MZ):
@@ -103,13 +103,12 @@ def ratio_envelope(functions: list[TestFunction], partitions: list[Partition],
     return RatioEnvelope(p=p, lo=min(ratios), hi=max(ratios), reports=reports)
 
 
-def _cell_means(f: TestFunction, partition: Partition, seed: int,
-                m_cell: int) -> np.ndarray:
+def _cell_means(f: TestFunction, partition: Partition, seed: int) -> np.ndarray:
     if f.cell_means is not None:
         return f.cell_means(partition)
     means = np.empty(partition.N)
     for j in range(partition.N):
         rng = rngmod.substream(seed, rngmod.MZ, 1, j)
-        means[j] = float(f.evaluate(cell_sample(partition, j, rng, m_cell)).mean())
+        means[j] = float(f.evaluate(cell_sample(partition, j, rng, M_CELL)).mean())
     return means
 

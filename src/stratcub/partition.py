@@ -22,10 +22,12 @@ from numbers import Integral
 import numpy as np
 
 from . import rng as rngmod
-from .space import (L2_BLOCK, SPHERE2, TORUS, SpaceDescriptor, ball_points, distance,
-                    make_space, sample_uniform, unit_tangents)
+from .space import (L2_BLOCK, SPHERE2, TORUS, SpaceDescriptor, ball_points, box_distance,
+                    distance, make_space, sample_uniform, sphere_point, unit_tangents)
 
 TWO_PI = 2.0 * math.pi
+# cells whose inradius ``verify_partition`` probes (all cells up to this many)
+INRADIUS_PROBE_CELLS = 64
 _COLUMNS = ("measure", "diameter", "anchor", "lo", "hi", "z", "lon", "cap")
 
 
@@ -118,18 +120,20 @@ def sphere_zonal_partition(space: SpaceDescriptor, N: int) -> Partition:
     bands.append([1.0 - 2.0 * (N - 1) / N, -1.0, 1, N - 1])
     cap = np.zeros(N, dtype=np.int8)
     cap[0], cap[-1] = 1, -1
-    z, lon, diameter, anchor = [], [], [], []
+    z, lon, diameter = [], [], []
     for z_top, z_bot, k, first in bands:
         for s in range(k):
             lon_lo, lon_hi = TWO_PI * s / k, TWO_PI * (s + 1) / k
-            diam, anc = _zonal_cell(z_top, z_bot, lon_lo, lon_hi, int(cap[first + s]))
             z.append((z_top, z_bot))
             lon.append((lon_lo, lon_hi))
-            diameter.append(diam)
-            anchor.append(anc)
+            diameter.append(_zonal_diameter(z_top, z_bot, lon_lo, lon_hi, int(cap[first + s])))
+    z, lon = np.array(z), np.array(lon)
+    # band cells are anchored at their (z, lon) midpoint, caps at their pole
+    anchor = sphere_point(0.5 * (z[:, 0] + z[:, 1]), 0.5 * (lon[:, 0] + lon[:, 1]))
+    anchor[0], anchor[-1] = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)
     return Partition(space, {"scheme": "sphere_zonal", "bands": bands},
                      measure=np.full(N, 4.0 * math.pi / N), diameter=np.array(diameter),
-                     anchor=np.array(anchor), z=np.array(z), lon=np.array(lon), cap=cap)
+                     anchor=anchor, z=z, lon=lon, cap=cap)
 
 
 def _collar_counts(N: int) -> list[int]:
@@ -153,13 +157,13 @@ def _collar_counts(N: int) -> list[int]:
     return counts
 
 
-def _zonal_cell(z_top: float, z_bot: float, lon_lo: float, lon_hi: float,
-               cap: int) -> tuple[float, tuple[float, float, float]]:
-    """Closed-form diameter bound and anchor of one zonal cell."""
+def _zonal_diameter(z_top: float, z_bot: float, lon_lo: float, lon_hi: float,
+                    cap: int) -> float:
+    """Closed-form diameter bound of one zonal cell."""
     if cap == 1:
-        return min(2.0 * math.acos(z_bot), math.pi), (0.0, 0.0, 1.0)
+        return min(2.0 * math.acos(z_bot), math.pi)
     if cap == -1:
-        return min(2.0 * (math.pi - math.acos(z_top)), math.pi), (0.0, 0.0, -1.0)
+        return min(2.0 * (math.pi - math.acos(z_top)), math.pi)
     colat_lo = math.acos(z_top)
     colat_hi = math.acos(z_bot)
     if lon_hi - lon_lo >= TWO_PI:
@@ -176,10 +180,7 @@ def _zonal_cell(z_top: float, z_bot: float, lon_lo: float, lon_hi: float,
         else:
             sin_max = max(math.sin(colat_lo), math.sin(colat_hi))
         diam = min((colat_hi - colat_lo) + sin_max * (lon_hi - lon_lo), math.pi)
-    z_mid = 0.5 * (z_top + z_bot)
-    lon_mid = 0.5 * (lon_lo + lon_hi)
-    s = math.sqrt(max(0.0, 1.0 - z_mid * z_mid))
-    return diam, (s * math.cos(lon_mid), s * math.sin(lon_mid), z_mid)
+    return diam
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +354,8 @@ def _cell_map(partition: Partition, u: np.ndarray, ids) -> np.ndarray:
     z_top, z_bot = partition.z[ids, 0, None], partition.z[ids, 1, None]
     lon_lo, lon_hi = partition.lon[ids, 0, None], partition.lon[ids, 1, None]
     # u = 0 lands on the closed (top) edge, matching the half-open bands
-    return _sphere_point(z_top - (z_top - z_bot) * u[0],
-                         lon_lo + (lon_hi - lon_lo) * u[1])
-
-
-def _sphere_point(z: np.ndarray, lon: np.ndarray) -> np.ndarray:
-    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([s * np.cos(lon), s * np.sin(lon), z], axis=-1)
+    return sphere_point(z_top - (z_top - z_bot) * u[0],
+                        lon_lo + (lon_hi - lon_lo) * u[1])
 
 
 def cell_inradius(partition: Partition, j: int) -> float:
@@ -385,13 +381,7 @@ def cell_boundary_distance(partition: Partition, j: int, pts: np.ndarray) -> np.
     """Distance from points to cell j (0 inside). Exact on both spaces."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if partition.space.kind == TORUS:
-        lo, hi = partition.lo[j], partition.hi[j]
-        mid = (lo + hi) / 2.0
-        half = (hi - lo) / 2.0
-        diff = np.abs(pts - mid)
-        diff = np.minimum(diff, 1.0 - diff)
-        gap = np.maximum(diff - half, 0.0)
-        return gap.max(axis=1)
+        return box_distance(pts, partition.lo[j], partition.hi[j])
     z = np.clip(pts[:, 2], -1.0, 1.0)
     colat = np.arccos(z)
     z_top, z_bot = partition.z[j].tolist()
@@ -414,12 +404,12 @@ def cell_boundary_distance(partition: Partition, j: int, pts: np.ndarray) -> np.
         best = np.full(sub.shape[0], np.inf)
         for lon_e in (lon_lo, lon_hi):
             best = np.minimum(best, _meridian_segment_distance(
-                sub, lon_e, colat_lo, colat_hi))
+                partition.space, sub, lon_e, colat_lo, colat_hi))
         out[miss] = best
     return out
 
 
-def _meridian_segment_distance(pts: np.ndarray, lon0: float,
+def _meridian_segment_distance(space: SpaceDescriptor, pts: np.ndarray, lon0: float,
                                colat_lo: float, colat_hi: float) -> np.ndarray:
     """Geodesic distance from points to a meridian arc segment."""
     normal = np.array([-math.sin(lon0), math.cos(lon0), 0.0])
@@ -438,10 +428,8 @@ def _meridian_segment_distance(pts: np.ndarray, lon0: float,
     use_perp = ok & on_side & (foot_colat >= colat_lo) & (foot_colat <= colat_hi)
     d = np.where(use_perp, perp, np.inf)
     for colat_e in (colat_lo, colat_hi):
-        endpoint = np.array([math.sin(colat_e) * math.cos(lon0),
-                             math.sin(colat_e) * math.sin(lon0),
-                             math.cos(colat_e)])
-        d = np.minimum(d, np.arccos(np.clip(pts @ endpoint, -1.0, 1.0)))
+        endpoint = sphere_point(math.cos(colat_e), lon0)
+        d = np.minimum(d, distance(space, pts, endpoint))
     return d
 
 
@@ -480,8 +468,7 @@ def geometric_cell_measures(partition: Partition) -> np.ndarray:
 
 
 def verify_partition(partition: Partition, sample_budget: int = 10_000,
-                     seed: int = 0, pairs_per_cell: int = 32,
-                     inradius_probe_cells: int = 64) -> PartitionReport:
+                     seed: int = 0, pairs_per_cell: int = 32) -> PartitionReport:
     """Empirical check of the partition contract.
 
     Reports exact-measure residuals (stored and recomputed from geometry);
@@ -503,8 +490,7 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
     samples from its own ``(seed, VERIFY, N, id, 2)`` stream up front, then
     runs each bisection step for all probed cells at once.
     """
-    for name, value in (("sample_budget", sample_budget), ("pairs_per_cell", pairs_per_cell),
-                        ("inradius_probe_cells", inradius_probe_cells)):
+    for name, value in (("sample_budget", sample_budget), ("pairs_per_cell", pairs_per_cell)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     space = partition.space
@@ -544,7 +530,7 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
     c2 *= scale
 
     deltas = partition.diameter * scale
-    c1 = _probe_inradius(partition, seed, inradius_probe_cells) * scale
+    c1 = _probe_inradius(partition, seed) * scale
 
     return PartitionReport(
         n_cells=N,
@@ -617,7 +603,7 @@ def _layout_ok(partition: Partition) -> bool:
                                                         TWO_PI * (s + 1) / ks[band]], axis=1)))
 
 
-def _probe_inradius(partition: Partition, seed: int, max_cells: int) -> float:
+def _probe_inradius(partition: Partition, seed: int) -> float:
     """Largest r (min over probed cells) with sampled B(anchor, r) inside.
 
     Each probed cell bisects r over 14 steps, testing 48 ball points per
@@ -629,7 +615,8 @@ def _probe_inradius(partition: Partition, seed: int, max_cells: int) -> float:
     N = partition.N
     space = partition.space
     steps, n = 14, 48
-    ids = np.arange(N) if N <= max_cells else np.linspace(0, N - 1, max_cells, dtype=int)
+    ids = (np.arange(N) if N <= INRADIUS_PROBE_CELLS
+           else np.linspace(0, N - 1, INRADIUS_PROBE_CELLS, dtype=int))
     anchor = partition.anchor[ids]
     rngs = rngmod.substreams(seed, rngmod.VERIFY, N, ids, 2)
     t = None

@@ -13,11 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import SPHERE2, TORUS, SpaceDescriptor, distance
+from .space import (SPHERE2, TORUS, SpaceDescriptor, box_distance, distance, make_space,
+                    sample_uniform)
 
 TORUS_ARC = "torus_arc"
 TORUS_BOX = "torus_box"
 SPHERE_CAP = "sphere_cap"
+
+_SPHERE = make_space(SPHERE2)
 
 
 @dataclass(frozen=True)
@@ -70,9 +73,7 @@ def set_contains(setd: SetDescriptor, pts: np.ndarray) -> np.ndarray:
         lo = np.array(setd.params["lo"])
         hi = np.array(setd.params["hi"])
         return np.all((pts >= lo) & (pts < hi), axis=1)
-    center = np.array(setd.params["center"])
-    dot = np.clip(pts @ center, -1.0, 1.0)
-    return np.arccos(dot) <= setd.params["radius"]
+    return distance(_SPHERE, pts, setd.params["center"]) <= setd.params["radius"]
 
 
 def boundary_distance(setd: SetDescriptor, space: SpaceDescriptor,
@@ -82,23 +83,14 @@ def boundary_distance(setd: SetDescriptor, space: SpaceDescriptor,
     if setd.kind == TORUS_ARC:
         s = setd.params["start"]
         e = (s + setd.params["length"]) % 1.0
-        x = pts[:, 0]
-        d = np.inf * np.ones(len(pts))
-        for endpoint in (s, e):
-            w = np.abs(x - endpoint)
-            d = np.minimum(d, np.minimum(w, 1.0 - w))
-        return d
+        x = pts[:, :1]
+        return np.minimum(distance(space, x, [s]), distance(space, x, [e]))
     if setd.kind == TORUS_BOX:
         lo = np.array(setd.params["lo"])
         hi = np.array(setd.params["hi"])
         inside = np.all((pts >= lo) & (pts < hi), axis=1)
         face = np.minimum(pts - lo, hi - pts).min(axis=1)
-        mid = (lo + hi) / 2.0
-        half = (hi - lo) / 2.0
-        diff = np.abs(pts - mid)
-        diff = np.minimum(diff, 1.0 - diff)
-        gap = np.maximum(diff - half, 0.0).max(axis=1)
-        return np.where(inside, face, gap)
+        return np.where(inside, face, box_distance(pts, lo, hi))
     center = np.array(setd.params["center"])
     geo = distance(space, pts, center)
     return np.abs(geo - setd.params["radius"])
@@ -115,7 +107,6 @@ def psi_tube_measure(space: SpaceDescriptor, setd: SetDescriptor, t: float,
     if budget is not None:
         if rng is None:
             raise ValueError("Monte Carlo tube measure needs an rng")
-        from .space import sample_uniform
         pts = sample_uniform(space, rng, budget)
         frac = float(np.mean(boundary_distance(setd, space, pts) <= t))
         return frac * space.total_measure

@@ -66,23 +66,24 @@ def distance(space: SpaceDescriptor, a, b):
     """Distance between points (broadcasts over leading axes).
 
     Torus: sup over coordinates of the wraparound distance.
-    Sphere: geodesic angle, with the dot product clamped to [-1, 1].
+    Sphere: geodesic angle, with the dot product clamped to [-1, 1] and
+    summed elementwise, so that no point's value depends on its batch.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if space.kind == TORUS:
         return _torus_distance(a, b)[()]
-    dot = np.clip(np.sum(a * b, axis=-1), -1.0, 1.0)
-    return np.arccos(dot)
+    dot = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+    return np.arccos(np.clip(dot, -1.0, 1.0))
 
 
 def pairwise_distance(space: SpaceDescriptor, a: np.ndarray, b: np.ndarray,
-                      out: np.ndarray | None = None, chunk: int = L2_BLOCK) -> np.ndarray:
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Distance matrix between point sets ``a (n, dim)`` and ``b (m, dim)``.
 
     The distances are written into ``out (n, m)``; a missing ``out`` is
     allocated.  The sphere's product, clip and arccos all run in ``out``.
-    Torus rows are processed in blocks of at most ``max(chunk, m)``
+    Torus rows are processed in blocks of at most ``max(L2_BLOCK, m)``
     distances, through per-axis scratch allocated once per call.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -94,7 +95,7 @@ def pairwise_distance(space: SpaceDescriptor, a: np.ndarray, b: np.ndarray,
         np.matmul(a, b.T, out=out)
         np.clip(out, -1.0, 1.0, out=out)
         return np.arccos(out, out=out)
-    rows = max(1, chunk // max(1, m))
+    rows = max(1, L2_BLOCK // max(1, m))
     flip = np.empty((min(rows, n), m))
     diff = np.empty_like(flip) if a.shape[1] > 1 else None
     for i in range(0, n, rows):
@@ -139,6 +140,15 @@ def _wrap(t: np.ndarray, flip: np.ndarray) -> None:
     np.minimum(t, flip, out=t)
 
 
+def box_distance(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Torus distance from points ``pts (n, d)`` to the box ``[lo, hi)`` (0
+    inside): per axis, the wrapped distance to the box's centre less its
+    half-width, and the largest over the axes."""
+    diff = pts - (lo + hi) / 2.0
+    _wrap(diff, np.empty_like(diff))
+    return np.maximum(diff - (hi - lo) / 2.0, 0.0).max(axis=1)
+
+
 def ball_measure(space: SpaceDescriptor, center, r: float) -> float:
     """Measure of the metric ball B(center, r); closed form on both spaces.
 
@@ -159,10 +169,14 @@ def sample_uniform(space: SpaceDescriptor, rng: np.random.Generator, n: int | No
         pts = rng.random((size, space.d))
     else:
         z = 1.0 - 2.0 * rng.random(size)
-        phi = 2.0 * math.pi * rng.random(size)
-        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        pts = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
+        pts = sphere_point(z, 2.0 * math.pi * rng.random(size))
     return pts[0] if n is None else pts
+
+
+def sphere_point(z: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """The points of S^2 at height ``z`` and longitude ``lon``; (..., 3)."""
+    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.stack([s * np.cos(lon), s * np.sin(lon), z], axis=-1)
 
 
 def sample_ball(space: SpaceDescriptor, center, r: float,

@@ -15,7 +15,9 @@ q-norms, an upper bound for every p >= 1) and Delta (the square-function form,
 two-sided up to the moment-comparison constants, an equality at p = q = 2 by
 variance additivity).  The inner budget m_z feeds Delta and Gamma only: each
 cell mean is estimated twice from m_z independent cell samples, so products
-of the two replicas give unbiased squares at q = 2 for any m_z.
+of the two replicas give unbiased squares at q = 2 for any m_z.  Standard
+errors are leave-one-out jackknives (``cubature.jackknife``): over draws for
+A_N and Delta, over the shared (x, y) pairs for Gamma.
 """
 
 from __future__ import annotations
@@ -27,19 +29,42 @@ from typing import Callable
 import numpy as np
 
 from . import rng as rngmod
-from .cubature import (ErrorStats, NodeDraw, cubature_error, draw_nodes,
+from .cubature import (ErrorStats, NodeDraw, cubature_error, draw_nodes, jackknife,
                        jackknife_power_mean, sample_all_cells)
 from .funcs import TestFunction
 from .kernel import (CONST, SINGULAR_TOL, KernelSpec, SingularPairError, kernel_profile,
                      regime_classify, total_integral)
 from .partition import Partition, cell_boundary_distance, cell_sample
-from .space import (L2_BLOCK, TORUS, SpaceDescriptor, distance, pairwise_distance,
-                    sample_uniform)
+from .space import L2_BLOCK, TORUS, distance, pairwise_distance, sample_uniform
 
 # times a sample batch that hits a kernel singularity is redrawn before giving up
 MAX_REDRAWS = 100
-# blocks of Gamma's shared (x, y) pairs left out one at a time by its jackknife
-GAMMA_BLOCKS = 10
+# the extremal witness's y-mesh: base points, and ladder levels toward each node
+WITNESS_GRID = 4096
+WITNESS_LEVELS = 22
+
+
+def conjugate_exponent(p: float) -> float:
+    """The q with 1/p + 1/q = 1: inf at p = 1 and 1 at p = inf."""
+    if p == 1.0:
+        return math.inf
+    if math.isinf(p):
+        return 1.0
+    return p / (p - 1.0)
+
+
+def check_exponents(kernel: KernelSpec, d: int, p: float) -> None:
+    """Raise ``ValueError`` unless p is in (1, inf] and ``kernel`` has
+    dimension d and alpha > d/p (so that |F|^q is integrable)."""
+    if not p > 1:
+        raise ValueError("p must lie in (1, inf]; the p = 1 endpoint is "
+                         "not Monte Carlo estimable (sup norm)")
+    if kernel.family != CONST:
+        if kernel.d != d:
+            raise ValueError("kernel and space dimension disagree")
+        if kernel.alpha <= d / p:
+            raise ValueError(f"integrability needs alpha > d/p, got alpha={kernel.alpha}, "
+                             f"d/p={d / p}")
 
 
 @dataclass(frozen=True)
@@ -49,7 +74,7 @@ class WceConfig:
     ``m_y``: outer samples of y per draw; ``m_z``: inner cell samples per
     replica for the cell kernel means of Delta and Gamma (A_N and
     ``worst_case_error`` use none); ``gamma_pairs``: (x, y) pairs per cell
-    for the per-cell functional, at least ``GAMMA_BLOCKS``.
+    for the per-cell functional, at least 2 for its jackknife.
     """
 
     partition: Partition
@@ -67,25 +92,14 @@ class WceConfig:
                              f"m_z={self.m_z}")
         if self.n_draws < 2:
             raise ValueError(f"need n_draws >= 2 for a standard error, got {self.n_draws}")
-        if self.gamma_pairs < GAMMA_BLOCKS:
-            raise ValueError(f"need gamma_pairs >= {GAMMA_BLOCKS} for Gamma's block "
-                             f"jackknife, got {self.gamma_pairs}")
-        if not self.p > 1:
-            raise ValueError("p must lie in (1, inf]; the p = 1 endpoint is "
-                             "not Monte Carlo estimable (sup norm)")
-        if self.kernel.family != CONST:
-            if self.kernel.d != self.partition.space.d:
-                raise ValueError("kernel and space dimension disagree")
-            if self.kernel.alpha <= self.partition.space.d / self.p:
-                raise ValueError(
-                    f"integrability needs alpha > d/p, got alpha={self.kernel.alpha}, "
-                    f"d/p={self.partition.space.d / self.p}")
+        if self.gamma_pairs < 2:
+            raise ValueError(f"need gamma_pairs >= 2 for Gamma's jackknife, "
+                             f"got {self.gamma_pairs}")
+        check_exponents(self.kernel, self.partition.space.d, self.p)
 
     @property
     def q(self) -> float:
-        if math.isinf(self.p):
-            return 1.0
-        return self.p / (self.p - 1.0)
+        return conjugate_exponent(self.p)
 
 
 @dataclass
@@ -152,20 +166,19 @@ def _cell_terms(cfg: WceConfig, phi: np.ndarray, Y: np.ndarray,
     return T
 
 
-def _redraw_singular_y(space: SpaceDescriptor, rng_y: np.random.Generator,
-                       Y: np.ndarray,
-                       dist: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Redraw in place each y whose distance falls below ``SINGULAR_TOL``.
-
-    ``dist(Y)`` returns distances whose last axis runs over Y (a table is
-    reduced by its minimum over the other axis); returns the last distances.
+def _kernel_redrawing_y(cfg: WceConfig, rng_y: np.random.Generator, Y: np.ndarray,
+                        dist: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The kernel evaluated in the distance table ``dist(Y)`` (last axis over
+    Y).  When it meets a singular distance, each y whose minimum distance
+    falls below ``SINGULAR_TOL`` is redrawn in place and the table rebuilt.
     """
     for _ in range(MAX_REDRAWS):
         t = dist(Y)
-        bad = t.reshape(-1, len(Y)).min(axis=0) < SINGULAR_TOL
-        if not bad.any():
-            return t
-        Y[bad] = sample_uniform(space, rng_y, int(bad.sum()))
+        try:
+            return kernel_profile(cfg.kernel, t, out=t)
+        except SingularPairError:
+            bad = t.reshape(-1, len(Y)).min(axis=0) < SINGULAR_TOL
+            Y[bad] = sample_uniform(cfg.partition.space, rng_y, int(bad.sum()))
     raise RuntimeError("singular y redraw budget exhausted")
 
 
@@ -184,9 +197,9 @@ def _node_table(cfg: WceConfig, ctx: int, index: int, rep: int = 0,
                            stream=rngmod.path_key(ctx, rngmod.NODES)).nodes
     rng_y = rngmod.substream(cfg.seed, ctx, rngmod.WCE_Y, index, rep)
     Y = sample_uniform(space, rng_y, cfg.m_y)
-    dn = _redraw_singular_y(space, rng_y, Y,
-                            lambda Y: pairwise_distance(space, nodes, Y, out=out))
-    return kernel_profile(cfg.kernel, dn, out=dn), Y
+    # Y is redrawn in place, so the returned Y matches the table
+    return _kernel_redrawing_y(cfg, rng_y, Y,
+                               lambda Y: pairwise_distance(space, nodes, Y, out=out)), Y
 
 
 def _draw_tables(cfg: WceConfig, ctx: int, index: int, phi: np.ndarray | None = None,
@@ -267,9 +280,10 @@ def gamma_phi(cfg: WceConfig) -> ErrorStats:
 
     Pair i of cell j is (x_ij, y_i): the x are uniform in their cells and
     one uniform Y is shared by all cells, so each cell's pairs keep their
-    law and only cells become correlated.  The leave-one-block-out jackknife
-    over the shared pair blocks accounts for that correlation (the statistic
-    is a sum of fractional powers, so per-draw jackknife does not apply).
+    law and only cells become correlated.  The statistic is a sum of
+    fractional powers, so a per-draw jackknife does not apply; its SE is a
+    leave-one-pair-out jackknife of the whole statistic (pair i left out of
+    every cell at once; given the cell-mean replicas the pairs are i.i.d.).
     """
     part = cfg.partition
     space = part.space
@@ -278,23 +292,14 @@ def gamma_phi(cfg: WceConfig) -> ErrorStats:
     X = sample_all_cells(part, rngmod.substream(cfg.seed, rngmod.GAMMA, rngmod.NODES), P)
     rng_y = rngmod.substream(cfg.seed, rngmod.GAMMA, rngmod.WCE_Y)
     Y = sample_uniform(space, rng_y, P)
-    t = _redraw_singular_y(space, rng_y, Y, lambda Y: distance(space, X, Y))
-    T = _cell_terms(cfg, kernel_profile(cfg.kernel, t, out=t), Y, (rngmod.GAMMA, rngmod.WCE_Z))
-    # per-cell, per-pair samples u with E[u] = |M| * E_x E_y |T_j|^q
+    phi = _kernel_redrawing_y(cfg, rng_y, Y, lambda Y: distance(space, X, Y))
+    T = _cell_terms(cfg, phi, Y, (rngmod.GAMMA, rngmod.WCE_Z))
+    # per-cell, per-pair samples u (N, P) with E[u] = |M| * E_x E_y |T_j|^q
     if q == 2.0:
-        u_all = space.total_measure * T[0] * T[1]
+        u = space.total_measure * T[0] * T[1]
     else:
-        u_all = space.total_measure * np.abs(0.5 * (T[0] + T[1])) ** q
-    gamma = float(np.sum(np.clip(u_all.mean(axis=1), 0.0, None) ** (1.0 / q)))
-    # block jackknife
-    loo = []
-    for b in np.array_split(np.arange(P), GAMMA_BLOCKS):
-        mask = np.ones(P, dtype=bool)
-        mask[b] = False
-        vj = np.clip(u_all[:, mask].mean(axis=1), 0.0, None)
-        loo.append(float(np.sum(vj ** (1.0 / q))))
-    loo = np.array(loo)
-    se = math.sqrt((GAMMA_BLOCKS - 1) / GAMMA_BLOCKS * float(np.sum((loo - loo.mean()) ** 2)))
+        u = space.total_measure * np.abs(0.5 * (T[0] + T[1])) ** q
+    gamma, se = jackknife(lambda m: np.sum(np.clip(m, 0.0, None) ** (1.0 / q), axis=-1), u.T)
     return ErrorStats(p=q, n_draws=P, moment=gamma, stderr=se)
 
 
@@ -322,7 +327,7 @@ class WitnessReport:
     reason: str = ""
 
 
-def _graded_circle_mesh(nodes: np.ndarray, G: int, levels: int = 22):
+def _graded_circle_mesh(nodes: np.ndarray, G: int):
     """Midpoint mesh on the circle: G uniform base points plus geometric
     ladders toward each node, where the dual density is singular.  Returns
     (midpoints, widths); the innermost segments stay wide enough that their
@@ -331,7 +336,7 @@ def _graded_circle_mesh(nodes: np.ndarray, G: int, levels: int = 22):
     for x in np.atleast_1d(nodes.ravel()):
         x = float(x) % 1.0
         brk.add(x)
-        for k in range(levels):
+        for k in range(WITNESS_LEVELS):
             step = 2.0 ** (-k) / G
             brk.add((x + step) % 1.0)
             brk.add((x - step) % 1.0)
@@ -342,14 +347,13 @@ def _graded_circle_mesh(nodes: np.ndarray, G: int, levels: int = 22):
     return arr + widths / 2.0, widths
 
 
-def extremal_witness_check(cfg: WceConfig, draw: NodeDraw,
-                           y_grid_size: int = 4096) -> WitnessReport:
+def extremal_witness_check(cfg: WceConfig, draw: NodeDraw) -> WitnessReport:
     """Rebuild the extremal direction g = F on a deterministic y-mesh, form
     its potential f, and compare E(f)/||g||_2 against the Monte Carlo
     worst-case error of the same draw.  The ratio tends to 1 as budgets grow.
 
-    Restricted to T^1, N <= 8, p = q = 2, where a graded mesh of 2^12+ base
-    points integrates the singular density reliably.
+    Restricted to T^1, N <= 8, p = q = 2, where a graded mesh of
+    ``WITNESS_GRID`` base points integrates the singular density reliably.
     """
     part = cfg.partition
     space = part.space
@@ -380,12 +384,12 @@ def extremal_witness_check(cfg: WceConfig, draw: NodeDraw,
         return err / gnorm, gnorm
 
     wce_mc = worst_case_error(cfg, draw)
-    witness_rate, gnorm = grid_ratio(y_grid_size)
+    witness_rate, gnorm = grid_ratio(WITNESS_GRID)
     if not math.isfinite(witness_rate) or gnorm == 0.0:
         return WitnessReport(math.nan, math.nan, witness_rate, wce_mc, False,
                              "degenerate witness (zero dual density)")
     ratio = witness_rate / wce_mc
-    coarse_rate, _ = grid_ratio(max(8, y_grid_size // 2))
+    coarse_rate, _ = grid_ratio(WITNESS_GRID // 2)
     ratio_coarse = coarse_rate / wce_mc
     if abs(ratio - ratio_coarse) > 0.2:
         return WitnessReport(ratio, ratio_coarse, witness_rate, wce_mc, False,

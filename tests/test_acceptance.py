@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from stratcub import rng as rngmod
+from stratcub import wce
 from stratcub.besov import besov_rhs_bounds, sharpness_fj, sharpness_sum
 from stratcub.cubature import draw_nodes, estimate_BN
 from stratcub.experiments import ExperimentConfig, run_experiment
@@ -78,12 +79,13 @@ def test_c01_partition_exactness():
             f"delta-ratio={max(ratios):.2f} (<=4)")
 
 
-def test_c02_witness_duality():
+def test_c02_witness_duality(monkeypatch):
     t0 = time.time()
     part = torus_grid_partition(T1, 4)
     kern = KernelSpec(RIESZ, alpha=0.75, d=1)
     cfg = WceConfig(part, kern, p=2.0, m_y=131_072, m_z=32, n_draws=4, seed=SEED)
-    rep = extremal_witness_check(cfg, draw_nodes(part, SEED), 2 ** 15)
+    monkeypatch.setattr(wce, "WITNESS_GRID", 2 ** 15)
+    rep = extremal_witness_check(cfg, draw_nodes(part, SEED))
     elapsed = time.time() - t0
     ok = rep.ok and abs(rep.ratio - 1.0) <= 0.05 and elapsed < 120
     _report("c02 witness duality", ok, elapsed,

@@ -75,8 +75,22 @@ def test_cli_verify_smoke(tmp_path, capsys):
      "region kind 'cap' does not lie on the torus space"),
     (["mz", "--fn", "nonesuch"], "unknown function id 'nonesuch'"),
     (["besov", "--fn", "nonesuch"], "unknown function id 'nonesuch'"),
-], ids=["budget", "draws", "box-on-sphere", "cap-on-torus", "mz-fn", "besov-fn"])
-def test_cli_reports_bad_config_in_one_line(argv, message):
+    (["wce", "--p", "1"], "p must lie in (1, inf]"),
+    (["wce", "--alpha", "1.5"], "need 0 < alpha < d, got alpha=1.5, d=1"),
+    (["wce", "--alpha", "0.3", "--p", "2"], "integrability needs alpha > d/p"),
+    (["wce", "--family", "const"], "constant stub has no rate regime"),
+    (["besov", "--p", "inf"], "p = inf is for wce experiments only"),
+    (["besov", "--dim", "2", "--n", "4", "8", "16", "32"], "N=8 is not a d=2 grid size"),
+    (["partition", "--space", "sphere2", "--dim", "2", "--n", "1", "4"],
+     "a sphere partition needs N >= 2 cells, got N=1"),
+], ids=["budget", "draws", "box-on-sphere", "cap-on-torus", "mz-fn", "besov-fn",
+        "wce-p1", "wce-alpha-above-d", "wce-alpha-below-d-over-p", "wce-const",
+        "besov-p-inf", "torus-n-not-a-power", "sphere-n-1"])
+def test_cli_reports_bad_config_in_one_line(argv, message, monkeypatch):
+    def run(cfg):
+        raise AssertionError("a bad config reached the run")
+
+    monkeypatch.setattr(cli, "run_experiment", run)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     text = str(exc.value.code)
@@ -133,6 +147,15 @@ def test_cli_bad_config_exits_with_status_one():
                          env=dict(os.environ, PYTHONPATH=str(src)))
     assert run.returncode == 1 and run.stdout == ""
     assert run.stderr == "stratcub: region kind 'arc' does not lie on the sphere2 space\n"
+
+
+def test_cli_wce_p_inf_writes_the_conjugate_exponent(tmp_path):
+    out = tmp_path / "inf"
+    main(["wce", "--p", "inf", "--n", "4", "8", "16", "32", "--draws", "2", "--my", "8",
+          "--out", str(out)])
+    lines = Path(str(out) + ".csv").read_text().splitlines()
+    q = lines[0].split(",").index("q")
+    assert [ln.split(",")[q] for ln in lines[1:]] == ["1.0"] * 4
 
 
 def test_cli_keeps_run_time_errors(monkeypatch):

@@ -137,7 +137,7 @@ def test_config_validation():
         with pytest.raises(ValueError, match="does not lie on"):
             ExperimentConfig(kind="indicator", set_kind=set_kind, **space)
         if set_kind == "arc":  # only indicator runs build the region
-            ExperimentConfig(kind="wce", set_kind=set_kind, **space)
+            ExperimentConfig(kind="wce", set_kind=set_kind, alpha=1.5, **space)
     with pytest.raises(ValueError, match="arc length"):
         ExperimentConfig(kind="indicator", set_params={"length": 1.5})
     with pytest.raises(ValueError, match="box has 1 coordinates, the torus has d=2"):
@@ -156,11 +156,35 @@ def test_config_validation():
     ExperimentConfig(kind="wce", function="nonesuch")  # only besov and mz build it
     cfg = ExperimentConfig(kind="mz", n_list=(8, 12))  # mz exempt from ratios
     assert cfg.q == 2.0
+    # a wce experiment builds its kernel and checks its exponents at config time
+    for bad, message in (({"p": 1.0}, "p must lie in"),
+                         ({"alpha": 1.5}, "need 0 < alpha < d"),
+                         ({"alpha": 0.3}, "integrability needs alpha > d/p"),
+                         ({"dim": 2, "n_list": (16, 64, 256, 1024)},
+                          "integrability needs alpha > d/p"),
+                         ({"family": "const"}, "constant stub has no rate regime"),
+                         ({"family": "nonesuch"}, "unknown kernel family")):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(kind="wce", **bad)
+    assert ExperimentConfig(kind="wce", p=math.inf).q == 1.0
+    assert ExperimentConfig(kind="besov", p=1.0).q == math.inf
+    for kind in ("besov", "indicator", "sharpness", "mz"):
+        with pytest.raises(ValueError, match="p = inf is for wce experiments only"):
+            ExperimentConfig(kind=kind, p=math.inf)
+    with pytest.raises(ValueError, match="p must be >= 1, got nan"):
+        ExperimentConfig(kind="besov", p=math.nan)
+    # every N must name a partition of the space
+    for kind in ("partition", "besov", "wce"):
+        with pytest.raises(ValueError, match="N=8 is not a d=2 grid size"):
+            ExperimentConfig(kind=kind, dim=2, alpha=1.5, n_list=(4, 8, 16, 32))
+        with pytest.raises(ValueError, match="sphere partition needs N >= 2 cells, got N=1"):
+            ExperimentConfig(kind=kind, space_kind="sphere2", dim=2, alpha=1.5,
+                             n_list=(1, 4, 16, 64))
 
 
 def test_build_partition_checks_grid():
     cfg = ExperimentConfig(kind="wce", space_kind="torus", dim=2,
-                           n_list=(16, 64, 256, 1024))
+                           n_list=(16, 64, 256, 1024), alpha=1.5)
     assert build_partition(cfg, 64).N == 64
     with pytest.raises(ValueError):
         build_partition(cfg, 60)

@@ -197,3 +197,15 @@ def test_box_dimension_must_match_the_torus():
         indicator_fn(T2, make_box((0.2,), (0.7,)))
     with pytest.raises(ValueError, match="box has 2 coordinates"):
         indicator_fn(T1, make_box((0.1, 0.2), (0.6, 0.9)))
+
+
+@pytest.mark.parametrize("f", [cos_fn(T2, (3, 5)), cos_fn(make_space(TORUS, 3), (1, -2, 7)),
+                               indicator_fn(S2, make_cap((1.0, -2.0, 0.5), 1.1))],
+                         ids=["cos-T2", "cos-T3", "cap-S2"])
+def test_value_at_a_point_does_not_depend_on_its_batch(f):
+    # a matrix product rounds one row through a dot kernel and a block of
+    # rows through gemv, so f's values must not come from one
+    pts = sample_uniform(f.space, rngmod.substream(8, rngmod.SELFTEST, 8), 20_000)
+    batch = f.evaluate(pts)
+    rows = range(0, len(pts), 10)
+    assert np.array_equal([f.evaluate(pts[i])[0] for i in rows], batch[rows])

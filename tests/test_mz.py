@@ -58,13 +58,6 @@ def test_mc_cell_mean_fallback():
     assert abs(rep.ratio - 1.0) <= 3 * rep.ratio_se + 0.02
 
 
-def test_mz_pair_needs_a_cell_sample():
-    # with no samples the fallback cell means, and every output, would be NaN
-    f = cone_bump_fn(S2, (0.0, 0.0, 1.0), 1.2)
-    with pytest.raises(ValueError, match="m_cell must be >= 1, got 0"):
-        mz_pair(f, sphere_zonal_partition(S2, 8), p=2.0, n_draws=10, seed=5, m_cell=0)
-
-
 def test_ratio_envelope_p2_tight():
     fs = [coordinate_fn(T1), cone_bump_fn(T1, (0.3,), 0.2)]
     parts = [torus_grid_partition(T1, 8), torus_grid_partition(T1, 32)]

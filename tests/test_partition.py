@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from stratcub import rng as rngmod
-from stratcub.partition import (_COLUMNS, _layout_ok, _locate, _probe_inradius,
+from stratcub.partition import (_COLUMNS, INRADIUS_PROBE_CELLS, _layout_ok, _locate,
+                                _probe_inradius,
                                 cell_boundary_distance,
-                                cell_contains, cell_inradius, cell_sample,
+                                cell_contains, cell_inradius, cell_points, cell_sample,
                                 find_cell, geometric_cell_measures,
                                 partition_from_json, partition_to_json,
                                 sphere_zonal_partition, torus_grid_partition,
@@ -76,6 +77,19 @@ def test_cell_sample_containment_and_determinism():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("part", [torus_grid_partition(T1, 16), torus_grid_partition(T2, 5),
+                                  sphere_zonal_partition(S2, 40)], ids=["T1", "T2", "S2"])
+def test_cell_points_one_generator_per_cell(part):
+    # the mode verify_partition draws its diameter samples in
+    ids = slice(3, part.N - 2)
+    cells = np.arange(ids.start, ids.stop)
+    pts = cell_points(part, rngmod.substreams(2, rngmod.VERIFY, part.N, cells, 1), 32, ids)
+    assert pts.shape == (len(cells), 32, part.anchor.shape[1])
+    for j, row in zip(cells, pts):
+        rng = rngmod.substream(2, rngmod.VERIFY, part.N, j, 1)
+        assert np.array_equal(row, cell_sample(part, j, rng, 32))
+
+
 def test_sphere_cell_sample_colatitude_mean():
     part = sphere_zonal_partition(S2, 12)
     j = int(np.flatnonzero(part.cap == 0)[0])
@@ -116,7 +130,7 @@ def test_verify_partition_clean():
 
 
 @pytest.mark.parametrize("budgets", [{"sample_budget": 0}, {"sample_budget": -5},
-                                     {"pairs_per_cell": 0}, {"inradius_probe_cells": 0}])
+                                     {"pairs_per_cell": 0}])
 def test_verify_partition_rejects_empty_budgets(budgets):
     # these gave a vacuous coverage verdict, a ZeroDivisionError and c1 = inf
     with pytest.raises(ValueError, match=next(iter(budgets))):
@@ -352,7 +366,8 @@ def test_probe_inradius_matches_per_cell_bisection(space, size):
     part = (torus_grid_partition(space, size) if space.kind == TORUS
             else sphere_zonal_partition(space, size))
     for seed in (0, 1, 5):
-        assert _probe_inradius(part, seed, 64) == _probe_inradius_per_cell(part, seed, 64)
+        assert _probe_inradius(part, seed) == _probe_inradius_per_cell(
+            part, seed, INRADIUS_PROBE_CELLS)
 
 
 def test_cell_boundary_distance():

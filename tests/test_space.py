@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stratcub import rng as rngmod
-from stratcub.space import (SPHERE2, TORUS, ball_measure, distance, make_space,
+from stratcub.space import (L2_BLOCK, SPHERE2, TORUS, ball_measure, distance, make_space,
                             pairwise_distance, sample_ball, sample_uniform,
                             torus1d_radial_integral)
 
@@ -108,12 +108,11 @@ def test_pairwise_matches_broadcast():
     for d in (1, 2, 3):
         space = make_space(TORUS, d)
         corners = np.stack([np.roll(edge, k)[:d] for k in range(len(edge))])
-        a = np.concatenate([sample_uniform(space, rng, 37), corners])
-        b = np.concatenate([sample_uniform(space, rng, 23), corners])
+        a = np.concatenate([sample_uniform(space, rng, 295), corners])
+        b = np.concatenate([sample_uniform(space, rng, 245), corners])
         diff = np.abs(a[:, None, :] - b[None, :, :])
         full = np.minimum(diff, 1.0 - diff).max(axis=-1)
-        # 4-row blocks over 42 rows leave a 2-row last block
-        assert np.array_equal(pairwise_distance(space, a, b, chunk=4 * len(b) + 1), full)
+        assert _uneven_blocks(a, b)
         assert np.array_equal(pairwise_distance(space, a, b), full)
         assert np.array_equal(distance(space, a[:, None, :], b[None, :, :]), full)
     sa = sample_uniform(S2, rng, 17)
@@ -122,19 +121,25 @@ def test_pairwise_matches_broadcast():
                        distance(S2, sa[:, None, :], sb[None, :, :]))
 
 
+def _uneven_blocks(a, b):
+    """Whether the torus table of a and b takes several row blocks, the last
+    one shorter (262-row blocks over 300 rows for 300 x 250)."""
+    rows = L2_BLOCK // len(b)
+    return len(a) > rows and len(a) % rows != 0
+
+
 @pytest.mark.parametrize("space", [T1, T2, make_space(TORUS, 3), S2],
                          ids=["T1", "T2", "T3", "S2"])
 def test_pairwise_into_out_equals_fresh(space):
     rng = rngmod.substream(5, rngmod.SELFTEST, 7)
-    a = sample_uniform(space, rng, 42)
-    b = sample_uniform(space, rng, 23)
-    chunk = 4 * len(b) + 1  # 4-row blocks over 42 rows leave a 2-row last block
-    fresh = pairwise_distance(space, a, b, chunk=chunk)
+    a = sample_uniform(space, rng, 300)
+    b = sample_uniform(space, rng, 250)
+    assert _uneven_blocks(a, b)
+    fresh = pairwise_distance(space, a, b)
     big = np.full((len(a) + 3, len(b)), -1.0)
     out = big[1:1 + len(a)]  # rows of a larger buffer
-    assert pairwise_distance(space, a, b, out=out, chunk=chunk) is out
+    assert pairwise_distance(space, a, b, out=out) is out
     assert np.array_equal(out, fresh)
-    assert np.array_equal(pairwise_distance(space, a, b), fresh)
     assert (big[0] == -1.0).all() and (big[-2:] == -1.0).all()
 
 

@@ -13,7 +13,7 @@ from stratcub.kernel import (CONST, RIESZ, ROUGH_RIESZ, SINGULAR_TOL, KernelSpec
 from stratcub.partition import sphere_zonal_partition, torus_grid_partition
 from stratcub.space import (L2_BLOCK, SPHERE2, TORUS, distance, make_space,
                             pairwise_distance, sample_uniform)
-from stratcub.wce import (GAMMA_BLOCKS, WceConfig, _cell_means, _draw_tables, delta_phi,
+from stratcub.wce import (WceConfig, _cell_means, _draw_tables, delta_phi,
                           estimate_AN, extremal_witness_check, gamma_phi,
                           lower_hypothesis_probe, worst_case_error)
 
@@ -46,7 +46,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         _cfg(PART4, RIESZ06, n_draws=1)  # no jackknife spread from one draw
     with pytest.raises(ValueError):
-        _cfg(PART4, RIESZ06, gamma_pairs=GAMMA_BLOCKS - 1)  # a jackknife block left empty
+        _cfg(PART4, RIESZ06, gamma_pairs=1)  # no leave-one-pair-out spread
+    assert _cfg(PART4, RIESZ06, gamma_pairs=2).gamma_pairs == 2
     assert _cfg(PART4, RIESZ06).q == 2.0
     assert WceConfig(PART4, RIESZ06, p=math.inf, n_draws=4).q == 1.0
     assert abs(1 / 1.5 + 1 / WceConfig(PART4, RIESZ75, p=1.5, n_draws=4).q - 1) < 1e-12
@@ -230,24 +231,26 @@ def test_estimate_an_has_no_inner_budget(monkeypatch):
     assert worst_case_error(_cfg(part, ROUGH09, m_z=1), draw_nodes(part, 2)) > 0
 
 
-def test_witness_ratio_near_one():
+def test_witness_ratio_near_one(monkeypatch):
     # m_y large: the single-draw wce estimate carries heavy-tailed outer noise
     cfg = _cfg(PART4, RIESZ75, m_y=98_304, m_z=32, n_draws=4, seed=9)
-    rep = extremal_witness_check(cfg, draw_nodes(PART4, 21), 2 ** 14)
+    monkeypatch.setattr(wce, "WITNESS_GRID", 2 ** 14)
+    rep = extremal_witness_check(cfg, draw_nodes(PART4, 21))
     assert rep.ok
     assert rep.ratio == pytest.approx(1.0, abs=0.05)
 
 
 def test_witness_degenerate_flagged():
     cfg = _cfg(PART4, STUB, n_draws=4)
-    rep = extremal_witness_check(cfg, draw_nodes(PART4, 2), 1024)
+    rep = extremal_witness_check(cfg, draw_nodes(PART4, 2))
     assert not rep.ok
     assert "degenerate" in rep.reason
 
 
-def test_witness_coarse_grid_flagged():
+def test_witness_coarse_grid_flagged(monkeypatch):
     cfg = _cfg(PART4, RIESZ75, m_y=4096, m_z=32, n_draws=4, seed=1)
-    rep = extremal_witness_check(cfg, draw_nodes(PART4, 21), 16)
+    monkeypatch.setattr(wce, "WITNESS_GRID", 16)
+    rep = extremal_witness_check(cfg, draw_nodes(PART4, 21))
     assert (not rep.ok and "coarse" in rep.reason) or abs(rep.ratio - rep.ratio_coarse) <= 0.2
 
 
@@ -437,9 +440,9 @@ def test_draw_tables_redraws_only_the_singular_y(monkeypatch):
 
 
 def test_gamma_phi_redraws_only_the_singular_y(monkeypatch):
-    # cell 2's x of pair 3 lands on y_3, which every cell shares; with one
-    # pair per jackknife block, Gamma and its SE are plain functions of u
-    P = GAMMA_BLOCKS
+    # cell 2's x of pair 3 lands on y_3, which every cell shares; Gamma and
+    # its SE are plain functions of u
+    P = 10
     cfg = _cfg(PART4, RIESZ75, m_z=8, gamma_pairs=P)
     X = sample_all_cells(PART4, rngmod.substream(cfg.seed, rngmod.GAMMA, rngmod.NODES), P)
     calls, poisoned = _poison_first_sample_uniform(monkeypatch, 3, X[2, 3])
