@@ -11,11 +11,11 @@ k), consumed in cell order, so node j derives from (seed, k, j) by counter
 position: deterministic and parallel-safe across draws.
 
 The draw loops of ``estimate_BN`` and ``mz.mz_pair`` take their nodes a
-block of draws at a time (``value_blocks``): the block's streams open in one
-``substreams`` call, each draws what ``draw_nodes`` draws for its index, one
-map turns all their uniforms into a (draws, N, dim) table, and the function
-is evaluated on it in one call.  A block holds at most ``L2_BLOCK // 8``
-node coordinates.
+block of draws at a time (``value_blocks``): one ``rng.uniforms`` call, which
+re-keys a single Philox per stream, draws what ``draw_nodes`` draws for each
+index of the block, one map turns all those uniforms into a (draws, N, dim)
+table, and the function is evaluated on it in one call.  A block holds at
+most ``L2_BLOCK // 8`` node coordinates.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def value_blocks(f: TestFunction, partition: Partition, seed: int, n_draws: int,
     K = max(1, L2_BLOCK // (8 * partition.N * dim))
     for k0 in range(0, n_draws, K):
         draws = np.arange(k0, min(n_draws, k0 + K))
-        nodes = stream_points(partition, rngmod.substreams(seed, stream, draws))
+        nodes = stream_points(partition, seed, stream, draws)
         yield k0, f.evaluate(nodes.reshape(-1, dim)).reshape(len(draws), partition.N)
 
 

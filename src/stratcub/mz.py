@@ -22,7 +22,8 @@ import numpy as np
 from . import rng as rngmod
 from .cubature import jackknife, jackknife_power_mean, value_blocks
 from .funcs import TestFunction
-from .partition import Partition, cell_sample
+from .partition import Partition, stream_points
+from .space import L2_BLOCK
 
 DEGENERATE_TOL = 1e-15
 # samples per cell for Monte Carlo cell means (bracket bias O(1/M_CELL))
@@ -104,11 +105,18 @@ def ratio_envelope(functions: list[TestFunction], partitions: list[Partition],
 
 
 def _cell_means(f: TestFunction, partition: Partition, seed: int) -> np.ndarray:
+    """Closed-form cell means of f, or the mean of ``M_CELL`` samples per
+    cell: cell j's from its ``(seed, MZ, 1, j)`` stream, drawn and evaluated
+    a block of cells at a time (about ``L2_BLOCK`` coordinates a block)."""
     if f.cell_means is not None:
         return f.cell_means(partition)
-    means = np.empty(partition.N)
-    for j in range(partition.N):
-        rng = rngmod.substream(seed, rngmod.MZ, 1, j)
-        means[j] = float(f.evaluate(cell_sample(partition, j, rng, M_CELL)).mean())
+    N, dim = partition.anchor.shape
+    block = max(1, L2_BLOCK // (M_CELL * dim))
+    means = np.empty(N)
+    for j0 in range(0, N, block):
+        cells = np.arange(j0, min(N, j0 + block))
+        pts = stream_points(partition, seed, rngmod.MZ, 1, cells, m=M_CELL,
+                            ids=cells[:, None])
+        values = f.evaluate(pts.reshape(-1, dim))
+        means[j0:j0 + len(cells)] = values.reshape(len(cells), M_CELL).mean(axis=1)
     return means
-

@@ -307,35 +307,34 @@ def cell_sample(partition: Partition, j: int, rng: np.random.Generator,
     return pts[0] if n is None else pts
 
 
-def cell_points(partition: Partition, rng, m: int, ids=slice(None)) -> np.ndarray:
+def cell_points(partition: Partition, rng: np.random.Generator, m: int,
+                ids=slice(None)) -> np.ndarray:
     """m uniform points in each of the cells ``ids``; returns (cells, m, dim).
 
-    ``rng`` is one generator, which fills the cells in id order, or a
-    sequence of generators, one per cell.  The uniforms are drawn as
+    The one generator fills the cells in id order: the uniforms are drawn as
     (cells, m, d) on the torus and as (2, cells, m) on the sphere, the
     z-uniforms then the longitude-uniforms.
     """
-    if isinstance(rng, np.random.Generator):
-        u = rng.random(_uniform_shape(partition, partition.measure[ids].shape[0], m))
-    else:
-        u = np.concatenate([g.random(_uniform_shape(partition, 1, m)) for g in rng],
-                           axis=0 if partition.space.kind == TORUS else 1)
+    u = rng.random(_uniform_shape(partition, partition.measure[ids].shape[0], m))
     return _cell_map(partition, u, ids)
 
 
-def stream_points(partition: Partition, rngs) -> np.ndarray:
-    """One uniform point in every cell per generator; returns (len(rngs), N, dim).
+def stream_points(partition: Partition, seed: int, *path, m: int = 1,
+                  ids=slice(None)) -> np.ndarray:
+    """m uniform points in each of a stream's cells, for one stream per
+    element of the array part of ``path``; returns (K, cells, m, dim).
 
-    Row k is ``cell_points(partition, rngs[k], 1)[:, 0]`` bit for bit: each
-    generator draws the uniforms ``cell_points`` would draw from it, into
-    one table that goes through the cell map once.
+    ``ids`` (cells,) or a slice gives every stream the same cells; (K, cells)
+    gives stream k the cells ``ids[k]``.  Row k is ``cell_points(partition,
+    substream(seed, *path_k), m, ids_k)`` bit for bit: ``rng.uniforms``
+    draws each stream's uniforms into one table, which goes through the cell
+    map once.
     """
-    u = np.empty((len(rngs),) + _uniform_shape(partition, partition.N, 1))
-    for g, row in zip(rngs, u):
-        g.random(out=row)
+    cells = partition.measure[ids].shape[-1]
+    u = rngmod.uniforms(seed, *path, shape=_uniform_shape(partition, cells, m))
     if partition.space.kind != TORUS:
         u = u.swapaxes(0, 1)  # the sphere map takes the (z, lon) axis first
-    return _cell_map(partition, u, slice(None))[..., 0, :]
+    return _cell_map(partition, u, ids)
 
 
 def _uniform_shape(partition: Partition, cells: int, m: int) -> tuple[int, ...]:
@@ -347,7 +346,8 @@ def _uniform_shape(partition: Partition, cells: int, m: int) -> tuple[int, ...]:
 def _cell_map(partition: Partition, u: np.ndarray, ids) -> np.ndarray:
     """Points of the cells ``ids`` from their uniforms: (..., cells, m, d)
     on the torus, (2, ..., cells, m) on the sphere; elementwise, so any
-    leading axes of ``u`` map as one slice at a time would."""
+    leading axes of ``u`` map as one slice at a time would.  ``ids`` may
+    carry leading axes of its own, matching those of ``u``."""
     if partition.space.kind == TORUS:
         lo, hi = partition.lo[ids, None, :], partition.hi[ids, None, :]
         return lo + (hi - lo) * u
@@ -485,10 +485,11 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
     O(N) check), only the cells next to each sample's grid or band/sector
     position are tested; any other partition has every cell tested.  Each
     cell's diameter samples come from its own ``(seed, VERIFY, N, id, 0|1)``
-    streams, mapped to points and measured a block of cells at a time.  The
-    inradius probe (``_probe_inradius``) draws each probed cell's ball
-    samples from its own ``(seed, VERIFY, N, id, 2)`` stream up front, then
-    runs each bisection step for all probed cells at once.
+    streams, drawn by ``stream_points`` (one re-keyed Philox per call, see
+    ``rng.uniforms``), mapped to points and measured a block of cells at a
+    time.  The inradius probe (``_probe_inradius``) draws each probed cell's
+    ball samples from its own ``(seed, VERIFY, N, id, 2)`` stream up front,
+    then runs each bisection step for all probed cells at once.
     """
     for name, value in (("sample_budget", sample_budget), ("pairs_per_cell", pairs_per_cell)):
         if value < 1:
@@ -518,13 +519,13 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
     # about L2_BLOCK floats
     block = max(1, L2_BLOCK // (8 * pairs_per_cell))
     for i0 in range(0, N, block):
-        ids = slice(i0, min(N, i0 + block))
-        pa, pb = (cell_points(partition, rngmod.substreams(
-                      seed, rngmod.VERIFY, N, np.arange(ids.start, ids.stop), r),
-                      pairs_per_cell, ids) for r in (0, 1))
+        cells = np.arange(i0, min(N, i0 + block))
+        pa, pb = (stream_points(partition, seed, rngmod.VERIFY, N, cells, r,
+                                m=pairs_per_cell, ids=cells[:, None])[:, 0]
+                  for r in (0, 1))
         dd = distance(space, pa, pb)
-        diam_violations += int(np.sum(dd > partition.diameter[ids, None] * (1 + 1e-12)))
-        anchor = partition.anchor[ids, None, :]
+        diam_violations += int(np.sum(dd > partition.diameter[cells, None] * (1 + 1e-12)))
+        anchor = partition.anchor[cells, None, :]
         c2 = max(c2, float(distance(space, anchor, pa).max()),
                  float(distance(space, anchor, pb).max()))
     c2 *= scale
@@ -618,15 +619,15 @@ def _probe_inradius(partition: Partition, seed: int) -> float:
     ids = (np.arange(N) if N <= INRADIUS_PROBE_CELLS
            else np.linspace(0, N - 1, INRADIUS_PROBE_CELLS, dtype=int))
     anchor = partition.anchor[ids]
-    rngs = rngmod.substreams(seed, rngmod.VERIFY, N, ids, 2)
     t = None
     if space.kind == TORUS:
-        u = np.stack([g.random((steps, n, space.d)) for g in rngs])
+        u = rngmod.uniforms(seed, rngmod.VERIFY, N, ids, 2, shape=(steps, n, space.d))
     else:
         # per step the radius uniforms, then the tangent normals, as
         # sample_ball draws them
         u = np.empty((len(ids), steps, n))
         t = np.empty((len(ids), steps, n, 3))
+        rngs = (rngmod.substream(seed, rngmod.VERIFY, N, int(j), 2) for j in ids)
         for g, uc, tc in zip(rngs, u, t):
             for s in range(steps):
                 uc[s] = g.random(n)

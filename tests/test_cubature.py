@@ -139,10 +139,10 @@ def _block_draws(part) -> int:
                                   sphere_zonal_partition(S2, 33)], ids=["T1", "T2", "S2"])
 def test_stream_points_rows_are_draw_nodes(part):
     draws = np.arange(5)
-    table = stream_points(part, rngmod.substreams(4, rngmod.MZ, draws))
-    assert table.shape == (5, part.N, part.anchor.shape[1])
+    table = stream_points(part, 4, rngmod.MZ, draws)
+    assert table.shape == (5, part.N, 1, part.anchor.shape[1])
     for k in draws:
-        assert np.array_equal(table[k], draw_nodes(part, 4, k, rngmod.MZ).nodes)
+        assert np.array_equal(table[k, :, 0], draw_nodes(part, 4, k, rngmod.MZ).nodes)
 
 
 def _per_draw_values(f, part, seed, n_draws, stream):

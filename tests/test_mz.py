@@ -5,13 +5,15 @@ import pytest
 
 from stratcub import rng as rngmod
 from stratcub.cubature import draw_nodes
-from stratcub.funcs import (cone_bump_fn, constant_fn, coordinate_fn,
+from stratcub.funcs import (cone_bump_fn, constant_fn, coordinate_fn, indicator_fn,
                             square_wave_fn, zonal_monomial_fn)
-from stratcub.mz import mz_pair, ratio_envelope
-from stratcub.partition import sphere_zonal_partition, torus_grid_partition
+from stratcub.mz import M_CELL, _cell_means, mz_pair, ratio_envelope
+from stratcub.partition import cell_sample, sphere_zonal_partition, torus_grid_partition
+from stratcub.sets import make_cap
 from stratcub.space import SPHERE2, TORUS, make_space
 
 T1 = make_space(TORUS, 1)
+T2 = make_space(TORUS, 2)
 S2 = make_space(SPHERE2)
 
 
@@ -56,6 +58,18 @@ def test_mc_cell_mean_fallback():
     part = sphere_zonal_partition(S2, 8)
     rep = mz_pair(f, part, p=2.0, n_draws=1200, seed=5)
     assert abs(rep.ratio - 1.0) <= 3 * rep.ratio_se + 0.02
+
+
+@pytest.mark.parametrize("f,part", [
+    (cone_bump_fn(T2, (0.3, 0.6), 0.4), torus_grid_partition(T2, 4)),
+    (indicator_fn(S2, make_cap((1.0, 1.0, 1.0), 1.0)), sphere_zonal_partition(S2, 40)),
+], ids=["T2-cone", "S2-cap"])
+def test_mc_cell_means_match_per_cell_streams(f, part):
+    # the batched fallback draws cell j from its own (seed, MZ, 1, j) stream
+    assert f.cell_means is None
+    expect = [f.evaluate(cell_sample(part, j, rngmod.substream(7, rngmod.MZ, 1, j),
+                                     M_CELL)).mean() for j in range(part.N)]
+    assert np.array_equal(_cell_means(f, part, 7), expect)
 
 
 def test_ratio_envelope_p2_tight():

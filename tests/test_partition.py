@@ -9,10 +9,10 @@ from stratcub import rng as rngmod
 from stratcub.partition import (_COLUMNS, INRADIUS_PROBE_CELLS, _layout_ok, _locate,
                                 _probe_inradius,
                                 cell_boundary_distance,
-                                cell_contains, cell_inradius, cell_points, cell_sample,
+                                cell_contains, cell_inradius, cell_sample,
                                 find_cell, geometric_cell_measures,
                                 partition_from_json, partition_to_json,
-                                sphere_zonal_partition, torus_grid_partition,
+                                sphere_zonal_partition, stream_points, torus_grid_partition,
                                 verify_partition)
 from stratcub.space import SPHERE2, TORUS, distance, make_space, sample_ball, sample_uniform
 
@@ -81,10 +81,10 @@ def test_cell_sample_containment_and_determinism():
                                   sphere_zonal_partition(S2, 40)], ids=["T1", "T2", "S2"])
 def test_cell_points_one_generator_per_cell(part):
     # the mode verify_partition draws its diameter samples in
-    ids = slice(3, part.N - 2)
-    cells = np.arange(ids.start, ids.stop)
-    pts = cell_points(part, rngmod.substreams(2, rngmod.VERIFY, part.N, cells, 1), 32, ids)
-    assert pts.shape == (len(cells), 32, part.anchor.shape[1])
+    cells = np.arange(3, part.N - 2)
+    pts = stream_points(part, 2, rngmod.VERIFY, part.N, cells, 1, m=32, ids=cells[:, None])
+    assert pts.shape == (len(cells), 1, 32, part.anchor.shape[1])
+    pts = pts[:, 0]
     for j, row in zip(cells, pts):
         rng = rngmod.substream(2, rngmod.VERIFY, part.N, j, 1)
         assert np.array_equal(row, cell_sample(part, j, rng, 32))

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -37,18 +39,40 @@ def test_path_key_array_part_matches_scalar_keys(dtype):
 
 
 @pytest.mark.parametrize("seed", [0, -1, 2**63 + 1])
-def test_substreams_match_substream(seed):
+@pytest.mark.parametrize("shape", [(64,), (3, 1, 2), (2, 5, 1)], ids=str)
+def test_uniforms_match_substream(seed, shape):
     ids = np.arange(3, 40)
-    gens = rngmod.substreams(seed, rngmod.VERIFY, 256, ids, 0)
-    assert len(gens) == len(ids)
-    for g, j in zip(gens, ids):
-        for a, b in zip(_draws(g), _draws(rngmod.substream(seed, rngmod.VERIFY, 256, int(j), 0))):
-            assert np.array_equal(a, b)
+    u = rngmod.uniforms(seed, rngmod.VERIFY, 256, ids, 0, shape=shape)
+    assert u.shape == (len(ids),) + shape
+    for row, j in zip(u, ids):
+        expect = rngmod.substream(seed, rngmod.VERIFY, 256, int(j), 0).random(shape)
+        assert np.array_equal(row, expect)
 
 
-def test_substreams_share_no_state():
-    a, b = rngmod.substreams(3, rngmod.VERIFY, np.array([1, 1]))
-    first = a.random(64)
-    # drawing from one generator leaves the other at the start of the stream
-    assert np.array_equal(b.random(64), first)
-    assert not np.array_equal(a.random(64), first)
+def test_uniforms_rows_start_fresh():
+    # an odd-length row leaves the Philox output buffer part used; each row
+    # still starts from its stream's first uniform
+    ids = np.array([1, 2, 1, 1])
+    u = rngmod.uniforms(3, rngmod.VERIFY, ids, shape=(5,))
+    assert np.array_equal(u[0], u[2]) and np.array_equal(u[0], u[3])
+    assert not np.array_equal(u[0], u[1])
+    assert np.array_equal(u[0], rngmod.substream(3, rngmod.VERIFY, 1).random(5))
+
+
+def test_uniforms_threads_match_serial():
+    ids = np.arange(300)
+    seeds = list(range(16))
+    serial = [rngmod.uniforms(s, rngmod.MZ, ids, shape=(7,)) for s in seeds]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(lambda s: rngmod.uniforms(s, rngmod.MZ, ids, shape=(7,)),
+                                 seeds))
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("path", [(rngmod.VERIFY, 3), (np.zeros((2, 2), dtype=int),),
+                                  (np.arange(2), np.arange(2))],
+                         ids=["no-array", "2d", "two-arrays"])
+def test_uniforms_rejects_bad_path(path):
+    with pytest.raises(ValueError, match="one 1-D array"):
+        rngmod.uniforms(0, *path, shape=(4,))
