@@ -11,7 +11,7 @@ from .space import SPHERE2, TORUS, SpaceDescriptor, ball_measure, distance, make
 from .partition import (Partition, PartitionReport, cell_contains, cell_sample,
                         partition_from_json, partition_to_json, sphere_zonal_partition,
                         torus_grid_partition, verify_partition)
-from .kernel import CONST, RIESZ, ROUGH_RIESZ, KernelSpec, SingularPairError, kernel_eval, regime_classify
+from .kernel import CONST, RIESZ, ROUGH_RIESZ, KernelSpec, SingularPairError, regime_classify
 from .sets import SetDescriptor, make_arc, make_box, make_cap, psi_tube_measure
 from .funcs import TestFunction, make_function
 from .cubature import ErrorStats, NodeDraw, cubature_error, draw_nodes, estimate_BN

@@ -16,11 +16,16 @@ Two production families plus a diagnostic stub:
 
 Evaluations at distances below ``SINGULAR_TOL`` raise; Monte Carlo callers
 redraw such samples (a measure-zero event at any realistic budget).
+
+On T^1 every frequency 2^m of the lacunary series is an integer, so its sum
+against weighted nodes separates into node and y factors by angle addition;
+``rough_potential`` sums it that way, with exactly reduced angles.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,8 +80,12 @@ def rough_series(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
     """The lacunary roughness term ``sum_m 2^(-eps m) cos(2 pi 2^m t)``.
 
     Evaluated by Chebyshev doubling (cos 2x = 2 cos^2 x - 1), one
-    multiply-add per scale; absolute error stays below ~1e-6 over the
-    default 20 scales, far under the Monte Carlo noise floor.
+    multiply-add per scale.  Each doubling doubles the angle error of the
+    rounded cos(2 pi t), so against the series with exactly reduced angles
+    the absolute error at eps = 1/4 reaches 8.1e-7 within 1e-5 of t = 0 and
+    t = 1/2 (where that rounding is largest relative to the angle), and
+    6.2e-7 over 10^7 uniform t in [0, 1/2]; larger eps weight the top
+    scales less.  That is far under the Monte Carlo noise floor.
     """
     c = np.cos(2.0 * math.pi * np.asarray(t, dtype=float))
     acc = c.copy()
@@ -118,17 +127,42 @@ def kernel_profile(spec: KernelSpec, t, out: np.ndarray | None = None):
     return out if out.ndim else out[()]
 
 
-def kernel_eval(spec: KernelSpec, space: SpaceDescriptor, x, y):
-    """Phi(x, y); symmetric since both families are radial."""
-    return kernel_profile(spec, distance(space, x, y))
+def rough_potential(spec: KernelSpec, space: SpaceDescriptor, w: np.ndarray,
+                    x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``sum_j w_j W_eps(dist(x_j, y))`` at each y, on T^1 only; returns (len(y),).
+
+    Every frequency 2^m is an integer, so cos(2 pi 2^m dist(x, y)) is
+    cos(2 pi 2^m x) cos(2 pi 2^m y) + sin(2 pi 2^m x) sin(2 pi 2^m y), and
+    the sum is ``sum_m 2^(-eps m) (C_m cos 2 pi 2^m y + S_m sin 2 pi 2^m y)``
+    with ``C_m = sum_j w_j cos 2 pi 2^m x_j`` (``S_m`` likewise): trig calls
+    on N + len(y) points per scale instead of a series per (x_j, y) pair.
+    Each angle is reduced exactly, as 2 pi ((2^m x) mod 1): for x >= 0 both
+    ``ldexp`` and ``v - floor(v)`` are exact, so each term is correct to about
+    one ulp.  Unlike a kernel table, this has no singular distance to test for.
+    """
+    if space.kind != TORUS or space.d != 1:
+        raise ValueError("the separable rough term is implemented on T^1 only")
+    # int32 exponents take ldexp's direct loop; int64 ones are cast per element
+    scales = np.arange(N_SCALES, dtype=np.int32)
+
+    def waves(p):  # (2 N_SCALES, len(p)): the cos rows, then the sin rows
+        turns = np.ldexp(np.ravel(p), scales[:, None])
+        turns -= np.floor(turns)  # as exact as % 1.0 here, and several times faster
+        turns *= 2.0 * math.pi
+        return np.concatenate([np.cos(turns), np.sin(turns)])
+
+    decay = 2.0 ** (-spec.eps * scales)
+    return ((waves(x) @ w) * np.concatenate([decay, decay])) @ waves(y)
 
 
+@functools.lru_cache(maxsize=64)
 def total_integral(spec: KernelSpec, space: SpaceDescriptor) -> float:
     """I_Phi = integral over M of Phi(z, y) dz, the same for every y.
 
     The metric is invariant, so this is the profile integrated in closed form
     against the law of dist(z, y); the rough term is integrated as its exact
-    series, which ``rough_series`` matches to ~1e-6.
+    series.  Both arguments are frozen dataclasses, so the value is cached
+    per (spec, space) instead of being recomputed for every draw.
     """
     if spec.family == CONST:
         return spec.kappa * space.total_measure

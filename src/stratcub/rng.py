@@ -34,8 +34,8 @@ _MASK64 = (1 << 64) - 1
 
 # Context tags used to derive streams.  Values are part of the
 # reproducibility contract: changing them changes all sampled numbers.
+# The gaps (2, 15) are tags that were removed unused.
 NODES = 1
-SPACE = 2
 WCE_Y = 3
 WCE_Z = 4
 AN = 5
@@ -48,7 +48,6 @@ VERIFY = 11
 BOUNDS = 12
 POINCARE = 13
 SELFTEST = 14
-WITNESS = 15
 WCE_OP = 16
 
 

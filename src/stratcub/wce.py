@@ -8,8 +8,12 @@ the exact dual form
          = sum_j omega_j Phi(x_j, y) - I_Phi,
 
 with I_Phi = ``kernel.total_integral`` the same for every y, so the draw
-average A_N = {E_x wce^q}^{1/q} needs Monte Carlo over y only.  It is
-bracketed by two functionals of the per-cell terms
+average A_N = {E_x wce^q}^{1/q} needs Monte Carlo over y only.  On T^1 the
+lacunary term of a rough-Riesz kernel's F is summed separably and exactly
+(``kernel.rough_potential``), so the (N, m_y) node table holds the Riesz part
+only; Delta, Gamma, the witness and the probe tabulate the full kernel.
+
+A_N is bracketed by two functionals of the per-cell terms
 T_j(y) = omega_j (Phi(x_j, y) - cell mean of Phi(., y)): Gamma (sum of per-cell
 q-norms, an upper bound for every p >= 1) and Delta (the square-function form,
 two-sided up to the moment-comparison constants, an equality at p = q = 2 by
@@ -32,10 +36,11 @@ from . import rng as rngmod
 from .cubature import (ErrorStats, NodeDraw, cubature_error, draw_nodes, jackknife,
                        jackknife_power_mean, sample_all_cells)
 from .funcs import TestFunction
-from .kernel import (CONST, SINGULAR_TOL, KernelSpec, SingularPairError, kernel_profile,
-                     regime_classify, total_integral)
+from .kernel import (CONST, RIESZ, ROUGH_RIESZ, SINGULAR_TOL, KernelSpec, SingularPairError,
+                     kernel_profile, regime_classify, rough_potential, total_integral)
 from .partition import Partition, cell_boundary_distance, cell_sample
-from .space import L2_BLOCK, TORUS, distance, pairwise_distance, sample_uniform
+from .space import (L2_BLOCK, TORUS, SpaceDescriptor, distance, pairwise_distance,
+                    sample_uniform)
 
 # times a sample batch that hits a kernel singularity is redrawn before giving up
 MAX_REDRAWS = 100
@@ -166,39 +171,41 @@ def _cell_terms(cfg: WceConfig, phi: np.ndarray, Y: np.ndarray,
     return T
 
 
-def _kernel_redrawing_y(cfg: WceConfig, rng_y: np.random.Generator, Y: np.ndarray,
+def _kernel_redrawing_y(kernel: KernelSpec, space: SpaceDescriptor,
+                        rng_y: np.random.Generator, Y: np.ndarray,
                         dist: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """The kernel evaluated in the distance table ``dist(Y)`` (last axis over
+    """``kernel`` evaluated in the distance table ``dist(Y)`` (last axis over
     Y).  When it meets a singular distance, each y whose minimum distance
     falls below ``SINGULAR_TOL`` is redrawn in place and the table rebuilt.
     """
     for _ in range(MAX_REDRAWS):
         t = dist(Y)
         try:
-            return kernel_profile(cfg.kernel, t, out=t)
+            return kernel_profile(kernel, t, out=t)
         except SingularPairError:
             bad = t.reshape(-1, len(Y)).min(axis=0) < SINGULAR_TOL
-            Y[bad] = sample_uniform(cfg.partition.space, rng_y, int(bad.sum()))
+            Y[bad] = sample_uniform(space, rng_y, int(bad.sum()))
     raise RuntimeError("singular y redraw budget exhausted")
 
 
-def _node_table(cfg: WceConfig, ctx: int, index: int, rep: int = 0,
-                nodes: np.ndarray | None = None,
-                out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel table Phi(x_j, y) (N, m_y) and the y sample Y of one draw.
+def _draw_nodes(cfg: WceConfig, ctx: int, index: int) -> np.ndarray:
+    return draw_nodes(cfg.partition, cfg.seed, index,
+                      stream=rngmod.path_key(ctx, rngmod.NODES)).nodes
+
+
+def _node_table(cfg: WceConfig, kernel: KernelSpec, nodes: np.ndarray, ctx: int, index: int,
+                rep: int = 0, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel table kernel(x_j, y) (N, m_y) at ``nodes`` and the y sample Y
+    of one draw.
 
     The table is built in ``out`` (allocated when missing): distances first,
     then the kernel in place.
     """
-    part = cfg.partition
-    space = part.space
-    if nodes is None:
-        nodes = draw_nodes(part, cfg.seed, index,
-                           stream=rngmod.path_key(ctx, rngmod.NODES)).nodes
+    space = cfg.partition.space
     rng_y = rngmod.substream(cfg.seed, ctx, rngmod.WCE_Y, index, rep)
     Y = sample_uniform(space, rng_y, cfg.m_y)
     # Y is redrawn in place, so the returned Y matches the table
-    return _kernel_redrawing_y(cfg, rng_y, Y,
+    return _kernel_redrawing_y(kernel, space, rng_y, Y,
                                lambda Y: pairwise_distance(space, nodes, Y, out=out)), Y
 
 
@@ -209,7 +216,7 @@ def _draw_tables(cfg: WceConfig, ctx: int, index: int, phi: np.ndarray | None = 
     The node table is built in ``phi`` and T in ``out``; each is allocated
     when missing.
     """
-    phi, Y = _node_table(cfg, ctx, index, out=phi)
+    phi, Y = _node_table(cfg, cfg.kernel, _draw_nodes(cfg, ctx, index), ctx, index, out=phi)
     return _cell_terms(cfg, phi, Y, (ctx, rngmod.WCE_Z, index, 0), out)
 
 
@@ -218,10 +225,22 @@ def _wq(cfg: WceConfig, ctx: int, index: int, rep: int = 0,
     """|M| mean_y |F(y)|^q, unbiased for wce^q of one draw, from the exact F.
 
     ``out`` is the (N, m_y) buffer for the node table (allocated when missing).
+    On T^1 a rough-Riesz kernel's table holds its Riesz part only, and the
+    rough term of F is added from ``rough_potential``.
     """
-    space = cfg.partition.space
-    phi_nodes, _ = _node_table(cfg, ctx, index, rep, nodes, out)
-    F = cfg.partition.weights() @ phi_nodes - total_integral(cfg.kernel, space)
+    part = cfg.partition
+    space = part.space
+    kern = cfg.kernel
+    if nodes is None:
+        nodes = _draw_nodes(cfg, ctx, index)
+    separable = (space.kind == TORUS and space.d == 1 and kern.family == ROUGH_RIESZ
+                 and kern.kappa != 0.0)
+    table_kernel = KernelSpec(RIESZ, alpha=kern.alpha, d=kern.d) if separable else kern
+    phi_nodes, Y = _node_table(cfg, table_kernel, nodes, ctx, index, rep, out)
+    w = part.weights()
+    F = w @ phi_nodes - total_integral(kern, space)
+    if separable:
+        F += kern.kappa * rough_potential(kern, space, w, nodes, Y)
     return space.total_measure * float(np.mean(np.abs(F) ** cfg.q))
 
 
@@ -292,7 +311,7 @@ def gamma_phi(cfg: WceConfig) -> ErrorStats:
     X = sample_all_cells(part, rngmod.substream(cfg.seed, rngmod.GAMMA, rngmod.NODES), P)
     rng_y = rngmod.substream(cfg.seed, rngmod.GAMMA, rngmod.WCE_Y)
     Y = sample_uniform(space, rng_y, P)
-    phi = _kernel_redrawing_y(cfg, rng_y, Y, lambda Y: distance(space, X, Y))
+    phi = _kernel_redrawing_y(cfg.kernel, space, rng_y, Y, lambda Y: distance(space, X, Y))
     T = _cell_terms(cfg, phi, Y, (rngmod.GAMMA, rngmod.WCE_Z))
     # per-cell, per-pair samples u (N, P) with E[u] = |M| * E_x E_y |T_j|^q
     if q == 2.0:

@@ -5,10 +5,10 @@ import pytest
 
 from stratcub import rng as rngmod
 from stratcub.kernel import (CONST, N_SCALES, RIESZ, ROUGH_RIESZ, KernelSpec,
-                             SingularPairError, kernel_bounds_check, kernel_eval, kernel_profile,
-                             regime_classify, rough_series, size_bound_constant)
+                             SingularPairError, kernel_bounds_check, kernel_profile,
+                             regime_classify, rough_potential, rough_series, size_bound_constant)
 from stratcub.partition import torus_grid_partition
-from stratcub.space import SPHERE2, TORUS, make_space, sample_uniform
+from stratcub.space import SPHERE2, TORUS, distance, make_space, pairwise_distance, sample_uniform
 from stratcub.wce import WceConfig, _cell_means, _draw_tables
 
 T1 = make_space(TORUS, 1)
@@ -21,23 +21,65 @@ ROUGH = KernelSpec(ROUGH_RIESZ, alpha=0.9, d=1, eps=0.25, kappa=1.0)
 def test_riesz_eval_example():
     assert kernel_profile(RIESZ06, 0.25) == pytest.approx(0.25 ** -0.4, rel=1e-14)
     x, y = np.array([0.5]), np.array([0.25])
-    assert kernel_eval(RIESZ06, T1, x, y) == pytest.approx(1.7411011265922482)
+    assert kernel_profile(RIESZ06, distance(T1, x, y)) == pytest.approx(1.7411011265922482)
+
+
+# rough_series' documented absolute error at eps = 1/4 (its largest, near t = 0
+# and t = 1/2, where doubling amplifies the rounding of cos 2 pi t)
+ROUGH_SERIES_ERR = 8.1e-7
+
+
+def _exact_series(eps, t):
+    """The lacunary series with each angle reduced exactly: 2 pi ((2^m t) mod 1)."""
+    return sum(2.0 ** (-eps * m) * np.cos(2 * math.pi * (np.ldexp(t, m) % 1.0))
+               for m in range(N_SCALES))
 
 
 def test_rough_eval_matches_direct_series():
-    # independent oracle: direct cosine sum (no doubling recursion)
-    t = np.array([0.16, 0.031, 0.47])
-    direct = t ** (-0.1)
-    for m in range(N_SCALES):
-        direct = direct + 2.0 ** (-0.25 * m) * np.cos(2 * math.pi * 2.0**m * t)
-    assert np.allclose(kernel_profile(ROUGH, t), direct, atol=2e-6)
+    # independent oracle: direct cosine sum with exact angle reduction (no
+    # doubling recursion), on a dense grid of [0, 1/2] and log grids toward
+    # both ends, where the doubling errs most
+    near = np.geomspace(1e-10, 1e-4, 20_001)
+    t = np.concatenate([np.arange(1, 200_001) / 400_000, near, 0.5 - near])
+    direct = t ** (-0.1) + _exact_series(0.25, t)
+    assert np.allclose(kernel_profile(ROUGH, t), direct, rtol=0.0, atol=2 * ROUGH_SERIES_ERR)
+
+
+def _dyadic_points(rng, n):
+    # multiples of 2^-40: differences, and so distances, are exact
+    return np.ldexp(rng.integers(0, 2**40, (n, 1)).astype(float), -40)
+
+
+def test_rough_potential_matches_exact_direct_sum():
+    rng = rngmod.substream(6, rngmod.SELFTEST, 1)
+    x, y = _dyadic_points(rng, 16), _dyadic_points(rng, 64)
+    w = rng.random(16)
+    t = pairwise_distance(T1, x, y)  # (16, 64), exact
+    direct = np.array([math.fsum(col) for col in (w[:, None] * _exact_series(ROUGH.eps, t)).T])
+    assert np.allclose(rough_potential(ROUGH, T1, w, x, y), direct, rtol=0.0, atol=1e-12)
+
+
+def test_rough_potential_matches_rough_series_table():
+    rng = rngmod.substream(6, rngmod.SELFTEST, 2)
+    x, y = sample_uniform(T1, rng, 64), sample_uniform(T1, rng, 192)
+    w = np.full(64, 1 / 64)
+    table = w @ (ROUGH.kappa * rough_series(ROUGH, pairwise_distance(T1, x, y)))
+    got = ROUGH.kappa * rough_potential(ROUGH, T1, w, x, y)
+    assert np.allclose(got, table, rtol=0.0, atol=ROUGH_SERIES_ERR)  # sum of w is 1
+
+
+@pytest.mark.parametrize("space", [make_space(TORUS, 2), S2], ids=["t2", "s2"])
+def test_rough_potential_is_t1_only(space):
+    pts = sample_uniform(space, rngmod.substream(6, rngmod.SELFTEST, 3), 4)
+    with pytest.raises(ValueError, match="T\\^1"):
+        rough_potential(ROUGH, space, np.full(4, 0.25), pts, pts)
 
 
 def test_singularity_raises():
     with pytest.raises(SingularPairError):
         kernel_profile(RIESZ06, 0.0)
     with pytest.raises(SingularPairError):
-        kernel_eval(RIESZ06, T1, np.array([0.3]), np.array([0.3]))
+        kernel_profile(RIESZ06, distance(T1, np.array([0.3]), np.array([0.3])))
 
 
 @pytest.mark.parametrize("spec", [
@@ -84,8 +126,8 @@ def test_kernel_symmetry():
     for space, spec in ((T1, ROUGH), (S2, KernelSpec(RIESZ, alpha=1.2, d=2))):
         x = sample_uniform(space, rng, 100)
         y = sample_uniform(space, rng, 100)
-        assert np.allclose(kernel_eval(spec, space, x, y),
-                           kernel_eval(spec, space, y, x))
+        assert np.allclose(kernel_profile(spec, distance(space, x, y)),
+                           kernel_profile(spec, distance(space, y, x)))
 
 
 def test_rough_kappa_zero_reduces_to_riesz():
@@ -132,8 +174,10 @@ def test_integrability_moment_stable():
     spec = KernelSpec(RIESZ, alpha=0.75, d=1)
     x = np.array([0.3])
     rng = rngmod.substream(4, rngmod.SELFTEST)
-    m1 = np.mean(np.abs(kernel_eval(spec, T1, x, sample_uniform(T1, rng, 50_000))) ** q)
-    m2 = np.mean(np.abs(kernel_eval(spec, T1, x, sample_uniform(T1, rng, 100_000))) ** q)
+    m1 = np.mean(np.abs(kernel_profile(spec, distance(T1, x, sample_uniform(T1, rng, 50_000))))
+                 ** q)
+    m2 = np.mean(np.abs(kernel_profile(spec, distance(T1, x, sample_uniform(T1, rng, 100_000))))
+                 ** q)
     assert 0 < m1 < math.inf
     assert m2 / m1 == pytest.approx(1.0, abs=0.25)
 

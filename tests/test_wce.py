@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stratcub import kernel
 from stratcub import rng as rngmod
 from stratcub import wce
 from stratcub.cubature import NodeDraw, draw_nodes, jackknife_power_mean, sample_all_cells
@@ -13,7 +14,7 @@ from stratcub.kernel import (CONST, RIESZ, ROUGH_RIESZ, SINGULAR_TOL, KernelSpec
 from stratcub.partition import sphere_zonal_partition, torus_grid_partition
 from stratcub.space import (L2_BLOCK, SPHERE2, TORUS, distance, make_space,
                             pairwise_distance, sample_uniform)
-from stratcub.wce import (WceConfig, _cell_means, _draw_tables, delta_phi,
+from stratcub.wce import (WceConfig, _cell_means, _draw_tables, _wq, delta_phi,
                           estimate_AN, extremal_witness_check, gamma_phi,
                           lower_hypothesis_probe, worst_case_error)
 
@@ -219,12 +220,16 @@ def test_cell_means_average_to_total_integral(case):
 
 
 def test_estimate_an_has_no_inner_budget(monkeypatch):
+    # nor, on T^1, a rough-series table: the rough term is summed separably
     part = torus_grid_partition(T1, 8)
 
-    def refuse(*args):
-        raise AssertionError("A_N drew cell samples")
+    def refuse(what):
+        def call(*args, **kwargs):
+            raise AssertionError(f"A_N {what}")
+        return call
 
-    monkeypatch.setattr(wce, "_cell_means", refuse)
+    monkeypatch.setattr(wce, "_cell_means", refuse("drew cell samples"))
+    monkeypatch.setattr(kernel, "rough_series", refuse("tabulated the rough series"))
     a1 = estimate_AN(_cfg(part, ROUGH09, p=3.0, m_y=64, m_z=1, n_draws=6))
     a64 = estimate_AN(_cfg(part, ROUGH09, p=3.0, m_y=64, m_z=64, n_draws=6))
     assert repr(a1) == repr(a64)
@@ -437,6 +442,37 @@ def test_draw_tables_redraws_only_the_singular_y(monkeypatch):
     _assert_only_row_redrawn(calls, poisoned, 5)
     T_ref, _ = _draw_tables_reference(cfg, rngmod.AN, 0, Y=calls[0])
     assert np.array_equal(T, T_ref)
+
+
+def _wq_reference(cfg, nodes, Y):
+    """|M| mean_y |F(y)|^q from the full kernel table (rough term by doubling)."""
+    phi = _reference_kernel(cfg.kernel, _reference_distances(cfg.partition.space, nodes, Y))
+    F = cfg.partition.weights() @ phi - total_integral(cfg.kernel, cfg.partition.space)
+    return cfg.partition.space.total_measure * float(np.mean(np.abs(F) ** cfg.q))
+
+
+@pytest.mark.parametrize("N", [16, 64, 512])
+def test_wq_separable_rough_term_matches_table_route(N):
+    # the table route carries rough_series' doubling error (below 8.1e-7 per
+    # entry), which averages down in F and |F|^q
+    part = torus_grid_partition(T1, N)
+    cfg = _cfg(part, ROUGH09, p=3.0, m_y=192)
+    for index in range(4):
+        nodes = draw_nodes(part, cfg.seed, index,
+                           stream=rngmod.path_key(rngmod.AN, rngmod.NODES)).nodes
+        Y = sample_uniform(T1, rngmod.substream(cfg.seed, rngmod.AN, rngmod.WCE_Y, index, 0),
+                           cfg.m_y)
+        assert _wq(cfg, rngmod.AN, index) == pytest.approx(_wq_reference(cfg, nodes, Y),
+                                                           rel=1e-8, abs=0.0)
+
+
+def test_wq_separable_rough_term_redraws_only_the_singular_y(monkeypatch):
+    cfg = _cfg(PART4, ROUGH09, m_y=16)
+    draw = draw_nodes(PART4, 7)
+    calls, poisoned = _poison_first_sample_uniform(monkeypatch, 5, draw.nodes[2])
+    wq = worst_case_error(cfg, draw) ** 2
+    _assert_only_row_redrawn(calls, poisoned, 5)
+    assert wq == pytest.approx(_wq_reference(cfg, draw.nodes, calls[0]), rel=1e-8, abs=0.0)
 
 
 def test_gamma_phi_redraws_only_the_singular_y(monkeypatch):
