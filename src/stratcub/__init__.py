@@ -9,8 +9,7 @@ norms with computable error bounds, and convergence-rate fits.
 
 from .space import SPHERE2, TORUS, SpaceDescriptor, ball_measure, distance, make_space, sample_uniform
 from .partition import (Partition, PartitionReport, cell_contains, cell_sample,
-                        partition_from_json, partition_to_json, sphere_zonal_partition,
-                        torus_grid_partition, verify_partition)
+                        sphere_zonal_partition, torus_grid_partition, verify_partition)
 from .kernel import CONST, RIESZ, ROUGH_RIESZ, KernelSpec, SingularPairError, regime_classify
 from .sets import SetDescriptor, make_arc, make_box, make_cap, psi_tube_measure
 from .funcs import TestFunction, make_function

@@ -29,10 +29,9 @@ import numpy as np
 from . import rng as rngmod
 from .cubature import jackknife_power_mean
 from .funcs import TestFunction, _lipschitz_besov_norm
-from .partition import Partition, cell_inradius, cell_sample, find_cell
+from .partition import Partition, cell_sample, find_cell
 from .sets import SetDescriptor, boundary_distance, psi_tube_measure, set_contains
-from .space import (SPHERE2, TORUS, SpaceDescriptor, distance, east_tangent,
-                    geodesic_step)
+from .space import TORUS, SpaceDescriptor, distance, east_tangent, geodesic_step
 
 # tube measures below this fraction of the space end the sup over scales
 TAIL_MEASURE = 1e-9
@@ -179,17 +178,19 @@ def besov_rhs_bounds(partition: Partition, p: float, alpha: float,
 # sharpness constructions
 # ---------------------------------------------------------------------------
 
-def _bump_centers(partition: Partition, j: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Two centers inside cell j holding disjoint balls of radius r_in/4;
-    returns (center_a, center_b, support_radius) with support = r_in/8."""
+def _bump_centers(partition: Partition, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two centers inside each of the cells ``ids`` holding disjoint balls of
+    radius r_in/4, r_in the cell's ``inradius``; returns (center_a (n, dim),
+    center_b (n, dim), support_radius (n,)) with support = r_in/8."""
     space = partition.space
-    r_in = cell_inradius(partition, j)
-    anchor = partition.anchor[j]
+    r_in = partition.inradius[ids]
+    anchor = partition.anchor[ids]
     if space.kind == TORUS:
         e = np.zeros(space.d)
         e[0] = 1.0
-        a = np.mod(anchor + (r_in / 2.0) * e, 1.0)
-        b = np.mod(anchor - (r_in / 2.0) * e, 1.0)
+        step = (r_in / 2.0)[:, None] * e
+        a = np.mod(anchor + step, 1.0)
+        b = np.mod(anchor - step, 1.0)
     else:
         e = east_tangent(anchor)
         a = geodesic_step(anchor, e, r_in / 2.0)
@@ -201,7 +202,8 @@ def sharpness_fj(partition: Partition, j: int, alpha: float) -> TestFunction:
     """Mean-zero two-bump function supported in cell j: a positive cone at
     one center minus the equal-radius twin cone at the other."""
     space = partition.space
-    ca, cb, rho = _bump_centers(partition, j)
+    (ca,), (cb,), (rho,) = _bump_centers(partition, [j])
+    rho = float(rho)
 
     def evaluate(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -228,11 +230,7 @@ def sharpness_sum(partition: Partition, alpha: float) -> TestFunction:
     norm O(N^{alpha/d}); its p-th moment error decays like N^{-1/2} for p > 2.
     """
     space = partition.space
-    ca = np.empty((partition.N, 3 if space.kind == SPHERE2 else space.d))
-    cb = np.empty_like(ca)
-    rho = np.empty(partition.N)
-    for j in range(partition.N):
-        ca[j], cb[j], rho[j] = _bump_centers(partition, j)
+    ca, cb, rho = _bump_centers(partition, slice(None))
 
     def evaluate(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

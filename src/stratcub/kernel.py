@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import TORUS, SpaceDescriptor, distance, geodesic_step, sample_uniform
+from .space import TORUS, SpaceDescriptor
 
 RIESZ = "riesz"
 ROUGH_RIESZ = "rough_riesz"
@@ -198,77 +198,3 @@ def regime_classify(spec: KernelSpec) -> str:
     if abs(spec.alpha - threshold) <= 1e-12:
         return "critical"
     return "sub" if spec.alpha < threshold else "saturated"
-
-
-def size_bound_constant(spec: KernelSpec, space: SpaceDescriptor) -> float:
-    """A constant c with |Phi(x,y)| <= c * t^(alpha-d) on the whole space."""
-    if spec.family == CONST:
-        raise ValueError("size bound is for the singular families")
-    if spec.kappa == 0.0:
-        return 1.0
-    w_max = sum(2.0 ** (-spec.eps * m) for m in range(N_SCALES))
-    return 1.0 + spec.kappa * w_max * space.diameter ** (spec.d - spec.alpha)
-
-
-@dataclass
-class BoundsReport:
-    """Sampled suprema of the kernel size and smoothness ratios."""
-
-    size_ratio_max: float
-    diff_ratio_max: float
-    n_effective: int
-    eps_declared: float
-
-
-def kernel_bounds_check(spec: KernelSpec, space: SpaceDescriptor, n_triples: int,
-                        rng: np.random.Generator,
-                        offset_range: tuple[float, float] = (1e-6, 0.0625),
-                        eps_declared: float | None = None) -> BoundsReport:
-    """Probe the two kernel hypotheses on sampled triples (x, z, y).
-
-    Samples x, y uniformly and z at a log-uniform distance h from x, keeping
-    triples with dist(x, y) >= 2 h.  Reports the max of
-    ``|Phi(x,y)| / t^(alpha-d)`` and of
-    ``|Phi(x,y) - Phi(z,y)| / (h^eps * t^(alpha-d-eps))``.
-    A declared eps above the kernel's true Hoelder exponent makes the second
-    ratio blow up as the offsets shrink; that is the negative control.
-    """
-    if n_triples < 1:
-        raise ValueError("need at least one triple")
-    eps = spec.eps if eps_declared is None else eps_declared
-    x = sample_uniform(space, rng, n_triples)
-    y = sample_uniform(space, rng, n_triples)
-    lo, hi = offset_range
-    h = np.exp(rng.uniform(math.log(lo), math.log(hi), n_triples))
-    z = _offset_points(space, x, h, rng)
-    t = distance(space, x, y)
-    keep = t >= 2.0 * h
-    keep &= t >= SINGULAR_TOL
-    x, y, z, h, t = x[keep], y[keep], z[keep], h[keep], t[keep]
-    phi_x = kernel_profile(spec, t)
-    phi_z = kernel_profile(spec, distance(space, z, y))
-    size_ratio = np.abs(phi_x) / t ** (spec.alpha - spec.d)
-    diff_ratio = np.abs(phi_x - phi_z) / (h ** eps * t ** (spec.alpha - spec.d - eps))
-    return BoundsReport(float(size_ratio.max()), float(diff_ratio.max()),
-                        int(keep.sum()), eps)
-
-
-def _offset_points(space: SpaceDescriptor, x: np.ndarray, h: np.ndarray,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Points at distance exactly h[i] from x[i]."""
-    n = len(x)
-    if space.kind == TORUS:
-        u = rng.uniform(-1.0, 1.0, (n, space.d))
-        amax = np.abs(u).max(axis=1, keepdims=True)
-        u /= amax  # sup-norm 1, so the step size is exactly h
-        return np.mod(x + h[:, None] * u, 1.0)
-    out = np.empty_like(x)
-    for i in range(n):
-        v = rng.standard_normal(3)
-        v -= (v @ x[i]) * x[i]
-        nv = np.linalg.norm(v)
-        if nv < 1e-12:
-            v = np.array([1.0, 0.0, 0.0]) - x[i][0] * x[i]
-            nv = np.linalg.norm(v)
-        out[i] = geodesic_step(x[i], v / nv, float(h[i]))
-    return out

@@ -8,12 +8,12 @@ that every cell has area exactly ``4*pi/N``.
 A partition is one set of read-only per-cell arrays, row ``j`` describing
 cell ``j``; membership, sampling and verification all read those rows.
 Cells are half-open in every splitting coordinate, so coverage and
-disjointness are exact, not approximate.
+disjointness are exact, not approximate.  Each cell's size is held in closed
+form: a diameter bound, and the inradius and circumradius about its anchor.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,13 +22,12 @@ from numbers import Integral
 import numpy as np
 
 from . import rng as rngmod
-from .space import (L2_BLOCK, SPHERE2, TORUS, SpaceDescriptor, ball_points, box_distance,
-                    distance, make_space, sample_uniform, sphere_point, unit_tangents)
+from .space import (L2_BLOCK, SPHERE2, TORUS, SpaceDescriptor, box_distance, distance,
+                    sample_uniform, sphere_point)
 
 TWO_PI = 2.0 * math.pi
-# cells whose inradius ``verify_partition`` probes (all cells up to this many)
-INRADIUS_PROBE_CELLS = 64
-_COLUMNS = ("measure", "diameter", "anchor", "lo", "hi", "z", "lon", "cap")
+_COLUMNS = ("measure", "diameter", "inradius", "circumradius", "anchor", "lo", "hi", "z",
+            "lon", "cap")
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +35,11 @@ class Partition:
     """Read-only per-cell arrays, row ``j`` describing cell ``j``.
 
     Every cell has an exact ``measure`` (N,), a closed-form ``diameter``
-    upper bound (N,) and an interior ``anchor`` (N, dim).  Torus cells are
+    upper bound (N,) and an interior ``anchor`` (N, dim).  ``inradius`` (N,)
+    is the radius of a ball about the anchor that stays inside the cell (a
+    closed-form lower bound, exact on the torus), and ``circumradius`` (N,)
+    the exact radius of the smallest ball about the anchor that holds the
+    cell.  Torus cells are
     the boxes ``[lo, hi)``, ``lo`` and ``hi`` (N, d).  Sphere cells fill
     ``z`` ((z_top, z_bot) per cell), ``lon`` ((lon_lo, lon_hi) per cell) and
     ``cap`` (+1 north cap, -1 south cap, 0 band), each (N, 2) or (N,).
@@ -47,6 +50,8 @@ class Partition:
     meta: dict
     measure: np.ndarray
     diameter: np.ndarray
+    inradius: np.ndarray
+    circumradius: np.ndarray
     anchor: np.ndarray
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
@@ -93,10 +98,15 @@ def torus_grid_partition(space: SpaceDescriptor, m: int) -> Partition:
     N = m ** d
     idx = _grid_index(m, d)
     edges = _grid_edges(m)
+    lo, hi = edges[idx], edges[idx + 1]
+    # the anchor is the box centre: half the shortest and the longest side;
+    # (d, N), since numpy reduces along a long axis far faster than a short one
+    side = np.ascontiguousarray((hi - lo).T)
     return Partition(space, {"scheme": "torus_grid", "m": m},
                      measure=np.full(N, m ** (-d)),
                      diameter=np.full(N, 1.0 / m if m >= 2 else 0.5),
-                     anchor=(idx + 0.5) / m, lo=edges[idx], hi=edges[idx + 1])
+                     inradius=side.min(axis=0) / 2.0, circumradius=side.max(axis=0) / 2.0,
+                     anchor=(idx + 0.5) / m, lo=lo, hi=hi)
 
 
 def sphere_zonal_partition(space: SpaceDescriptor, N: int) -> Partition:
@@ -131,8 +141,10 @@ def sphere_zonal_partition(space: SpaceDescriptor, N: int) -> Partition:
     # band cells are anchored at their (z, lon) midpoint, caps at their pole
     anchor = sphere_point(0.5 * (z[:, 0] + z[:, 1]), 0.5 * (lon[:, 0] + lon[:, 1]))
     anchor[0], anchor[-1] = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)
+    inradius, circumradius = _zonal_radii(z, lon, cap, anchor)
     return Partition(space, {"scheme": "sphere_zonal", "bands": bands},
                      measure=np.full(N, 4.0 * math.pi / N), diameter=np.array(diameter),
+                     inradius=inradius, circumradius=circumradius,
                      anchor=anchor, z=z, lon=lon, cap=cap)
 
 
@@ -155,6 +167,41 @@ def _collar_counts(N: int) -> list[int]:
     if sum(counts) != N - 2 or any(k < 1 for k in counts):
         raise AssertionError(f"collar rounding failed for N={N}: {counts}")
     return counts
+
+
+def _zonal_radii(z: np.ndarray, lon: np.ndarray, cap: np.ndarray,
+                 anchor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form inradius and circumradius about the anchors of zonal cells.
+
+    A band cell at anchor colatitude c_a between edge colatitudes c_top and
+    c_bot, with half-width h in longitude, is at c_a - c_top and c_bot - c_a
+    from its edge circles and asin(sin c_a sin h) from the great circles of
+    its side meridians (no sides in a full annulus); the least of these is
+    its inradius.  Distance to the anchor grows with |lon offset|, and along
+    a meridian at offset h < pi it is largest at an end of the arc, so the
+    farthest cell point is one of the two corners at offset h: the
+    circumradius.  An annulus's far meridian (h = pi) is at distance
+    min(c_a + c, 2 pi - c_a - c), which peaks at pi inside the band when the
+    anchor's antipode lies in it.  A cap is a ball about its pole, so both
+    radii are its colatitude radius.
+    """
+    colat = np.arccos(z)
+    z_a = anchor[:, 2]
+    c_a = np.arccos(z_a)
+    h = 0.5 * (lon[:, 1] - lon[:, 0])
+    sector = h < math.pi
+    side = np.where(sector, np.arcsin(np.sin(c_a) * np.sin(h)), math.pi)
+    inradius = np.minimum(np.minimum(c_a - colat[:, 0], colat[:, 1] - c_a), side)
+    # spherical law of cosines from the anchor to the corners at offset h
+    cos_d = (z_a[:, None] * z
+             + np.sqrt(1.0 - z_a * z_a)[:, None] * np.sqrt(1.0 - z * z) * np.cos(h)[:, None])
+    circumradius = np.arccos(np.clip(cos_d, -1.0, 1.0)).max(axis=1)
+    antipode = ~sector & (c_a + colat[:, 0] <= math.pi) & (math.pi <= c_a + colat[:, 1])
+    circumradius[antipode] = math.pi
+    capped = cap != 0
+    inradius[capped] = circumradius[capped] = np.where(cap[capped] == 1, colat[capped, 1],
+                                                       math.pi - colat[capped, 0])
+    return inradius, circumradius
 
 
 def _zonal_diameter(z_top: float, z_bot: float, lon_lo: float, lon_hi: float,
@@ -358,25 +405,6 @@ def _cell_map(partition: Partition, u: np.ndarray, ids) -> np.ndarray:
                         lon_lo + (lon_hi - lon_lo) * u[1])
 
 
-def cell_inradius(partition: Partition, j: int) -> float:
-    """Closed-form lower bound on the radius of a ball around cell j's
-    anchor that stays inside the cell."""
-    if partition.space.kind == TORUS:
-        return float(np.min(partition.hi[j] - partition.lo[j]) / 2.0)
-    z_top, z_bot = partition.z[j].tolist()
-    colat_lo = math.acos(z_top)
-    colat_hi = math.acos(z_bot)
-    if partition.cap[j] != 0:
-        # the anchor is the pole, so the cap is itself a ball around it
-        return colat_hi - colat_lo
-    dth = (colat_hi - colat_lo) / 2.0
-    lon_lo, lon_hi = partition.lon[j].tolist()
-    if lon_hi - lon_lo >= TWO_PI:
-        return dth
-    sin_min = min(math.sin(colat_lo), math.sin(colat_hi))
-    return min(dth, sin_min * (lon_hi - lon_lo) / 2.0)
-
-
 def cell_boundary_distance(partition: Partition, j: int, pts: np.ndarray) -> np.ndarray:
     """Distance from points to cell j (0 inside). Exact on both spaces."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -473,23 +501,22 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
 
     Reports exact-measure residuals (stored and recomputed from geometry);
     coverage and disjointness counts: for each uniform sample, the number of
-    cells whose exact half-open test contains it; sampled diameter-bound
-    violations; and measured inclusion constants: ``c1`` from the largest
-    sampled ball around an anchor that stays inside its cell, ``c2`` from
-    the farthest sampled cell point from the anchor (both scaled by
-    ``N^{1/d}``).
+    cells whose exact half-open test contains it; sampled size-bound
+    violations; and the inclusion constants ``c1`` (least ``inradius``) and
+    ``c2`` (greatest ``circumradius``), both in closed form and scaled by
+    ``N^{1/d}``.
 
     The membership counts come from ``_locate``, the same cell locator as
     ``find_cell``, and equal a brute-force test of every (sample, cell)
     pair: when the stored cells match the layout recorded in ``meta`` (an
     O(N) check), only the cells next to each sample's grid or band/sector
     position are tested; any other partition has every cell tested.  Each
-    cell's diameter samples come from its own ``(seed, VERIFY, N, id, 0|1)``
+    cell's size samples come from its own ``(seed, VERIFY, N, id, 0|1)``
     streams, drawn by ``stream_points`` (one re-keyed Philox per call, see
     ``rng.uniforms``), mapped to points and measured a block of cells at a
-    time.  The inradius probe (``_probe_inradius``) draws each probed cell's
-    ball samples from its own ``(seed, VERIFY, N, id, 2)`` stream up front,
-    then runs each bisection step for all probed cells at once.
+    time.  A pair farther apart than the cell's ``diameter``, or a point
+    farther from the anchor than its ``circumradius``, counts as a
+    ``diameter_violations``, so ``diameter_ok`` gates both size bounds.
     """
     for name, value in (("sample_budget", sample_budget), ("pairs_per_cell", pairs_per_cell)):
         if value < 1:
@@ -514,7 +541,7 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
 
     scale = N ** (1.0 / space.d)
     diam_violations = 0
-    c2 = 0.0
+    slack = 1 + 1e-12
     # the uniforms, points and three distance tables of a block hold
     # about L2_BLOCK floats
     block = max(1, L2_BLOCK // (8 * pairs_per_cell))
@@ -524,14 +551,13 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
                                 m=pairs_per_cell, ids=cells[:, None])[:, 0]
                   for r in (0, 1))
         dd = distance(space, pa, pb)
-        diam_violations += int(np.sum(dd > partition.diameter[cells, None] * (1 + 1e-12)))
+        diam_violations += int(np.sum(dd > partition.diameter[cells, None] * slack))
         anchor = partition.anchor[cells, None, :]
-        c2 = max(c2, float(distance(space, anchor, pa).max()),
-                 float(distance(space, anchor, pb).max()))
-    c2 *= scale
+        reach = partition.circumradius[cells, None] * slack
+        diam_violations += int(np.sum(distance(space, anchor, pa) > reach)
+                               + np.sum(distance(space, anchor, pb) > reach))
 
     deltas = partition.diameter * scale
-    c1 = _probe_inradius(partition, seed) * scale
 
     return PartitionReport(
         n_cells=N,
@@ -542,8 +568,8 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
         overlap_violations=overlap_violations,
         diameter_violations=diam_violations,
         delta_scaled=(float(deltas.min()), float(deltas.max())),
-        c1_scaled=c1,
-        c2_scaled=c2,
+        c1_scaled=float(partition.inradius.min() * scale),
+        c2_scaled=float(partition.circumradius.max() * scale),
         equal_measure_ok=(measure_residual <= 1e-12 and max_cell_err <= 1e-12),
         coverage_ok=(coverage_violations == 0 and overlap_violations == 0),
         diameter_ok=(diam_violations == 0),
@@ -602,71 +628,3 @@ def _layout_ok(partition: Partition) -> bool:
             and np.array_equal(partition.z, np.stack([top[band], bot[band]], axis=1))
             and np.array_equal(partition.lon, np.stack([TWO_PI * s / ks[band],
                                                         TWO_PI * (s + 1) / ks[band]], axis=1)))
-
-
-def _probe_inradius(partition: Partition, seed: int) -> float:
-    """Largest r (min over probed cells) with sampled B(anchor, r) inside.
-
-    Each probed cell bisects r over 14 steps, testing 48 ball points per
-    step.  The draws do not depend on r, so every cell's draws for all steps
-    come first, from its own ``(seed, VERIFY, N, id, 2)`` stream in the order
-    one step at a time would take them; then each step tests the balls of
-    all probed cells at once.
-    """
-    N = partition.N
-    space = partition.space
-    steps, n = 14, 48
-    ids = (np.arange(N) if N <= INRADIUS_PROBE_CELLS
-           else np.linspace(0, N - 1, INRADIUS_PROBE_CELLS, dtype=int))
-    anchor = partition.anchor[ids]
-    t = None
-    if space.kind == TORUS:
-        u = rngmod.uniforms(seed, rngmod.VERIFY, N, ids, 2, shape=(steps, n, space.d))
-    else:
-        # per step the radius uniforms, then the tangent normals, as
-        # sample_ball draws them
-        u = np.empty((len(ids), steps, n))
-        t = np.empty((len(ids), steps, n, 3))
-        rngs = (rngmod.substream(seed, rngmod.VERIFY, N, int(j), 2) for j in ids)
-        for g, uc, tc in zip(rngs, u, t):
-            for s in range(steps):
-                uc[s] = g.random(n)
-                tc[s] = g.standard_normal((n, 3))
-        # one matrix-vector product per cell over all its steps rounds as
-        # one per step does
-        for a, tc in zip(anchor, t):
-            tc[...] = unit_tangents(a, tc.reshape(-1, 3)).reshape(steps, n, 3)
-    lo_r = np.zeros(len(ids))
-    hi_r = partition.diameter[ids].copy()
-    owner = np.repeat(ids, n)
-    for s in range(steps):
-        mid = 0.5 * (lo_r + hi_r)
-        ball = ball_points(space, anchor, mid, u[:, s], None if t is None else t[:, s])
-        inside = cell_contains(partition, owner, ball.reshape(len(ids) * n, -1))
-        inside = np.all(inside.reshape(len(ids), n), axis=1)
-        lo_r = np.where(inside, mid, lo_r)
-        hi_r = np.where(inside, hi_r, mid)
-    return float(lo_r.min())
-
-
-# ---------------------------------------------------------------------------
-# export / import
-# ---------------------------------------------------------------------------
-
-def partition_to_json(partition: Partition) -> str:
-    """The partition as JSON: space, N, meta and one list per cell array."""
-    doc = {"space": {"kind": partition.space.kind, "d": partition.space.d},
-           "N": partition.N, "meta": partition.meta}
-    for name in _COLUMNS:
-        arr = getattr(partition, name)
-        if arr is not None:
-            doc[name] = arr.tolist()
-    return json.dumps(doc)
-
-
-def partition_from_json(text: str) -> Partition:
-    doc = json.loads(text)
-    space = make_space(doc["space"]["kind"], doc["space"]["d"])
-    arrays = {name: np.array(doc[name], dtype=np.int8 if name == "cap" else float)
-              for name in _COLUMNS if name in doc}
-    return Partition(space, doc["meta"], **arrays)

@@ -179,59 +179,22 @@ def sphere_point(z: np.ndarray, lon: np.ndarray) -> np.ndarray:
     return np.stack([s * np.cos(lon), s * np.sin(lon), z], axis=-1)
 
 
-def sample_ball(space: SpaceDescriptor, center, r: float,
-                rng: np.random.Generator, n: int) -> np.ndarray:
-    """Sample ``n`` points uniformly from the metric ball B(center, r)."""
-    center = np.asarray(center, dtype=float)
-    if space.kind == TORUS:
-        return ball_points(space, center, r, rng.random((n, space.d)))
-    # area-uniform radius in a cap, then a uniform tangent direction
-    u = rng.random(n)
-    return ball_points(space, center, r, u, unit_tangents(center, rng.standard_normal((n, 3))))
-
-
-def ball_points(space: SpaceDescriptor, center, r, u: np.ndarray,
-                t: np.ndarray | None = None) -> np.ndarray:
-    """The points of the ball B(center, r) that the uniforms ``u`` name.
-
-    Torus: ``u (..., n, d)`` scales to the offsets.  Sphere: ``u (..., n)``
-    gives the area-uniform geodesic radius and ``t (..., n, 3)`` the unit
-    tangent directions at the center.  ``center (..., dim)`` and ``r (...)``
-    hold one ball per leading index; the map is elementwise, so a batch of
-    balls rounds exactly as one ball at a time.
-    """
-    center = np.asarray(center, dtype=float)[..., None, :]
-    r = np.asarray(r, dtype=float)
-    if space.kind == TORUS:
-        return np.mod(center + r[..., None, None] * (2.0 * u - 1.0), 1.0)
-    # math.cos, not np.cos: the scalar and SIMD cosines can round differently
-    one_minus_cos = np.array([1.0 - math.cos(min(x, math.pi)) for x in r.flat])
-    s = np.arccos(1.0 - u * one_minus_cos.reshape(r.shape)[..., None])
-    return np.cos(s)[..., None] * center + np.sin(s)[..., None] * t
-
-
-def unit_tangents(center: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The normal draws ``v (n, 3)`` projected to the tangent plane at
-    ``center`` and normalised: uniform unit tangent directions."""
-    v -= (v @ center)[:, None] * center
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    # degenerate draws are measure zero; nudge deterministically
-    norms[norms < 1e-300] = 1.0
-    return v / norms
-
-
-def geodesic_step(center: np.ndarray, direction: np.ndarray, s: float) -> np.ndarray:
-    """Point at geodesic distance ``s`` from ``center`` along a unit tangent."""
-    return math.cos(s) * center + math.sin(s) * direction
+def geodesic_step(center: np.ndarray, direction: np.ndarray, s) -> np.ndarray:
+    """Points at geodesic distance ``s (...)`` from ``center (..., 3)`` along
+    unit tangents ``direction (..., 3)``."""
+    s = np.asarray(s, dtype=float)[..., None]
+    return np.cos(s) * center + np.sin(s) * direction
 
 
 def east_tangent(p: np.ndarray) -> np.ndarray:
-    """A unit tangent at p on S^2; the longitude direction away from the poles."""
-    x, y = p[0], p[1]
-    h = math.hypot(x, y)
-    if h < 1e-12:
-        return np.array([1.0, 0.0, 0.0])
-    return np.array([-y / h, x / h, 0.0])
+    """Unit tangents at the points ``p (..., 3)`` of S^2: the longitude
+    direction, and (1, 0, 0) at the poles."""
+    x, y = p[..., 0], p[..., 1]
+    h = np.hypot(x, y)
+    pole = h < 1e-12
+    h = np.where(pole, 1.0, h)
+    return np.stack([np.where(pole, 1.0, -y / h), np.where(pole, 0.0, x / h),
+                     np.zeros_like(h)], axis=-1)
 
 
 def torus1d_radial_integral(antideriv, center: float, lo, hi) -> np.ndarray:

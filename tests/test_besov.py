@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ball_sampling import sample_ball
 from stratcub import rng as rngmod
 from stratcub.besov import (PhiGradient, besov_norm_bound_chi, besov_rhs_bounds,
                             chi_phi_gradient, poincare_check, scale_floor,
@@ -72,7 +73,6 @@ def test_chi_gradient_inequality_sampled(space, setd):
     chi_x = set_contains(setd, x).astype(float)
     for n in range(grad.n_min, grad.n_min + 8):
         # pairs at distance <= 2^-n: perturb x within the ball
-        from stratcub.space import sample_ball
         scale = 2.0 ** -n
         idx = rng.integers(0, len(x), 4000)
         y = np.vstack([sample_ball(space, x[i], scale, rng, 1) for i in idx[:400]])

@@ -1,14 +1,16 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from stratcub import rng as rngmod
-from stratcub.kernel import (CONST, N_SCALES, RIESZ, ROUGH_RIESZ, KernelSpec,
-                             SingularPairError, kernel_bounds_check, kernel_profile,
-                             regime_classify, rough_potential, rough_series, size_bound_constant)
+from stratcub.kernel import (CONST, N_SCALES, RIESZ, ROUGH_RIESZ, SINGULAR_TOL, KernelSpec,
+                             SingularPairError, kernel_profile, regime_classify, rough_potential,
+                             rough_series)
 from stratcub.partition import torus_grid_partition
-from stratcub.space import SPHERE2, TORUS, distance, make_space, pairwise_distance, sample_uniform
+from stratcub.space import (SPHERE2, TORUS, SpaceDescriptor, distance, make_space,
+                            pairwise_distance, sample_uniform)
 from stratcub.wce import WceConfig, _cell_means, _draw_tables
 
 T1 = make_space(TORUS, 1)
@@ -180,6 +182,59 @@ def test_integrability_moment_stable():
                  ** q)
     assert 0 < m1 < math.inf
     assert m2 / m1 == pytest.approx(1.0, abs=0.25)
+
+
+def size_bound_constant(spec: KernelSpec, space: SpaceDescriptor) -> float:
+    """A constant c with |Phi(x,y)| <= c * t^(alpha-d) on the whole space."""
+    if spec.kappa == 0.0:
+        return 1.0
+    w_max = sum(2.0 ** (-spec.eps * m) for m in range(N_SCALES))
+    return 1.0 + spec.kappa * w_max * space.diameter ** (spec.d - spec.alpha)
+
+
+@dataclass
+class BoundsReport:
+    """Sampled suprema of the kernel size and smoothness ratios."""
+
+    size_ratio_max: float
+    diff_ratio_max: float
+
+
+def kernel_bounds_check(spec: KernelSpec, space: SpaceDescriptor, n_triples: int,
+                        rng: np.random.Generator,
+                        offset_range: tuple[float, float] = (1e-6, 0.0625),
+                        eps_declared: float | None = None) -> BoundsReport:
+    """Probe the two kernel hypotheses on sampled triples (x, z, y) of the torus.
+
+    Samples x, y uniformly and z at a log-uniform distance h from x, keeping
+    triples with dist(x, y) >= 2 h.  Reports the max of
+    ``|Phi(x,y)| / t^(alpha-d)`` and of
+    ``|Phi(x,y) - Phi(z,y)| / (h^eps * t^(alpha-d-eps))``.
+    A declared eps above the kernel's true Hoelder exponent makes the second
+    ratio blow up as the offsets shrink; that is the negative control.
+    """
+    eps = spec.eps if eps_declared is None else eps_declared
+    x = sample_uniform(space, rng, n_triples)
+    y = sample_uniform(space, rng, n_triples)
+    lo, hi = offset_range
+    h = np.exp(rng.uniform(math.log(lo), math.log(hi), n_triples))
+    z = _offset_points(space, x, h, rng)
+    t = distance(space, x, y)
+    keep = (t >= 2.0 * h) & (t >= SINGULAR_TOL)
+    y, z, h, t = y[keep], z[keep], h[keep], t[keep]
+    phi_x = kernel_profile(spec, t)
+    phi_z = kernel_profile(spec, distance(space, z, y))
+    size_ratio = np.abs(phi_x) / t ** (spec.alpha - spec.d)
+    diff_ratio = np.abs(phi_x - phi_z) / (h ** eps * t ** (spec.alpha - spec.d - eps))
+    return BoundsReport(float(size_ratio.max()), float(diff_ratio.max()))
+
+
+def _offset_points(space: SpaceDescriptor, x: np.ndarray, h: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Torus points at distance exactly h[i] from x[i]."""
+    u = rng.uniform(-1.0, 1.0, (len(x), space.d))
+    u /= np.abs(u).max(axis=1, keepdims=True)  # sup-norm 1, so the step size is exactly h
+    return np.mod(x + h[:, None] * u, 1.0)
 
 
 def test_bounds_check_positive_controls():

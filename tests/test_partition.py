@@ -1,20 +1,16 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
 import pytest
 
 from stratcub import rng as rngmod
-from stratcub.partition import (_COLUMNS, INRADIUS_PROBE_CELLS, _layout_ok, _locate,
-                                _probe_inradius,
-                                cell_boundary_distance,
-                                cell_contains, cell_inradius, cell_sample,
-                                find_cell, geometric_cell_measures,
-                                partition_from_json, partition_to_json,
+from stratcub.partition import (_COLUMNS, _layout_ok, _locate, cell_boundary_distance,
+                                cell_contains, cell_sample, find_cell, geometric_cell_measures,
                                 sphere_zonal_partition, stream_points, torus_grid_partition,
                                 verify_partition)
-from stratcub.space import SPHERE2, TORUS, distance, make_space, sample_ball, sample_uniform
+from stratcub.space import (SPHERE2, TORUS, distance, east_tangent, geodesic_step, make_space,
+                            sample_uniform, sphere_point)
 
 T1 = make_space(TORUS, 1)
 T2 = make_space(TORUS, 2)
@@ -122,7 +118,7 @@ def test_exactly_one_cell_covers_each_point(part):
 def test_verify_partition_clean():
     rep = verify_partition(torus_grid_partition(T1, 8), 5000, seed=3)
     assert rep.ok
-    assert rep.c1_scaled == pytest.approx(0.5, abs=0.02)
+    assert rep.c1_scaled == rep.c2_scaled == 0.5
     assert rep.delta_scaled == (1.0, 1.0)
     rep_s = verify_partition(sphere_zonal_partition(S2, 100), 20_000, seed=3)
     assert rep_s.ok
@@ -138,8 +134,8 @@ def test_verify_partition_rejects_empty_budgets(budgets):
 
 
 def test_inclusion_constants_stable_over_n():
-    # sampled inradius and circumradius around anchors, scaled by sqrt(N),
-    # stay in a fixed band as N grows
+    # closed-form inradius and circumradius around anchors, scaled by
+    # sqrt(N), stay in a fixed band as N grows
     c1s, c2s = [], []
     for N in (32, 128, 512):
         rep = verify_partition(sphere_zonal_partition(S2, N), 2000, seed=5)
@@ -155,6 +151,12 @@ def test_verify_partition_flags_corruption():
     rep = verify_partition(_with_rows(part, 2, measure=1.5 * part.measure[2]), 1000, seed=0)
     assert not rep.equal_measure_ok
     assert not rep.ok
+    # a circumradius below the cell's reach from its anchor
+    for part in (part, sphere_zonal_partition(S2, 33)):
+        rep = verify_partition(_with_rows(part, 2, circumradius=0.5 * part.circumradius[2]),
+                               1000, seed=0)
+        assert rep.equal_measure_ok and rep.coverage_ok
+        assert rep.diameter_violations > 0 and not rep.diameter_ok
 
 
 def _brute_counts(part, pts):
@@ -259,7 +261,7 @@ def _check_locate(part, pts):
 @pytest.mark.parametrize("m", [3, 5, 6, 7])
 def test_grid_membership_on_cell_edges(space, m):
     part = torus_grid_partition(space, m)
-    assert _layout_ok(part) and _layout_ok(partition_from_json(partition_to_json(part)))
+    assert _layout_ok(part)
     pts = _grid_edge_points(space, m)
     counts = _check_locate(part, pts)
     inside = np.all((pts >= 0.0) & (pts < 1.0), axis=1)
@@ -294,7 +296,7 @@ def _zonal_edge_points(part):
 @pytest.mark.parametrize("N", [2, 3, 33, 2048])
 def test_zonal_membership_on_cell_edges(N):
     part = sphere_zonal_partition(S2, N)
-    assert _layout_ok(part) and _layout_ok(partition_from_json(partition_to_json(part)))
+    assert _layout_ok(part)
     pts = _zonal_edge_points(part)
     _check_locate(part, pts)
     pts = pts[~np.isnan(pts).any(axis=1)]  # NaN points lie in no cell
@@ -322,52 +324,66 @@ def test_find_cell_on_rows_that_do_not_follow_meta(part):
     assert np.array_equal(perm.anchor[find_cell(perm, pts)], part.anchor[find_cell(part, pts)])
 
 
+# S^2 N = 3 is one full annulus holding its anchor's antipode; at the larger
+# N some band anchors (at the z-midpoint) sit well off the colatitude midpoint
+_RADII_PARTS = ([torus_grid_partition(T1, 8), torus_grid_partition(T2, 5),
+                 torus_grid_partition(T3, 3)]
+                + [sphere_zonal_partition(S2, n) for n in (3, 33, 100, 2048)])
+
+
+def _rim(part, r, n=256):
+    """For each cell, points at distance exactly ``r`` (N,) from its anchor,
+    spread over that sphere, the axis and meridian directions among them;
+    (N, points, dim)."""
+    anchor = part.anchor
+    if part.space.kind == TORUS:
+        grid = np.linspace(-1.0, 1.0, 5)
+        v = np.stack(np.meshgrid(*[grid] * part.space.d, indexing="ij"), axis=-1)
+        v = v.reshape(-1, part.space.d)
+        v = v[np.abs(v).max(axis=1) == 1.0]  # the unit sphere of the sup-norm
+        return np.mod(anchor[:, None, :] + r[:, None, None] * v, 1.0)
+    east = east_tangent(anchor)
+    north = np.cross(anchor, east)
+    a = 2.0 * math.pi * np.arange(n) / n
+    t = np.cos(a)[:, None] * east[:, None, :] + np.sin(a)[:, None] * north[:, None, :]
+    return geodesic_step(anchor[:, None, :], t, r[:, None])
+
+
+def _all_inside(part, pts):
+    """Per cell, whether every one of its points ``pts (N, points, dim)`` is in it."""
+    n = pts.shape[1]
+    inside = cell_contains(part, np.repeat(np.arange(part.N), n), pts.reshape(part.N * n, -1))
+    return inside.reshape(part.N, n).all(axis=1)
+
+
 def test_cell_inradius_ball_inside():
-    for part in (torus_grid_partition(T2, 4), sphere_zonal_partition(S2, 24)):
-        for j in range(0, part.N, max(1, part.N // 6)):
-            r = cell_inradius(part, j)
-            assert r > 0
-            pts = sample_ball(part.space, part.anchor[j], r * 0.999,
-                              rngmod.substream(7, j), 200)
-            assert np.all(cell_contains(part, j, pts))
+    # sound: the ball of radius inradius about the anchor stays inside the
+    # cell; tight: one 2% wider leaves it, in all cells but at most one
+    for part in _RADII_PARTS:
+        assert np.all(part.inradius > 0)
+        assert np.all(_all_inside(part, _rim(part, 0.9999 * part.inradius)))
+        assert np.sum(_all_inside(part, _rim(part, 1.02 * part.inradius))) <= 1
 
 
-def _probe_inradius_per_cell(partition, seed, max_cells):
-    """The bisection ``_probe_inradius`` runs for all probed cells at once,
-    one cell and one step at a time."""
-    N = partition.N
-    ids = range(N) if N <= max_cells else np.linspace(0, N - 1, max_cells, dtype=int)
-    worst = np.inf
-    for cid in ids:
-        anchor = partition.anchor[cid]
-        lo_r, hi_r = 0.0, float(partition.diameter[cid])
-        rng = rngmod.substream(seed, rngmod.VERIFY, N, cid, 2)
-        for _ in range(14):
-            mid = 0.5 * (lo_r + hi_r)
-            ball = sample_ball(partition.space, anchor, mid, rng, 48)
-            if bool(np.all(cell_contains(partition, cid, ball))):
-                lo_r = mid
-            else:
-                hi_r = mid
-        worst = min(worst, lo_r)
-    return float(worst)
-
-
-# N <= 64 probes every cell, N > 64 a spread of 64
-_PROBE_PARTS = ([(f"T1-m{m}", T1, m) for m in (1, 2, 3, 33, 2048)]
-                + [(f"T2-m{m}", T2, m) for m in (1, 3, 46)]
-                + [(f"T3-m{m}", T3, m) for m in (1, 2, 13)]
-                + [(f"S2-N{n}", S2, n) for n in (2, 3, 33, 2048)])
-
-
-@pytest.mark.parametrize("space,size", [p[1:] for p in _PROBE_PARTS],
-                         ids=[p[0] for p in _PROBE_PARTS])
-def test_probe_inradius_matches_per_cell_bisection(space, size):
-    part = (torus_grid_partition(space, size) if space.kind == TORUS
-            else sphere_zonal_partition(space, size))
-    for seed in (0, 1, 5):
-        assert _probe_inradius(part, seed) == _probe_inradius_per_cell(
-            part, seed, INRADIUS_PROBE_CELLS)
+def test_cell_circumradius_holds_cell():
+    # sound: no sampled cell point lies beyond circumradius from the anchor;
+    # tight: a cell point at or next to the corner that bounds it lies within
+    # 2% of it, in all cells but at most one
+    for part in _RADII_PARTS:
+        cells = np.arange(part.N)
+        pts = stream_points(part, 0, rngmod.SELFTEST, cells, m=256, ids=cells[:, None])[:, 0]
+        if part.space.kind == TORUS:
+            corners = part.lo[:, None, :]
+        else:  # both z-edges at lon_lo, nudged inside where the edge is open or rounds
+            z_top, z_bot = part.z.T
+            lon_lo, lon_hi = part.lon.T
+            z = np.stack([z_top, z_bot + 1e-9 * (z_top - z_bot)], axis=1)
+            corners = sphere_point(z, (lon_lo + 1e-9 * (lon_hi - lon_lo))[:, None])
+        pts = np.concatenate([pts, corners], axis=1)
+        assert np.all(_all_inside(part, pts))
+        reach = distance(part.space, part.anchor[:, None, :], pts).max(axis=1)
+        assert np.all(reach <= part.circumradius * (1 + 1e-12))
+        assert np.sum(reach < 0.98 * part.circumradius) <= 1
 
 
 def test_cell_boundary_distance():
@@ -389,33 +405,6 @@ def test_cell_boundary_distance():
     approx = distance(S2, pts[outside, None, :], probe[None, :, :]).min(axis=1)
     assert np.all(d[outside] <= approx + 1e-6)
     assert np.quantile(approx - d[outside], 0.95) < 0.05
-
-
-def _assert_same_arrays(a, b):
-    for name in _COLUMNS:
-        x, y = getattr(a, name), getattr(b, name)
-        assert (x is None) == (y is None)
-        if x is not None:
-            assert x.dtype == y.dtype and np.array_equal(x, y)
-
-
-def test_json_round_trip_torus_bit_exact():
-    part = torus_grid_partition(T2, 3)
-    back = partition_from_json(partition_to_json(part))
-    assert back.N == part.N and back.meta == part.meta
-    _assert_same_arrays(part, back)
-    assert partition_to_json(back) == partition_to_json(part)
-
-
-def test_json_round_trip_sphere():
-    part = sphere_zonal_partition(S2, 37)
-    back = partition_from_json(partition_to_json(part))
-    assert back.meta == part.meta
-    _assert_same_arrays(part, back)
-    assert partition_to_json(back) == partition_to_json(part)
-    doc = json.loads(partition_to_json(part))
-    assert doc["N"] == 37
-    assert set(doc) == {"space", "N", "meta", "measure", "diameter", "anchor", "z", "lon", "cap"}
 
 
 def test_cell_sample_chi_square_subbands():

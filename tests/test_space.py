@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ball_sampling import sample_ball
 from stratcub import rng as rngmod
 from stratcub.space import (L2_BLOCK, SPHERE2, TORUS, ball_measure, distance, make_space,
-                            pairwise_distance, sample_ball, sample_uniform,
-                            torus1d_radial_integral)
+                            pairwise_distance, sample_uniform, torus1d_radial_integral)
 
 T1 = make_space(TORUS, 1)
 T2 = make_space(TORUS, 2)
