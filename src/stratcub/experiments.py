@@ -34,6 +34,9 @@ from .wce import WceConfig, check_exponents, conjugate_exponent, estimate_AN
 SLOPE_TOL = 0.1
 RATE_KINDS = ("wce", "besov", "indicator", "sharpness")
 
+# the set_params keys each region kind reads
+_REGION_PARAMS = {"arc": ("start", "length"), "box": ("lo", "hi"), "cap": ("center", "radius")}
+
 CSV_FIELDS = ["experiment", "space", "d", "N", "alpha", "eps", "kappa",
               "p", "q", "beta", "value", "stderr", "seed",
               "n_draws", "m_y", "m_z"]
@@ -84,7 +87,7 @@ class ExperimentConfig:
         space = make_space(self.space_kind, self.dim)
         if self.variant not in ("single", "sum"):
             raise ValueError(f"variant must be 'single' or 'sum', got {self.variant!r}")
-        if self.set_kind not in ("arc", "box", "cap"):
+        if self.set_kind not in _REGION_PARAMS:
             raise ValueError(f"unknown region kind {self.set_kind!r}")
         if self.kind == "indicator":
             region = _make_region(self)
@@ -144,6 +147,12 @@ def _seed_for(cfg: ExperimentConfig, N: int) -> int:
 
 
 def _make_region(cfg: ExperimentConfig):
+    """The region of an indicator experiment.  A ``set_params`` key that its
+    kind does not read is an error, as in ``make_function``."""
+    unknown = sorted(set(cfg.set_params) - set(_REGION_PARAMS[cfg.set_kind]))
+    if unknown:
+        raise ValueError(f"unknown parameter {unknown[0]!r} for region {cfg.set_kind!r}; "
+                         f"it takes {', '.join(_REGION_PARAMS[cfg.set_kind])}")
     if cfg.set_kind == "arc":
         return make_arc(cfg.set_params.get("start", 0.2),
                         cfg.set_params.get("length", 0.5))

@@ -9,7 +9,9 @@ A partition is one set of read-only per-cell arrays, row ``j`` describing
 cell ``j``; membership, sampling and verification all read those rows.
 Cells are half-open in every splitting coordinate, so coverage and
 disjointness are exact, not approximate.  Each cell's size is held in closed
-form: a diameter bound, and the inradius and circumradius about its anchor.
+form: the inradius and circumradius about its anchor, and a diameter bound,
+exact on the torus and twice the circumradius (at most pi) on the sphere.
+All rows of a layout come from its ``meta`` through one function.
 """
 
 from __future__ import annotations
@@ -39,11 +41,13 @@ class Partition:
     is the radius of a ball about the anchor that stays inside the cell (a
     closed-form lower bound, exact on the torus), and ``circumradius`` (N,)
     the exact radius of the smallest ball about the anchor that holds the
-    cell.  Torus cells are
-    the boxes ``[lo, hi)``, ``lo`` and ``hi`` (N, d).  Sphere cells fill
-    ``z`` ((z_top, z_bot) per cell), ``lon`` ((lon_lo, lon_hi) per cell) and
-    ``cap`` (+1 north cap, -1 south cap, 0 band), each (N, 2) or (N,).
-    ``layout_ok`` tells whether the rows follow the layout in ``meta``.
+    cell.  ``diameter`` is exact on the torus; on the sphere it is
+    ``min(2 circumradius, pi)``, by the triangle inequality through the
+    anchor.  Torus cells are the boxes ``[lo, hi)``, ``lo`` and ``hi``
+    (N, d).  Sphere cells fill ``z`` ((z_top, z_bot) per cell), ``lon``
+    ((lon_lo, lon_hi) per cell) and ``cap`` (+1 north cap, -1 south cap,
+    0 band), each (N, 2) or (N,).  ``layout_ok`` tells whether the rows
+    follow the layout in ``meta``.
     """
 
     space: SpaceDescriptor
@@ -96,17 +100,16 @@ def torus_grid_partition(space: SpaceDescriptor, m: int) -> Partition:
     _check_size("grid resolution", m, 1)
     m, d = int(m), space.d
     N = m ** d
-    idx = _grid_index(m, d)
-    edges = _grid_edges(m)
-    lo, hi = edges[idx], edges[idx + 1]
-    # the anchor is the box centre: half the shortest and the longest side;
-    # (d, N), since numpy reduces along a long axis far faster than a short one
-    side = np.ascontiguousarray((hi - lo).T)
-    return Partition(space, {"scheme": "torus_grid", "m": m},
-                     measure=np.full(N, m ** (-d)),
+    meta = {"scheme": "torus_grid", "m": m}
+    rows = _layout_rows(space, meta)
+    # the radii about the box centre are half the shortest and the longest
+    # side; (d, N), since numpy reduces along a long axis far faster than a
+    # short one
+    side = np.ascontiguousarray((rows["hi"] - rows["lo"]).T)
+    return Partition(space, meta, measure=np.full(N, m ** (-d)),
                      diameter=np.full(N, 1.0 / m if m >= 2 else 0.5),
                      inradius=side.min(axis=0) / 2.0, circumradius=side.max(axis=0) / 2.0,
-                     anchor=(idx + 0.5) / m, lo=lo, hi=hi)
+                     **rows)
 
 
 def sphere_zonal_partition(space: SpaceDescriptor, N: int) -> Partition:
@@ -128,24 +131,14 @@ def sphere_zonal_partition(space: SpaceDescriptor, N: int) -> Partition:
         bands.append([1.0 - 2.0 * cum / N, 1.0 - 2.0 * (cum + k) / N, k, cum])
         cum += k
     bands.append([1.0 - 2.0 * (N - 1) / N, -1.0, 1, N - 1])
-    cap = np.zeros(N, dtype=np.int8)
-    cap[0], cap[-1] = 1, -1
-    z, lon, diameter = [], [], []
-    for z_top, z_bot, k, first in bands:
-        for s in range(k):
-            lon_lo, lon_hi = TWO_PI * s / k, TWO_PI * (s + 1) / k
-            z.append((z_top, z_bot))
-            lon.append((lon_lo, lon_hi))
-            diameter.append(_zonal_diameter(z_top, z_bot, lon_lo, lon_hi, int(cap[first + s])))
-    z, lon = np.array(z), np.array(lon)
-    # band cells are anchored at their (z, lon) midpoint, caps at their pole
-    anchor = sphere_point(0.5 * (z[:, 0] + z[:, 1]), 0.5 * (lon[:, 0] + lon[:, 1]))
-    anchor[0], anchor[-1] = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)
-    inradius, circumradius = _zonal_radii(z, lon, cap, anchor)
-    return Partition(space, {"scheme": "sphere_zonal", "bands": bands},
-                     measure=np.full(N, 4.0 * math.pi / N), diameter=np.array(diameter),
-                     inradius=inradius, circumradius=circumradius,
-                     anchor=anchor, z=z, lon=lon, cap=cap)
+    meta = {"scheme": "sphere_zonal", "bands": bands}
+    rows = _layout_rows(space, meta)
+    inradius, circumradius = _zonal_radii(rows["z"], rows["lon"], rows["cap"], rows["anchor"])
+    # every cell point is within circumradius of the anchor, so two of them
+    # are within twice that of each other
+    return Partition(space, meta, measure=np.full(N, 4.0 * math.pi / N),
+                     diameter=np.minimum(2.0 * circumradius, math.pi),
+                     inradius=inradius, circumradius=circumradius, **rows)
 
 
 def _collar_counts(N: int) -> list[int]:
@@ -202,32 +195,6 @@ def _zonal_radii(z: np.ndarray, lon: np.ndarray, cap: np.ndarray,
     inradius[capped] = circumradius[capped] = np.where(cap[capped] == 1, colat[capped, 1],
                                                        math.pi - colat[capped, 0])
     return inradius, circumradius
-
-
-def _zonal_diameter(z_top: float, z_bot: float, lon_lo: float, lon_hi: float,
-                    cap: int) -> float:
-    """Closed-form diameter bound of one zonal cell."""
-    if cap == 1:
-        return min(2.0 * math.acos(z_bot), math.pi)
-    if cap == -1:
-        return min(2.0 * (math.pi - math.acos(z_top)), math.pi)
-    colat_lo = math.acos(z_top)
-    colat_hi = math.acos(z_bot)
-    if lon_hi - lon_lo >= TWO_PI:
-        # full annulus: exact diameter from the antipodal-longitude pair
-        if colat_lo <= math.pi / 2.0 <= colat_hi:
-            diam = math.pi
-        elif colat_hi < math.pi / 2.0:
-            diam = 2.0 * colat_hi
-        else:
-            diam = 2.0 * (math.pi - colat_lo)
-    else:
-        if colat_lo <= math.pi / 2.0 <= colat_hi:
-            sin_max = 1.0
-        else:
-            sin_max = max(math.sin(colat_lo), math.sin(colat_hi))
-        diam = min((colat_hi - colat_lo) + sin_max * (lon_hi - lon_lo), math.pi)
-    return diam
 
 
 # ---------------------------------------------------------------------------
@@ -581,50 +548,62 @@ def _grid_edges(m: int) -> np.ndarray:
     return np.arange(m + 1) / m
 
 
-def _grid_index(m: int, d: int) -> np.ndarray:
-    """Per-axis indices (m^d, d) of the grid cells in row-major order."""
-    return np.ascontiguousarray(np.indices((m,) * d).reshape(d, -1).T)
+def _layout_rows(space: SpaceDescriptor, meta: dict) -> dict[str, np.ndarray]:
+    """The rows of the layout that ``meta`` describes, by column name.
+
+    Torus: the ``m^d`` boxes ``[idx / m, (idx + 1) / m)`` of the grid index
+    ``idx`` in row-major order, anchored at their centres.  Sphere: the band
+    table expanded to its cells, the sectors of a band tiling it in id order
+    at longitudes ``2 pi s / k``, band cells anchored at their (z, lon)
+    midpoint and caps at their pole.
+    """
+    if space.kind == TORUS:
+        m, d = meta["m"], space.d
+        # per-axis indices (m^d, d) in row-major order
+        idx = np.ascontiguousarray(np.indices((m,) * d).reshape(d, -1).T)
+        edges = _grid_edges(m)
+        return {"lo": edges[idx], "hi": edges[idx + 1], "anchor": (idx + 0.5) / m}
+    bands = np.asarray(meta["bands"], dtype=float)
+    ks = bands[:, 2].astype(int)
+    band = np.repeat(np.arange(len(bands)), ks)
+    k = ks[band]
+    s = np.arange(len(band)) - bands[band, 3].astype(int)
+    z = bands[band, :2]
+    lon = np.stack([TWO_PI * s / k, TWO_PI * (s + 1) / k], axis=1)
+    cap = np.zeros(len(band), dtype=np.int8)
+    cap[0], cap[-1] = 1, -1
+    anchor = sphere_point(0.5 * (z[:, 0] + z[:, 1]), 0.5 * (lon[:, 0] + lon[:, 1]))
+    anchor[0], anchor[-1] = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)
+    return {"z": z, "lon": lon, "cap": cap, "anchor": anchor}
 
 
 def _layout_ok(partition: Partition) -> bool:
-    """Whether the cells are exactly the layout ``meta`` describes.
+    """Whether the rows are exactly those of the layout ``meta`` describes.
 
-    Torus: ``m^d`` cells in row-major order with ``lo == idx / m`` and
-    ``hi == (idx + 1) / m``.  Sphere: a band table with strictly decreasing
-    edges, each band's top equal to the previous bottom, caps at both ends
-    and band sizes adding up to N; every cell's z-interval equal to its
-    band's; and the sectors of each band tiling it in id order at
-    longitudes ``2 pi s / k``.
+    ``meta`` itself must be a layout of N cells: on the torus an integer
+    ``m >= 1`` with ``m^d == N``; on the sphere a band table with strictly
+    decreasing edges, each band's top equal to the previous bottom, caps at
+    both ends, first cell ids in order and band sizes adding up to N.  Then
+    every stored row must equal the row ``_layout_rows`` gives.
     """
     meta = partition.meta
     N = partition.N
     if partition.space.kind == TORUS:
-        d = partition.space.d
         m = meta.get("m")
         if (meta.get("scheme") != "torus_grid" or not isinstance(m, Integral)
-                or m < 1 or m ** d != N):
+                or m < 1 or m ** partition.space.d != N):
             return False
-        idx = _grid_index(m, d)
-        edges = _grid_edges(m)
-        return (np.array_equal(partition.lo, edges[idx])
-                and np.array_equal(partition.hi, edges[idx + 1]))
-    if meta.get("scheme") != "sphere_zonal":
-        return False
-    bands = np.asarray(meta.get("bands", []), dtype=float)
-    if bands.ndim != 2 or bands.shape[1] != 4 or len(bands) < 2:
-        return False
-    top, bot, k, first = bands.T
-    ks = k.astype(int)
-    starts = np.concatenate([[0], np.cumsum(ks)[:-1]])
-    if (np.any(ks != k) or np.any(ks < 1) or ks.sum() != N or ks[0] != 1
-            or ks[-1] != 1 or not np.array_equal(first, starts)
-            or not np.all(np.diff(bot) < 0) or not np.array_equal(top[1:], bot[:-1])):
-        return False
-    band = np.repeat(np.arange(len(bands)), ks)
-    s = np.arange(N) - starts[band]
-    cap = np.zeros(N, dtype=np.int8)
-    cap[0], cap[-1] = 1, -1
-    return (np.array_equal(partition.cap, cap)
-            and np.array_equal(partition.z, np.stack([top[band], bot[band]], axis=1))
-            and np.array_equal(partition.lon, np.stack([TWO_PI * s / ks[band],
-                                                        TWO_PI * (s + 1) / ks[band]], axis=1)))
+    else:
+        if meta.get("scheme") != "sphere_zonal":
+            return False
+        bands = np.asarray(meta.get("bands", []), dtype=float)
+        if bands.ndim != 2 or bands.shape[1] != 4 or len(bands) < 2:
+            return False
+        top, bot, k, first = bands.T
+        ks = k.astype(int)
+        if (np.any(ks != k) or np.any(ks < 1) or ks.sum() != N or ks[0] != 1 or ks[-1] != 1
+                or not np.array_equal(first, np.concatenate([[0], np.cumsum(ks)[:-1]]))
+                or not np.all(np.diff(bot) < 0) or not np.array_equal(top[1:], bot[:-1])):
+            return False
+    return all(np.array_equal(getattr(partition, name), row)
+               for name, row in _layout_rows(partition.space, meta).items())

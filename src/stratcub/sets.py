@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import (SPHERE2, TORUS, SpaceDescriptor, box_distance, distance, make_space,
-                    sample_uniform)
+from .space import SPHERE2, TORUS, SpaceDescriptor, box_distance, distance, make_space
 
 TORUS_ARC = "torus_arc"
 TORUS_BOX = "torus_box"
@@ -54,11 +53,15 @@ def make_box(lo, hi) -> SetDescriptor:
 
 
 def make_cap(center, radius: float) -> SetDescriptor:
-    """Geodesic cap of the given radius, 0 < radius < pi."""
+    """Geodesic cap of the given radius, 0 < radius < pi, about the direction
+    of ``center``, a finite nonzero 3-vector."""
     if not 0.0 < radius < math.pi:
         raise ValueError(f"cap radius must be in (0, pi), got {radius}")
     center = np.asarray(center, dtype=float)
-    center = center / np.linalg.norm(center)
+    norm = np.linalg.norm(center)
+    if center.shape != (3,) or not 0.0 < norm < math.inf:
+        raise ValueError(f"cap centre must be a finite nonzero 3-vector, got {center!r}")
+    center = center / norm
     measure = 2.0 * math.pi * (1.0 - math.cos(radius))
     return SetDescriptor(SPHERE_CAP, SPHERE2,
                          {"center": tuple(center), "radius": radius}, measure, 1.0)
@@ -96,20 +99,11 @@ def boundary_distance(setd: SetDescriptor, space: SpaceDescriptor,
     return np.abs(geo - setd.params["radius"])
 
 
-def psi_tube_measure(space: SpaceDescriptor, setd: SetDescriptor, t: float,
-                     budget: int | None = None,
-                     rng: np.random.Generator | None = None) -> float:
+def psi_tube_measure(space: SpaceDescriptor, setd: SetDescriptor, t: float) -> float:
     """Measure of the t-neighborhood of the boundary; closed form for all
-    implemented kinds (``budget``/``rng`` trigger a Monte Carlo estimate
-    instead, kept for cross-checking the closed forms)."""
+    implemented kinds."""
     if t < 0:
         raise ValueError("tube width must be nonnegative")
-    if budget is not None:
-        if rng is None:
-            raise ValueError("Monte Carlo tube measure needs an rng")
-        pts = sample_uniform(space, rng, budget)
-        frac = float(np.mean(boundary_distance(setd, space, pts) <= t))
-        return frac * space.total_measure
     if setd.kind == TORUS_ARC:
         length = setd.params["length"]
         return min(2.0 * t, length) + min(2.0 * t, 1.0 - length)

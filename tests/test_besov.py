@@ -35,12 +35,21 @@ def test_psi_examples():
     assert psi_tube_measure(T1, ARC, 0.6) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (math.nan, 0.0, 1.0), (math.inf, 0.0, 0.0),
+                                    (1.0, 0.0), (0.0, 0.0, 1.0, 0.0)])
+def test_make_cap_rejects_bad_centres(center):
+    # a zero or infinite centre gave a NaN one; other lengths a cap off S^2
+    with pytest.raises(ValueError, match="cap centre"):
+        make_cap(center, 0.5)
+
+
 @pytest.mark.parametrize("space,setd", [(T1, ARC), (T2, BOX), (S2, CAP)])
 def test_psi_closed_form_matches_monte_carlo(space, setd):
     rng = rngmod.substream(0, rngmod.SELFTEST, 1)
     for t in (0.02, 0.1):
         closed = psi_tube_measure(space, setd, t)
-        mc = psi_tube_measure(space, setd, t, budget=200_000, rng=rng)
+        pts = sample_uniform(space, rng, 200_000)
+        mc = float(np.mean(boundary_distance(setd, space, pts) <= t)) * space.total_measure
         se = space.total_measure * math.sqrt(0.25 / 200_000)
         assert abs(closed - mc) <= 4 * se + 1e-12
 

@@ -143,6 +143,17 @@ def test_config_validation():
     with pytest.raises(ValueError, match="box has 1 coordinates, the torus has d=2"):
         ExperimentConfig(kind="indicator", dim=2, set_kind="box",
                          set_params={"lo": (0.2,), "hi": (0.7,)})
+    # a misspelt region key ran the default region, a zero cap centre a NaN one
+    sphere = {"space_kind": "sphere2", "dim": 2}
+    for set_kind, space, params, message in (
+            ("arc", {}, {"lenght": 0.3}, "unknown parameter 'lenght' for region 'arc'"),
+            ("box", {"dim": 2}, {"lo": (0.1, 0.1), "hgh": (0.5, 0.5)},
+             "unknown parameter 'hgh' for region 'box'"),
+            ("cap", sphere, {"centre": (0.0, 0.0, 1.0)},
+             "unknown parameter 'centre' for region 'cap'"),
+            ("cap", sphere, {"center": (0.0, 0.0, 0.0)}, "cap centre")):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(kind="indicator", set_kind=set_kind, set_params=params, **space)
     for kind in ("besov", "mz"):
         with pytest.raises(ValueError, match="unknown function id 'nonesuch'"):
             ExperimentConfig(kind=kind, function="nonesuch")

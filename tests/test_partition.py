@@ -10,7 +10,7 @@ from stratcub.partition import (_COLUMNS, _layout_ok, _locate, cell_boundary_dis
                                 sphere_zonal_partition, stream_points, torus_grid_partition,
                                 verify_partition)
 from stratcub.space import (SPHERE2, TORUS, distance, east_tangent, geodesic_step, make_space,
-                            sample_uniform, sphere_point)
+                            pairwise_distance, sample_uniform, sphere_point)
 
 T1 = make_space(TORUS, 1)
 T2 = make_space(TORUS, 2)
@@ -304,6 +304,20 @@ def test_zonal_membership_on_cell_edges(N):
     assert np.all(cell_contains(part, find_cell(part, pts), pts))
 
 
+@pytest.mark.parametrize("N", [2, 3, 33, 2048])
+def test_zonal_rows_match_per_cell_loop(N):
+    # the band table expanded one cell at a time, as a plain loop reference
+    part = sphere_zonal_partition(S2, N)
+    z, lon, cap = [], [], []
+    for z_top, z_bot, k, first in part.meta["bands"]:
+        for s in range(k):
+            z.append((z_top, z_bot))
+            lon.append((2.0 * math.pi * s / k, 2.0 * math.pi * (s + 1) / k))
+            cap.append(1 if first + s == 0 else -1 if first + s == N - 1 else 0)
+    assert np.array_equal(part.z, z) and np.array_equal(part.lon, lon)
+    assert np.array_equal(part.cap, cap)
+
+
 def _permuted(part, seed):
     """``part`` with its rows in a random order, ``meta`` left as it was."""
     perm = np.random.default_rng(seed).permutation(part.N)
@@ -384,6 +398,30 @@ def test_cell_circumradius_holds_cell():
         reach = distance(part.space, part.anchor[:, None, :], pts).max(axis=1)
         assert np.all(reach <= part.circumradius * (1 + 1e-12))
         assert np.sum(reach < 0.98 * part.circumradius) <= 1
+
+
+def _zonal_boundary(part, n=65):
+    """n points along each of the four edges of every zonal cell's closure,
+    walked linearly in (z, lon) from corner to corner; (N, 4 n, 3).  A cap's
+    edges are its pole, its rim and a meridian between them."""
+    t = np.linspace(0.0, 1.0, n)
+
+    def walk(corners):
+        step = corners[:, 1:] - corners[:, :-1]
+        return (corners[:, :-1, None] + step[:, :, None] * t).reshape(part.N, -1)
+
+    return sphere_point(walk(part.z[:, [0, 0, 1, 1, 0]]), walk(part.lon[:, [0, 1, 1, 0, 0]]))
+
+
+@pytest.mark.parametrize("N", [5, 33, 512])
+def test_sphere_diameter_twice_circumradius(N):
+    # sound: no two boundary points of a cell lie farther apart than its
+    # diameter; tight: some pair lies within 10% of it, in every cell
+    part = sphere_zonal_partition(S2, N)
+    assert np.array_equal(part.diameter, np.minimum(2.0 * part.circumradius, math.pi))
+    reach = np.array([pairwise_distance(S2, pts, pts).max() for pts in _zonal_boundary(part)])
+    assert np.all(reach <= part.diameter * (1 + 1e-12))
+    assert np.all(reach >= 0.9 * part.diameter)
 
 
 def test_cell_boundary_distance():
