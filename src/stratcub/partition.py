@@ -6,11 +6,13 @@ with collar boundaries solved in closed form from the cap-area formula so
 that every cell has area exactly ``4*pi/N``.
 
 A partition is one set of read-only per-cell arrays, row ``j`` describing
-cell ``j``; membership, sampling and verification all read those rows.
-Cells are half-open in every splitting coordinate, so coverage and
+cell ``j``; membership, distance to a cell, sampling and verification all
+read those rows, and membership and distance take one cell id or one per
+point.  Cells are half-open in every splitting coordinate, so coverage and
 disjointness are exact, not approximate.  Each cell's size is held in closed
 form: the inradius and circumradius about its anchor, and a diameter bound,
-exact on the torus and twice the circumradius (at most pi) on the sphere.
+exact on the torus and twice the circumradius (at most pi) on the sphere;
+verification checks both against sampled points and the cell's corners.
 All rows of a layout come from its ``meta`` through one function.
 """
 
@@ -372,60 +374,37 @@ def _cell_map(partition: Partition, u: np.ndarray, ids) -> np.ndarray:
                         lon_lo + (lon_hi - lon_lo) * u[1])
 
 
-def cell_boundary_distance(partition: Partition, j: int, pts: np.ndarray) -> np.ndarray:
-    """Distance from points to cell j (0 inside). Exact on both spaces."""
+def cell_boundary_distance(partition: Partition, ids, pts: np.ndarray) -> np.ndarray:
+    """Distance from points to cells (0 inside); exact on both spaces.
+
+    ``ids`` a cell id or (n,) measures point i to cell ``ids[i]``, as in
+    ``cell_contains``.  On the sphere, in colatitude t and longitude: a point
+    in a cell's longitude range is at the band gap ``max(top - t, t - bot,
+    0)`` (a cap's far edge is its pole, and caps and full annuli span every
+    longitude).  A point outside it is nearest to the side meridian at the
+    smaller longitude offset D: at ``asin(sin t sin D)`` when the foot
+    ``atan2(sin t cos D, cos t)`` lies on the arc, else at the nearer end.
+    """
+    ids = np.asarray(ids)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if partition.space.kind == TORUS:
-        return box_distance(pts, partition.lo[j], partition.hi[j])
-    z = np.clip(pts[:, 2], -1.0, 1.0)
-    colat = np.arccos(z)
-    z_top, z_bot = partition.z[j].tolist()
-    colat_lo = math.acos(z_top)
-    colat_hi = math.acos(min(max(z_bot, -1.0), 1.0))
-    if partition.cap[j] == 1:
-        return np.maximum(colat - colat_hi, 0.0)
-    if partition.cap[j] == -1:
-        return np.maximum(colat_lo - colat, 0.0)
-    lon_lo, lon_hi = partition.lon[j].tolist()
-    band_gap = np.maximum(np.maximum(colat_lo - colat, colat - colat_hi), 0.0)
-    if lon_hi - lon_lo >= TWO_PI:
-        return band_gap
+        return box_distance(pts, partition.lo[ids], partition.hi[ids])
+    t = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
+    edge = np.arccos(partition.z[ids])
+    top, bot = edge[..., 0], edge[..., 1]
+    gap = np.maximum(np.maximum(top - t, t - bot), 0.0)
+    lon_lo, lon_hi = partition.lon[ids, 0], partition.lon[ids, 1]
     dlon = np.mod(_longitude(pts) - lon_lo, TWO_PI)
-    inside_lon = dlon < (lon_hi - lon_lo)
-    out = np.where(inside_lon, band_gap, np.inf)
-    miss = ~inside_lon
-    if np.any(miss):
-        sub = pts[miss]
-        best = np.full(sub.shape[0], np.inf)
-        for lon_e in (lon_lo, lon_hi):
-            best = np.minimum(best, _meridian_segment_distance(
-                partition.space, sub, lon_e, colat_lo, colat_hi))
-        out[miss] = best
-    return out
-
-
-def _meridian_segment_distance(space: SpaceDescriptor, pts: np.ndarray, lon0: float,
-                               colat_lo: float, colat_hi: float) -> np.ndarray:
-    """Geodesic distance from points to a meridian arc segment."""
-    normal = np.array([-math.sin(lon0), math.cos(lon0), 0.0])
-    comp = pts @ normal
-    foot = pts - comp[:, None] * normal
-    norms = np.linalg.norm(foot, axis=1)
-    ok = norms > 1e-12
-    # perpendicular foot on the great circle; valid if its colatitude lies
-    # in the segment and it is on the meridian side (x-component along lon0)
-    along = np.array([math.cos(lon0), math.sin(lon0), 0.0])
-    with np.errstate(invalid="ignore"):
-        footn = foot / np.where(ok, norms, 1.0)[:, None]
-    foot_colat = np.arccos(np.clip(footn[:, 2], -1.0, 1.0))
-    on_side = (footn @ along) >= 0.0
-    perp = np.arcsin(np.clip(np.abs(comp), -1.0, 1.0))
-    use_perp = ok & on_side & (foot_colat >= colat_lo) & (foot_colat <= colat_hi)
-    d = np.where(use_perp, perp, np.inf)
-    for colat_e in (colat_lo, colat_hi):
-        endpoint = sphere_point(math.cos(colat_e), lon0)
-        d = np.minimum(d, distance(space, pts, endpoint))
-    return d
+    outside = dlon >= lon_hi - lon_lo
+    off = np.minimum(TWO_PI - dlon, dlon - (lon_hi - lon_lo))
+    sin_t, cos_t = np.sin(t), np.cos(t)
+    toward = sin_t * np.cos(off)
+    foot = np.arctan2(toward, cos_t)
+    # spherical law of cosines to the arc's two ends
+    ends = np.arccos(np.clip(cos_t[:, None] * np.cos(edge) + toward[:, None] * np.sin(edge),
+                             -1.0, 1.0)).min(axis=-1)
+    side = np.where((top <= foot) & (foot <= bot), np.arcsin(sin_t * np.sin(off)), ends)
+    return np.where(outside, side, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +460,10 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
     cell's size samples come from its own ``(seed, VERIFY, N, id, 0|1)``
     streams, drawn by ``stream_points`` (one re-keyed Philox per call, see
     ``rng.uniforms``), mapped to points and measured a block of cells at a
-    time.  A pair farther apart than the cell's ``diameter``, or a point
-    farther from the anchor than its ``circumradius``, counts as a
-    ``diameter_violations``, so ``diameter_ok`` gates both size bounds.
+    time, and so are its corners, every pair of them.  A pair farther apart
+    than the cell's ``diameter``, or a point farther from the anchor than
+    its ``circumradius``, counts as a ``diameter_violations``, so
+    ``diameter_ok`` gates both size bounds.
     """
     for name, value in (("sample_budget", sample_budget), ("pairs_per_cell", pairs_per_cell)):
         if value < 1:
@@ -509,6 +489,12 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
     scale = N ** (1.0 / space.d)
     diam_violations = 0
     slack = 1 + 1e-12
+    # the corners come from the cell map at uniforms in {0, 1}; a slightly
+    # small stored size is seen there, where sampled points rarely reach
+    if space.kind == TORUS:
+        corner_u = np.indices((2,) * space.d).reshape(space.d, -1).T
+    else:
+        corner_u = np.indices((2, 2)).reshape(2, -1)
     # the uniforms, points and three distance tables of a block hold
     # about L2_BLOCK floats
     block = max(1, L2_BLOCK // (8 * pairs_per_cell))
@@ -517,12 +503,15 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
         pa, pb = (stream_points(partition, seed, rngmod.VERIFY, N, cells, r,
                                 m=pairs_per_cell, ids=cells[:, None])[:, 0]
                   for r in (0, 1))
-        dd = distance(space, pa, pb)
-        diam_violations += int(np.sum(dd > partition.diameter[cells, None] * slack))
+        corners = _cell_map(partition, corner_u, cells)
+        diam = partition.diameter[cells, None] * slack
+        diam_violations += int(np.sum(distance(space, pa, pb) > diam)
+                               + np.sum(distance(space, corners[:, :, None], corners[:, None])
+                                        > diam[:, :, None]))
         anchor = partition.anchor[cells, None, :]
         reach = partition.circumradius[cells, None] * slack
-        diam_violations += int(np.sum(distance(space, anchor, pa) > reach)
-                               + np.sum(distance(space, anchor, pb) > reach))
+        diam_violations += int(sum(np.sum(distance(space, anchor, q) > reach)
+                                   for q in (pa, pb, corners)))
 
     deltas = partition.diameter * scale
 

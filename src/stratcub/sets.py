@@ -58,9 +58,14 @@ def make_cap(center, radius: float) -> SetDescriptor:
     if not 0.0 < radius < math.pi:
         raise ValueError(f"cap radius must be in (0, pi), got {radius}")
     center = np.asarray(center, dtype=float)
-    norm = np.linalg.norm(center)
-    if center.shape != (3,) or not 0.0 < norm < math.inf:
+    if center.shape != (3,) or not np.all(np.isfinite(center)) or not np.any(center):
         raise ValueError(f"cap centre must be a finite nonzero 3-vector, got {center!r}")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(center)
+    if not 0.0 < norm < math.inf:
+        # the plain norm under- or overflows; the largest entry scales it to 1
+        center = center / np.abs(center).max()
+        norm = np.linalg.norm(center)
     center = center / norm
     measure = 2.0 * math.pi * (1.0 - math.cos(radius))
     return SetDescriptor(SPHERE_CAP, SPHERE2,

@@ -38,7 +38,7 @@ from .cubature import (ErrorStats, NodeDraw, cubature_error, draw_nodes, jackkni
 from .funcs import TestFunction
 from .kernel import (CONST, RIESZ, ROUGH_RIESZ, SINGULAR_TOL, KernelSpec, SingularPairError,
                      kernel_profile, regime_classify, rough_potential, total_integral)
-from .partition import Partition, cell_boundary_distance, cell_sample
+from .partition import Partition, cell_boundary_distance, cell_points
 from .space import (L2_BLOCK, TORUS, SpaceDescriptor, distance, pairwise_distance,
                     sample_uniform)
 
@@ -437,6 +437,10 @@ def lower_hypothesis_probe(cfg: WceConfig, n_pairs: int) -> ProbeReport:
     over cells j, z in X_j, and y with dist(y, X_j) >= 2 delta_j.  A positive,
     N-stable minimum supports the matching-lower-bound hypothesis for the
     kernel; a vanishing minimum refutes it.
+
+    The pairs are drawn as arrays: cells j, one z and 32 points x per pair,
+    then y in up to 200 rounds, each for the pairs still without an
+    admissible one (``cell_boundary_distance``); the rest are ``n_skipped``.
     """
     part = cfg.partition
     space = part.space
@@ -446,28 +450,27 @@ def lower_hypothesis_probe(cfg: WceConfig, n_pairs: int) -> ProbeReport:
         alpha, eps, d = 0.5, 1.0, space.d
     else:
         alpha, eps, d = kern.alpha, kern.eps, kern.d
-    ratios = []
-    skipped = 0
-    for _ in range(n_pairs):
-        j = int(rng.integers(part.N))
-        z = cell_sample(part, j, rng)
-        y = None
-        for _ in range(200):
-            cand = sample_uniform(space, rng)
-            dist_cell = float(cell_boundary_distance(part, j, cand[None, :])[0])
-            if dist_cell >= 2.0 * float(part.diameter[j]) and dist_cell > SINGULAR_TOL:
-                y = cand
-                break
-        if y is None:
-            skipped += 1
-            continue
-        x = cell_sample(part, j, rng, 32)  # Monte Carlo points of the x integral
-        phi_x = kernel_profile(kern, np.maximum(distance(space, x, y), SINGULAR_TOL))
-        phi_z = kernel_profile(kern, np.maximum(distance(space, z, y)[None], SINGULAR_TOL))
-        lhs = float(part.measure[j]) * float(np.mean(np.abs(phi_x - phi_z)))
-        rhs = part.N ** (-1.0 - eps / d) * dist_cell ** (alpha - d - eps)
-        ratios.append(lhs / rhs)
-    if not ratios:
+    j = rng.integers(part.N, size=n_pairs)
+    z = cell_points(part, rng, 1, j)[:, 0]
+    x = cell_points(part, rng, 32, j)
+    y = np.empty_like(z)
+    dist_cell = np.full(n_pairs, np.nan)
+    todo = np.arange(n_pairs)
+    for _ in range(200):
+        if not todo.size:
+            break
+        cand = sample_uniform(space, rng, todo.size)
+        dc = cell_boundary_distance(part, j[todo], cand)
+        ok = (dc >= 2.0 * part.diameter[j[todo]]) & (dc > SINGULAR_TOL)
+        y[todo[ok]], dist_cell[todo[ok]] = cand[ok], dc[ok]
+        todo = todo[~ok]
+    if todo.size == n_pairs:
         raise RuntimeError("no admissible probe samples; cells too large vs space")
-    arr = np.array(ratios)
-    return ProbeReport(float(arr.min()), float(np.median(arr)), len(arr), skipped)
+    found = ~np.isnan(dist_cell)
+    j, z, x, y, dist_cell = j[found], z[found], x[found], y[found], dist_cell[found]
+    # an admissible y is at least 2 delta_j from its cell, so no distance is singular
+    phi_x = kernel_profile(kern, distance(space, x, y[:, None, :]))
+    phi_z = kernel_profile(kern, distance(space, z, y))
+    lhs = part.measure[j] * np.mean(np.abs(phi_x - phi_z[:, None]), axis=1)
+    ratios = lhs / (part.N ** (-1.0 - eps / d) * dist_cell ** (alpha - d - eps))
+    return ProbeReport(float(ratios.min()), float(np.median(ratios)), len(ratios), todo.size)

@@ -305,29 +305,33 @@ def test_c10_moment_comparison():
             f"stability={worst_stab:.2f} (<=2)")
 
 
+# one small run of each experiment kind; tests/test_golden_digests.py pins
+# their output bytes at workers = 1
+C11_CONFIGS = [
+    ExperimentConfig(kind="partition", space_kind="sphere2", dim=2,
+                     n_list=(16, 64), sample_budget=2000, seed=SEED),
+    ExperimentConfig(kind="wce", space_kind="torus", dim=1,
+                     n_list=(8, 16, 32, 64), alpha=0.75, p=2.0,
+                     n_draws=12, m_y=48, m_z=4, seed=SEED),
+    ExperimentConfig(kind="besov", space_kind="torus", dim=1,
+                     n_list=(8, 16, 32, 64), function="cone",
+                     fn_params={"radius": 0.25}, p=2.0, n_draws=40, seed=SEED),
+    ExperimentConfig(kind="mz", space_kind="torus", dim=1, n_list=(8, 16),
+                     function="coordinate", p=2.0, n_draws=60, seed=SEED),
+    ExperimentConfig(kind="indicator", space_kind="torus", dim=1,
+                     n_list=(8, 16, 32, 64), set_kind="arc",
+                     set_params={"start": 0.2, "length": 0.5},
+                     p=2.0, n_draws=40, seed=SEED),
+    ExperimentConfig(kind="sharpness", variant="sum", space_kind="torus",
+                     dim=1, n_list=(8, 16, 32, 64), fn_alpha=1.0, p=4.0,
+                     n_draws=40, seed=SEED),
+]
+
+
 def test_c11_determinism_across_workers(tmp_path):
     t0 = time.time()
-    configs = [
-        ExperimentConfig(kind="partition", space_kind="sphere2", dim=2,
-                         n_list=(16, 64), sample_budget=2000, seed=SEED),
-        ExperimentConfig(kind="wce", space_kind="torus", dim=1,
-                         n_list=(8, 16, 32, 64), alpha=0.75, p=2.0,
-                         n_draws=12, m_y=48, m_z=4, seed=SEED),
-        ExperimentConfig(kind="besov", space_kind="torus", dim=1,
-                         n_list=(8, 16, 32, 64), function="cone",
-                         fn_params={"radius": 0.25}, p=2.0, n_draws=40, seed=SEED),
-        ExperimentConfig(kind="mz", space_kind="torus", dim=1, n_list=(8, 16),
-                         function="coordinate", p=2.0, n_draws=60, seed=SEED),
-        ExperimentConfig(kind="indicator", space_kind="torus", dim=1,
-                         n_list=(8, 16, 32, 64), set_kind="arc",
-                         set_params={"start": 0.2, "length": 0.5},
-                         p=2.0, n_draws=40, seed=SEED),
-        ExperimentConfig(kind="sharpness", variant="sum", space_kind="torus",
-                         dim=1, n_list=(8, 16, 32, 64), fn_alpha=1.0, p=4.0,
-                         n_draws=40, seed=SEED),
-    ]
     all_ok = True
-    for i, cfg in enumerate(configs):
+    for i, cfg in enumerate(C11_CONFIGS):
         blobs = []
         for tag, workers in (("w1", 1), ("w3", 3)):
             out = tmp_path / f"{cfg.kind}{i}_{tag}"
@@ -340,4 +344,4 @@ def test_c11_determinism_across_workers(tmp_path):
             all_ok = False
     elapsed = time.time() - t0
     _report("c11 determinism across workers", all_ok and elapsed < 300, elapsed,
-            f"{len(configs)} experiment kinds byte-identical at workers 1 vs 3")
+            f"{len(C11_CONFIGS)} experiment kinds byte-identical at workers 1 vs 3")

@@ -43,6 +43,15 @@ def test_make_cap_rejects_bad_centres(center):
         make_cap(center, 0.5)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_make_cap_accepts_centres_whose_norm_overflows_or_underflows(scale):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cap = make_cap((scale, scale, 0.0), 0.5)
+    assert cap.params["center"] == pytest.approx((math.sqrt(0.5), math.sqrt(0.5), 0.0),
+                                                 rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("space,setd", [(T1, ARC), (T2, BOX), (S2, CAP)])
 def test_psi_closed_form_matches_monte_carlo(space, setd):
     rng = rngmod.substream(0, rngmod.SELFTEST, 1)

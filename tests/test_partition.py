@@ -6,9 +6,9 @@ import pytest
 
 from stratcub import rng as rngmod
 from stratcub.partition import (_COLUMNS, _layout_ok, _locate, cell_boundary_distance,
-                                cell_contains, cell_sample, find_cell, geometric_cell_measures,
-                                sphere_zonal_partition, stream_points, torus_grid_partition,
-                                verify_partition)
+                                cell_contains, cell_points, cell_sample, find_cell,
+                                geometric_cell_measures, sphere_zonal_partition, stream_points,
+                                torus_grid_partition, verify_partition)
 from stratcub.space import (SPHERE2, TORUS, distance, east_tangent, geodesic_step, make_space,
                             pairwise_distance, sample_uniform, sphere_point)
 
@@ -157,6 +157,13 @@ def test_verify_partition_flags_corruption():
                                1000, seed=0)
         assert rep.equal_measure_ok and rep.coverage_ok
         assert rep.diameter_violations > 0 and not rep.diameter_ok
+    # slight cuts: the corners reach the exact circumradius and torus diameter
+    s2 = sphere_zonal_partition(S2, 33)
+    cuts = [_with_rows(s2, 2, circumradius=f * s2.circumradius[2]) for f in (0.9, 0.99, 0.999)]
+    for grid in (torus_grid_partition(T1, 4), torus_grid_partition(T2, 5)):
+        cuts.append(_with_rows(grid, 2, diameter=0.99 * grid.diameter[2]))
+    for cut in cuts:
+        assert not verify_partition(cut, 1000, seed=0).diameter_ok
 
 
 def _brute_counts(part, pts):
@@ -443,6 +450,28 @@ def test_cell_boundary_distance():
     approx = distance(S2, pts[outside, None, :], probe[None, :, :]).min(axis=1)
     assert np.all(d[outside] <= approx + 1e-6)
     assert np.quantile(approx - d[outside], 0.95) < 0.05
+
+
+@pytest.mark.parametrize("part", [torus_grid_partition(T1, 4), torus_grid_partition(T2, 3),
+                                  sphere_zonal_partition(S2, 2), sphere_zonal_partition(S2, 3),
+                                  sphere_zonal_partition(S2, 33)],
+                         ids=["T1-4", "T2-9", "S2-2", "S2-3", "S2-33"])
+def test_cell_boundary_distance_takes_id_arrays(part):
+    # caps (S2 N = 2), full annuli (N = 3) and sectors (N = 33)
+    rng = rngmod.substream(8, 3)
+    ids = rng.integers(part.N, size=800)
+    pts = np.concatenate([cell_points(part, rng, 1, ids[:400])[:, 0],
+                          sample_uniform(part.space, rng, 400)])
+    d = cell_boundary_distance(part, ids, pts)
+    inside = cell_contains(part, ids, pts)
+    assert inside.sum() >= 400 and np.all(d[inside] == 0.0)
+    dense = cell_points(part, rng, 3000)
+    for j in range(part.N):
+        mine = ids == j
+        assert np.array_equal(d[mine], cell_boundary_distance(part, j, pts[mine]))
+        # no sampled point of the cell is nearer than the cell
+        nearest = distance(part.space, pts[mine, None, :], dense[j][None]).min(axis=1)
+        assert np.all(d[mine] <= nearest + 1e-12)
 
 
 def test_cell_sample_chi_square_subbands():

@@ -278,6 +278,20 @@ def test_probe_positive_and_stable_for_riesz():
     assert max(mins.values()) / min(mins.values()) <= 4.0
 
 
+@pytest.mark.parametrize("space,n_list", [(make_space(SPHERE2), (32, 128, 512)),
+                                          (make_space(TORUS, 2), (64, 256, 1024))])
+def test_probe_positive_and_stable_off_the_circle(space, n_list):
+    mins = []
+    for N in n_list:
+        part = (torus_grid_partition(space, round(math.sqrt(N))) if space.kind == TORUS
+                else sphere_zonal_partition(space, N))
+        rep = lower_hypothesis_probe(_cfg(part, KernelSpec(RIESZ, alpha=1.5, d=2), n_draws=4),
+                                     500)
+        assert rep.min_ratio > 0 and rep.n_skipped == 0
+        mins.append(rep.min_ratio)
+    assert max(mins) / min(mins) <= 4.0
+
+
 def test_probe_constant_stub_fails_hypothesis():
     part = torus_grid_partition(T1, 16)  # cells small enough for far y
     cfg = _cfg(part, STUB, n_draws=4)
