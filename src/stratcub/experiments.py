@@ -24,7 +24,8 @@ from .cubature import estimate_BN
 from .funcs import indicator_fn, make_function
 from .kernel import KernelSpec, regime_classify
 from .mz import mz_pair
-from .partition import Partition, sphere_zonal_partition, torus_grid_partition, verify_partition
+from .partition import (Partition, check_count, sphere_zonal_partition, torus_grid_partition,
+                        verify_partition)
 from .rates import (predicted_bn_exponent, predicted_indicator_exponent,
                     predicted_wce_exponent, rate_fit)
 from .sets import make_arc, make_box, make_cap
@@ -76,8 +77,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if len(self.n_list) < 1:
             raise ValueError("empty N list")
-        if min(self.n_list) < 1:
-            raise ValueError(f"n_list values must be >= 1, got {min(self.n_list)}")
+        for N in self.n_list:
+            check_count("n_list entry", N, 1)
         if self.kind in RATE_KINDS and not (self.kind == "sharpness" and self.variant == "single"):
             if len(self.n_list) < 4:
                 raise ValueError("rate experiments need >= 4 N values")
@@ -107,11 +108,9 @@ class ExperimentConfig:
             check_exponents(kernel, space.d, self.p)
         elif self.kind != "partition" and math.isinf(self.p):
             raise ValueError(f"p = inf is for wce experiments only, not {self.kind}")
-        if self.n_draws < 2:
-            raise ValueError(f"n_draws must be >= 2, got {self.n_draws}")
+        check_count("n_draws", self.n_draws, 2)
         for name in ("m_y", "m_z", "workers", "sample_budget"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            check_count(name, getattr(self, name), 1)
 
     @property
     def q(self) -> float:
@@ -183,7 +182,9 @@ def _run_one(cfg: ExperimentConfig, N: int) -> dict:
         row["_report"] = rep
         return row
     if cfg.kind == "wce":
-        wcfg = WceConfig(part, _kernel(cfg), cfg.p, cfg.m_y, cfg.m_z, cfg.n_draws, seed=seed_n)
+        # cfg.workers is the experiment's whole thread budget, spent across N
+        wcfg = WceConfig(part, _kernel(cfg), cfg.p, cfg.m_y, cfg.m_z, cfg.n_draws, seed=seed_n,
+                         workers=1)
         st = estimate_AN(wcfg)
         return _row(cfg, N, st.moment, st.stderr,
                     alpha=cfg.alpha, eps=cfg.eps, kappa=cfg.kappa)

@@ -87,8 +87,10 @@ class Partition:
 # construction
 # ---------------------------------------------------------------------------
 
-def _check_size(name: str, value, least: int) -> None:
-    if not isinstance(value, Integral):
+def check_count(name: str, value, least: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (numpy integers
+    included, ``bool`` not) of at least ``least``."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
@@ -99,7 +101,7 @@ def torus_grid_partition(space: SpaceDescriptor, m: int) -> Partition:
     weights m^{-d}."""
     if space.kind != TORUS:
         raise ValueError("torus_grid_partition needs a torus space")
-    _check_size("grid resolution", m, 1)
+    check_count("grid resolution", m, 1)
     m, d = int(m), space.d
     N = m ** d
     meta = {"scheme": "torus_grid", "m": m}
@@ -125,7 +127,7 @@ def sphere_zonal_partition(space: SpaceDescriptor, N: int) -> Partition:
     """
     if space.kind != SPHERE2:
         raise ValueError("sphere_zonal_partition needs the sphere space")
-    _check_size("cell count", N, 2)
+    check_count("cell count", N, 2)
     N = int(N)
     bands = [[1.0, 1.0 - 2.0 / N, 1, 0]]
     cum = 1

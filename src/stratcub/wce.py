@@ -22,11 +22,19 @@ cell mean is estimated twice from m_z independent cell samples, so products
 of the two replicas give unbiased squares at q = 2 for any m_z.  Standard
 errors are leave-one-out jackknives (``cubature.jackknife``): over draws for
 A_N and Delta, over the shared (x, y) pairs for Gamma.
+
+The draw loops of A_N and Delta run on ``WceConfig.workers`` threads, each
+with buffers of its own; draws smaller than ``THREAD_MIN_EVALS`` kernel
+evaluations stay on the calling thread.  Every stream a draw reads is keyed
+by (seed, estimator, draw index), and the per-draw values are collected in
+index order, so the output is the same bits for any thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,12 +46,17 @@ from .cubature import (ErrorStats, NodeDraw, cubature_error, draw_nodes, jackkni
 from .funcs import TestFunction
 from .kernel import (CONST, RIESZ, ROUGH_RIESZ, SINGULAR_TOL, KernelSpec, SingularPairError,
                      kernel_profile, regime_classify, rough_potential, total_integral)
-from .partition import Partition, cell_boundary_distance, cell_points
+from .partition import Partition, cell_boundary_distance, cell_points, check_count
 from .space import (L2_BLOCK, TORUS, SpaceDescriptor, distance, pairwise_distance,
                     sample_uniform)
 
 # times a sample batch that hits a kernel singularity is redrawn before giving up
 MAX_REDRAWS = 100
+# kernel evaluations per draw below which a draw loop stays on one thread: a
+# smaller draw spends most of its time in the interpreter, which threads cannot
+# overlap (on 2 cores, A_N draws of 2048-16384 evaluations took 1.2-2.8x as
+# long on two threads, draws of 32768 or more 0.69-0.94x)
+THREAD_MIN_EVALS = 1 << 15
 # the extremal witness's y-mesh: base points, and ladder levels toward each node
 WITNESS_GRID = 4096
 WITNESS_LEVELS = 22
@@ -79,7 +92,9 @@ class WceConfig:
     ``m_y``: outer samples of y per draw; ``m_z``: inner cell samples per
     replica for the cell kernel means of Delta and Gamma (A_N and
     ``worst_case_error`` use none); ``gamma_pairs``: (x, y) pairs per cell
-    for the per-cell functional, at least 2 for its jackknife.
+    for the per-cell functional, at least 2 for its jackknife; ``workers``:
+    threads for the draw loops of A_N and Delta (see ``_draw_moment``), None
+    for every CPU this process may run on.  Results do not depend on it.
     """
 
     partition: Partition
@@ -90,16 +105,15 @@ class WceConfig:
     n_draws: int = 100
     seed: int = 0
     gamma_pairs: int = 256
+    workers: int | None = None
 
     def __post_init__(self):
-        if self.m_y < 1 or self.m_z < 1:
-            raise ValueError(f"need m_y >= 1 and m_z >= 1, got m_y={self.m_y}, "
-                             f"m_z={self.m_z}")
-        if self.n_draws < 2:
-            raise ValueError(f"need n_draws >= 2 for a standard error, got {self.n_draws}")
-        if self.gamma_pairs < 2:
-            raise ValueError(f"need gamma_pairs >= 2 for Gamma's jackknife, "
-                             f"got {self.gamma_pairs}")
+        check_count("m_y", self.m_y, 1)
+        check_count("m_z", self.m_z, 1)
+        check_count("n_draws", self.n_draws, 2)  # a standard error needs two
+        check_count("gamma_pairs", self.gamma_pairs, 2)
+        if self.workers is not None:
+            check_count("workers", self.workers, 1)
         check_exponents(self.kernel, self.partition.space.d, self.p)
 
     @property
@@ -256,11 +270,49 @@ def _dq_samples(cfg: WceConfig, T: np.ndarray) -> np.ndarray:
     return total * np.clip(S, 0.0, None) ** (cfg.q / 2.0)
 
 
-def _draw_moment(cfg: WceConfig, draw_value: Callable[[int], float]) -> ErrorStats:
-    """{mean over draws k of draw_value(k)}^{1/q} with jackknife standard error."""
-    u = np.array([draw_value(k) for k in range(cfg.n_draws)])
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _draw_moment(cfg: WceConfig, make_draw: Callable[[], Callable[[int], float]],
+                 evals: int) -> ErrorStats:
+    """{mean over draws k of u_k}^{1/q} with jackknife standard error.
+
+    The draws run on W = min(workers, n_draws) threads, or on one when a
+    draw makes fewer than ``THREAD_MIN_EVALS`` kernel evaluations (``evals``).
+    Worker i calls ``make_draw()`` once, for a per-draw function with buffers
+    of its own, and computes u_k for k = i (mod W).  The calling thread is
+    worker 0; with W = 1 it is the only one.  numpy releases the interpreter
+    lock in the heavy steps, so the workers overlap.  Each draw's streams are
+    keyed by its index and u is read in index order, so the result is the
+    same bits for every W.  A worker's exception (such as an exhausted redraw
+    budget) is raised here once every worker has stopped.
+    """
+    n = cfg.n_draws
+    W = 1
+    if evals >= THREAD_MIN_EVALS:
+        W = min(_cpus() if cfg.workers is None else cfg.workers, n)
+    u = np.empty(n)
+
+    def share(i: int) -> None:
+        draw_value = make_draw()
+        for k in range(i, n, W):
+            u[k] = draw_value(k)
+
+    if W == 1:
+        share(0)
+    else:
+        with ThreadPoolExecutor(max_workers=W - 1, thread_name_prefix="stratcub-draws") as ex:
+            futures = [ex.submit(share, i) for i in range(1, W)]
+            share(0)
+            for f in futures:
+                f.result()
     moment, se = jackknife_power_mean(u, 1.0 / cfg.q)
-    return ErrorStats(p=cfg.q, n_draws=cfg.n_draws, moment=moment, stderr=se)
+    return ErrorStats(p=cfg.q, n_draws=n, moment=moment, stderr=se)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +329,11 @@ def worst_case_error(cfg: WceConfig, draw: NodeDraw, rep: int = 0) -> float:
 
 def estimate_AN(cfg: WceConfig) -> ErrorStats:
     """{mean over draws of wce^q}^{1/q} with jackknife standard error."""
-    table = np.empty((cfg.partition.N, cfg.m_y))  # every draw's node table
-    return _draw_moment(cfg, lambda k: _wq(cfg, rngmod.AN, k, out=table))
+    def make_draw():
+        table = np.empty((cfg.partition.N, cfg.m_y))  # a worker's node table
+        return lambda k: _wq(cfg, rngmod.AN, k, out=table)
+
+    return _draw_moment(cfg, make_draw, cfg.partition.N * cfg.m_y)
 
 
 def delta_phi(cfg: WceConfig) -> ErrorStats:
@@ -288,10 +343,13 @@ def delta_phi(cfg: WceConfig) -> ErrorStats:
     means against A_N's exact integral), so the p = q = 2 identity between
     the two is a genuine dual-route check.
     """
-    phi = np.empty((cfg.partition.N, cfg.m_y))  # every draw's node table
-    T = np.empty((2,) + phi.shape)  # and its per-cell terms
-    return _draw_moment(
-        cfg, lambda k: _dq_samples(cfg, _draw_tables(cfg, rngmod.DELTA, k, phi, T)).mean())
+    def make_draw():
+        phi = np.empty((cfg.partition.N, cfg.m_y))  # a worker's node table
+        T = np.empty((2,) + phi.shape)  # and its per-cell terms
+        return lambda k: _dq_samples(cfg, _draw_tables(cfg, rngmod.DELTA, k, phi, T)).mean()
+
+    # the node table and two replicas of m_z cell samples per y
+    return _draw_moment(cfg, make_draw, cfg.partition.N * cfg.m_y * (2 * cfg.m_z + 1))
 
 
 def gamma_phi(cfg: WceConfig) -> ErrorStats:

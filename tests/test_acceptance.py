@@ -10,9 +10,6 @@ import time
 import warnings
 from pathlib import Path
 
-import numpy as np
-import pytest
-
 from stratcub import rng as rngmod
 from stratcub import wce
 from stratcub.besov import besov_rhs_bounds, sharpness_fj, sharpness_sum

@@ -15,7 +15,7 @@ from stratcub.partition import (cell_contains, cell_sample, sphere_zonal_partiti
                                 torus_grid_partition)
 from stratcub.sets import (boundary_distance, make_arc, make_box, make_cap,
                            psi_tube_measure, set_contains)
-from stratcub.space import SPHERE2, TORUS, distance, make_space, sample_uniform
+from stratcub.space import SPHERE2, TORUS, make_space, sample_uniform
 
 T1 = make_space(TORUS, 1)
 T2 = make_space(TORUS, 2)

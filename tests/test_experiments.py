@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stratcub import experiments
 from stratcub import rng as rngmod
+from stratcub.cubature import ErrorStats
 from stratcub.experiments import (CSV_FIELDS, ExperimentConfig, build_partition,
                                   run_experiment, to_json)
 from stratcub.kernel import KernelSpec, regime_classify
@@ -108,6 +110,32 @@ def test_predicted_exponents():
     assert predicted_bn_exponent(4.0, 1.0, 1) == -1.5
     assert predicted_indicator_exponent(1.0, 1) == -1.0
     assert predicted_indicator_exponent(1.0, 2) == -0.75
+
+
+def test_config_rejects_non_integer_counts():
+    # floats ran (workers, n_list) or failed inside the first draw; a bool is no count
+    for bad in ({"m_y": 16.5}, {"m_z": 2.7}, {"n_draws": 4.5}, {"workers": 2.5},
+                {"sample_budget": 100.0}, {"n_draws": True}, {"workers": True},
+                {"n_list": (16, 32.0, 64, 128)}, {"n_list": (True, 2, 4, 8)}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ExperimentConfig(kind="wce", **bad)
+    cfg = ExperimentConfig(kind="wce", n_list=tuple(np.int64(n) for n in (16, 32, 64, 128)),
+                           m_y=np.int64(64), n_draws=np.int32(4), workers=np.int64(2))
+    assert cfg.workers == 2
+
+
+def test_wce_experiment_runs_draws_on_one_thread(monkeypatch):
+    # the experiment's workers are its whole thread budget, spent across N
+    seen = []
+
+    def estimate(wcfg):
+        seen.append(wcfg.workers)
+        moment = wcfg.partition.N ** -0.75
+        return ErrorStats(p=2.0, n_draws=wcfg.n_draws, moment=moment, stderr=0.01 * moment)
+
+    monkeypatch.setattr(experiments, "estimate_AN", estimate)
+    run_experiment(ExperimentConfig(kind="wce", n_list=(16, 32, 64, 128), workers=2))
+    assert seen == [1, 1, 1, 1]
 
 
 def test_config_validation():

@@ -1,7 +1,7 @@
 """Golden SHA-256 digests of the bytes a fixed, fast battery writes.
 
 The battery: the c11 experiment configs at workers = 1, ``stratcub verify
---seed 0 --out``, one T^1 ``run_report``, one S^2 ``verify_partition``
+--seed 0 --out``, one T^1 and one S^2 ``run_report``, one S^2 ``verify_partition``
 report and one T^1 and one S^2 lower-bound probe.  Any change to a sampled
 number changes a digest.  After an intended change, regenerate the file with
 
@@ -69,6 +69,13 @@ def _run_report_t1() -> dict[str, str]:
     return {"run_report/t1": _report_sha(run_report(cfg))}
 
 
+def _run_report_s2() -> dict[str, str]:
+    # draws large enough (wce.THREAD_MIN_EVALS) to run on every CPU
+    cfg = WceConfig(sphere_zonal_partition(S2, 32), KernelSpec(RIESZ, alpha=1.5, d=2), p=2.0,
+                    m_y=1024, m_z=4, n_draws=8, seed=SEED, gamma_pairs=32)
+    return {"run_report/s2": _report_sha(run_report(cfg))}
+
+
 def _verify_partition_s2() -> dict[str, str]:
     rep = verify_partition(sphere_zonal_partition(S2, 33), sample_budget=4000, seed=SEED)
     return {"verify_partition/s2": _report_sha(rep)}
@@ -84,7 +91,8 @@ def _probes() -> dict[str, str]:
             "probe/s2": _report_sha(lower_hypothesis_probe(s2, 200))}
 
 
-BATTERY = (_c11, _verify_cli, _run_report_t1, _verify_partition_s2, _probes)
+BATTERY = (_c11, _verify_cli, _run_report_t1, _run_report_s2, _verify_partition_s2,
+           _probes)
 
 
 def _versions() -> dict[str, str]:

@@ -28,7 +28,7 @@ def test_torus_grid_examples():
     assert arcs.hi[:, 0] - arcs.lo[:, 0] == pytest.approx(1 / 8)
     with pytest.raises(ValueError):
         torus_grid_partition(T1, 0)
-    for m in (4.0, 2.5, "4"):
+    for m in (4.0, 2.5, "4", True):
         with pytest.raises(ValueError, match=repr(m)):
             torus_grid_partition(T1, m)
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,7 +18,7 @@ from stratcub.space import (L2_BLOCK, SPHERE2, TORUS, distance, make_space,
                             pairwise_distance, sample_uniform)
 from stratcub.wce import (WceConfig, _cell_means, _draw_tables, _wq, delta_phi,
                           estimate_AN, extremal_witness_check, gamma_phi,
-                          lower_hypothesis_probe, worst_case_error)
+                          lower_hypothesis_probe, run_report, worst_case_error)
 
 T1 = make_space(TORUS, 1)
 PART1 = torus_grid_partition(T1, 1)
@@ -49,6 +51,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         _cfg(PART4, RIESZ06, gamma_pairs=1)  # no leave-one-pair-out spread
     assert _cfg(PART4, RIESZ06, gamma_pairs=2).gamma_pairs == 2
+    # a float or bool count used to pass here and fail inside the first draw
+    for bad in ({"m_y": 16.5}, {"m_z": 2.7}, {"n_draws": 4.0}, {"gamma_pairs": 8.0},
+                {"m_y": True}, {"workers": 2.5}, {"workers": True}, {"workers": 0}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            _cfg(PART4, RIESZ06, **bad)
+    cfg = _cfg(PART4, RIESZ06, m_y=np.int64(16), m_z=np.int32(2), n_draws=np.int64(4),
+               gamma_pairs=np.int16(8), workers=np.int64(2))
+    assert cfg.n_draws == 4 and cfg.workers == 2
+    assert _cfg(PART4, RIESZ06).workers is None
     assert _cfg(PART4, RIESZ06).q == 2.0
     assert WceConfig(PART4, RIESZ06, p=math.inf, n_draws=4).q == 1.0
     assert abs(1 / 1.5 + 1 / WceConfig(PART4, RIESZ75, p=1.5, n_draws=4).q - 1) < 1e-12
@@ -537,3 +548,135 @@ def test_draw_tables_memory_stays_near_table_size():
     finally:
         tracemalloc.stop()
     assert peak < 8 * T.nbytes
+
+
+# ---------------------------------------------------------------------------
+# draw loops on several threads
+# ---------------------------------------------------------------------------
+
+THREAD_CASES = {
+    "t1-rough": (torus_grid_partition(T1, 16), ROUGH09, 2.0, 7),
+    # p = 4 takes the q != 2 branch of _dq_samples
+    "t2-riesz-p4": (torus_grid_partition(make_space(TORUS, 2), 4),
+                    KernelSpec(RIESZ, alpha=1.0, d=2), 4.0, 5),
+    "s2-riesz": (sphere_zonal_partition(make_space(SPHERE2), 16),
+                 KernelSpec(RIESZ, alpha=1.5, d=2), 2.0, 6),
+    "two-draws": (PART4, RIESZ75, 2.0, 2),
+}
+
+
+@pytest.fixture
+def threads_for_any_draw(monkeypatch):
+    """Split every draw loop over its workers, however small the draws."""
+    monkeypatch.setattr(wce, "THREAD_MIN_EVALS", 0)
+
+
+def _draw_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("stratcub-draws")]
+
+
+def _record_threads(monkeypatch, name):
+    """Patch wce's per-draw function ``name`` to record the names of the
+    threads that call it; returns the set they are added to."""
+    inner = getattr(wce, name)
+    threads = set()
+
+    def recording(*args, **kwargs):
+        threads.add(threading.current_thread().name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(wce, name, recording)
+    return threads
+
+
+@pytest.mark.usefixtures("threads_for_any_draw")
+@pytest.mark.parametrize("case", sorted(THREAD_CASES))
+def test_results_do_not_depend_on_workers(case):
+    part, kern, p, n_draws = THREAD_CASES[case]
+    cfgs = [WceConfig(part, kern, p, m_y=32, m_z=4, n_draws=n_draws, seed=5, gamma_pairs=16,
+                      workers=w) for w in (1, 2, 3)]
+    serial = run_report(cfgs[0])
+    for cfg in cfgs[1:]:
+        assert estimate_AN(cfg) == serial.a_n
+        assert delta_phi(cfg) == serial.delta
+        assert run_report(cfg) == serial
+
+
+@pytest.mark.parametrize("estimator, per_draw, evals",
+                         [(estimate_AN, "_wq", 4 * 16), (delta_phi, "_draw_tables", 4 * 16 * 5)])
+def test_draws_below_the_size_rule_stay_on_the_calling_thread(monkeypatch, estimator,
+                                                             per_draw, evals):
+    # evals: N m_y kernel evaluations per A_N draw, N m_y (2 m_z + 1) per Delta draw
+    cfg = _cfg(PART4, RIESZ75, m_y=16, m_z=2, n_draws=9, workers=3)
+    threads = _record_threads(monkeypatch, per_draw)
+    for least, split in ((evals + 1, False), (evals, True)):
+        monkeypatch.setattr(wce, "THREAD_MIN_EVALS", least)
+        threads.clear()
+        estimator(cfg)
+        assert (threads != {threading.current_thread().name}) == split
+
+
+@pytest.mark.usefixtures("threads_for_any_draw")
+def test_draw_threads_stress_against_serial():
+    # more workers than cores, switching threads every microsecond: a lost or
+    # misplaced per-draw value would move the moment or its SE
+    cfg = _cfg(PART4, RIESZ75, m_y=16, m_z=2, n_draws=40, seed=9, workers=1)
+    serial = (estimate_AN(cfg), delta_phi(cfg))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = dataclasses.replace(cfg, workers=8)
+        assert (estimate_AN(threaded), delta_phi(threaded)) == serial
+    finally:
+        sys.setswitchinterval(interval)
+    assert not _draw_threads()
+
+
+@pytest.mark.usefixtures("threads_for_any_draw")
+def test_singular_redraws_are_the_same_on_threads(monkeypatch):
+    # a larger singular tolerance makes both redraw loops (whole Z, single y)
+    # fire, decided by each draw's own samples
+    monkeypatch.setattr(kernel, "SINGULAR_TOL", 3e-4)
+    monkeypatch.setattr(wce, "SINGULAR_TOL", 3e-4)
+    calls, z_calls = [], []
+
+    def counting(space, rng, n=None):
+        calls.append(n)
+        return sample_uniform(space, rng, n)
+
+    def counting_z(part, rng, m):
+        z_calls.append(m)
+        return sample_all_cells(part, rng, m)
+
+    monkeypatch.setattr(wce, "sample_uniform", counting)
+    monkeypatch.setattr(wce, "sample_all_cells", counting_z)
+    cfg = _cfg(PART4, RIESZ75, m_y=64, m_z=8, n_draws=9, workers=1)
+    results = []
+    for workers in (1, 3):
+        calls.clear()
+        z_calls.clear()
+        threaded = dataclasses.replace(cfg, workers=workers)
+        results.append((estimate_AN(threaded), delta_phi(threaded)))
+        assert any(n < cfg.m_y for n in calls)  # some y were redrawn
+        assert len(z_calls) > 2 * cfg.n_draws  # and some Z
+    assert results[0] == results[1]
+
+
+@pytest.mark.usefixtures("threads_for_any_draw")
+@pytest.mark.parametrize("failing", [0, 4])  # on the calling thread, on a pool thread
+def test_draw_error_propagates_and_stops_every_thread(monkeypatch, failing):
+    cfg = _cfg(PART4, RIESZ75, m_y=16, m_z=2, n_draws=9, workers=3)
+    draw_tables = wce._draw_tables
+
+    def failing_draw(cfg, ctx, index, *args):
+        if index == failing:
+            raise RuntimeError("singular cell-sample redraw budget exhausted")
+        return draw_tables(cfg, ctx, index, *args)
+
+    monkeypatch.setattr(wce, "_draw_tables", failing_draw)
+    threads = _record_threads(monkeypatch, "_draw_tables")
+    with pytest.raises(RuntimeError, match="redraw budget"):
+        delta_phi(cfg)
+    # the calling thread took share 0 and a pool thread the others
+    assert threading.current_thread().name in threads and len(threads) >= 2
+    assert not _draw_threads()
