@@ -24,16 +24,16 @@ errors are leave-one-out jackknives (``cubature.jackknife``): over draws for
 A_N and Delta, over the shared (x, y) pairs for Gamma.
 
 The draw loops of A_N and Delta run on ``WceConfig.workers`` threads, each
-with buffers of its own; draws smaller than ``THREAD_MIN_EVALS`` kernel
-evaluations stay on the calling thread.  Every stream a draw reads is keyed
-by (seed, estimator, draw index), and the per-draw values are collected in
-index order, so the output is the same bits for any thread count.
+with buffers of its own.  Every stream a draw reads is keyed by (seed,
+estimator, draw index), and the per-draw values are collected in index
+order, so the output is the same bits for any thread count.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -52,11 +52,6 @@ from .space import (L2_BLOCK, TORUS, SpaceDescriptor, distance, pairwise_distanc
 
 # times a sample batch that hits a kernel singularity is redrawn before giving up
 MAX_REDRAWS = 100
-# kernel evaluations per draw below which a draw loop stays on one thread: a
-# smaller draw spends most of its time in the interpreter, which threads cannot
-# overlap (on 2 cores, A_N draws of 2048-16384 evaluations took 1.2-2.8x as
-# long on two threads, draws of 32768 or more 0.69-0.94x)
-THREAD_MIN_EVALS = 1 << 15
 # the extremal witness's y-mesh: base points, and ladder levels toward each node
 WITNESS_GRID = 4096
 WITNESS_LEVELS = 22
@@ -94,7 +89,10 @@ class WceConfig:
     ``worst_case_error`` use none); ``gamma_pairs``: (x, y) pairs per cell
     for the per-cell functional, at least 2 for its jackknife; ``workers``:
     threads for the draw loops of A_N and Delta (see ``_draw_moment``), None
-    for every CPU this process may run on.  Results do not depend on it.
+    for every CPU this process may run on.  Results do not depend on it, but
+    memory does: each worker holds its own Delta buffers, about 24 N m_y
+    bytes (node table and two replicas of T) plus a cell-mean block of about
+    ``L2_BLOCK`` doubles.  The default was timed on 2 CPUs only.
     """
 
     partition: Partition
@@ -278,30 +276,34 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _draw_moment(cfg: WceConfig, make_draw: Callable[[], Callable[[int], float]],
-                 evals: int) -> ErrorStats:
+def _draw_moment(cfg: WceConfig, make_draw: Callable[[], Callable[[int], float]]) -> ErrorStats:
     """{mean over draws k of u_k}^{1/q} with jackknife standard error.
 
-    The draws run on W = min(workers, n_draws) threads, or on one when a
-    draw makes fewer than ``THREAD_MIN_EVALS`` kernel evaluations (``evals``).
-    Worker i calls ``make_draw()`` once, for a per-draw function with buffers
-    of its own, and computes u_k for k = i (mod W).  The calling thread is
-    worker 0; with W = 1 it is the only one.  numpy releases the interpreter
-    lock in the heavy steps, so the workers overlap.  Each draw's streams are
-    keyed by its index and u is read in index order, so the result is the
-    same bits for every W.  A worker's exception (such as an exhausted redraw
-    budget) is raised here once every worker has stopped.
+    The draws run on W = min(workers, n_draws) threads.  Worker i calls
+    ``make_draw()`` once, for a per-draw function with buffers of its own,
+    and computes u_k for k = i (mod W).  The calling thread is worker 0; with
+    W = 1 it is the only one.  numpy releases the interpreter lock in the
+    heavy steps, so the workers overlap.  Each draw's streams are keyed by
+    its index and u is read in index order, so the result is the same bits
+    for every W.  A worker that raises (an exhausted redraw budget, or a
+    KeyboardInterrupt on the calling thread) stops the others before their
+    next draw, and its exception is raised here once every worker has stopped.
     """
     n = cfg.n_draws
-    W = 1
-    if evals >= THREAD_MIN_EVALS:
-        W = min(_cpus() if cfg.workers is None else cfg.workers, n)
+    W = min(_cpus() if cfg.workers is None else cfg.workers, n)
     u = np.empty(n)
+    stop = threading.Event()
 
     def share(i: int) -> None:
-        draw_value = make_draw()
-        for k in range(i, n, W):
-            u[k] = draw_value(k)
+        try:
+            draw_value = make_draw()
+            for k in range(i, n, W):
+                if stop.is_set():
+                    return
+                u[k] = draw_value(k)
+        except BaseException:
+            stop.set()
+            raise
 
     if W == 1:
         share(0)
@@ -333,7 +335,7 @@ def estimate_AN(cfg: WceConfig) -> ErrorStats:
         table = np.empty((cfg.partition.N, cfg.m_y))  # a worker's node table
         return lambda k: _wq(cfg, rngmod.AN, k, out=table)
 
-    return _draw_moment(cfg, make_draw, cfg.partition.N * cfg.m_y)
+    return _draw_moment(cfg, make_draw)
 
 
 def delta_phi(cfg: WceConfig) -> ErrorStats:
@@ -348,8 +350,7 @@ def delta_phi(cfg: WceConfig) -> ErrorStats:
         T = np.empty((2,) + phi.shape)  # and its per-cell terms
         return lambda k: _dq_samples(cfg, _draw_tables(cfg, rngmod.DELTA, k, phi, T)).mean()
 
-    # the node table and two replicas of m_z cell samples per y
-    return _draw_moment(cfg, make_draw, cfg.partition.N * cfg.m_y * (2 * cfg.m_z + 1))
+    return _draw_moment(cfg, make_draw)
 
 
 def gamma_phi(cfg: WceConfig) -> ErrorStats:

@@ -565,12 +565,6 @@ THREAD_CASES = {
 }
 
 
-@pytest.fixture
-def threads_for_any_draw(monkeypatch):
-    """Split every draw loop over its workers, however small the draws."""
-    monkeypatch.setattr(wce, "THREAD_MIN_EVALS", 0)
-
-
 def _draw_threads():
     return [t for t in threading.enumerate() if t.name.startswith("stratcub-draws")]
 
@@ -589,7 +583,6 @@ def _record_threads(monkeypatch, name):
     return threads
 
 
-@pytest.mark.usefixtures("threads_for_any_draw")
 @pytest.mark.parametrize("case", sorted(THREAD_CASES))
 def test_results_do_not_depend_on_workers(case):
     part, kern, p, n_draws = THREAD_CASES[case]
@@ -602,26 +595,12 @@ def test_results_do_not_depend_on_workers(case):
         assert run_report(cfg) == serial
 
 
-@pytest.mark.parametrize("estimator, per_draw, evals",
-                         [(estimate_AN, "_wq", 4 * 16), (delta_phi, "_draw_tables", 4 * 16 * 5)])
-def test_draws_below_the_size_rule_stay_on_the_calling_thread(monkeypatch, estimator,
-                                                             per_draw, evals):
-    # evals: N m_y kernel evaluations per A_N draw, N m_y (2 m_z + 1) per Delta draw
-    cfg = _cfg(PART4, RIESZ75, m_y=16, m_z=2, n_draws=9, workers=3)
-    threads = _record_threads(monkeypatch, per_draw)
-    for least, split in ((evals + 1, False), (evals, True)):
-        monkeypatch.setattr(wce, "THREAD_MIN_EVALS", least)
-        threads.clear()
-        estimator(cfg)
-        assert (threads != {threading.current_thread().name}) == split
-
-
-@pytest.mark.usefixtures("threads_for_any_draw")
-def test_draw_threads_stress_against_serial():
+def test_draw_threads_stress_against_serial(monkeypatch):
     # more workers than cores, switching threads every microsecond: a lost or
     # misplaced per-draw value would move the moment or its SE
     cfg = _cfg(PART4, RIESZ75, m_y=16, m_z=2, n_draws=40, seed=9, workers=1)
     serial = (estimate_AN(cfg), delta_phi(cfg))
+    threads = {name: _record_threads(monkeypatch, name) for name in ("_wq", "_draw_tables")}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -630,9 +609,11 @@ def test_draw_threads_stress_against_serial():
     finally:
         sys.setswitchinterval(interval)
     assert not _draw_threads()
+    # the calling thread took share 0 and pool threads (an idle one is reused) the others
+    for names in threads.values():
+        assert threading.current_thread().name in names and len(names) >= 2
 
 
-@pytest.mark.usefixtures("threads_for_any_draw")
 def test_singular_redraws_are_the_same_on_threads(monkeypatch):
     # a larger singular tolerance makes both redraw loops (whole Z, single y)
     # fire, decided by each draw's own samples
@@ -662,21 +643,32 @@ def test_singular_redraws_are_the_same_on_threads(monkeypatch):
     assert results[0] == results[1]
 
 
-@pytest.mark.usefixtures("threads_for_any_draw")
-@pytest.mark.parametrize("failing", [0, 4])  # on the calling thread, on a pool thread
-def test_draw_error_propagates_and_stops_every_thread(monkeypatch, failing):
-    cfg = _cfg(PART4, RIESZ75, m_y=16, m_z=2, n_draws=9, workers=3)
+@pytest.mark.parametrize("failing, error", [
+    (0, RuntimeError("singular cell-sample redraw budget exhausted")),  # on the calling thread
+    (4, RuntimeError("singular cell-sample redraw budget exhausted")),  # on a pool thread
+    (0, KeyboardInterrupt()),  # Ctrl-C during share 0
+])
+def test_draw_error_propagates_and_stops_every_thread(monkeypatch, failing, error):
+    # m_y = 256 makes the array steps long enough for numpy to release the
+    # interpreter lock, so the shares interleave within a draw
+    W = 3
+    cfg = _cfg(PART4, RIESZ75, m_y=256, m_z=2, n_draws=60, workers=W)
     draw_tables = wce._draw_tables
+    failed = threading.Event()
+    late = []  # draws begun after the failure
 
     def failing_draw(cfg, ctx, index, *args):
+        if failed.is_set():
+            late.append(index)
         if index == failing:
-            raise RuntimeError("singular cell-sample redraw budget exhausted")
+            failed.set()
+            raise error
         return draw_tables(cfg, ctx, index, *args)
 
     monkeypatch.setattr(wce, "_draw_tables", failing_draw)
-    threads = _record_threads(monkeypatch, "_draw_tables")
-    with pytest.raises(RuntimeError, match="redraw budget"):
+    with pytest.raises(type(error)):
         delta_phi(cfg)
-    # the calling thread took share 0 and a pool thread the others
-    assert threading.current_thread().name in threads and len(threads) >= 2
     assert not _draw_threads()
+    # every other share stopped after at most one more draw, not its whole share
+    assert len(late) <= W - 1
+    assert len({k % W for k in late}) == len(late) and failing % W not in {k % W for k in late}
