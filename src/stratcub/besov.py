@@ -29,7 +29,7 @@ import numpy as np
 from . import rng as rngmod
 from .cubature import jackknife_power_mean
 from .funcs import TestFunction, _lipschitz_besov_norm
-from .partition import Partition, cell_sample, find_cell
+from .partition import Partition, cell_sample, check_count, find_cell
 from .sets import SetDescriptor, boundary_distance, psi_tube_measure, set_contains
 from .space import TORUS, SpaceDescriptor, distance, east_tangent, geodesic_step
 
@@ -113,8 +113,7 @@ def poincare_check(partition: Partition, j: int, f: TestFunction, gradient: PhiG
     jackknife over the samples; ``holds`` allows 3 combined standard errors
     of slack.
     """
-    if budget < 2:
-        raise ValueError(f"the jackknife needs budget >= 2 samples, got {budget}")
+    check_count("budget", budget, 2)  # the jackknife needs two samples
     diameter = float(partition.diameter[j])
     if diameter > 2.0 ** (-n):
         raise ValueError(f"cell diameter {diameter} exceeds scale 2^-{n}")

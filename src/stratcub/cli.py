@@ -40,7 +40,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--variant", type=str, default=None, choices=["single", "sum"])
     sp.add_argument("--budget", type=int, default=None, help="partition sample budget")
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=None)
+    sp.add_argument("--workers", type=int, default=None,
+                    help="threads across the N values (the experiment's whole thread budget)")
     sp.add_argument("--out", type=str, default=None, help="output path stem")
 
 

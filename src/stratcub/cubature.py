@@ -21,6 +21,9 @@ most ``L2_BLOCK // 8`` node coordinates.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,8 +31,11 @@ import numpy as np
 
 from . import rng as rngmod
 from .funcs import TestFunction
-from .partition import Partition, cell_points, stream_points
+from .partition import Partition, cell_points, check_count, stream_points
 from .space import L2_BLOCK
+
+# set on a thread while it runs tasks of run_indexed, so nested calls run inline
+_in_task = threading.local()
 
 
 @dataclass(frozen=True)
@@ -93,8 +99,7 @@ def estimate_BN(f: TestFunction, partition: Partition, p: float, n_draws: int,
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"moment exponent must be finite and >= 1, got {p}")
-    if n_draws < 2:
-        raise ValueError("need at least 2 draws")
+    check_count("n_draws", n_draws, 2)
     w = partition.weights()
     errors = np.empty(n_draws)
     for k0, values in value_blocks(f, partition, seed, n_draws):
@@ -135,3 +140,58 @@ def jackknife(stat: Callable[..., np.ndarray],
 
 def _signed_power(x, power: float):
     return np.maximum(np.asarray(x, dtype=float), 0.0) ** power
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def run_indexed(n: int, make_task: Callable[[], Callable[[int], object]],
+                workers: int | None = None) -> list:
+    """``[task(k) for k in range(n)]`` on W = min(workers or ``_cpus()``, n)
+    threads, each with a ``task = make_task()`` (and buffers) of its own,
+    taking the next index from a shared counter while the caller waits.
+    W = 1, or a call from inside a task, runs inline: the outermost call owns
+    the threads.  The first error in a task, or a Ctrl-C while the caller
+    waits, stops every thread before its next index and is raised once all
+    have stopped."""
+    W = min(workers or _cpus(), n)
+    nested = getattr(_in_task, "active", False)
+    results = [None] * n
+    indices = iter(range(n))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def work() -> None:
+        _in_task.active = True
+        try:
+            task = make_task()
+            while True:
+                with lock:
+                    k = n if stop.is_set() else next(indices, n)
+                if k == n:
+                    return
+                results[k] = task(k)
+        except BaseException:
+            stop.set()
+            raise
+        finally:
+            _in_task.active = nested
+
+    if W <= 1 or nested:
+        work()
+        return results
+    with ThreadPoolExecutor(max_workers=W, thread_name_prefix="stratcub") as pool:
+        try:
+            with lock:  # no index is taken before every thread is started
+                futures = [pool.submit(work) for _ in range(W)]
+            for f in futures:
+                f.result()
+        except BaseException:  # an error in a task, or Ctrl-C while waiting
+            stop.set()
+            raise
+    return results

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .besov import sharpness_fj, sharpness_sum
-from .cubature import estimate_BN
+from .cubature import estimate_BN, run_indexed
 from .funcs import indicator_fn, make_function
 from .kernel import KernelSpec, regime_classify
 from .mz import mz_pair
@@ -182,9 +181,7 @@ def _run_one(cfg: ExperimentConfig, N: int) -> dict:
         row["_report"] = rep
         return row
     if cfg.kind == "wce":
-        # cfg.workers is the experiment's whole thread budget, spent across N
-        wcfg = WceConfig(part, _kernel(cfg), cfg.p, cfg.m_y, cfg.m_z, cfg.n_draws, seed=seed_n,
-                         workers=1)
+        wcfg = WceConfig(part, _kernel(cfg), cfg.p, cfg.m_y, cfg.m_z, cfg.n_draws, seed=seed_n)
         st = estimate_AN(wcfg)
         return _row(cfg, N, st.moment, st.stderr,
                     alpha=cfg.alpha, eps=cfg.eps, kappa=cfg.kappa)
@@ -213,22 +210,16 @@ def _run_one(cfg: ExperimentConfig, N: int) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
-    """Execute the per-N pipeline and summarize.
+    """Execute the per-N pipeline on ``cfg.workers`` threads and summarize.
 
-    With several workers, N values are scheduled largest first, so the
-    costliest N runs beside the smaller ones instead of after them; rows
-    come back in ascending N either way.
+    N values are scheduled largest first, so the costliest N runs beside the
+    smaller ones instead of after them; rows come back in ascending N.
 
     Returns (rows, summary); writes ``<out>.csv`` and ``<out>.json`` when an
     output path is configured.
     """
-    ns = sorted(cfg.n_list)
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as ex:
-            futures = [ex.submit(_run_one, cfg, n) for n in reversed(ns)]
-        rows = [f.result() for f in reversed(futures)]
-    else:
-        rows = [_run_one(cfg, n) for n in ns]
+    ns = sorted(cfg.n_list, reverse=True)
+    rows = run_indexed(len(ns), lambda: lambda i: _run_one(cfg, ns[i]), cfg.workers)[::-1]
     summary = _summarize(cfg, rows)
     clean = [{k: v for k, v in r.items() if not k.startswith("_")} for r in rows]
     if cfg.out:

@@ -22,7 +22,7 @@ import numpy as np
 from . import rng as rngmod
 from .cubature import jackknife, jackknife_power_mean, value_blocks
 from .funcs import TestFunction
-from .partition import Partition, stream_points
+from .partition import Partition, check_count, stream_points
 from .space import L2_BLOCK
 
 DEGENERATE_TOL = 1e-15
@@ -66,8 +66,7 @@ def mz_pair(f: TestFunction, partition: Partition, p: float, n_draws: int,
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be finite and >= 1, got {p}")
-    if n_draws < 2:
-        raise ValueError("need at least 2 draws")
+    check_count("n_draws", n_draws, 2)
     w = partition.weights()
     means = _cell_means(f, partition, seed)
     mid_pow = np.empty(n_draws)

@@ -467,9 +467,8 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
     its ``circumradius``, counts as a ``diameter_violations``, so
     ``diameter_ok`` gates both size bounds.
     """
-    for name, value in (("sample_budget", sample_budget), ("pairs_per_cell", pairs_per_cell)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    check_count("sample_budget", sample_budget, 1)
+    check_count("pairs_per_cell", pairs_per_cell, 1)
     space = partition.space
     N = partition.N
     total = space.total_measure

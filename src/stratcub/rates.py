@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
+from .partition import check_count
 
 
 @dataclass
@@ -25,8 +26,7 @@ def rate_fit(points, n_boot: int = 1000, seed: int = 0) -> RateFit:
     ``n_boot`` residual resamples (percentile 95%), drawn as one
     (n_boot, points) table.
     """
-    if n_boot < 2:
-        raise ValueError(f"rate fit needs n_boot >= 2, got {n_boot}")
+    check_count("n_boot", n_boot, 2)
     pts = [(float(n), float(v), float(se)) for n, v, se in points]
     if len(pts) < 4:
         raise ValueError(f"rate fit needs >= 4 points, got {len(pts)}")

@@ -23,18 +23,15 @@ of the two replicas give unbiased squares at q = 2 for any m_z.  Standard
 errors are leave-one-out jackknives (``cubature.jackknife``): over draws for
 A_N and Delta, over the shared (x, y) pairs for Gamma.
 
-The draw loops of A_N and Delta run on ``WceConfig.workers`` threads, each
-with buffers of its own.  Every stream a draw reads is keyed by (seed,
-estimator, draw index), and the per-draw values are collected in index
-order, so the output is the same bits for any thread count.
+The draw loops of A_N and Delta run through ``cubature.run_indexed``.  Every
+stream a draw reads is keyed by (seed, estimator, draw index), and the
+per-draw values are collected in index order, so the output is the same bits
+for any thread count.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,7 +39,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .cubature import (ErrorStats, NodeDraw, cubature_error, draw_nodes, jackknife,
-                       jackknife_power_mean, sample_all_cells)
+                       jackknife_power_mean, run_indexed, sample_all_cells)
 from .funcs import TestFunction
 from .kernel import (CONST, RIESZ, ROUGH_RIESZ, SINGULAR_TOL, KernelSpec, SingularPairError,
                      kernel_profile, regime_classify, rough_potential, total_integral)
@@ -87,12 +84,10 @@ class WceConfig:
     ``m_y``: outer samples of y per draw; ``m_z``: inner cell samples per
     replica for the cell kernel means of Delta and Gamma (A_N and
     ``worst_case_error`` use none); ``gamma_pairs``: (x, y) pairs per cell
-    for the per-cell functional, at least 2 for its jackknife; ``workers``:
-    threads for the draw loops of A_N and Delta (see ``_draw_moment``), None
-    for every CPU this process may run on.  Results do not depend on it, but
-    memory does: each worker holds its own Delta buffers, about 24 N m_y
-    bytes (node table and two replicas of T) plus a cell-mean block of about
-    ``L2_BLOCK`` doubles.  The default was timed on 2 CPUs only.
+    for the per-cell functional, at least 2 for its jackknife.  Each thread
+    of Delta's draw loop (``_draw_moment``) holds buffers of its own, about
+    24 N m_y bytes (node table and two replicas of T) plus a cell-mean block
+    of about ``L2_BLOCK`` doubles.
     """
 
     partition: Partition
@@ -103,15 +98,12 @@ class WceConfig:
     n_draws: int = 100
     seed: int = 0
     gamma_pairs: int = 256
-    workers: int | None = None
 
     def __post_init__(self):
         check_count("m_y", self.m_y, 1)
         check_count("m_z", self.m_z, 1)
         check_count("n_draws", self.n_draws, 2)  # a standard error needs two
         check_count("gamma_pairs", self.gamma_pairs, 2)
-        if self.workers is not None:
-            check_count("workers", self.workers, 1)
         check_exponents(self.kernel, self.partition.space.d, self.p)
 
     @property
@@ -268,53 +260,10 @@ def _dq_samples(cfg: WceConfig, T: np.ndarray) -> np.ndarray:
     return total * np.clip(S, 0.0, None) ** (cfg.q / 2.0)
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _draw_moment(cfg: WceConfig, make_draw: Callable[[], Callable[[int], float]]) -> ErrorStats:
-    """{mean over draws k of u_k}^{1/q} with jackknife standard error.
-
-    The draws run on W = min(workers, n_draws) threads.  Worker i calls
-    ``make_draw()`` once, for a per-draw function with buffers of its own,
-    and computes u_k for k = i (mod W).  The calling thread is worker 0; with
-    W = 1 it is the only one.  numpy releases the interpreter lock in the
-    heavy steps, so the workers overlap.  Each draw's streams are keyed by
-    its index and u is read in index order, so the result is the same bits
-    for every W.  A worker that raises (an exhausted redraw budget, or a
-    KeyboardInterrupt on the calling thread) stops the others before their
-    next draw, and its exception is raised here once every worker has stopped.
-    """
-    n = cfg.n_draws
-    W = min(_cpus() if cfg.workers is None else cfg.workers, n)
-    u = np.empty(n)
-    stop = threading.Event()
-
-    def share(i: int) -> None:
-        try:
-            draw_value = make_draw()
-            for k in range(i, n, W):
-                if stop.is_set():
-                    return
-                u[k] = draw_value(k)
-        except BaseException:
-            stop.set()
-            raise
-
-    if W == 1:
-        share(0)
-    else:
-        with ThreadPoolExecutor(max_workers=W - 1, thread_name_prefix="stratcub-draws") as ex:
-            futures = [ex.submit(share, i) for i in range(1, W)]
-            share(0)
-            for f in futures:
-                f.result()
-    moment, se = jackknife_power_mean(u, 1.0 / cfg.q)
-    return ErrorStats(p=cfg.q, n_draws=n, moment=moment, stderr=se)
+    """{mean over draws k of make_draw()(k)}^{1/q} with jackknife standard error."""
+    moment, se = jackknife_power_mean(run_indexed(cfg.n_draws, make_draw), 1.0 / cfg.q)
+    return ErrorStats(p=cfg.q, n_draws=cfg.n_draws, moment=moment, stderr=se)
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +453,7 @@ def lower_hypothesis_probe(cfg: WceConfig, n_pairs: int) -> ProbeReport:
     part = cfg.partition
     space = part.space
     kern = cfg.kernel
+    check_count("n_pairs", n_pairs, 1)
     rng = rngmod.substream(cfg.seed, rngmod.PROBE, part.N)
     if kern.family == CONST:
         alpha, eps, d = 0.5, 1.0, space.d

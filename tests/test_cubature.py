@@ -1,19 +1,27 @@
+import ast
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stratcub import cubature
 from stratcub import rng as rngmod
+from stratcub.besov import PhiGradient, poincare_check, scale_floor
 from stratcub.cubature import (NodeDraw, cubature_error, draw_nodes,
                                estimate_BN, jackknife, jackknife_power_mean)
 from stratcub.funcs import (cone_bump_fn, constant_fn, coordinate_fn, cos_fn,
                             indicator_fn, make_function, square_wave_fn,
                             zonal_monomial_fn)
 from stratcub.mz import mz_pair
+from stratcub.kernel import RIESZ, KernelSpec
 from stratcub.partition import (cell_contains, cell_points, sphere_zonal_partition,
-                                stream_points, torus_grid_partition)
+                                stream_points, torus_grid_partition, verify_partition)
+from stratcub.rates import rate_fit
 from stratcub.sets import make_arc, make_box, make_cap
 from stratcub.space import L2_BLOCK, SPHERE2, TORUS, make_space
+from stratcub.wce import WceConfig, lower_hypothesis_probe
 
 T1 = make_space(TORUS, 1)
 T2 = make_space(TORUS, 2)
@@ -225,3 +233,70 @@ def test_batched_draws_single_cell_cos_rounding():
     moment, stderr = jackknife_power_mean(errors ** 2, 0.5)
     assert st.moment == pytest.approx(moment, rel=1e-14)
     assert st.stderr == pytest.approx(stderr, rel=1e-12)
+
+
+PART8 = torus_grid_partition(T1, 8)
+# public count arguments given a float, a bool or too small a count: each
+# call used to run on a truncated count, die inside numpy or raise a
+# misleading error
+BAD_COUNTS = {
+    "verify-float-budget": ("sample_budget", lambda: verify_partition(PART8, 100.5)),
+    "verify-bool-budget": ("sample_budget", lambda: verify_partition(PART8, True)),
+    "verify-float-pairs": ("pairs_per_cell",
+                           lambda: verify_partition(PART8, 100, pairs_per_cell=2.5)),
+    "estimate_BN-float-draws": ("n_draws",
+                                lambda: estimate_BN(coordinate_fn(T1), PART8, 2.0, 4.0, 0)),
+    "mz_pair-float-draws": ("n_draws", lambda: mz_pair(coordinate_fn(T1), PART8, 2.0, 4.0, 0)),
+    "mz_pair-one-draw": ("n_draws", lambda: mz_pair(coordinate_fn(T1), PART8, 2.0, 1, 0)),
+    "poincare-float-budget": ("budget", lambda: poincare_check(
+        PART8, 2, coordinate_fn(T1), PhiGradient(1.0, scale_floor(T1), lambda n, x: x[:, 0]),
+        p=2.0, n=3, budget=100.7)),
+    "probe-no-pairs": ("n_pairs", lambda: lower_hypothesis_probe(
+        WceConfig(torus_grid_partition(T1, 32), KernelSpec(RIESZ, alpha=0.75, d=1), p=2.0,
+                  n_draws=4), 0)),
+    "rate_fit-float-resamples": ("n_boot", lambda: rate_fit(
+        [(n, 1.0 / n, 0.0) for n in (8, 16, 32, 64)], n_boot=10.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COUNTS))
+def test_public_counts_are_checked(case):
+    name, call = BAD_COUNTS[case]
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
+def test_cpus_counts_the_affinity_set_else_every_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert cubature._cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert cubature._cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cubature._cpus() == 1
+
+
+def test_threads_start_only_in_run_indexed():
+    # one thread runner in the package: no other code starts threads or
+    # reads the CPU count, so the outermost run_indexed owns the threads
+    watched = {"ThreadPoolExecutor", "Thread", "_cpus"}
+    uses = []
+    for path in sorted(Path(cubature.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):  # an import, possibly renamed
+                    name = node.name.rsplit(".", 1)[-1]
+                else:
+                    continue
+                if name in watched:
+                    uses.append((path.name, owner, name))
+    assert sorted(uses, key=str) == sorted([
+        ("cubature.py", None, "ThreadPoolExecutor"),  # the import
+        ("cubature.py", "run_indexed", "ThreadPoolExecutor"),
+        ("cubature.py", "run_indexed", "_cpus"),
+    ], key=str)

@@ -1,14 +1,14 @@
 import json
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratcub import experiments
+from stratcub import cubature, experiments, wce
 from stratcub import rng as rngmod
-from stratcub.cubature import ErrorStats
 from stratcub.experiments import (CSV_FIELDS, ExperimentConfig, build_partition,
                                   run_experiment, to_json)
 from stratcub.kernel import KernelSpec, regime_classify
@@ -125,17 +125,33 @@ def test_config_rejects_non_integer_counts():
 
 
 def test_wce_experiment_runs_draws_on_one_thread(monkeypatch):
-    # the experiment's workers are its whole thread budget, spent across N
-    seen = []
+    # the experiment's workers are its whole thread budget, spent across N:
+    # each N's draws run on the thread that runs that N, although a direct
+    # call would spread them over the (here three) CPUs
+    monkeypatch.setattr(cubature, "_cpus", lambda: 3)
+    run_one, wq = experiments._run_one, wce._wq
+    runner, draws = {}, []
 
-    def estimate(wcfg):
-        seen.append(wcfg.workers)
-        moment = wcfg.partition.N ** -0.75
-        return ErrorStats(p=2.0, n_draws=wcfg.n_draws, moment=moment, stderr=0.01 * moment)
+    def recording_run_one(cfg, N):
+        runner[N] = threading.current_thread().name
+        return run_one(cfg, N)
 
-    monkeypatch.setattr(experiments, "estimate_AN", estimate)
-    run_experiment(ExperimentConfig(kind="wce", n_list=(16, 32, 64, 128), workers=2))
-    assert seen == [1, 1, 1, 1]
+    def recording_wq(cfg, *args, **kwargs):
+        draws.append((cfg.partition.N, threading.current_thread().name))
+        return wq(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_run_one", recording_run_one)
+    monkeypatch.setattr(wce, "_wq", recording_wq)
+    for workers in (1, 2):
+        runner.clear()
+        draws.clear()
+        run_experiment(ExperimentConfig(kind="wce", n_list=(16, 32, 64, 128), n_draws=6,
+                                        m_y=32, workers=workers))
+        assert len(draws) == 4 * 6 and all(runner[N] == name for N, name in draws)
+        if workers == 1:
+            assert set(runner.values()) == {threading.current_thread().name}
+        else:
+            assert all(name.startswith("stratcub_") for name in runner.values())
 
 
 def test_config_validation():

@@ -70,7 +70,7 @@ def _run_report_t1() -> dict[str, str]:
 
 
 def _run_report_s2() -> dict[str, str]:
-    # the default workers runs both draw loops on every CPU
+    # a direct call runs both draw loops on every CPU the process may run on
     cfg = WceConfig(sphere_zonal_partition(S2, 32), KernelSpec(RIESZ, alpha=1.5, d=2), p=2.0,
                     m_y=1024, m_z=4, n_draws=8, seed=SEED, gamma_pairs=32)
     return {"run_report/s2": _report_sha(run_report(cfg))}

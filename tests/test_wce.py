@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import signal
 import sys
 import threading
 import tracemalloc
@@ -7,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stratcub import kernel
+from stratcub import cubature, kernel
 from stratcub import rng as rngmod
 from stratcub import wce
 from stratcub.cubature import NodeDraw, draw_nodes, jackknife_power_mean, sample_all_cells
@@ -53,13 +54,12 @@ def test_config_validation():
     assert _cfg(PART4, RIESZ06, gamma_pairs=2).gamma_pairs == 2
     # a float or bool count used to pass here and fail inside the first draw
     for bad in ({"m_y": 16.5}, {"m_z": 2.7}, {"n_draws": 4.0}, {"gamma_pairs": 8.0},
-                {"m_y": True}, {"workers": 2.5}, {"workers": True}, {"workers": 0}):
+                {"m_y": True}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             _cfg(PART4, RIESZ06, **bad)
     cfg = _cfg(PART4, RIESZ06, m_y=np.int64(16), m_z=np.int32(2), n_draws=np.int64(4),
-               gamma_pairs=np.int16(8), workers=np.int64(2))
-    assert cfg.n_draws == 4 and cfg.workers == 2
-    assert _cfg(PART4, RIESZ06).workers is None
+               gamma_pairs=np.int16(8))
+    assert cfg.n_draws == 4
     assert _cfg(PART4, RIESZ06).q == 2.0
     assert WceConfig(PART4, RIESZ06, p=math.inf, n_draws=4).q == 1.0
     assert abs(1 / 1.5 + 1 / WceConfig(PART4, RIESZ75, p=1.5, n_draws=4).q - 1) < 1e-12
@@ -565,8 +565,13 @@ THREAD_CASES = {
 }
 
 
-def _draw_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("stratcub-draws")]
+def _pool_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("stratcub_")]
+
+
+def _set_cpus(monkeypatch, W):
+    """Make ``run_indexed`` see W CPUs, the thread count of a direct call."""
+    monkeypatch.setattr(cubature, "_cpus", lambda: W)
 
 
 def _record_threads(monkeypatch, name):
@@ -584,34 +589,59 @@ def _record_threads(monkeypatch, name):
 
 
 @pytest.mark.parametrize("case", sorted(THREAD_CASES))
-def test_results_do_not_depend_on_workers(case):
+def test_results_do_not_depend_on_workers(monkeypatch, case):
     part, kern, p, n_draws = THREAD_CASES[case]
-    cfgs = [WceConfig(part, kern, p, m_y=32, m_z=4, n_draws=n_draws, seed=5, gamma_pairs=16,
-                      workers=w) for w in (1, 2, 3)]
-    serial = run_report(cfgs[0])
-    for cfg in cfgs[1:]:
+    cfg = WceConfig(part, kern, p, m_y=32, m_z=4, n_draws=n_draws, seed=5, gamma_pairs=16)
+    _set_cpus(monkeypatch, 1)
+    serial = run_report(cfg)
+    for W in (2, 3):
+        _set_cpus(monkeypatch, W)
         assert estimate_AN(cfg) == serial.a_n
         assert delta_phi(cfg) == serial.delta
         assert run_report(cfg) == serial
 
 
+def test_direct_call_uses_pool_threads(monkeypatch):
+    # with nothing outside it owning the threads, A_N spreads its draws over
+    # the CPUs: each draw waits until a second thread has begun one, which a
+    # single-threaded loop would never do
+    _set_cpus(monkeypatch, 3)
+    wq = wce._wq
+    threads = set()
+    second = threading.Event()
+
+    def waiting_wq(*args, **kwargs):
+        threads.add(threading.current_thread().name)
+        if len(threads) >= 2:
+            second.set()
+        second.wait(10.0)
+        return wq(*args, **kwargs)
+
+    monkeypatch.setattr(wce, "_wq", waiting_wq)
+    estimate_AN(_cfg(PART4, RIESZ75, m_y=32, n_draws=12))
+    assert second.is_set() and threading.current_thread().name not in threads
+    assert len(threads) >= 2 and all(name.startswith("stratcub_") for name in threads)
+    assert not _pool_threads()
+
+
 def test_draw_threads_stress_against_serial(monkeypatch):
-    # more workers than cores, switching threads every microsecond: a lost or
+    # more threads than cores, switching threads every microsecond: a lost or
     # misplaced per-draw value would move the moment or its SE
-    cfg = _cfg(PART4, RIESZ75, m_y=16, m_z=2, n_draws=40, seed=9, workers=1)
+    cfg = _cfg(PART4, RIESZ75, m_y=16, m_z=2, n_draws=40, seed=9)
+    _set_cpus(monkeypatch, 1)
     serial = (estimate_AN(cfg), delta_phi(cfg))
     threads = {name: _record_threads(monkeypatch, name) for name in ("_wq", "_draw_tables")}
+    _set_cpus(monkeypatch, 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = dataclasses.replace(cfg, workers=8)
-        assert (estimate_AN(threaded), delta_phi(threaded)) == serial
+        assert (estimate_AN(cfg), delta_phi(cfg)) == serial
     finally:
         sys.setswitchinterval(interval)
-    assert not _draw_threads()
-    # the calling thread took share 0 and pool threads (an idle one is reused) the others
+    assert not _pool_threads()
+    # the calling thread waited while pool threads ran the draws
     for names in threads.values():
-        assert threading.current_thread().name in names and len(names) >= 2
+        assert names and all(name.startswith("stratcub_") for name in names)
 
 
 def test_singular_redraws_are_the_same_on_threads(monkeypatch):
@@ -631,36 +661,39 @@ def test_singular_redraws_are_the_same_on_threads(monkeypatch):
 
     monkeypatch.setattr(wce, "sample_uniform", counting)
     monkeypatch.setattr(wce, "sample_all_cells", counting_z)
-    cfg = _cfg(PART4, RIESZ75, m_y=64, m_z=8, n_draws=9, workers=1)
+    cfg = _cfg(PART4, RIESZ75, m_y=64, m_z=8, n_draws=9)
     results = []
-    for workers in (1, 3):
+    for W in (1, 3):
         calls.clear()
         z_calls.clear()
-        threaded = dataclasses.replace(cfg, workers=workers)
-        results.append((estimate_AN(threaded), delta_phi(threaded)))
+        _set_cpus(monkeypatch, W)
+        results.append((estimate_AN(cfg), delta_phi(cfg)))
         assert any(n < cfg.m_y for n in calls)  # some y were redrawn
         assert len(z_calls) > 2 * cfg.n_draws  # and some Z
     assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("failing, error", [
-    (0, RuntimeError("singular cell-sample redraw budget exhausted")),  # on the calling thread
-    (4, RuntimeError("singular cell-sample redraw budget exhausted")),  # on a pool thread
-    (0, KeyboardInterrupt()),  # Ctrl-C during share 0
+    (0, RuntimeError("singular cell-sample redraw budget exhausted")),  # the first draw
+    (4, RuntimeError("singular cell-sample redraw budget exhausted")),  # a later draw
+    (0, KeyboardInterrupt()),  # Ctrl-C inside a draw
 ])
 def test_draw_error_propagates_and_stops_every_thread(monkeypatch, failing, error):
     # m_y = 256 makes the array steps long enough for numpy to release the
-    # interpreter lock, so the shares interleave within a draw
+    # interpreter lock, so the threads interleave within a draw
     W = 3
-    cfg = _cfg(PART4, RIESZ75, m_y=256, m_z=2, n_draws=60, workers=W)
+    _set_cpus(monkeypatch, W)
+    cfg = _cfg(PART4, RIESZ75, m_y=256, m_z=2, n_draws=60)
     draw_tables = wce._draw_tables
     failed = threading.Event()
-    late = []  # draws begun after the failure
+    late = []  # the threads of the draws begun after the failure
+    failing_thread = []
 
     def failing_draw(cfg, ctx, index, *args):
         if failed.is_set():
-            late.append(index)
+            late.append(threading.current_thread().name)
         if index == failing:
+            failing_thread.append(threading.current_thread().name)
             failed.set()
             raise error
         return draw_tables(cfg, ctx, index, *args)
@@ -668,7 +701,45 @@ def test_draw_error_propagates_and_stops_every_thread(monkeypatch, failing, erro
     monkeypatch.setattr(wce, "_draw_tables", failing_draw)
     with pytest.raises(type(error)):
         delta_phi(cfg)
-    assert not _draw_threads()
-    # every other share stopped after at most one more draw, not its whole share
-    assert len(late) <= W - 1
-    assert len({k % W for k in late}) == len(late) and failing % W not in {k % W for k in late}
+    assert not _pool_threads()
+    # every other thread stopped after at most one more draw, not its whole share
+    assert len(late) == len(set(late)) <= W - 1 and failing_thread[0] not in late
+
+
+def test_sigint_while_waiting_stops_every_thread(monkeypatch):
+    # a real SIGINT sent to the main thread, which waits in run_indexed while
+    # pool threads run the draws
+    W = 3
+    _set_cpus(monkeypatch, W)
+    cfg = _cfg(PART4, RIESZ75, m_y=256, m_z=2, n_draws=60)
+    draw_tables = wce._draw_tables
+    handled = threading.Event()
+    late = []  # the threads of the draws begun after the main thread took the signal
+
+    def on_sigint(signum, frame):
+        if not handled.is_set():
+            handled.set()
+            raise KeyboardInterrupt
+
+    def signalling_draw(cfg, ctx, index, *args):
+        if handled.is_set():
+            late.append(threading.current_thread().name)
+        if index == 4:
+            # a signal that lands just before the main thread blocks is only
+            # seen when its wait returns, so send until the handler has run
+            for _ in range(10_000):
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                if handled.wait(0.001):
+                    break
+        return draw_tables(cfg, ctx, index, *args)
+
+    monkeypatch.setattr(wce, "_draw_tables", signalling_draw)
+    previous = signal.signal(signal.SIGINT, on_sigint)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            delta_phi(cfg)
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert handled.is_set()
+    assert not _pool_threads()
+    assert len(late) == len(set(late)) <= W - 1
