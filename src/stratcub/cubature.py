@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable
 
@@ -188,9 +188,13 @@ def run_indexed(n: int, make_task: Callable[[], Callable[[int], object]],
     with ThreadPoolExecutor(max_workers=W, thread_name_prefix="stratcub") as pool:
         try:
             with lock:  # no index is taken before every thread is started
-                futures = [pool.submit(work) for _ in range(W)]
-            for f in futures:
-                f.result()
+                pending = [pool.submit(work) for _ in range(W)]
+            # a Ctrl-C that lands just before a wait blocks is only handled
+            # when the wait returns, so no wait lasts longer than 0.1 s
+            while pending:
+                done, pending = wait(pending, timeout=0.1, return_when=FIRST_EXCEPTION)
+                for f in done:
+                    f.result()  # raises a task's error
         except BaseException:  # an error in a task, or Ctrl-C while waiting
             stop.set()
             raise

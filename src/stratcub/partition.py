@@ -458,11 +458,13 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
     ``find_cell``, and equal a brute-force test of every (sample, cell)
     pair: when the stored cells match the layout recorded in ``meta`` (an
     O(N) check), only the cells next to each sample's grid or band/sector
-    position are tested; any other partition has every cell tested.  Each
-    cell's size samples come from its own ``(seed, VERIFY, N, id, 0|1)``
-    streams, drawn by ``stream_points`` (one re-keyed Philox per call, see
-    ``rng.uniforms``), mapped to points and measured a block of cells at a
-    time, and so are its corners, every pair of them.  A pair farther apart
+    position are tested; any other partition has every cell tested.  The
+    size samples come from the one stream ``(seed, VERIFY, N, 1)``: cell j
+    owns its ``2 pairs_per_cell`` points' uniforms ``[j s, (j + 1) s)``, the
+    first half its points ``pa`` and the second ``pb``, so they do not depend
+    on how cells are blocked.  A block of cells takes its uniforms with one
+    ``rng.window`` call, maps them to points and measures them, and so are
+    its corners, every pair of them.  A pair farther apart
     than the cell's ``diameter``, or a point farther from the anchor than
     its ``circumradius``, counts as a ``diameter_violations``, so
     ``diameter_ok`` gates both size bounds.
@@ -499,11 +501,19 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
     # the uniforms, points and three distance tables of a block hold
     # about L2_BLOCK floats
     block = max(1, L2_BLOCK // (8 * pairs_per_cell))
+    # cell j owns uniforms [j s, (j + 1) s) of the size-sample stream, laid
+    # out as its (2m, d) torus or (2, 2m) sphere table
+    m = pairs_per_cell
+    per_cell = (2 * m, space.d) if space.kind == TORUS else (2, 2 * m)
+    s = math.prod(per_cell)
     for i0 in range(0, N, block):
         cells = np.arange(i0, min(N, i0 + block))
-        pa, pb = (stream_points(partition, seed, rngmod.VERIFY, N, cells, r,
-                                m=pairs_per_cell, ids=cells[:, None])[:, 0]
-                  for r in (0, 1))
+        u = rngmod.window(seed, rngmod.VERIFY, N, 1, start=i0 * s,
+                          shape=(len(cells),) + per_cell)
+        if space.kind != TORUS:
+            u = u.swapaxes(0, 1)  # the sphere map takes the (z, lon) axis first
+        pts = _cell_map(partition, u, cells)
+        pa, pb = pts[:, :m], pts[:, m:]
         corners = _cell_map(partition, corner_u, cells)
         diam = partition.diameter[cells, None] * slack
         diam_violations += int(np.sum(distance(space, pa, pb) > diam)

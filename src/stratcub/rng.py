@@ -21,6 +21,12 @@ its counter and its output buffer; setting all of them, through the public
 state a newly opened stream starts in, so each row is bit-identical to
 ``substream(...).random``.  Re-keying costs about a sixth of opening a
 Philox.  No generator leaves the call, so concurrent calls share nothing.
+
+Callers that need a few uniforms for each of many consumers can instead
+give each consumer its own run of one stream: ``window`` returns any run of
+a stream directly, since Philox word i is word ``i % 4`` of the block at
+counter ``i // 4``.  ``partition.verify_partition`` draws its size samples
+that way, one ``window`` per block of cells.
 """
 
 from __future__ import annotations
@@ -123,3 +129,26 @@ def uniforms(seed: int, *path, shape) -> np.ndarray:
         bitgen.state = state
         gen.random(out=row)
     return out
+
+
+def window(seed: int, *path: int, start: int, shape) -> np.ndarray:
+    """Uniforms ``start`` .. ``start + n - 1`` of the stream ``(seed, *path)``,
+    n = prod(shape), in the given shape.
+
+    Equals ``substream(seed, *path).random(start + n)[start:]`` bit for bit
+    without drawing the first ``start``: uniform i is Philox word i, and
+    word i is word ``i % 4`` of the block at counter ``i // 4``.
+    """
+    if start < 0:
+        raise ValueError(f"window start must be >= 0, got {start}")
+    block, skip = divmod(int(start), 4)
+    bitgen = np.random.Philox(_Key(np.zeros(2, dtype=np.uint64)))
+    # numpy steps the counter before it fills an empty buffer, so counter
+    # `block` with an empty buffer yields the stream's block `block` next
+    bitgen.state = {"bit_generator": "Philox",
+                    "state": {"counter": [block, 0, 0, 0],
+                              "key": [int(seed) & _MASK64, path_key(*path)]},
+                    "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    if skip:
+        bitgen.random_raw(skip)
+    return np.random.Generator(bitgen).random(shape)

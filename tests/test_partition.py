@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from stratcub import partition as partmod
 from stratcub import rng as rngmod
 from stratcub.partition import (_COLUMNS, _layout_ok, _locate, cell_boundary_distance,
                                 cell_contains, cell_points, cell_sample, find_cell,
@@ -76,7 +77,7 @@ def test_cell_sample_containment_and_determinism():
 @pytest.mark.parametrize("part", [torus_grid_partition(T1, 16), torus_grid_partition(T2, 5),
                                   sphere_zonal_partition(S2, 40)], ids=["T1", "T2", "S2"])
 def test_cell_points_one_generator_per_cell(part):
-    # the mode verify_partition draws its diameter samples in
+    # one stream per cell, the mode mz._cell_means draws its cell samples in
     cells = np.arange(3, part.N - 2)
     pts = stream_points(part, 2, rngmod.VERIFY, part.N, cells, 1, m=32, ids=cells[:, None])
     assert pts.shape == (len(cells), 1, 32, part.anchor.shape[1])
@@ -164,6 +165,30 @@ def test_verify_partition_flags_corruption():
         cuts.append(_with_rows(grid, 2, diameter=0.99 * grid.diameter[2]))
     for cut in cuts:
         assert not verify_partition(cut, 1000, seed=0).diameter_ok
+
+
+def _cut_sphere_diameter():
+    part = sphere_zonal_partition(S2, 33)
+    return _with_rows(part, 2, diameter=0.7 * part.diameter[2])
+
+
+def _cut_torus_circumradius():
+    part = torus_grid_partition(T2, 5)
+    return _with_rows(part, 7, circumradius=0.9 * part.circumradius[7])
+
+
+@pytest.mark.parametrize("corrupt", [_cut_sphere_diameter, _cut_torus_circumradius])
+def test_verify_partition_size_samples_do_not_depend_on_block(monkeypatch, corrupt):
+    # a block holds L2_BLOCK // (8 pairs_per_cell) cells; each cell's samples
+    # are its own window of one stream, so 1, 3 or all cells per block give
+    # the same points and the same counts
+    part, pairs = corrupt(), 16
+    reports = []
+    for cells in (1, 3, part.N):
+        monkeypatch.setattr(partmod, "L2_BLOCK", 8 * pairs * cells)
+        reports.append(verify_partition(part, 500, seed=2, pairs_per_cell=pairs))
+    assert reports[0].diameter_violations > 0 and not reports[0].diameter_ok
+    assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 def _brute_counts(part, pts):

@@ -1,3 +1,4 @@
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -68,6 +69,43 @@ def test_uniforms_threads_match_serial():
                                  seeds))
     for a, b in zip(serial, threaded):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("start", [*range(10), 1023, 10**6])
+@pytest.mark.parametrize("seed", [0, -1, 2**63 + 1])
+def test_window_matches_substream_prefix(seed, start):
+    path = (rngmod.VERIFY, 4096, 1)
+    stream = rngmod.substream(seed, *path).random(start + 64)
+    for n in (1, 3, 64):
+        assert np.array_equal(rngmod.window(seed, *path, start=start, shape=n),
+                              stream[start:start + n])
+    for shape in [(4, 16), (2, 3), (8, 2, 2)]:
+        n = math.prod(shape)
+        assert np.array_equal(rngmod.window(seed, *path, start=start, shape=shape),
+                              stream[start:start + n].reshape(shape))
+
+
+def test_window_at_zero_matches_uniforms_rows():
+    ids = np.arange(5, 30)
+    u = rngmod.uniforms(7, rngmod.VERIFY, 512, ids, 0, shape=(3, 4))
+    for row, j in zip(u, ids):
+        assert np.array_equal(row, rngmod.window(7, rngmod.VERIFY, 512, int(j), 0, start=0,
+                                                 shape=(3, 4)))
+
+
+def test_window_threads_match_serial():
+    starts = [0, 1, 2, 3, 5, 1023, 4097, 10**5] * 2
+    serial = [rngmod.window(3, rngmod.VERIFY, 64, 1, start=s, shape=(32, 7)) for s in starts]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(
+            lambda s: rngmod.window(3, rngmod.VERIFY, 64, 1, start=s, shape=(32, 7)), starts))
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a, b)
+
+
+def test_window_rejects_negative_start():
+    with pytest.raises(ValueError, match="start"):
+        rngmod.window(0, rngmod.VERIFY, start=-1, shape=3)
 
 
 @pytest.mark.parametrize("path", [(rngmod.VERIFY, 3), (np.zeros((2, 2), dtype=int),),

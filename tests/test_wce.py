@@ -3,6 +3,7 @@ import math
 import signal
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -743,3 +744,48 @@ def test_sigint_while_waiting_stops_every_thread(monkeypatch):
     assert handled.is_set()
     assert not _pool_threads()
     assert len(late) == len(set(late)) <= W - 1
+
+
+def test_one_sigint_is_handled_within_a_second(monkeypatch):
+    # exactly one SIGINT, sent from draw 4 while the main thread waits; the
+    # draws begun after it wait for the handler (for at most 2 s), so a
+    # missed signal shows as a late handler.  The miss needs the signal to
+    # land while the main thread is on its way into a wait, after its last
+    # check for signals: a wait without a timeout then sleeps through it.
+    # That race is only hit in some runs, more often when the main thread has
+    # just been busy (here, filling 32 MB), so the run is repeated.
+    _set_cpus(monkeypatch, 3)
+    cfg = _cfg(PART4, RIESZ75, m_y=256, m_z=2, n_draws=60)
+    draw_tables = wce._draw_tables
+    for _ in range(12):
+        handled = threading.Event()
+        sent, delays = [], []
+
+        def on_sigint(signum, frame):
+            if not handled.is_set():
+                delays.append(time.monotonic() - sent[0])
+                handled.set()
+                raise KeyboardInterrupt
+
+        def signalling_draw(cfg, ctx, index, *args):
+            if index == 4:
+                sent.append(time.monotonic())
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                # busy, holding the interpreter lock between switches
+                while not handled.is_set() and time.monotonic() < sent[0] + 2.0:
+                    sum(range(1000))
+            elif sent:
+                handled.wait(max(0.0, sent[0] + 2.0 - time.monotonic()))
+            return draw_tables(cfg, ctx, index, *args)
+
+        monkeypatch.setattr(wce, "_draw_tables", signalling_draw)
+        previous = signal.signal(signal.SIGINT, on_sigint)
+        busy = np.ones(4_000_000)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                delta_phi(cfg)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        del busy
+        assert len(delays) == 1 and delays[0] < 1.0
+        assert not _pool_threads()
