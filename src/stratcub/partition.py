@@ -459,15 +459,14 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
     pair: when the stored cells match the layout recorded in ``meta`` (an
     O(N) check), only the cells next to each sample's grid or band/sector
     position are tested; any other partition has every cell tested.  The
-    size samples come from the one stream ``(seed, VERIFY, N, 1)``: cell j
-    owns its ``2 pairs_per_cell`` points' uniforms ``[j s, (j + 1) s)``, the
-    first half its points ``pa`` and the second ``pb``, so they do not depend
-    on how cells are blocked.  A block of cells takes its uniforms with one
-    ``rng.window`` call, maps them to points and measures them, and so are
-    its corners, every pair of them.  A pair farther apart
-    than the cell's ``diameter``, or a point farther from the anchor than
-    its ``circumradius``, counts as a ``diameter_violations``, so
-    ``diameter_ok`` gates both size bounds.
+    size samples come from the one stream ``(seed, VERIFY, N, 1)``, in which
+    cell j owns the j-th run of ``2 pairs_per_cell`` points' uniforms (the
+    first half pairs with the second), so they do not depend on how cells
+    are blocked.  A block of cells takes its runs with one ``rng.window``
+    call, and its points and corners are measured together, every pair of
+    corners too.  A pair farther apart than the cell's ``diameter``, or a
+    point farther from the anchor than its ``circumradius``, counts as a
+    ``diameter_violations``, so ``diameter_ok`` gates both size bounds.
     """
     check_count("sample_budget", sample_budget, 1)
     check_count("pairs_per_cell", pairs_per_cell, 1)

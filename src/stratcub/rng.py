@@ -93,6 +93,17 @@ def path_key(*path):
     return h
 
 
+def _state(seed: int, key: int, block: int = 0) -> dict:
+    """The Philox state of the stream ``(seed, key)`` just before it draws
+    its block ``block``: counter ``block`` and an empty buffer, since numpy
+    steps the counter before it refills an empty buffer.  Block 0 gives a
+    newly opened stream.  The setter reads Python ints about three times
+    faster than arrays."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": [block, 0, 0, 0], "key": [int(seed) & _MASK64, key]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Return the generator for the stream addressed by ``(seed, *path)``.
 
@@ -119,11 +130,8 @@ def uniforms(seed: int, *path, shape) -> np.ndarray:
     out = np.empty((len(keys),) + shape)
     bitgen = np.random.Philox(_Key(np.zeros(2, dtype=np.uint64)))
     gen = np.random.Generator(bitgen)
-    # a fresh stream's state: counter 0, buffer_pos 4 (empty), has_uint32 0;
-    # the setter reads Python ints about three times faster than arrays
-    key = [int(seed) & _MASK64, 0]
-    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    state = _state(seed, 0)
+    key = state["state"]["key"]
     for k, row in zip(keys.tolist(), out.reshape(len(keys), math.prod(shape))):
         key[1] = k
         bitgen.state = state
@@ -136,19 +144,14 @@ def window(seed: int, *path: int, start: int, shape) -> np.ndarray:
     n = prod(shape), in the given shape.
 
     Equals ``substream(seed, *path).random(start + n)[start:]`` bit for bit
-    without drawing the first ``start``: uniform i is Philox word i, and
-    word i is word ``i % 4`` of the block at counter ``i // 4``.
+    without drawing the first ``start``: uniform i is Philox word i, which
+    is word ``i % 4`` of the stream's block ``i // 4``.
     """
     if start < 0:
         raise ValueError(f"window start must be >= 0, got {start}")
     block, skip = divmod(int(start), 4)
     bitgen = np.random.Philox(_Key(np.zeros(2, dtype=np.uint64)))
-    # numpy steps the counter before it fills an empty buffer, so counter
-    # `block` with an empty buffer yields the stream's block `block` next
-    bitgen.state = {"bit_generator": "Philox",
-                    "state": {"counter": [block, 0, 0, 0],
-                              "key": [int(seed) & _MASK64, path_key(*path)]},
-                    "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    bitgen.state = _state(seed, path_key(*path), block)
     if skip:
         bitgen.random_raw(skip)
     return np.random.Generator(bitgen).random(shape)
