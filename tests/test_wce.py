@@ -726,8 +726,9 @@ def test_sigint_while_waiting_stops_every_thread(monkeypatch):
         if handled.is_set():
             late.append(threading.current_thread().name)
         if index == 4:
-            # a signal that lands just before the main thread blocks is only
-            # seen when its wait returns, so send until the handler has run
+            # a signal that lands just before the main thread blocks waits
+            # for the next wait slice; sending until the handler has run
+            # keeps this test apart from that race (see the test below)
             for _ in range(10_000):
                 signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
                 if handled.wait(0.001):
