@@ -24,8 +24,8 @@ Philox.  No generator leaves the call, so concurrent calls share nothing.
 
 Callers that need a few uniforms for each of many consumers can instead
 give each consumer its own run of one stream: ``window`` returns any run of
-a stream directly, since Philox word i is word ``i % 4`` of the block at
-counter ``i // 4``.  ``partition.verify_partition`` draws its size samples
+a stream directly, since Philox word i is word ``i % 4`` of the stream's
+block ``i // 4``.  ``partition.verify_partition`` draws its size samples
 that way, one ``window`` per block of cells.
 """
 
