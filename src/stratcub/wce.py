@@ -23,10 +23,13 @@ of the two replicas give unbiased squares at q = 2 for any m_z.  Standard
 errors are leave-one-out jackknives (``cubature.jackknife``): over draws for
 A_N and Delta, over the shared (x, y) pairs for Gamma.
 
-The draw loops of A_N and Delta run through ``cubature.run_indexed``.  Every
-stream a draw reads is keyed by (seed, estimator, draw index), and the
+The draw loops of A_N and Delta run through ``cubature.run_indexed``;
+``run_report`` runs Gamma, Delta's draws and A_N's draws as one task list on
+one pool, so the thread that runs Gamma does not leave the others idle.
+Every stream a draw reads is keyed by (seed, estimator, draw index), and the
 per-draw values are collected in index order, so the output is the same bits
-for any thread count.
+for any thread count, and ``run_report`` gives the bits of the three
+estimators called one by one.
 """
 
 from __future__ import annotations
@@ -85,9 +88,11 @@ class WceConfig:
     replica for the cell kernel means of Delta and Gamma (A_N and
     ``worst_case_error`` use none); ``gamma_pairs``: (x, y) pairs per cell
     for the per-cell functional, at least 2 for its jackknife.  Each thread
-    of Delta's draw loop (``_draw_moment``) holds buffers of its own, about
-    24 N m_y bytes (node table and two replicas of T) plus a cell-mean block
-    of about ``L2_BLOCK`` doubles.
+    of Delta's draw loop (``delta_phi`` or ``run_report``) holds buffers of
+    its own, about 24 N m_y bytes (node table and two replicas of T) plus a
+    cell-mean block of about ``L2_BLOCK`` doubles.  Under ``run_report`` one
+    thread may hold Gamma's (N, gamma_pairs) tables, up to about
+    90 N gamma_pairs bytes at their peak, while the others hold Delta buffers.
     """
 
     partition: Partition
@@ -260,9 +265,26 @@ def _dq_samples(cfg: WceConfig, T: np.ndarray) -> np.ndarray:
     return total * np.clip(S, 0.0, None) ** (cfg.q / 2.0)
 
 
-def _draw_moment(cfg: WceConfig, make_draw: Callable[[], Callable[[int], float]]) -> ErrorStats:
-    """{mean over draws k of make_draw()(k)}^{1/q} with jackknife standard error."""
-    moment, se = jackknife_power_mean(run_indexed(cfg.n_draws, make_draw), 1.0 / cfg.q)
+def _an_task(cfg: WceConfig, table: np.ndarray) -> Callable[[int], float]:
+    """A_N's per-draw value of draw k, its node table built in ``table``."""
+    return lambda k: _wq(cfg, rngmod.AN, k, out=table)
+
+
+def _delta_task(cfg: WceConfig, phi: np.ndarray, T: np.ndarray) -> Callable[[int], float]:
+    """Delta's per-draw value of draw k, its node table built in ``phi`` and
+    its per-cell terms in ``T``."""
+    return lambda k: _dq_samples(cfg, _draw_tables(cfg, rngmod.DELTA, k, phi, T)).mean()
+
+
+def _delta_buffers(cfg: WceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """A thread's node-table buffer (N, m_y) and per-cell-term buffer (2, N, m_y)."""
+    phi = np.empty((cfg.partition.N, cfg.m_y))
+    return phi, np.empty((2,) + phi.shape)
+
+
+def _draw_moment(cfg: WceConfig, values) -> ErrorStats:
+    """{mean of the per-draw values}^{1/q} with jackknife standard error."""
+    moment, se = jackknife_power_mean(values, 1.0 / cfg.q)
     return ErrorStats(p=cfg.q, n_draws=cfg.n_draws, moment=moment, stderr=se)
 
 
@@ -280,11 +302,8 @@ def worst_case_error(cfg: WceConfig, draw: NodeDraw, rep: int = 0) -> float:
 
 def estimate_AN(cfg: WceConfig) -> ErrorStats:
     """{mean over draws of wce^q}^{1/q} with jackknife standard error."""
-    def make_draw():
-        table = np.empty((cfg.partition.N, cfg.m_y))  # a worker's node table
-        return lambda k: _wq(cfg, rngmod.AN, k, out=table)
-
-    return _draw_moment(cfg, make_draw)
+    return _draw_moment(cfg, run_indexed(
+        cfg.n_draws, lambda: _an_task(cfg, np.empty((cfg.partition.N, cfg.m_y)))))
 
 
 def delta_phi(cfg: WceConfig) -> ErrorStats:
@@ -294,12 +313,8 @@ def delta_phi(cfg: WceConfig) -> ErrorStats:
     means against A_N's exact integral), so the p = q = 2 identity between
     the two is a genuine dual-route check.
     """
-    def make_draw():
-        phi = np.empty((cfg.partition.N, cfg.m_y))  # a worker's node table
-        T = np.empty((2,) + phi.shape)  # and its per-cell terms
-        return lambda k: _dq_samples(cfg, _draw_tables(cfg, rngmod.DELTA, k, phi, T)).mean()
-
-    return _draw_moment(cfg, make_draw)
+    return _draw_moment(cfg, run_indexed(
+        cfg.n_draws, lambda: _delta_task(cfg, *_delta_buffers(cfg))))
 
 
 def gamma_phi(cfg: WceConfig) -> ErrorStats:
@@ -331,11 +346,35 @@ def gamma_phi(cfg: WceConfig) -> ErrorStats:
 
 
 def run_report(cfg: WceConfig) -> WceReport:
+    """A_N, Delta and Gamma of one config, equal to ``estimate_AN``,
+    ``delta_phi`` and ``gamma_phi``, from one ``run_indexed`` call.
+
+    Task 0 is Gamma, tasks 1 .. n_draws are Delta's draws and the last
+    n_draws are A_N's, costliest first, so A_N's short draws fill in at the
+    end.  A thread allocates its Delta buffers on its first draw task, and
+    its A_N node tables reuse the node-table buffer.
+    """
+    n = cfg.n_draws
+
+    def make_task():
+        tasks = []  # this thread's Delta and A_N tasks, built on its first draw
+
+        def task(i):
+            if i == 0:
+                return gamma_phi(cfg)
+            if not tasks:
+                phi, T = _delta_buffers(cfg)
+                tasks.extend((_delta_task(cfg, phi, T), _an_task(cfg, phi)))
+            return tasks[0](i - 1) if i <= n else tasks[1](i - 1 - n)
+
+        return task
+
+    values = run_indexed(2 * n + 1, make_task)
     return WceReport(
         config_label={"N": cfg.partition.N, "p": cfg.p, **cfg.kernel.as_dict()},
-        a_n=estimate_AN(cfg),
-        delta=delta_phi(cfg),
-        gamma=gamma_phi(cfg),
+        a_n=_draw_moment(cfg, values[n + 1:]),
+        delta=_draw_moment(cfg, values[1:n + 1]),
+        gamma=values[0],
         regime=regime_classify(cfg.kernel),
     )
 
