@@ -595,11 +595,56 @@ def test_results_do_not_depend_on_workers(monkeypatch, case):
     cfg = WceConfig(part, kern, p, m_y=32, m_z=4, n_draws=n_draws, seed=5, gamma_pairs=16)
     _set_cpus(monkeypatch, 1)
     serial = run_report(cfg)
-    for W in (2, 3):
+    for W in (1, 2, 3):
         _set_cpus(monkeypatch, W)
         assert estimate_AN(cfg) == serial.a_n
         assert delta_phi(cfg) == serial.delta
+        assert gamma_phi(cfg) == serial.gamma
         assert run_report(cfg) == serial
+
+
+def test_run_report_runs_one_pool(monkeypatch):
+    # Gamma, Delta's draws and A_N's draws are one task list, and Gamma runs
+    # on a pool thread while the caller waits
+    _set_cpus(monkeypatch, 3)
+    run = wce.run_indexed
+    sizes = []
+
+    def counting(n, make_task, *args):
+        sizes.append(n)
+        return run(n, make_task, *args)
+
+    monkeypatch.setattr(wce, "run_indexed", counting)
+    threads = {name: _record_threads(monkeypatch, name)
+               for name in ("gamma_phi", "_wq", "_draw_tables")}
+    cfg = _cfg(PART4, RIESZ75, m_y=32, m_z=2, n_draws=6, gamma_pairs=8)
+    run_report(cfg)
+    assert sizes == [2 * cfg.n_draws + 1]
+    assert len(threads["gamma_phi"]) == 1
+    for names in threads.values():
+        assert names and all(name.startswith("stratcub_") for name in names)
+    assert not _pool_threads()
+
+
+def test_gamma_error_in_run_report_stops_every_thread(monkeypatch):
+    _set_cpus(monkeypatch, 3)
+    cfg = _cfg(PART4, RIESZ75, m_y=256, m_z=2, n_draws=60)
+    started = []  # one entry per draw task begun
+    for name in ("_wq", "_draw_tables"):
+        def counting(*args, inner=getattr(wce, name), **kwargs):
+            started.append(threading.current_thread().name)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(wce, name, counting)
+
+    def failing_gamma(cfg):
+        raise RuntimeError("gamma failed")
+
+    monkeypatch.setattr(wce, "gamma_phi", failing_gamma)
+    with pytest.raises(RuntimeError, match="gamma failed"):
+        run_report(cfg)
+    assert not _pool_threads()
+    assert len(started) < 2 * cfg.n_draws
 
 
 def test_direct_call_uses_pool_threads(monkeypatch):
