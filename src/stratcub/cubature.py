@@ -103,9 +103,9 @@ def estimate_BN(f: TestFunction, partition: Partition, p: float, n_draws: int,
     w = partition.weights()
     errors = np.empty(n_draws)
     for k0, values in value_blocks(f, partition, seed, n_draws):
-        # w @ v per draw: a matrix-vector product need not round as each row's dot
-        for k, v in enumerate(values, k0):
-            errors[k] = w @ v - f.exact_integral
+        # row-wise dots, each rounding as w @ v does; a matrix-vector
+        # product need not
+        errors[k0:k0 + len(values)] = np.vecdot(values, w) - f.exact_integral
     moment, stderr = jackknife_power_mean(np.abs(errors) ** p, 1.0 / p)
     return ErrorStats(p=p, n_draws=n_draws, moment=moment, stderr=stderr)
 

@@ -72,11 +72,13 @@ def mz_pair(f: TestFunction, partition: Partition, p: float, n_draws: int,
     mid_pow = np.empty(n_draws)
     brk_pow = np.empty(n_draws)
     for k0, values in value_blocks(f, partition, seed, n_draws, rngmod.MZ):
-        # per draw, the scalar forms: array powers and row-wise dot products
+        c = w * (values - means)
+        rows = slice(k0, k0 + len(c))
+        # row sums and row-wise dots round as each row's c.sum() and c @ c
+        # do; the powers stay scalar (libm pow), since array powers may
         # round differently
-        for k, c in enumerate(w * (values - means), k0):
-            mid_pow[k] = abs(c.sum()) ** p
-            brk_pow[k] = float(c @ c) ** (p / 2.0)
+        mid_pow[rows] = [abs(s) ** p for s in c.sum(axis=1).tolist()]
+        brk_pow[rows] = [s ** (p / 2.0) for s in np.vecdot(c, c).tolist()]
     power = 1.0 / p
     middle, middle_se = jackknife_power_mean(mid_pow, power)
     bracket, bracket_se = jackknife_power_mean(brk_pow, power)

@@ -365,10 +365,19 @@ def _cell_map(partition: Partition, u: np.ndarray, ids) -> np.ndarray:
     """Points of the cells ``ids`` from their uniforms: (..., cells, m, d)
     on the torus, (2, ..., cells, m) on the sphere; elementwise, so any
     leading axes of ``u`` map as one slice at a time would.  ``ids`` may
-    carry leading axes of its own, matching those of ``u``."""
+    carry leading axes of its own, matching those of ``u``.
+
+    A torus point is ``lo + (hi - lo) u``, computed one axis at a time as
+    (..., cells, m) slices written into one output: broadcast over a short
+    trailing d axis, numpy's inner loop would run d elements at a time."""
     if partition.space.kind == TORUS:
-        lo, hi = partition.lo[ids, None, :], partition.hi[ids, None, :]
-        return lo + (hi - lo) * u
+        lo, hi = partition.lo[ids], partition.hi[ids]
+        out = np.empty(np.broadcast_shapes(lo.shape[:-1] + (1, lo.shape[-1]), u.shape))
+        for i in range(lo.shape[-1]):
+            a = lo[..., i, None]
+            np.multiply(hi[..., i, None] - a, u[..., i], out=out[..., i])
+            out[..., i] += a
+        return out
     z_top, z_bot = partition.z[ids, 0, None], partition.z[ids, 1, None]
     lon_lo, lon_hi = partition.lon[ids, 0, None], partition.lon[ids, 1, None]
     # u = 0 lands on the closed (top) edge, matching the half-open bands
