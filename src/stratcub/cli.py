@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -55,10 +56,27 @@ _FLAG_TO_FIELD = {
 }
 
 
+def _read_config(path: str) -> dict:
+    """The ``ExperimentConfig`` fields in the JSON file ``path``."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"config file {path} must hold a JSON object, "
+                         f"got {type(doc).__name__}")
+    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(ExperimentConfig)})
+    if unknown:
+        raise ValueError(f"config file {path}: unknown field(s) {', '.join(unknown)}")
+    return doc
+
+
 def _config_from_args(kind: str, args: argparse.Namespace) -> ExperimentConfig:
     fields: dict = {"kind": kind}
     if args.config:
-        fields.update(json.loads(Path(args.config).read_text()))
+        fields.update(_read_config(args.config))
         fields["kind"] = kind
     for flag, fieldname in _FLAG_TO_FIELD.items():
         v = getattr(args, flag, None)
@@ -76,17 +94,30 @@ def _config_from_args(kind: str, args: argparse.Namespace) -> ExperimentConfig:
 def _run_kind(kind: str, args: argparse.Namespace) -> int:
     try:
         cfg = _config_from_args(kind, args)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: a field of the wrong type
         raise SystemExit(f"stratcub: {exc}")
     rows, summary = run_experiment(cfg)
     print(to_json(summary, sort_keys=True, default=str, indent=1))
     return 0 if summary.get("verdict", True) else 1
 
 
+def _read_points(path: str) -> list[tuple[float, float, float]]:
+    """(N, value, stderr) per row of an experiment CSV; a file that cannot
+    be read or parsed exits with a one-line message."""
+    try:
+        with open(path, newline="") as fh:
+            return [(float(r["N"]), float(r["value"]), float(r["stderr"]))
+                    for r in csv.DictReader(fh)]
+    except OSError as exc:
+        raise SystemExit(f"stratcub: cannot read CSV file {path}: {exc.strerror or exc}")
+    except KeyError as exc:
+        raise SystemExit(f"stratcub: CSV file {path} has no column {exc}")
+    except (TypeError, ValueError) as exc:  # TypeError: a short row
+        raise SystemExit(f"stratcub: CSV file {path}: {exc}")
+
+
 def _cmd_rates(args: argparse.Namespace) -> int:
-    with open(args.csv, newline="") as fh:
-        points = [(float(r["N"]), float(r["value"]), float(r["stderr"]))
-                  for r in csv.DictReader(fh)]
+    points = _read_points(args.csv)
     fit = rate_fit(points, seed=args.seed or 0)
     result = {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2,
               "slope_ci": list(fit.slope_ci)}

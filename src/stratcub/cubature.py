@@ -10,12 +10,19 @@ whose p-th moment over draws is the fixed-function error estimated by
 k), consumed in cell order, so node j derives from (seed, k, j) by counter
 position: deterministic and parallel-safe across draws.
 
-The draw loops of ``estimate_BN`` and ``mz.mz_pair`` take their nodes a
-block of draws at a time (``value_blocks``): one ``rng.uniforms`` call, which
-re-keys a single Philox per stream, draws what ``draw_nodes`` draws for each
-index of the block, one map turns all those uniforms into a (draws, N, dim)
-table, and the function is evaluated on it in one call.  A block holds at
-most ``L2_BLOCK // 8`` node coordinates.
+``estimate_BN`` and ``mz.mz_pair`` take their nodes a block of draws at a
+time (``value_blocks``): one ``rng.uniforms`` call, which re-keys a single
+Philox per stream, draws what ``draw_nodes`` draws for each index of the
+block, one map turns all those uniforms into a (draws, N, dim) table, and
+the function is evaluated on it in one call.  A block holds at most
+``L2_BLOCK // 8`` node coordinates.  Each block is then reduced row-wise
+(``np.vecdot``, a row sum), with no Python loop over its draws; a row-wise
+dot rounds as that draw's own ``w @ v`` does.
+
+``run_indexed`` is the one thread runner of the package: ``wce`` runs the
+draws of A_N and Delta through it, and ``experiments.run_experiment`` its N
+values.  The fixed-function estimators and ``partition.verify_partition``
+stay on the calling thread.
 """
 
 from __future__ import annotations

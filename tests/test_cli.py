@@ -114,6 +114,42 @@ def test_cli_reports_unknown_fn_param_in_one_line(tmp_path):
                                    "'coordinate'; it takes axis")
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"n_drawz": 5}', "cfg.json: unknown field(s) n_drawz"),
+    ("[1, 2]", "cfg.json must hold a JSON object, got list"),
+    ("{", "cfg.json is not valid JSON"),
+    ('{"fn_params": 3}', "'int' object is not iterable"),
+    (None, "cannot read config file"),
+], ids=["unknown-field", "json-list", "not-json", "wrong-type", "missing-file"])
+def test_cli_reports_bad_config_file_in_one_line(tmp_path, text, message, monkeypatch):
+    def run(cfg):
+        raise AssertionError("a bad config reached the run")
+
+    monkeypatch.setattr(cli, "run_experiment", run)
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["besov", "--config", str(cfg)])
+    text = str(exc.value.code)
+    assert text.startswith("stratcub: ") and message in text and "\n" not in text
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read CSV file"),
+    ("N,value\n8,1\n", "has no column 'stderr'"),
+    ("N,value,stderr\n8,one,0\n", "could not convert string to float: 'one'"),
+], ids=["missing-file", "missing-column", "not-a-number"])
+def test_cli_rates_reports_bad_csv_in_one_line(tmp_path, text, message):
+    data = tmp_path / "data.csv"
+    if text is not None:
+        data.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["rates", "--csv", str(data)])
+    text = str(exc.value.code)
+    assert text.startswith("stratcub: ") and message in text and "\n" not in text
+
+
 def _strict_loads(text):
     """json.loads that rejects the NaN and Infinity tokens RFC 8259 lacks."""
     def reject(token):

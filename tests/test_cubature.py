@@ -163,12 +163,12 @@ def _per_draw_values(f, part, seed, n_draws, stream):
 def _batched_cases():
     box2 = make_box((0.2, 0.35), (0.7, 0.6))
     cases = []
-    for m in (1, 16, 512, 2048):
+    for m in (1, 16, 512, 2048, 8192):  # N = 8192: one draw a block
         part = torus_grid_partition(T1, m)
         fs = [cone_bump_fn(T1, (0.4,), 0.3), coordinate_fn(T1), square_wave_fn(T1, 3),
               indicator_fn(T1, make_arc(0.2, 0.5))]
         cases += [(f"T1-N{m}-{f.fid}", part, f) for f in fs]
-    for m in (1, 4, 23, 45):  # N = 1, 16, 529, 2025
+    for m in (1, 4, 23, 45, 64):  # N = 1, 16, 529, 2025, 4096 (one draw a block)
         part = torus_grid_partition(T2, m)
         fs = [make_function(T2, "cone"), coordinate_fn(T2, 1), indicator_fn(T2, box2)]
         if m > 1:
@@ -188,9 +188,10 @@ def _batched_cases():
 def test_batched_draws_match_per_draw_loop(part, f):
     """estimate_BN and mz_pair equal (==) a loop over draws that opens one
     stream, samples one node per cell and evaluates f per draw.  The draw
-    counts end inside a block, after one or more full blocks; at N = 1 the
-    blocks hold 8192 (T^1) or 4096 (T^2) draws, so only one case there, the
-    cone on T^2, spans two."""
+    counts end inside a block, after one or more full blocks, except where a
+    block holds one draw (T^1 N = 8192, T^2 N = 4096, S^2 N = 2048); at
+    N = 1 the blocks hold 8192 (T^1) or 4096 (T^2) draws, so only one case
+    there, the cone on T^2, spans two."""
     K = _block_draws(part)
     n_draws = 2 * K + 3 if K <= 512 else 13
     if part.N == 1 and part.space.d == 2 and f.fid == "cone":

@@ -191,6 +191,31 @@ def test_verify_partition_size_samples_do_not_depend_on_block(monkeypatch, corru
     assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
+@pytest.mark.parametrize("space, m", [(T1, 37), (T2, 6), (T3, 3)], ids=["T1", "T2", "T3"])
+def test_torus_cell_map_is_the_broadcast_formula(space, m):
+    """The torus cell map, one axis at a time, equals ``lo + (hi - lo) u``
+    bit for bit for each form of ``ids`` its callers pass: a slice, (cells,),
+    (K, cells) as ``stream_points`` takes it, (cells, 1) as ``mz._cell_means``
+    passes it, and (cells,) with corner uniforms that have no cells axis, as
+    ``verify_partition`` passes them."""
+    part, d = torus_grid_partition(space, m), space.d
+    cells = np.array([0, 5, part.N - 1, 2])
+    rng = np.random.default_rng(3)
+    cases = [
+        (slice(None), rng.random((part.N, 4, d))),
+        (slice(1, 4), rng.random((2, 3, 5, d))),
+        (cells, rng.random((4, 7, d))),
+        (np.stack([cells, cells[::-1], (cells + 1) % part.N]), rng.random((3, 4, 6, d))),
+        (cells[:, None], rng.random((4, 1, 9, d))),
+        (cells, np.indices((2,) * d).reshape(d, -1).T),
+    ]
+    for ids, u in cases:
+        lo, hi = part.lo[ids][..., None, :], part.hi[ids][..., None, :]
+        want = lo + (hi - lo) * u
+        got = partmod._cell_map(part, u, ids)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _brute_counts(part, pts):
     """Containing cells per point, every (point, cell) pair tested: the
     brute-force count written out independently of the package."""
