@@ -6,15 +6,18 @@ the equal-weight-per-cell rule is
     E(f) = sum_j omega_j f(x_j) - integral of f,
 
 whose p-th moment over draws is the fixed-function error estimated by
-``estimate_BN``.  Nodes for draw k come from the stream keyed (seed, stream,
-k), consumed in cell order, so node j derives from (seed, k, j) by counter
-position: deterministic and parallel-safe across draws.
+``estimate_BN``.  ``draw_nodes`` gives draw k its own stream (seed,
+stream, k), consumed in cell order: deterministic and parallel-safe across
+draws, for callers with much work per draw (``wce``).
 
-``estimate_BN`` and ``mz.mz_pair`` take their nodes a block of draws at a
-time (``value_blocks``): one ``rng.uniforms`` call, which re-keys a single
-Philox per stream, draws what ``draw_nodes`` draws for each index of the
-block, one map turns all those uniforms into a (draws, N, dim) table, and
-the function is evaluated on it in one call.  A block holds at most
+``estimate_BN`` and ``mz.mz_pair`` instead read draw k from run k of the
+single stream (seed, tag), tag ``NODES`` or ``MZ``: uniforms ``[k u, (k +
+1) u)``, u = N d on the torus laid out (N, 1, d), u = 2 N on the sphere laid
+out (2, N, 1), the z-row then the longitude-row.  Philox is a keyed
+function of its counter, so disjoint runs are as independent as separate
+streams.  ``value_blocks`` takes a block of draws with one
+``partition.stream_points`` call (one ``rng.window`` and one cell map) and
+evaluates the function on all its nodes in one call.  A block holds at most
 ``L2_BLOCK // 8`` node coordinates.  Each block is then reduced row-wise
 (``np.vecdot``, a row sum), with no Python loop over its draws; a row-wise
 dot rounds as that draw's own ``w @ v`` does.
@@ -71,15 +74,17 @@ def draw_nodes(partition: Partition, seed: int, index: int = 0,
 def value_blocks(f: TestFunction, partition: Partition, seed: int, n_draws: int,
                  stream: int = rngmod.NODES):
     """Yield ``(k0, values)`` over draws 0 .. n_draws - 1 in blocks: row i of
-    ``values`` (K, N) is ``f`` at ``draw_nodes(partition, seed, k0 + i,
-    stream).nodes``.  A block's nodes, at most ``L2_BLOCK // 8`` coordinates
-    (at least one draw), are drawn as one table and evaluated in one call."""
+    ``values`` (K, N) is ``f`` at the nodes of draw k0 + i, one per cell,
+    which run k0 + i of the stream ``(seed, stream)`` places (see the module
+    docstring).  A block's nodes, at most ``L2_BLOCK // 8`` coordinates (at
+    least one draw), are read with one ``stream_points`` call and evaluated
+    in one call, so the values do not depend on the block size."""
     dim = partition.anchor.shape[1]
     K = max(1, L2_BLOCK // (8 * partition.N * dim))
     for k0 in range(0, n_draws, K):
-        draws = np.arange(k0, min(n_draws, k0 + K))
-        nodes = stream_points(partition, seed, stream, draws)
-        yield k0, f.evaluate(nodes.reshape(-1, dim)).reshape(len(draws), partition.N)
+        count = min(n_draws - k0, K)
+        nodes = stream_points(partition, seed, stream, first=k0, count=count)
+        yield k0, f.evaluate(nodes.reshape(-1, dim)).reshape(count, partition.N)
 
 
 def sample_all_cells(partition: Partition, rng: np.random.Generator,
@@ -101,8 +106,8 @@ def estimate_BN(f: TestFunction, partition: Partition, p: float, n_draws: int,
                 seed: int) -> ErrorStats:
     """{mean over draws of |E(f)|^p}^{1/p} with a jackknife standard error.
 
-    Draw k's nodes are ``draw_nodes(partition, seed, k)``, taken and
-    evaluated a block of draws at a time (``value_blocks``).
+    Draw k's nodes are run k of the stream ``(seed, NODES)``, one node per
+    cell, taken and evaluated a block of draws at a time (``value_blocks``).
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"moment exponent must be finite and >= 1, got {p}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in ("partition", "wce", "besov", "mz", "indicator", "sharpness"):
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        check_count("seed", self.seed, -math.inf)  # any integer
+        for name in ("p", "alpha", "eps", "kappa", "fn_alpha"):
+            value = getattr(self, name)
+            if not isinstance(value, Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if len(self.n_list) < 1:
             raise ValueError("empty N list")
         for N in self.n_list:

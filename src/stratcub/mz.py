@@ -10,6 +10,12 @@ whose ratio is pinched between the best comparison constants A(p) <= 1 <= B(p)
 (equality at p = 2 by variance additivity).  The constants are open
 analytically, so the module only exports observed ratio envelopes, clearly
 labeled empirical; ``besov_rhs_bounds`` consumes the upper envelope.
+
+Draw k's nodes are run k of the stream ``(seed, MZ)``, one node per cell,
+read a block of draws at a time by ``cubature.value_blocks``.  Without
+closed-form cell means, cell j's ``M_CELL`` Monte Carlo samples are run j
+of the stream ``(seed, MZ, 1)``, read a block of cells at a time.  Neither
+depends on the block size.
 """
 
 from __future__ import annotations
@@ -61,8 +67,8 @@ def mz_pair(f: TestFunction, partition: Partition, p: float, n_draws: int,
     samples per cell.
     Standard errors and the ratio's standard error are draw-jackknives
     (middle and bracket share draws, so the ratio is jackknifed directly).
-    Draw k's nodes are ``draw_nodes(partition, seed, k, MZ)``, taken and
-    evaluated a block of draws at a time (``cubature.value_blocks``).
+    Draw k's nodes are run k of the stream ``(seed, MZ)``, one node per cell,
+    taken and evaluated a block of draws at a time (``cubature.value_blocks``).
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be finite and >= 1, got {p}")
@@ -107,8 +113,9 @@ def ratio_envelope(functions: list[TestFunction], partitions: list[Partition],
 
 def _cell_means(f: TestFunction, partition: Partition, seed: int) -> np.ndarray:
     """Closed-form cell means of f, or the mean of ``M_CELL`` samples per
-    cell: cell j's from its ``(seed, MZ, 1, j)`` stream, drawn and evaluated
-    a block of cells at a time (about ``L2_BLOCK`` coordinates a block)."""
+    cell: cell j's are run j of the stream ``(seed, MZ, 1)``, drawn and
+    evaluated a block of cells at a time (about ``L2_BLOCK`` coordinates a
+    block)."""
     if f.cell_means is not None:
         return f.cell_means(partition)
     N, dim = partition.anchor.shape
@@ -116,8 +123,8 @@ def _cell_means(f: TestFunction, partition: Partition, seed: int) -> np.ndarray:
     means = np.empty(N)
     for j0 in range(0, N, block):
         cells = np.arange(j0, min(N, j0 + block))
-        pts = stream_points(partition, seed, rngmod.MZ, 1, cells, m=M_CELL,
-                            ids=cells[:, None])
+        pts = stream_points(partition, seed, rngmod.MZ, 1, first=j0, count=len(cells),
+                            m=M_CELL, ids=cells[:, None])
         values = f.evaluate(pts.reshape(-1, dim))
         means[j0:j0 + len(cells)] = values.reshape(len(cells), M_CELL).mean(axis=1)
     return means

@@ -337,19 +337,23 @@ def cell_points(partition: Partition, rng: np.random.Generator, m: int,
     return _cell_map(partition, u, ids)
 
 
-def stream_points(partition: Partition, seed: int, *path, m: int = 1,
-                  ids=slice(None)) -> np.ndarray:
-    """m uniform points in each of a stream's cells, for one stream per
-    element of the array part of ``path``; returns (K, cells, m, dim).
+def stream_points(partition: Partition, seed: int, *path: int, first: int, count: int,
+                  m: int = 1, ids=slice(None)) -> np.ndarray:
+    """m uniform points in each of the cells ``ids`` for units ``first`` ..
+    ``first + count - 1`` of the stream ``(seed, *path)``; returns (count,
+    cells, m, dim).
 
-    ``ids`` (cells,) or a slice gives every stream the same cells; (K, cells)
-    gives stream k the cells ``ids[k]``.  Row k is ``cell_points(partition,
-    substream(seed, *path_k), m, ids_k)`` bit for bit: ``rng.uniforms``
-    draws each stream's uniforms into one table, which goes through the cell
-    map once.
+    Unit k owns run k of the stream, uniforms ``[k s, (k + 1) s)``: s =
+    cells m d on the torus, laid out (cells, m, d), and s = 2 cells m on the
+    sphere, laid out (2, cells, m), the z-row then the longitude-row, as
+    ``cell_points`` draws them.  ``ids`` (cells,) or a slice gives every
+    unit the same cells; (count, cells) gives unit ``first + i`` the cells
+    ``ids[i]``.  One ``rng.window`` call reads the runs and one cell map
+    turns them into points, so the result does not depend on how a caller
+    splits its units into calls.
     """
-    cells = partition.measure[ids].shape[-1]
-    u = rngmod.uniforms(seed, *path, shape=_uniform_shape(partition, cells, m))
+    shape = _uniform_shape(partition, partition.measure[ids].shape[-1], m)
+    u = rngmod.window(seed, *path, start=first * math.prod(shape), shape=(count,) + shape)
     if partition.space.kind != TORUS:
         u = u.swapaxes(0, 1)  # the sphere map takes the (z, lon) axis first
     return _cell_map(partition, u, ids)
@@ -471,7 +475,7 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
     size samples come from the one stream ``(seed, VERIFY, N, 1)``, in which
     cell j owns the j-th run of ``2 pairs_per_cell`` points' uniforms (the
     first half pairs with the second), so they do not depend on how cells
-    are blocked.  A block of cells takes its runs with one ``rng.window``
+    are blocked.  A block of cells takes its runs with one ``stream_points``
     call, and its points and corners are measured together, every pair of
     corners too.  A pair farther apart than the cell's ``diameter``, or a
     point farther from the anchor than its ``circumradius``, counts as a
@@ -509,18 +513,11 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
     # the uniforms, points and three distance tables of a block hold
     # about L2_BLOCK floats
     block = max(1, L2_BLOCK // (8 * pairs_per_cell))
-    # cell j owns uniforms [j s, (j + 1) s) of the size-sample stream, laid
-    # out as its (2m, d) torus or (2, 2m) sphere table
     m = pairs_per_cell
-    per_cell = (2 * m, space.d) if space.kind == TORUS else (2, 2 * m)
-    s = math.prod(per_cell)
     for i0 in range(0, N, block):
         cells = np.arange(i0, min(N, i0 + block))
-        u = rngmod.window(seed, rngmod.VERIFY, N, 1, start=i0 * s,
-                          shape=(len(cells),) + per_cell)
-        if space.kind != TORUS:
-            u = u.swapaxes(0, 1)  # the sphere map takes the (z, lon) axis first
-        pts = _cell_map(partition, u, cells)
+        pts = stream_points(partition, seed, rngmod.VERIFY, N, 1, first=i0, count=len(cells),
+                            m=2 * m, ids=cells[:, None])[:, 0]
         pa, pb = pts[:, :m], pts[:, m:]
         corners = _cell_map(partition, corner_u, cells)
         diam = partition.diameter[cells, None] * slack

@@ -13,25 +13,23 @@ key.  Passing the key as Philox's ``key`` argument gives the same stream,
 but numpy then first builds a seed sequence from OS entropy and discards
 it, which took more than half the time of opening a stream.
 
-Callers that need uniforms from many streams at once (one per cell or per
-draw) use ``uniforms``, which opens one Philox per call and re-keys it
-before each stream's row.  A Philox stream is a pure function of its key,
-its counter and its output buffer; setting all of them, through the public
-``state`` setter, to the key with counter zero and an empty buffer is the
-state a newly opened stream starts in, so each row is bit-identical to
-``substream(...).random``.  Re-keying costs about a sixth of opening a
-Philox.  No generator leaves the call, so concurrent calls share nothing.
-
-Callers that need a few uniforms for each of many consumers can instead
-give each consumer its own run of one stream: ``window`` returns any run of
-a stream directly, since Philox word i is word ``i % 4`` of the stream's
-block ``i // 4``.  ``partition.verify_partition`` draws its size samples
-that way, one ``window`` per block of cells.
+Callers that need a few uniforms for each of many consumers (one per cell
+or per draw) give each consumer its own run of one stream: ``window``
+returns any run of a stream directly, since Philox word i is word ``i % 4``
+of the stream's block ``i // 4``.  Philox is a keyed function of its
+counter (Salmon et al., *Parallel random numbers: as easy as 1, 2, 3*,
+SC'11), so disjoint runs of one stream are as independent as separate
+keys, and a block of consumers needs one Philox, not one per consumer.
+``partition.stream_points`` reads such runs: draw k of a fixed-function
+estimator (``cubature.estimate_BN``, ``mz.mz_pair``) is run k of the stream
+``(seed, NODES)`` or ``(seed, MZ)``, cell j of the Monte Carlo cell means
+run j of ``(seed, MZ, 1)``, and cell j of ``partition.verify_partition``'s
+size samples run j of ``(seed, VERIFY, N, 1)``.  Work with at least a
+fraction of a millisecond of numerics per stream (``cubature.draw_nodes``,
+the wce draws) opens a stream of its own.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -70,8 +68,8 @@ class _Key(ISeedSequence):
         return self.key
 
 
-def _mix(h, v):
-    """One splitmix64 absorption step (Python ints or uint64 arrays)."""
+def _mix(h: int, v: int) -> int:
+    """One splitmix64 absorption step."""
     h = (h ^ (v & _MASK64)) & _MASK64
     h = (h * 0xBF58476D1CE4E5B9) & _MASK64
     h ^= h >> 27
@@ -80,20 +78,16 @@ def _mix(h, v):
     return h
 
 
-def path_key(*path):
-    """Collapse an integer path into a 64-bit key (order and length sensitive).
-
-    One part may be an array of non-negative integers; the key is then a
-    uint64 array holding the key of each element's path.
-    """
+def path_key(*path: int) -> int:
+    """Collapse an integer path into a 64-bit key (order and length sensitive)."""
     h = 0x9E3779B97F4A7C15
     h = _mix(h, len(path))
     for part in path:
-        h = _mix(h, part.astype(np.uint64) if isinstance(part, np.ndarray) else int(part))
+        h = _mix(h, int(part))
     return h
 
 
-def _state(seed: int, key: int, block: int = 0) -> dict:
+def _state(seed: int, key: int, block: int) -> dict:
     """The Philox state of the stream ``(seed, key)`` just before it draws
     its block ``block``: counter ``block`` and an empty buffer, since numpy
     steps the counter before it refills an empty buffer.  Block 0 gives a
@@ -112,31 +106,6 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     """
     key = np.array([int(seed) & _MASK64, path_key(*path)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(_Key(key)))
-
-
-def uniforms(seed: int, *path, shape) -> np.ndarray:
-    """Uniforms on [0, 1) from one stream per element of the array part of
-    ``path``; returns (K, *shape).
-
-    ``uniforms(seed, a, ids, b, shape=s)[i]`` equals
-    ``substream(seed, a, ids[i], b).random(s)`` bit for bit.  ``path`` must
-    hold exactly one 1-D integer array; its keys are hashed in one pass.
-    """
-    arrays = [part for part in path if isinstance(part, np.ndarray)]
-    if len(arrays) != 1 or arrays[0].ndim != 1:
-        raise ValueError("uniforms needs exactly one 1-D array of ids in path, got "
-                         f"{[a.shape for a in arrays] or 'none'}")
-    keys = path_key(*path)
-    out = np.empty((len(keys),) + shape)
-    bitgen = np.random.Philox(_Key(np.zeros(2, dtype=np.uint64)))
-    gen = np.random.Generator(bitgen)
-    state = _state(seed, 0)
-    key = state["state"]["key"]
-    for k, row in zip(keys.tolist(), out.reshape(len(keys), math.prod(shape))):
-        key[1] = k
-        bitgen.state = state
-        gen.random(out=row)
-    return out
 
 
 def window(seed: int, *path: int, start: int, shape) -> np.ndarray:

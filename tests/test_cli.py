@@ -120,7 +120,11 @@ def test_cli_reports_unknown_fn_param_in_one_line(tmp_path):
     ("{", "cfg.json is not valid JSON"),
     ('{"fn_params": 3}', "'int' object is not iterable"),
     (None, "cannot read config file"),
-], ids=["unknown-field", "json-list", "not-json", "wrong-type", "missing-file"])
+    ('{"seed": 1.5}', "seed must be an integer, got 1.5"),
+    ('{"p": "two"}', "p must be a real number, got 'two'"),
+    ('{"fn_alpha": null}', "fn_alpha must be a real number, got None"),
+], ids=["unknown-field", "json-list", "not-json", "wrong-type", "missing-file", "float-seed",
+        "string-p", "null-fn-alpha"])
 def test_cli_reports_bad_config_file_in_one_line(tmp_path, text, message, monkeypatch):
     def run(cfg):
         raise AssertionError("a bad config reached the run")

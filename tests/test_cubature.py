@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from stream_runs import StreamRun
 
 from stratcub import cubature
+from stratcub import mz as mzmod
 from stratcub import rng as rngmod
 from stratcub.besov import PhiGradient, poincare_check, scale_floor
 from stratcub.cubature import (NodeDraw, cubature_error, draw_nodes,
@@ -14,7 +16,7 @@ from stratcub.cubature import (NodeDraw, cubature_error, draw_nodes,
 from stratcub.funcs import (cone_bump_fn, constant_fn, coordinate_fn, cos_fn,
                             indicator_fn, make_function, square_wave_fn,
                             zonal_monomial_fn)
-from stratcub.mz import mz_pair
+from stratcub.mz import M_CELL, mz_pair
 from stratcub.kernel import RIESZ, KernelSpec
 from stratcub.partition import (cell_contains, cell_points, sphere_zonal_partition,
                                 stream_points, torus_grid_partition, verify_partition)
@@ -146,17 +148,19 @@ def _block_draws(part) -> int:
 @pytest.mark.parametrize("part", [torus_grid_partition(T1, 7), torus_grid_partition(T2, 3),
                                   sphere_zonal_partition(S2, 33)], ids=["T1", "T2", "S2"])
 def test_stream_points_rows_are_draw_nodes(part):
-    draws = np.arange(5)
-    table = stream_points(part, 4, rngmod.MZ, draws)
+    # row i holds the nodes of draw 3 + i: run 3 + i of the stream, mapped
+    # one draw at a time
+    table = stream_points(part, 4, rngmod.MZ, first=3, count=5)
     assert table.shape == (5, part.N, 1, part.anchor.shape[1])
-    for k in draws:
-        assert np.array_equal(table[k, :, 0], draw_nodes(part, 4, k, rngmod.MZ).nodes)
+    for i in range(5):
+        assert np.array_equal(table[i, :, 0],
+                              cell_points(part, StreamRun(4, rngmod.MZ, k=3 + i), 1)[:, 0])
 
 
 def _per_draw_values(f, part, seed, n_draws, stream):
-    """f at each draw's nodes, one draw at a time: its own stream, one node
-    per cell from ``cell_points``."""
-    return [f.evaluate(cell_points(part, rngmod.substream(seed, stream, k), 1)[:, 0])
+    """f at each draw's nodes, one draw at a time: run k of the stream
+    ``(seed, stream)``, one node per cell from ``cell_points``."""
+    return [f.evaluate(cell_points(part, StreamRun(seed, stream, k=k), 1)[:, 0])
             for k in range(n_draws)]
 
 
@@ -186,8 +190,8 @@ def _batched_cases():
 @pytest.mark.parametrize("part,f", [c[1:] for c in _batched_cases()],
                          ids=[c[0] for c in _batched_cases()])
 def test_batched_draws_match_per_draw_loop(part, f):
-    """estimate_BN and mz_pair equal (==) a loop over draws that opens one
-    stream, samples one node per cell and evaluates f per draw.  The draw
+    """estimate_BN and mz_pair equal (==) a loop over draws that reads one
+    run of the stream, samples one node per cell and evaluates f per draw.  The draw
     counts end inside a block, after one or more full blocks, except where a
     block holds one draw (T^1 N = 8192, T^2 N = 4096, S^2 N = 2048); at
     N = 1 the blocks hold 8192 (T^1) or 4096 (T^2) draws, so only one case
@@ -234,6 +238,28 @@ def test_batched_draws_single_cell_cos_rounding():
     moment, stderr = jackknife_power_mean(errors ** 2, 0.5)
     assert st.moment == pytest.approx(moment, rel=1e-14)
     assert st.stderr == pytest.approx(stderr, rel=1e-12)
+
+
+@pytest.mark.parametrize("part,f,monte_carlo", [
+    (torus_grid_partition(T1, 16), coordinate_fn(T1), False),
+    (torus_grid_partition(T2, 5), cone_bump_fn(T2, (0.3, 0.6), 0.4), True),
+    (sphere_zonal_partition(S2, 12), zonal_monomial_fn(S2, 3), False),
+    (sphere_zonal_partition(S2, 12), indicator_fn(S2, make_cap((1.0, 1.0, 1.0), 1.0)), True),
+], ids=["T1-closed-form", "T2-monte-carlo", "S2-closed-form", "S2-monte-carlo"])
+def test_fixed_function_draws_do_not_depend_on_block_size(part, f, monte_carlo, monkeypatch):
+    """estimate_BN and mz_pair give the same bytes whether a block holds 1,
+    3 or all draws, and 1, 3 or all cells of the Monte Carlo cell means:
+    each draw and cell reads its own run of the stream."""
+    assert (f.cell_means is None) == monte_carlo
+    n_draws, dim = 11, part.anchor.shape[1]
+    results = set()
+    for draws, cells in ((1, 1), (3, 3), (n_draws, part.N)):
+        monkeypatch.setattr(cubature, "L2_BLOCK", 8 * part.N * dim * draws)
+        monkeypatch.setattr(mzmod, "L2_BLOCK", M_CELL * dim * cells)
+        st = estimate_BN(f, part, 3.0, n_draws, seed=5)
+        rep = mz_pair(f, part, 3.0, n_draws, seed=5)
+        results.add(repr((st, rep)))  # repr round-trips every float
+    assert len(results) == 1
 
 
 PART8 = torus_grid_partition(T1, 8)
@@ -301,3 +327,35 @@ def test_threads_start_only_in_run_indexed():
         ("cubature.py", "run_indexed", "ThreadPoolExecutor"),
         ("cubature.py", "run_indexed", "_cpus"),
     ], key=str)
+
+
+def _annotations(tree):
+    """The nodes inside the type annotations of ``tree``."""
+    for node in ast.walk(tree):
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if ann is not None:
+                yield from ast.walk(ann)
+
+
+def test_random_numbers_only_in_rng():
+    # every random number comes from a stream keyed by (seed, path): no
+    # module but rng names np.random, except to annotate a parameter
+    uses = []
+    for path in sorted(Path(cubature.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        annotation = {id(node) for node in _annotations(tree)}
+        for node in ast.walk(tree):
+            if id(node) in annotation:
+                continue
+            if isinstance(node, ast.Attribute) and node.attr == "random":
+                named = isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+            elif isinstance(node, ast.Import):
+                named = any(a.name.startswith("numpy.random") for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                named = (node.module or "").startswith("numpy.random") or (
+                    node.module == "numpy" and any(a.name == "random" for a in node.names))
+            else:
+                continue
+            if named:
+                uses.append((path.name, node.lineno))
+    assert {name for name, _ in uses} == {"rng.py"}

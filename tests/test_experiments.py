@@ -124,6 +124,18 @@ def test_config_rejects_non_integer_counts():
     assert cfg.workers == 2
 
 
+def test_config_rejects_non_integer_seed_and_non_real_exponents():
+    # a float seed ran and keyed its streams by hashing the float; a string
+    # p failed at its first comparison with a message that named no field
+    for bad in ({"seed": 1.5}, {"seed": True}, {"seed": "3"}, {"seed": None},
+                {"p": "two"}, {"p": True}, {"alpha": "0.75"}, {"eps": None},
+                {"kappa": False}, {"fn_alpha": None}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ExperimentConfig(kind="wce", **bad)
+    cfg = ExperimentConfig(kind="besov", seed=np.int64(-3), p=2, fn_alpha=np.float64(1.0))
+    assert cfg.seed == -3 and cfg.q == 2.0
+
+
 def test_wce_experiment_runs_draws_on_one_thread(monkeypatch):
     # the experiment's workers are its whole thread budget, spent across N:
     # each N's draws run on the thread that runs that N, although a direct

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from stream_runs import StreamRun
 
 from stratcub import rng as rngmod
-from stratcub.cubature import draw_nodes
 from stratcub.funcs import (cone_bump_fn, constant_fn, coordinate_fn, indicator_fn,
                             square_wave_fn, zonal_monomial_fn)
 from stratcub.mz import M_CELL, _cell_means, mz_pair, ratio_envelope
-from stratcub.partition import cell_sample, sphere_zonal_partition, torus_grid_partition
+from stratcub.partition import (cell_points, cell_sample, sphere_zonal_partition,
+                                torus_grid_partition)
 from stratcub.sets import make_cap
 from stratcub.space import SPHERE2, TORUS, make_space
 
@@ -65,10 +66,10 @@ def test_mc_cell_mean_fallback():
     (indicator_fn(S2, make_cap((1.0, 1.0, 1.0), 1.0)), sphere_zonal_partition(S2, 40)),
 ], ids=["T2-cone", "S2-cap"])
 def test_mc_cell_means_match_per_cell_streams(f, part):
-    # the batched fallback draws cell j from its own (seed, MZ, 1, j) stream
+    # the batched fallback draws cell j from run j of the (seed, MZ, 1) stream
     assert f.cell_means is None
-    expect = [f.evaluate(cell_sample(part, j, rngmod.substream(7, rngmod.MZ, 1, j),
-                                     M_CELL)).mean() for j in range(part.N)]
+    expect = [f.evaluate(cell_sample(part, j, StreamRun(7, rngmod.MZ, 1, k=j), M_CELL)).mean()
+              for j in range(part.N)]
     assert np.array_equal(_cell_means(f, part, 7), expect)
 
 
@@ -108,7 +109,8 @@ def test_mz_pair_jackknife_matches_inline(p):
     means = f.cell_means(part)
     mid, brk = np.empty(K), np.empty(K)
     for k in range(K):
-        c = w * (f.evaluate(draw_nodes(part, 3, k, stream=rngmod.MZ).nodes) - means)
+        nodes = cell_points(part, StreamRun(3, rngmod.MZ, k=k), 1)[:, 0]
+        c = w * (f.evaluate(nodes) - means)
         mid[k] = abs(c.sum()) ** p
         brk[k] = float(c @ c) ** (p / 2.0)
     power = 1.0 / p

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from stream_runs import StreamRun
 
 from stratcub import partition as partmod
 from stratcub import rng as rngmod
@@ -77,14 +78,15 @@ def test_cell_sample_containment_and_determinism():
 @pytest.mark.parametrize("part", [torus_grid_partition(T1, 16), torus_grid_partition(T2, 5),
                                   sphere_zonal_partition(S2, 40)], ids=["T1", "T2", "S2"])
 def test_cell_points_one_generator_per_cell(part):
-    # one stream per cell, the mode mz._cell_means draws its cell samples in
+    # one run of a stream per cell, the mode mz._cell_means and
+    # verify_partition draw their cell samples in
     cells = np.arange(3, part.N - 2)
-    pts = stream_points(part, 2, rngmod.VERIFY, part.N, cells, 1, m=32, ids=cells[:, None])
+    pts = stream_points(part, 2, rngmod.VERIFY, part.N, 1, first=3, count=len(cells), m=32,
+                        ids=cells[:, None])
     assert pts.shape == (len(cells), 1, 32, part.anchor.shape[1])
-    pts = pts[:, 0]
-    for j, row in zip(cells, pts):
-        rng = rngmod.substream(2, rngmod.VERIFY, part.N, j, 1)
-        assert np.array_equal(row, cell_sample(part, j, rng, 32))
+    for j, row in zip(cells, pts[:, 0]):
+        run = StreamRun(2, rngmod.VERIFY, part.N, 1, k=int(j))
+        assert np.array_equal(row, cell_sample(part, j, run, 32))
 
 
 def test_sphere_cell_sample_colatitude_mean():
@@ -442,7 +444,8 @@ def test_cell_circumradius_holds_cell():
     # 2% of it, in all cells but at most one
     for part in _RADII_PARTS:
         cells = np.arange(part.N)
-        pts = stream_points(part, 0, rngmod.SELFTEST, cells, m=256, ids=cells[:, None])[:, 0]
+        pts = stream_points(part, 0, rngmod.SELFTEST, first=0, count=part.N, m=256,
+                            ids=cells[:, None])[:, 0]
         if part.space.kind == TORUS:
             corners = part.lo[:, None, :]
         else:  # both z-edges at lon_lo, nudged inside where the edge is open or rounds

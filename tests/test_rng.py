@@ -28,49 +28,6 @@ def test_substream_matches_philox_key_argument(seed, path):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("dtype", [np.uint64, np.int64])
-def test_path_key_array_part_matches_scalar_keys(dtype):
-    ids = np.concatenate([np.arange(50), [2**31, 2**40, 2**62]]).astype(dtype)
-    keys = rngmod.path_key(rngmod.VERIFY, 4096, ids, 1)
-    assert keys.dtype == np.uint64 and keys.shape == ids.shape
-    assert [int(k) for k in keys] == [rngmod.path_key(rngmod.VERIFY, 4096, int(j), 1)
-                                      for j in ids]
-    first = rngmod.path_key(ids)
-    assert [int(k) for k in first] == [rngmod.path_key(int(j)) for j in ids]
-
-
-@pytest.mark.parametrize("seed", [0, -1, 2**63 + 1])
-@pytest.mark.parametrize("shape", [(64,), (3, 1, 2), (2, 5, 1)], ids=str)
-def test_uniforms_match_substream(seed, shape):
-    ids = np.arange(3, 40)
-    u = rngmod.uniforms(seed, rngmod.VERIFY, 256, ids, 0, shape=shape)
-    assert u.shape == (len(ids),) + shape
-    for row, j in zip(u, ids):
-        expect = rngmod.substream(seed, rngmod.VERIFY, 256, int(j), 0).random(shape)
-        assert np.array_equal(row, expect)
-
-
-def test_uniforms_rows_start_fresh():
-    # an odd-length row leaves the Philox output buffer part used; each row
-    # still starts from its stream's first uniform
-    ids = np.array([1, 2, 1, 1])
-    u = rngmod.uniforms(3, rngmod.VERIFY, ids, shape=(5,))
-    assert np.array_equal(u[0], u[2]) and np.array_equal(u[0], u[3])
-    assert not np.array_equal(u[0], u[1])
-    assert np.array_equal(u[0], rngmod.substream(3, rngmod.VERIFY, 1).random(5))
-
-
-def test_uniforms_threads_match_serial():
-    ids = np.arange(300)
-    seeds = list(range(16))
-    serial = [rngmod.uniforms(s, rngmod.MZ, ids, shape=(7,)) for s in seeds]
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        threaded = list(pool.map(lambda s: rngmod.uniforms(s, rngmod.MZ, ids, shape=(7,)),
-                                 seeds))
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a, b)
-
-
 @pytest.mark.parametrize("start", [*range(10), 1023, 10**6])
 @pytest.mark.parametrize("seed", [0, -1, 2**63 + 1])
 def test_window_matches_substream_prefix(seed, start):
@@ -83,14 +40,6 @@ def test_window_matches_substream_prefix(seed, start):
         n = math.prod(shape)
         assert np.array_equal(rngmod.window(seed, *path, start=start, shape=shape),
                               stream[start:start + n].reshape(shape))
-
-
-def test_window_at_zero_matches_uniforms_rows():
-    ids = np.arange(5, 30)
-    u = rngmod.uniforms(7, rngmod.VERIFY, 512, ids, 0, shape=(3, 4))
-    for row, j in zip(u, ids):
-        assert np.array_equal(row, rngmod.window(7, rngmod.VERIFY, 512, int(j), 0, start=0,
-                                                 shape=(3, 4)))
 
 
 def test_window_threads_match_serial():
@@ -106,11 +55,3 @@ def test_window_threads_match_serial():
 def test_window_rejects_negative_start():
     with pytest.raises(ValueError, match="start"):
         rngmod.window(0, rngmod.VERIFY, start=-1, shape=3)
-
-
-@pytest.mark.parametrize("path", [(rngmod.VERIFY, 3), (np.zeros((2, 2), dtype=int),),
-                                  (np.arange(2), np.arange(2))],
-                         ids=["no-array", "2d", "two-arrays"])
-def test_uniforms_rejects_bad_path(path):
-    with pytest.raises(ValueError, match="one 1-D array"):
-        rngmod.uniforms(0, *path, shape=(4,))
