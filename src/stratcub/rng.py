@@ -68,8 +68,8 @@ class _Key(ISeedSequence):
         return self.key
 
 
-def _mix(h: int, v: int) -> int:
-    """One splitmix64 absorption step."""
+def _mix(h, v):
+    """One splitmix64 absorption step (Python ints or uint64 arrays)."""
     h = (h ^ (v & _MASK64)) & _MASK64
     h = (h * 0xBF58476D1CE4E5B9) & _MASK64
     h ^= h >> 27
@@ -78,12 +78,16 @@ def _mix(h: int, v: int) -> int:
     return h
 
 
-def path_key(*path: int) -> int:
-    """Collapse an integer path into a 64-bit key (order and length sensitive)."""
+def path_key(*path):
+    """Collapse an integer path into a 64-bit key (order and length sensitive).
+
+    One part may be an array of non-negative integers; the key is then a
+    uint64 array holding the key of each element's path.
+    """
     h = 0x9E3779B97F4A7C15
     h = _mix(h, len(path))
     for part in path:
-        h = _mix(h, int(part))
+        h = _mix(h, part.astype(np.uint64) if isinstance(part, np.ndarray) else int(part))
     return h
 
 

@@ -28,6 +28,17 @@ def test_substream_matches_philox_key_argument(seed, path):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+def test_path_key_array_part_matches_scalar_keys(dtype):
+    ids = np.concatenate([np.arange(50), [2**31, 2**40, 2**62]]).astype(dtype)
+    keys = rngmod.path_key(rngmod.VERIFY, 4096, ids, 1)
+    assert keys.dtype == np.uint64 and keys.shape == ids.shape
+    assert [int(k) for k in keys] == [rngmod.path_key(rngmod.VERIFY, 4096, int(j), 1)
+                                      for j in ids]
+    first = rngmod.path_key(ids)
+    assert [int(k) for k in first] == [rngmod.path_key(int(j)) for j in ids]
+
+
 @pytest.mark.parametrize("start", [*range(10), 1023, 10**6])
 @pytest.mark.parametrize("seed", [0, -1, 2**63 + 1])
 def test_window_matches_substream_prefix(seed, start):
@@ -40,6 +51,15 @@ def test_window_matches_substream_prefix(seed, start):
         n = math.prod(shape)
         assert np.array_equal(rngmod.window(seed, *path, start=start, shape=shape),
                               stream[start:start + n].reshape(shape))
+
+
+def test_window_at_zero_matches_uniforms_rows():
+    # window at start 0 is each per-id stream's first uniforms, row by row
+    ids = np.arange(5, 30)
+    for j in ids:
+        expect = rngmod.substream(7, rngmod.VERIFY, 512, int(j), 0).random((3, 4))
+        assert np.array_equal(rngmod.window(7, rngmod.VERIFY, 512, int(j), 0, start=0,
+                                            shape=(3, 4)), expect)
 
 
 def test_window_threads_match_serial():
