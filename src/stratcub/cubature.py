@@ -13,7 +13,8 @@ draws, for callers with much work per draw (``wce``).
 ``estimate_BN`` and ``mz.mz_pair`` instead read draw k from run k of the
 single stream (seed, tag), tag ``NODES`` or ``MZ``: uniforms ``[k u, (k +
 1) u)``, u = N d on the torus laid out (N, 1, d), u = 2 N on the sphere laid
-out (2, N, 1), the z-row then the longitude-row.  Philox is a keyed
+out (2, N, 1), one row per axis of the cells' (-z, longitude) chart boxes:
+the -z row, then the longitude row.  Philox is a keyed
 function of its counter, so disjoint runs are as independent as separate
 streams.  ``value_blocks`` takes a block of draws with one
 ``partition.stream_points`` call (one ``rng.window`` and one cell map) and

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +23,8 @@ from .cubature import estimate_BN, run_indexed
 from .funcs import indicator_fn, make_function
 from .kernel import KernelSpec, regime_classify
 from .mz import mz_pair
-from .partition import (Partition, check_count, sphere_zonal_partition, torus_grid_partition,
-                        verify_partition)
+from .partition import (Partition, check_count, check_real, sphere_zonal_partition,
+                        torus_grid_partition, verify_partition)
 from .rates import (predicted_bn_exponent, predicted_indicator_exponent,
                     predicted_wce_exponent, rate_fit)
 from .sets import make_arc, make_box, make_cap
@@ -77,9 +76,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         check_count("seed", self.seed, -math.inf)  # any integer
         for name in ("p", "alpha", "eps", "kappa", "fn_alpha"):
-            value = getattr(self, name)
-            if not isinstance(value, Real) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+            check_real(name, getattr(self, name))
         if len(self.n_list) < 1:
             raise ValueError("empty N list")
         for N in self.n_list:

@@ -210,7 +210,7 @@ def indicator_fn(space: SpaceDescriptor, setd: SetDescriptor) -> TestFunction:
         z_lo, z_hi = (z_edge, 1.0) if setd.params["center"][2] > 0 else (-1.0, -z_edge)
 
         def means(partition: Partition) -> np.ndarray:
-            z_top, z_bot = partition.z[:, 0], partition.z[:, 1]
+            z_top, z_bot = -partition.lo[:, 0], -partition.hi[:, 0]
             over = np.maximum(0.0, np.minimum(z_top, z_hi) - np.maximum(z_bot, z_lo))
             return over / (z_top - z_bot)
 
@@ -232,7 +232,7 @@ def zonal_monomial_fn(space: SpaceDescriptor, power: int) -> TestFunction:
         return np.atleast_2d(pts)[:, 2] ** m
 
     def means(partition: Partition) -> np.ndarray:
-        z_top, z_bot = partition.z[:, 0], partition.z[:, 1]
+        z_top, z_bot = -partition.lo[:, 0], -partition.hi[:, 0]
         return (z_top ** (m + 1) - z_bot ** (m + 1)) / ((m + 1) * (z_top - z_bot))
 
     lip = float(m)  # |d/dtheta cos^m| <= m

@@ -1,17 +1,18 @@
 """Equal-measure, diameter-bounded partitions of the torus and the sphere.
 
-Torus: a dyadic grid of ``m^d`` congruent half-open boxes.  Sphere: a zonal
-equal-area layout (two polar caps plus collars cut into longitude sectors),
-with collar boundaries solved in closed form from the cap-area formula so
-that every cell has area exactly ``4*pi/N``.
+Torus: a dyadic grid of ``m^d`` congruent boxes.  Sphere: a zonal equal-area
+layout (two polar caps plus collars cut into longitude sectors), with collar
+boundaries at z = 1 - 2 c / N so that every cell has area exactly ``4*pi/N``.
 
-A partition is one set of read-only per-cell arrays, row ``j`` describing
-cell ``j``; membership, distance to a cell, sampling and verification all
-read those rows, and membership and distance take one cell id or one per
-point.  Cells are half-open in every splitting coordinate, so coverage and
-disjointness are exact, not approximate.  Each cell's size is held in closed
-form: the inradius and circumradius about its anchor, and a diameter bound,
-exact on the torus and twice the circumradius (at most pi) on the sphere;
+Every cell is a half-open box ``[lo, hi)`` in a chart: on T^d the point
+itself; on S^2 the pair (-z, longitude), in which area is d(-z) d(lon)
+(Archimedes' hat-box theorem), with -z clipped to ``[-1, 1)`` so that both
+poles, and any |z| > 1 left by rounding, lie in the caps.  So membership,
+the map from uniforms to cell points, the measures recomputed from geometry
+and the cell corners are one rule on both spaces, and coverage and
+disjointness are exact.  Each cell's size is held in closed form: the
+inradius and circumradius about its anchor, and a diameter bound, exact on
+the torus and twice the circumradius (at most pi) on the sphere;
 verification checks both against sampled points and the cell's corners.
 All rows of a layout come from its ``meta`` through one function.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -30,8 +31,8 @@ from .space import (L2_BLOCK, SPHERE2, TORUS, SpaceDescriptor, box_distance, dis
                     sample_uniform, sphere_point)
 
 TWO_PI = 2.0 * math.pi
-_COLUMNS = ("measure", "diameter", "inradius", "circumradius", "anchor", "lo", "hi", "z",
-            "lon", "cap")
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+_COLUMNS = ("measure", "diameter", "inradius", "circumradius", "anchor", "lo", "hi")
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,11 +46,10 @@ class Partition:
     the exact radius of the smallest ball about the anchor that holds the
     cell.  ``diameter`` is exact on the torus; on the sphere it is
     ``min(2 circumradius, pi)``, by the triangle inequality through the
-    anchor.  Torus cells are the boxes ``[lo, hi)``, ``lo`` and ``hi``
-    (N, d).  Sphere cells fill ``z`` ((z_top, z_bot) per cell), ``lon``
-    ((lon_lo, lon_hi) per cell) and ``cap`` (+1 north cap, -1 south cap,
-    0 band), each (N, 2) or (N,).  ``layout_ok`` tells whether the rows
-    follow the layout in ``meta``.
+    anchor.  The cell itself is the chart box ``[lo, hi)``, ``lo`` and
+    ``hi`` (N, k): k = d on T^d, and on S^2 k = 2, ``(-z_top, lon_lo)`` and
+    ``(-z_bot, lon_hi)``.  ``layout_ok`` tells whether the rows follow the
+    layout in ``meta``.
     """
 
     space: SpaceDescriptor
@@ -59,17 +59,12 @@ class Partition:
     inradius: np.ndarray
     circumradius: np.ndarray
     anchor: np.ndarray
-    lo: np.ndarray | None = None
-    hi: np.ndarray | None = None
-    z: np.ndarray | None = None
-    lon: np.ndarray | None = None
-    cap: np.ndarray | None = None
+    lo: np.ndarray
+    hi: np.ndarray
 
     def __post_init__(self):
         for name in _COLUMNS:
-            arr = getattr(self, name)
-            if arr is not None:
-                arr.setflags(write=False)
+            getattr(self, name).setflags(write=False)
 
     @property
     def N(self) -> int:
@@ -94,6 +89,13 @@ def check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def check_real(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a real number (numpy numbers
+    included, ``bool`` not)."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def torus_grid_partition(space: SpaceDescriptor, m: int) -> Partition:
@@ -137,7 +139,7 @@ def sphere_zonal_partition(space: SpaceDescriptor, N: int) -> Partition:
     bands.append([1.0 - 2.0 * (N - 1) / N, -1.0, 1, N - 1])
     meta = {"scheme": "sphere_zonal", "bands": bands}
     rows = _layout_rows(space, meta)
-    inradius, circumradius = _zonal_radii(rows["z"], rows["lon"], rows["cap"], rows["anchor"])
+    inradius, circumradius = _zonal_radii(**rows)
     # every cell point is within circumradius of the anchor, so two of them
     # are within twice that of each other
     return Partition(space, meta, measure=np.full(N, 4.0 * math.pi / N),
@@ -166,7 +168,7 @@ def _collar_counts(N: int) -> list[int]:
     return counts
 
 
-def _zonal_radii(z: np.ndarray, lon: np.ndarray, cap: np.ndarray,
+def _zonal_radii(lo: np.ndarray, hi: np.ndarray,
                  anchor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form inradius and circumradius about the anchors of zonal cells.
 
@@ -179,13 +181,14 @@ def _zonal_radii(z: np.ndarray, lon: np.ndarray, cap: np.ndarray,
     farthest cell point is one of the two corners at offset h: the
     circumradius.  An annulus's far meridian (h = pi) is at distance
     min(c_a + c, 2 pi - c_a - c), which peaks at pi inside the band when the
-    anchor's antipode lies in it.  A cap is a ball about its pole, so both
-    radii are its colatitude radius.
+    anchor's antipode lies in it.  A cap (rows 0 and N - 1) is a ball about
+    its pole, so both radii are its colatitude radius.
     """
+    z = -np.stack([lo[:, 0], hi[:, 0]], axis=1)  # (z_top, z_bot)
     colat = np.arccos(z)
     z_a = anchor[:, 2]
     c_a = np.arccos(z_a)
-    h = 0.5 * (lon[:, 1] - lon[:, 0])
+    h = 0.5 * (hi[:, 1] - lo[:, 1])
     sector = h < math.pi
     side = np.where(sector, np.arcsin(np.sin(c_a) * np.sin(h)), math.pi)
     inradius = np.minimum(np.minimum(c_a - colat[:, 0], colat[:, 1] - c_a), side)
@@ -195,9 +198,8 @@ def _zonal_radii(z: np.ndarray, lon: np.ndarray, cap: np.ndarray,
     circumradius = np.arccos(np.clip(cos_d, -1.0, 1.0)).max(axis=1)
     antipode = ~sector & (c_a + colat[:, 0] <= math.pi) & (math.pi <= c_a + colat[:, 1])
     circumradius[antipode] = math.pi
-    capped = cap != 0
-    inradius[capped] = circumradius[capped] = np.where(cap[capped] == 1, colat[capped, 1],
-                                                       math.pi - colat[capped, 0])
+    inradius[0] = circumradius[0] = colat[0, 1]
+    inradius[-1] = circumradius[-1] = math.pi - colat[-1, 0]
     return inradius, circumradius
 
 
@@ -209,8 +211,8 @@ def find_cell(partition: Partition, pts: np.ndarray) -> np.ndarray:
     """Index of the cell containing each point (vectorized).
 
     Found by the same exact half-open test that ``verify_partition`` counts
-    with.  A point that no cell holds (NaN, outside the unit cube, off the
-    sphere) gets a valid but arbitrary cell id.
+    with.  A point that no cell holds gets a valid but arbitrary cell id: one
+    outside the unit cube, and on both spaces one with any NaN coordinate.
     """
     return _locate(partition, np.atleast_2d(np.asarray(pts, dtype=float)))[0]
 
@@ -227,21 +229,14 @@ def _longitude(pts: np.ndarray) -> np.ndarray:
     return np.where(lon == TWO_PI, 0.0, lon)
 
 
-def _zonal_estimate(partition: Partition, pts: np.ndarray):
-    """Per point: first cell id and sector count of its band, and the
-    sector estimated from its longitude.
-
-    The band is exact: the first band whose bottom edge lies strictly below
-    z, clamped so that z = -1 lands in the south cap (whose open bottom edge
-    is the pole itself).  The sector can be one off at a sector edge.
-    """
-    bands = np.asarray(partition.meta["bands"], dtype=float)
-    # bottoms are strictly decreasing
-    band = np.minimum(np.searchsorted(-bands[:, 1], -pts[:, 2], side="right"),
-                      len(bands) - 1)
-    k = bands[band, 2].astype(int)
-    first = bands[band, 3].astype(int)
-    return first, k, _floor_index(_longitude(pts) * k / TWO_PI, k)
+def _chart(space: SpaceDescriptor, pts: np.ndarray) -> list[np.ndarray]:
+    """The chart coordinates of ``pts (..., dim)``, one array per axis: the
+    point's own on the torus; on the sphere -z, clipped to ``[-1, 1)`` so that
+    both poles and any |z| > 1 fall in a cap, and the longitude.  Negation is
+    exact, and a NaN coordinate stays NaN, which no box holds."""
+    if space.kind == TORUS:
+        return [pts[..., i] for i in range(space.d)]
+    return [np.clip(-pts[..., 2], -1.0, _BELOW_ONE), _longitude(pts)]
 
 
 _NEIGHBOURS = np.array([-1, 0, 1])
@@ -281,17 +276,23 @@ def _locate(partition: Partition, pts: np.ndarray) -> tuple[np.ndarray, np.ndarr
             ids = ids * m + cand[pt, np.argmax(hit, axis=1)]
             counts *= np.sum(hit, axis=1, dtype=np.int32)
         return ids, counts
-    first, k, sector = _zonal_estimate(partition, pts)
-    cand = sector[:, None] + _NEIGHBOURS
+    # the band is exact, the first whose bottom lies strictly below the point
+    # (-bottoms increase; clamped for NaN); the sector can be one off
+    chart = _chart(partition.space, pts)
+    bands = np.asarray(partition.meta["bands"], dtype=float)
+    band = np.minimum(np.searchsorted(-bands[:, 1], chart[0], side="right"), len(bands) - 1)
+    k, first = bands[band, 2].astype(int), bands[band, 3].astype(int)
+    cand = _floor_index(chart[1] * k / TWO_PI, k)[:, None] + _NEIGHBOURS
     valid = (cand >= 0) & (cand < k[:, None])
     cand = first[:, None] + np.clip(cand, 0, k[:, None] - 1)
-    hit = valid & cell_contains(partition, cand, pts)
+    hit = valid & _in_boxes(partition, cand, [c[:, None] for c in chart])
     return cand[pt, np.argmax(hit, axis=1)], np.sum(hit, axis=1, dtype=np.int32)
 
 
 def cell_contains(partition: Partition, ids, pts: np.ndarray) -> np.ndarray:
-    """Exact half-open membership; half-open conventions make it a true
-    partition.
+    """Exact half-open membership, ``lo <= chart < hi`` on every axis; the
+    half-open boxes make it a true partition.  A point with any NaN
+    coordinate lies in no cell, on both spaces.
 
     ``ids`` a cell id or (n,) tests point i against cell ``ids[i]``; ``ids``
     (n, c) or (1, c) tests it against each of ``ids[i, :]`` (or ``ids[0, :]``).
@@ -300,25 +301,23 @@ def cell_contains(partition: Partition, ids, pts: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if ids.ndim == 2:
         pts = pts[:, None, :]
-    if partition.space.kind == TORUS:
-        return np.all((pts >= partition.lo[ids]) & (pts < partition.hi[ids]), axis=-1)
-    z = pts[..., 2]
-    lon = _longitude(pts)
-    z_top, z_bot = partition.z[ids, 0], partition.z[ids, 1]
-    lon_lo, lon_hi = partition.lon[ids, 0], partition.lon[ids, 1]
-    cap = partition.cap[ids]
-    return (((cap == 1) | (z <= z_top)) & ((cap == -1) | (z > z_bot))
-            & ((cap != 0) | (lon_hi - lon_lo >= TWO_PI)
-               | ((lon >= lon_lo) & (lon < lon_hi))))
+    return _in_boxes(partition, ids, _chart(partition.space, pts))
+
+
+def _in_boxes(partition: Partition, ids, chart: list[np.ndarray]) -> np.ndarray:
+    """Whether chart points lie in the boxes ``ids``, one axis at a time."""
+    hit = True
+    for i, c in enumerate(chart):
+        hit = hit & (c >= partition.lo[ids, i]) & (c < partition.hi[ids, i])
+    return hit
 
 
 def cell_sample(partition: Partition, j: int, rng: np.random.Generator,
                 n: int | None = None):
     """Uniform sample from the measure restricted to cell j.
 
-    Torus boxes sample coordinates directly; sphere cells sample the
-    z-coordinate uniformly on the cell's z-interval (area measure) and the
-    longitude uniformly, which is exact for zonal geometry.
+    The cell's chart box is sampled uniformly, which is the restricted
+    measure on both spaces (area is d(-z) d(lon) on the sphere).
     """
     size = 1 if n is None else int(n)
     pts = cell_points(partition, rng, size, slice(j, j + 1))[0]
@@ -329,11 +328,10 @@ def cell_points(partition: Partition, rng: np.random.Generator, m: int,
                 ids=slice(None)) -> np.ndarray:
     """m uniform points in each of the cells ``ids``; returns (cells, m, dim).
 
-    The one generator fills the cells in id order: the uniforms are drawn as
-    (cells, m, d) on the torus and as (2, cells, m) on the sphere, the
-    z-uniforms then the longitude-uniforms.
+    The one generator fills the cells in id order, in the layout of
+    ``_axis_uniforms``.
     """
-    u = rng.random(_uniform_shape(partition, partition.measure[ids].shape[0], m))
+    u = _axis_uniforms(partition, rng.random, partition.measure[ids].shape[0], m)
     return _cell_map(partition, u, ids)
 
 
@@ -343,50 +341,52 @@ def stream_points(partition: Partition, seed: int, *path: int, first: int, count
     ``first + count - 1`` of the stream ``(seed, *path)``; returns (count,
     cells, m, dim).
 
-    Unit k owns run k of the stream, uniforms ``[k s, (k + 1) s)``: s =
-    cells m d on the torus, laid out (cells, m, d), and s = 2 cells m on the
-    sphere, laid out (2, cells, m), the z-row then the longitude-row, as
-    ``cell_points`` draws them.  ``ids`` (cells,) or a slice gives every
-    unit the same cells; (count, cells) gives unit ``first + i`` the cells
-    ``ids[i]``.  One ``rng.window`` call reads the runs and one cell map
-    turns them into points, so the result does not depend on how a caller
-    splits its units into calls.
+    Unit k owns run k of the stream, laid out as ``cell_points`` draws it.
+    ``ids`` (cells,) or a slice gives every unit the same cells; (count,
+    cells) gives unit ``first + i`` the cells ``ids[i]``.  One
+    ``rng.window`` call reads the runs and one cell map turns them into
+    points, so the result does not depend on how a caller splits its units.
     """
-    shape = _uniform_shape(partition, partition.measure[ids].shape[-1], m)
-    u = rngmod.window(seed, *path, start=first * math.prod(shape), shape=(count,) + shape)
-    if partition.space.kind != TORUS:
-        u = u.swapaxes(0, 1)  # the sphere map takes the (z, lon) axis first
+    def draw(shape):
+        return rngmod.window(seed, *path, start=first * math.prod(shape), shape=(count,) + shape)
+
+    u = _axis_uniforms(partition, draw, partition.measure[ids].shape[-1], m)
     return _cell_map(partition, u, ids)
 
 
-def _uniform_shape(partition: Partition, cells: int, m: int) -> tuple[int, ...]:
+def _axis_uniforms(partition: Partition, draw, cells: int, m: int) -> list[np.ndarray]:
+    """Per chart axis, the (..., cells, m) uniforms from one ``draw(shape)``
+    that may prepend axes.  The stream layout: (cells, m, d) on the torus,
+    and (2, cells, m) on the sphere, the -z row then the longitude row."""
     if partition.space.kind == TORUS:
-        return (cells, m, partition.space.d)
-    return (2, cells, m)
+        u = draw((cells, m, partition.space.d))
+        return [u[..., i] for i in range(partition.space.d)]
+    return list(draw((2, cells, m)).swapaxes(0, -3))
 
 
-def _cell_map(partition: Partition, u: np.ndarray, ids) -> np.ndarray:
-    """Points of the cells ``ids`` from their uniforms: (..., cells, m, d)
-    on the torus, (2, ..., cells, m) on the sphere; elementwise, so any
-    leading axes of ``u`` map as one slice at a time would.  ``ids`` may
-    carry leading axes of its own, matching those of ``u``.
+def _cell_map(partition: Partition, u, ids) -> np.ndarray:
+    """Points of the cells ``ids`` from per-axis uniforms ``u[i]`` (...,
+    cells, m): chart axis i is ``lo + (hi - lo) u[i]`` (u = 0 on the closed
+    edge), elementwise, so leading axes map as one slice at a time would;
+    ``ids`` may carry leading axes matching them.  Each axis is one slice
+    written into one output: broadcast over a short trailing axis, numpy's
+    inner loop would run k elements at a time."""
+    lo, hi = partition.lo[ids], partition.hi[ids]
+    k = lo.shape[-1]
+    out = np.empty(np.broadcast(lo[..., 0, None], u[0]).shape + (k,))
+    for i in range(k):
+        a = lo[..., i, None]
+        np.multiply(hi[..., i, None] - a, u[i], out=out[..., i])
+        out[..., i] += a
+    return _chart_point(partition.space, out)
 
-    A torus point is ``lo + (hi - lo) u``, computed one axis at a time as
-    (..., cells, m) slices written into one output: broadcast over a short
-    trailing d axis, numpy's inner loop would run d elements at a time."""
-    if partition.space.kind == TORUS:
-        lo, hi = partition.lo[ids], partition.hi[ids]
-        out = np.empty(np.broadcast_shapes(lo.shape[:-1] + (1, lo.shape[-1]), u.shape))
-        for i in range(lo.shape[-1]):
-            a = lo[..., i, None]
-            np.multiply(hi[..., i, None] - a, u[..., i], out=out[..., i])
-            out[..., i] += a
-        return out
-    z_top, z_bot = partition.z[ids, 0, None], partition.z[ids, 1, None]
-    lon_lo, lon_hi = partition.lon[ids, 0, None], partition.lon[ids, 1, None]
-    # u = 0 lands on the closed (top) edge, matching the half-open bands
-    return sphere_point(z_top - (z_top - z_bot) * u[0],
-                        lon_lo + (lon_hi - lon_lo) * u[1])
+
+def _chart_point(space: SpaceDescriptor, c: np.ndarray) -> np.ndarray:
+    """The points of chart coordinates ``c (..., k)``."""
+    if space.kind == TORUS:
+        return c
+    # 0 - c, not -c: a zero height is +0.0, as z_top - (z_top - z_bot) u gives it
+    return sphere_point(0.0 - c[..., 0], c[..., 1])
 
 
 def cell_boundary_distance(partition: Partition, ids, pts: np.ndarray) -> np.ndarray:
@@ -405,10 +405,10 @@ def cell_boundary_distance(partition: Partition, ids, pts: np.ndarray) -> np.nda
     if partition.space.kind == TORUS:
         return box_distance(pts, partition.lo[ids], partition.hi[ids])
     t = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
-    edge = np.arccos(partition.z[ids])
+    edge = np.arccos(-np.stack([partition.lo[ids, 0], partition.hi[ids, 0]], axis=-1))
     top, bot = edge[..., 0], edge[..., 1]
     gap = np.maximum(np.maximum(top - t, t - bot), 0.0)
-    lon_lo, lon_hi = partition.lon[ids, 0], partition.lon[ids, 1]
+    lon_lo, lon_hi = partition.lo[ids, 1], partition.hi[ids, 1]
     dlon = np.mod(_longitude(pts) - lon_lo, TWO_PI)
     outside = dlon >= lon_hi - lon_lo
     off = np.minimum(TWO_PI - dlon, dlon - (lon_hi - lon_lo))
@@ -448,12 +448,9 @@ class PartitionReport:
 
 
 def geometric_cell_measures(partition: Partition) -> np.ndarray:
-    """Recompute every cell's measure from its stored geometry (independent
-    of the stored ``measure`` field)."""
-    if partition.space.kind == TORUS:
-        return np.prod(partition.hi - partition.lo, axis=1)
-    lon, z = partition.lon, partition.z
-    return (lon[:, 1] - lon[:, 0]) * (z[:, 0] - z[:, 1])
+    """Recompute every cell's measure from its chart box (independent of the
+    stored ``measure`` field)."""
+    return np.prod(partition.hi - partition.lo, axis=1)
 
 
 def verify_partition(partition: Partition, sample_budget: int = 10_000,
@@ -467,19 +464,16 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
     ``c2`` (greatest ``circumradius``), both in closed form and scaled by
     ``N^{1/d}``.
 
-    The membership counts come from ``_locate``, the same cell locator as
+    The membership counts come from ``_locate``, the cell locator of
     ``find_cell``, and equal a brute-force test of every (sample, cell)
-    pair: when the stored cells match the layout recorded in ``meta`` (an
-    O(N) check), only the cells next to each sample's grid or band/sector
-    position are tested; any other partition has every cell tested.  The
-    size samples come from the one stream ``(seed, VERIFY, N, 1)``, in which
-    cell j owns the j-th run of ``2 pairs_per_cell`` points' uniforms (the
-    first half pairs with the second), so they do not depend on how cells
-    are blocked.  A block of cells takes its runs with one ``stream_points``
-    call, and its points and corners are measured together, every pair of
-    corners too.  A pair farther apart than the cell's ``diameter``, or a
-    point farther from the anchor than its ``circumradius``, counts as a
-    ``diameter_violations``, so ``diameter_ok`` gates both size bounds.
+    pair.  The size samples come from the one stream ``(seed, VERIFY, N,
+    1)``, in which cell j owns the j-th run of ``2 pairs_per_cell`` points
+    (the first half pairs with the second), so they do not depend on how
+    cells are blocked; a block's points and corners (every pair of corners
+    too) are measured together.  A pair farther apart than the cell's
+    ``diameter``, or a point farther from the anchor than its
+    ``circumradius``, counts as a ``diameter_violations``, so
+    ``diameter_ok`` gates both size bounds.
     """
     check_count("sample_budget", sample_budget, 1)
     check_count("pairs_per_cell", pairs_per_cell, 1)
@@ -506,10 +500,8 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
     slack = 1 + 1e-12
     # the corners come from the cell map at uniforms in {0, 1}; a slightly
     # small stored size is seen there, where sampled points rarely reach
-    if space.kind == TORUS:
-        corner_u = np.indices((2,) * space.d).reshape(space.d, -1).T
-    else:
-        corner_u = np.indices((2, 2)).reshape(2, -1)
+    k = partition.lo.shape[1]
+    corner_u = np.indices((2,) * k).reshape(k, -1)
     # the uniforms, points and three distance tables of a block hold
     # about L2_BLOCK floats
     block = max(1, L2_BLOCK // (8 * pairs_per_cell))
@@ -559,8 +551,8 @@ def _layout_rows(space: SpaceDescriptor, meta: dict) -> dict[str, np.ndarray]:
     Torus: the ``m^d`` boxes ``[idx / m, (idx + 1) / m)`` of the grid index
     ``idx`` in row-major order, anchored at their centres.  Sphere: the band
     table expanded to its cells, the sectors of a band tiling it in id order
-    at longitudes ``2 pi s / k``, band cells anchored at their (z, lon)
-    midpoint and caps at their pole.
+    at longitudes ``2 pi s / k``, as boxes in (-z, lon); band cells anchored
+    at their (z, lon) midpoint and caps at their pole.
     """
     if space.kind == TORUS:
         m, d = meta["m"], space.d
@@ -573,13 +565,12 @@ def _layout_rows(space: SpaceDescriptor, meta: dict) -> dict[str, np.ndarray]:
     band = np.repeat(np.arange(len(bands)), ks)
     k = ks[band]
     s = np.arange(len(band)) - bands[band, 3].astype(int)
-    z = bands[band, :2]
-    lon = np.stack([TWO_PI * s / k, TWO_PI * (s + 1) / k], axis=1)
-    cap = np.zeros(len(band), dtype=np.int8)
-    cap[0], cap[-1] = 1, -1
-    anchor = sphere_point(0.5 * (z[:, 0] + z[:, 1]), 0.5 * (lon[:, 0] + lon[:, 1]))
+    z_top, z_bot = bands[band, 0], bands[band, 1]
+    lon_lo, lon_hi = TWO_PI * s / k, TWO_PI * (s + 1) / k
+    anchor = sphere_point(0.5 * (z_top + z_bot), 0.5 * (lon_lo + lon_hi))
     anchor[0], anchor[-1] = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)
-    return {"z": z, "lon": lon, "cap": cap, "anchor": anchor}
+    return {"lo": np.stack([-z_top, lon_lo], axis=1), "hi": np.stack([-z_bot, lon_hi], axis=1),
+            "anchor": anchor}
 
 
 def _layout_ok(partition: Partition) -> bool:

@@ -174,9 +174,14 @@ def sample_uniform(space: SpaceDescriptor, rng: np.random.Generator, n: int | No
 
 
 def sphere_point(z: np.ndarray, lon: np.ndarray) -> np.ndarray:
-    """The points of S^2 at height ``z`` and longitude ``lon``; (..., 3)."""
+    """The points of S^2 at height ``z`` and longitude ``lon``; (..., 3),
+    each coordinate written straight into the output."""
+    out = np.empty(np.broadcast(z, lon).shape + (3,))
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([s * np.cos(lon), s * np.sin(lon), z], axis=-1)
+    np.multiply(s, np.cos(lon), out=out[..., 0])
+    np.multiply(s, np.sin(lon), out=out[..., 1])
+    out[..., 2] = z
+    return out
 
 
 def geodesic_step(center: np.ndarray, direction: np.ndarray, s) -> np.ndarray:

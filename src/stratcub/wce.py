@@ -46,7 +46,7 @@ from .cubature import (ErrorStats, NodeDraw, cubature_error, draw_nodes, jackkni
 from .funcs import TestFunction
 from .kernel import (CONST, RIESZ, ROUGH_RIESZ, SINGULAR_TOL, KernelSpec, SingularPairError,
                      kernel_profile, regime_classify, rough_potential, total_integral)
-from .partition import Partition, cell_boundary_distance, cell_points, check_count
+from .partition import Partition, cell_boundary_distance, cell_points, check_count, check_real
 from .space import (L2_BLOCK, TORUS, SpaceDescriptor, distance, pairwise_distance,
                     sample_uniform)
 
@@ -105,6 +105,8 @@ class WceConfig:
     gamma_pairs: int = 256
 
     def __post_init__(self):
+        check_count("seed", self.seed, -math.inf)  # any integer
+        check_real("p", self.p)
         check_count("m_y", self.m_y, 1)
         check_count("m_z", self.m_z, 1)
         check_count("n_draws", self.n_draws, 2)  # a standard error needs two

@@ -9,6 +9,7 @@ from stream_runs import StreamRun
 
 from stratcub import cubature
 from stratcub import mz as mzmod
+from stratcub import partition
 from stratcub import rng as rngmod
 from stratcub.besov import PhiGradient, poincare_check, scale_floor
 from stratcub.cubature import (NodeDraw, cubature_error, draw_nodes,
@@ -359,3 +360,16 @@ def test_random_numbers_only_in_rng():
             if named:
                 uses.append((path.name, node.lineno))
     assert {name for name, _ in uses} == {"rng.py"}
+
+
+def test_cell_rules_read_no_space_kind():
+    # the chart box [lo, hi) is the one cell format: membership, the cell
+    # maps, recomputed measures and verification hold no per-space branch
+    generic = {"cell_contains", "cell_points", "stream_points", "geometric_cell_measures",
+               "verify_partition"}
+    reads = {}
+    for top in ast.parse(Path(partition.__file__).read_text()).body:
+        if isinstance(top, ast.FunctionDef) and top.name in generic:
+            reads[top.name] = [node.lineno for node in ast.walk(top)
+                               if isinstance(node, ast.Attribute) and node.attr == "kind"]
+    assert reads == {name: [] for name in generic}

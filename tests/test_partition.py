@@ -91,8 +91,8 @@ def test_cell_points_one_generator_per_cell(part):
 
 def test_sphere_cell_sample_colatitude_mean():
     part = sphere_zonal_partition(S2, 12)
-    j = int(np.flatnonzero(part.cap == 0)[0])
-    z_top, z_bot = part.z[j]
+    j = part.meta["bands"][1][3]  # first cell of the first collar
+    z_top, z_bot = -part.lo[j, 0], -part.hi[j, 0]
     th1, th2 = math.acos(z_top), math.acos(z_bot)
     pts = cell_sample(part, j, rngmod.substream(2, 3, 4), 10_000)
     assert np.all(cell_contains(part, j, pts))
@@ -199,7 +199,8 @@ def test_torus_cell_map_is_the_broadcast_formula(space, m):
     bit for bit for each form of ``ids`` its callers pass: a slice, (cells,),
     (K, cells) as ``stream_points`` takes it, (cells, 1) as ``mz._cell_means``
     passes it, and (cells,) with corner uniforms that have no cells axis, as
-    ``verify_partition`` passes them."""
+    ``verify_partition`` passes them.  The map takes the uniforms one chart
+    axis at a time, ``u[..., i]``."""
     part, d = torus_grid_partition(space, m), space.d
     cells = np.array([0, 5, part.N - 1, 2])
     rng = np.random.default_rng(3)
@@ -214,31 +215,71 @@ def test_torus_cell_map_is_the_broadcast_formula(space, m):
     for ids, u in cases:
         lo, hi = part.lo[ids][..., None, :], part.hi[ids][..., None, :]
         want = lo + (hi - lo) * u
-        got = partmod._cell_map(part, u, ids)
+        got = partmod._cell_map(part, np.moveaxis(u, -1, 0), ids)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _zonal_columns(part):
+    """(z_top, z_bot, lon_lo, lon_hi) per cell, each (N, 1), expanded from
+    ``meta["bands"]`` one cell at a time."""
+    cols = []
+    for z_top, z_bot, k, _ in part.meta["bands"]:
+        for s in range(int(k)):
+            cols.append((z_top, z_bot, 2.0 * math.pi * s / k, 2.0 * math.pi * (s + 1) / k))
+    return [np.array(c)[:, None] for c in zip(*cols)]
+
+
+@pytest.mark.parametrize("N", [2, 3, 33, 2048])
+def test_sphere_cell_map_is_the_zonal_closed_form(N):
+    """On S^2 the chart-box map gives ``sphere_point(z_top - (z_top - z_bot)
+    u0, lon_lo + (lon_hi - lon_lo) u1)`` bit for bit, signed zeros included:
+    for ``cell_points``, for ``stream_points`` and at the corner uniforms."""
+    part = sphere_zonal_partition(S2, N)
+    z_top, z_bot, lon_lo, lon_hi = _zonal_columns(part)
+
+    def closed(u0, u1):
+        return sphere_point(z_top - (z_top - z_bot) * u0, lon_lo + (lon_hi - lon_lo) * u1)
+
+    u = rngmod.substream(6, 1).random((2, N, 3))  # the -z row, then the longitude row
+    got = cell_points(part, rngmod.substream(6, 1), 3)
+    assert got.tobytes() == closed(u[0], u[1]).tobytes()
+    # units 4, 5 and 6: runs of 2 N uniforms, each laid out (2, N, 1)
+    u = rngmod.window(7, rngmod.NODES, start=4 * 2 * N, shape=(3, 2, N, 1))
+    got = stream_points(part, 7, rngmod.NODES, first=4, count=3)
+    assert got.shape == (3, N, 1, 3) and got.tobytes() == closed(u[:, 0], u[:, 1]).tobytes()
+    corner_u = np.indices((2, 2)).reshape(2, -1)
+    got = partmod._cell_map(part, corner_u, np.arange(N))
+    assert got.tobytes() == closed(corner_u[0], corner_u[1]).tobytes()
 
 
 def _brute_counts(part, pts):
     """Containing cells per point, every (point, cell) pair tested: the
-    brute-force count written out independently of the package."""
-    counts = np.zeros(len(pts), dtype=int)
+    brute-force count written out independently of the package.  Zonal
+    cells follow their own rules, not the chart: the caps (the cells with the
+    z-edges of the first and the last band of ``meta["bands"]``) are open
+    towards their pole, and full annuli take every longitude.  A point with a
+    NaN coordinate is in no cell."""
     if part.space.kind == TORUS:
         inside = np.all((pts[:, None, :] >= part.lo[None]) & (pts[:, None, :] < part.hi[None]),
                         axis=2)
         return inside.sum(axis=1)
+    counts = np.zeros(len(pts), dtype=int)
     z = pts[:, 2]
     lon = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
     lon[lon == 2.0 * math.pi] = 0.0  # a tiny negative angle is longitude 0
-    for (z_top, z_bot), (lon_lo, lon_hi), cap in zip(part.z, part.lon, part.cap):
-        if cap == 1:
+    north, south = (tuple(part.meta["bands"][i][:2]) for i in (0, -1))
+    for lo, hi in zip(part.lo, part.hi):
+        z_top, z_bot, lon_lo, lon_hi = -lo[0], -hi[0], lo[1], hi[1]
+        if (z_top, z_bot) == north:
             inside = z > z_bot
-        elif cap == -1:
+        elif (z_top, z_bot) == south:
             inside = z <= z_top
         else:
             inside = (z <= z_top) & (z > z_bot)
             if lon_hi - lon_lo < 2.0 * math.pi:
                 inside &= (lon >= lon_lo) & (lon < lon_hi)
         counts += inside
+    counts[np.isnan(pts).any(axis=1)] = 0
     return counts
 
 
@@ -263,14 +304,14 @@ def _shrunk_torus():
 
 def _pushed_sector():
     part = sphere_zonal_partition(S2, 33)
-    cid = int(np.flatnonzero((part.cap == 0) & (part.lon[:, 1] < math.pi))[0])
-    return _with_rows(part, cid, lon=part.lon[cid] + (0.0, 0.2))  # past its neighbour
+    cid = int(np.flatnonzero(part.hi[:, 1] < math.pi)[0])  # a sector, not a cap
+    return _with_rows(part, cid, hi=part.hi[cid] + (0.0, 0.2))  # past its neighbour
 
 
 def _lowered_band():
     part = sphere_zonal_partition(S2, 33)
     cid = part.meta["bands"][2][3]  # first sector of the second collar
-    return _with_rows(part, cid, z=part.z[cid] - (0.0, 0.05))  # into the next collar
+    return _with_rows(part, cid, hi=part.hi[cid] + (0.05, 0.0))  # into the next collar
 
 
 def _duplicated_cell():
@@ -357,31 +398,44 @@ def test_zonal_membership_on_cell_edges(N):
     part = sphere_zonal_partition(S2, N)
     assert _layout_ok(part)
     pts = _zonal_edge_points(part)
-    _check_locate(part, pts)
-    pts = pts[~np.isnan(pts).any(axis=1)]  # NaN points lie in no cell
-    assert np.all(_brute_counts(part, pts) == 1)
-    assert np.all(cell_contains(part, find_cell(part, pts), pts))
+    counts = _check_locate(part, pts)
+    nan = np.isnan(pts).any(axis=1)  # a NaN longitude as well as a NaN z
+    assert nan.sum() == 2 and np.all(counts[nan] == 0)
+    assert np.all(counts[~nan] == 1)
+    assert np.all(cell_contains(part, find_cell(part, pts[~nan]), pts[~nan]))
 
 
 @pytest.mark.parametrize("N", [2, 3, 33, 2048])
 def test_zonal_rows_match_per_cell_loop(N):
-    # the band table expanded one cell at a time, as a plain loop reference
+    # the band table expanded one cell at a time, as a plain loop reference:
+    # the boxes [(-z_top, lon_lo), (-z_bot, lon_hi)), signed zeros included
     part = sphere_zonal_partition(S2, N)
-    z, lon, cap = [], [], []
-    for z_top, z_bot, k, first in part.meta["bands"]:
-        for s in range(k):
-            z.append((z_top, z_bot))
-            lon.append((2.0 * math.pi * s / k, 2.0 * math.pi * (s + 1) / k))
-            cap.append(1 if first + s == 0 else -1 if first + s == N - 1 else 0)
-    assert np.array_equal(part.z, z) and np.array_equal(part.lon, lon)
-    assert np.array_equal(part.cap, cap)
+    z_top, z_bot, lon_lo, lon_hi = _zonal_columns(part)
+    assert part.lo.tobytes() == np.hstack([-z_top, lon_lo]).tobytes()
+    assert part.hi.tobytes() == np.hstack([-z_bot, lon_hi]).tobytes()
 
 
 def _permuted(part, seed):
     """``part`` with its rows in a random order, ``meta`` left as it was."""
     perm = np.random.default_rng(seed).permutation(part.N)
-    return dataclasses.replace(part, **{name: getattr(part, name)[perm] for name in _COLUMNS
-                                        if getattr(part, name) is not None})
+    return dataclasses.replace(part, **{name: getattr(part, name)[perm] for name in _COLUMNS})
+
+
+@pytest.mark.parametrize("part", [torus_grid_partition(T2, 5), sphere_zonal_partition(S2, 2),
+                                  sphere_zonal_partition(S2, 3), sphere_zonal_partition(S2, 33),
+                                  _permuted(sphere_zonal_partition(S2, 33), 1)],
+                         ids=["T2", "S2-2", "S2-3", "S2-33", "S2-33-permuted"])
+def test_a_nan_coordinate_puts_a_point_in_no_cell(part):
+    # points of every cell (caps, full annuli, sectors), one coordinate at a
+    # time made NaN; find_cell still returns a valid id
+    dim = part.anchor.shape[1]
+    pts = np.repeat(cell_points(part, rngmod.substream(8, 4), 1)[:, 0], dim, axis=0)
+    pts[np.arange(len(pts)), np.tile(np.arange(dim), part.N)] = np.nan
+    assert np.all(_brute_counts(part, pts) == 0)
+    assert np.all(_locate(part, pts)[1] == 0)
+    ids = find_cell(part, pts)
+    assert np.all((ids >= 0) & (ids < part.N))
+    assert not np.any(cell_contains(part, ids, pts))
 
 
 @pytest.mark.parametrize("part", [torus_grid_partition(T1, 4), sphere_zonal_partition(S2, 33)],
@@ -449,8 +503,8 @@ def test_cell_circumradius_holds_cell():
         if part.space.kind == TORUS:
             corners = part.lo[:, None, :]
         else:  # both z-edges at lon_lo, nudged inside where the edge is open or rounds
-            z_top, z_bot = part.z.T
-            lon_lo, lon_hi = part.lon.T
+            z_top, z_bot = -part.lo[:, 0], -part.hi[:, 0]
+            lon_lo, lon_hi = part.lo[:, 1], part.hi[:, 1]
             z = np.stack([z_top, z_bot + 1e-9 * (z_top - z_bot)], axis=1)
             corners = sphere_point(z, (lon_lo + 1e-9 * (lon_hi - lon_lo))[:, None])
         pts = np.concatenate([pts, corners], axis=1)
@@ -470,7 +524,9 @@ def _zonal_boundary(part, n=65):
         step = corners[:, 1:] - corners[:, :-1]
         return (corners[:, :-1, None] + step[:, :, None] * t).reshape(part.N, -1)
 
-    return sphere_point(walk(part.z[:, [0, 0, 1, 1, 0]]), walk(part.lon[:, [0, 1, 1, 0, 0]]))
+    z = -np.stack([part.lo[:, 0], part.hi[:, 0]], axis=1)
+    lon = np.stack([part.lo[:, 1], part.hi[:, 1]], axis=1)
+    return sphere_point(walk(z[:, [0, 0, 1, 1, 0]]), walk(lon[:, [0, 1, 1, 0, 0]]))
 
 
 @pytest.mark.parametrize("N", [5, 33, 512])
@@ -491,8 +547,7 @@ def test_cell_boundary_distance():
     assert d[1] == pytest.approx(0.05)
     assert d[2] == 0.0
     part_s = sphere_zonal_partition(S2, 33)
-    j = int(np.flatnonzero((part_s.cap == 0)
-                           & (part_s.lon[:, 1] - part_s.lon[:, 0] < 2 * math.pi))[0])
+    j = int(np.flatnonzero(part_s.hi[:, 1] - part_s.lo[:, 1] < 2 * math.pi)[0])  # a sector
     pts = sample_uniform(S2, rngmod.substream(8, 1), 2000)
     d = cell_boundary_distance(part_s, j, pts)
     inside = cell_contains(part_s, j, pts)

@@ -61,6 +61,14 @@ def test_config_validation():
     cfg = _cfg(PART4, RIESZ06, m_y=np.int64(16), m_z=np.int32(2), n_draws=np.int64(4),
                gamma_pairs=np.int16(8))
     assert cfg.n_draws == 4
+    # a float seed was keyed as int(seed), and a string p failed with a bare
+    # TypeError inside the exponent checks
+    for bad in ({"seed": 1.5}, {"seed": True}, {"seed": "3"}, {"p": "two"}, {"p": True}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            _cfg(PART4, RIESZ06, **bad)
+    for seed in (np.int64(-3), np.uint32(7), np.int16(0)):
+        assert _cfg(PART4, RIESZ06, seed=seed).seed == seed
+    assert _cfg(PART4, RIESZ06, p=np.float64(2.0)).q == 2.0
     assert _cfg(PART4, RIESZ06).q == 2.0
     assert WceConfig(PART4, RIESZ06, p=math.inf, n_draws=4).q == 1.0
     assert abs(1 / 1.5 + 1 / WceConfig(PART4, RIESZ75, p=1.5, n_draws=4).q - 1) < 1e-12
