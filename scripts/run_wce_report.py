@@ -40,9 +40,9 @@ def main() -> int:
         kern = KernelSpec(args.family, args.alpha, part.space.d, args.eps, args.kappa)
         cfg = WceConfig(part, kern, args.p, m_y=args.my, m_z=args.mz,
                         n_draws=args.draws, seed=args.seed)
+        rep = run_report(cfg)  # the constant stub raises before any draw
     except ValueError as exc:
         raise SystemExit(str(exc))
-    rep = run_report(cfg)
     print(f"config: {rep.config_label}")
     print(f"regime: {rep.regime}")
     print(f"worst-case error (draw q-mean): {rep.a_n.moment:.6g} +- {rep.a_n.stderr:.2g}")

@@ -81,13 +81,7 @@ def _config_from_args(kind: str, args: argparse.Namespace) -> ExperimentConfig:
     for flag, fieldname in _FLAG_TO_FIELD.items():
         v = getattr(args, flag, None)
         if v is not None:
-            fields[fieldname] = tuple(v) if flag == "n" else v
-    if "n_list" in fields:
-        fields["n_list"] = tuple(fields["n_list"])
-    if "fn_params" in fields:
-        fields["fn_params"] = dict(fields["fn_params"])
-    if "set_params" in fields:
-        fields["set_params"] = dict(fields["set_params"])
+            fields[fieldname] = v
     return ExperimentConfig(**fields)
 
 

@@ -77,6 +77,12 @@ class ExperimentConfig:
         check_count("seed", self.seed, -math.inf)  # any integer
         for name in ("p", "alpha", "eps", "kappa", "fn_alpha"):
             check_real(name, getattr(self, name))
+        if not isinstance(self.n_list, (list, tuple)):
+            raise ValueError(f"n_list must be a list of integers, got {self.n_list!r}")
+        self.n_list = tuple(self.n_list)
+        for name in ("fn_params", "set_params"):
+            if not isinstance(getattr(self, name), dict):
+                raise ValueError(f"{name} must be a dict, got {getattr(self, name)!r}")
         if len(self.n_list) < 1:
             raise ValueError("empty N list")
         for N in self.n_list:

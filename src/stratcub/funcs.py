@@ -3,8 +3,9 @@
 Every function carries an exact integral (never a numerical quadrature), so
 the cubature oracles stay independent of the machinery under test.  Where a
 closed form exists, functions also carry ``cell_means(partition)``: the exact
-mean over every cell as an (N,) array, computed from the partition's
-``lo``/``hi`` (torus grids) or ``z`` (zonal sphere cells) columns.  Radial
+mean over every cell as an (N,) array, computed from the partition's chart
+boxes ``lo``/``hi`` on both spaces (on the sphere, the zonal functions read
+only the heights ``z_top = -lo[:, 0]`` and ``z_bot = -hi[:, 0]``).  Radial
 profiles on T^1 (the cone, the arc, the square wave) all integrate through
 ``space.torus1d_radial_integral``.  The cone off T^1 and caps off the poles
 have no closed form and leave ``cell_means`` as None; callers fall back to

@@ -217,11 +217,6 @@ def find_cell(partition: Partition, pts: np.ndarray) -> np.ndarray:
     return _locate(partition, np.atleast_2d(np.asarray(pts, dtype=float)))[0]
 
 
-def _floor_index(v: np.ndarray, k) -> np.ndarray:
-    """``floor(v)`` clamped to ``[0, k - 1]`` as integers (NaN gives k - 1)."""
-    return np.fmax(np.fmin(np.floor(v), k - 1), 0).astype(int)
-
-
 def _longitude(pts: np.ndarray) -> np.ndarray:
     """Longitude in [0, 2 pi).  A tiny negative angle rounds to 2 pi under
     the modulo, which no sector holds; it is taken as 0."""
@@ -239,19 +234,19 @@ def _chart(space: SpaceDescriptor, pts: np.ndarray) -> list[np.ndarray]:
     return [np.clip(-pts[..., 2], -1.0, _BELOW_ONE), _longitude(pts)]
 
 
-_NEIGHBOURS = np.array([-1, 0, 1])
-
-
 def _locate(partition: Partition, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per point, the id of a cell holding it and the number of cells that
     do, under the exact half-open test.
 
-    On rows that follow ``meta`` only the cells next to a point's grid or
-    band/sector position can hold it (rounding moves the estimate by at most
-    one): per grid axis, ``floor(x m)`` and its neighbours are tested against
-    the exact edges, and in the point's exact zonal band the estimated
-    sector and its neighbours.  Other rows have every cell tested, a block
-    of points at a time.  A point no cell holds gets an arbitrary valid id.
+    On rows that follow ``meta`` the stored edges are searched exactly, with
+    no assumption about their spacing: per grid axis, the last edge at or
+    below the coordinate gives the index, and a point outside ``[0, 1)`` (or
+    NaN) gets none.  On the sphere the band is the first whose bottom lies
+    below the point; its rows are sorted by ``lo`` as (-z, lon) pairs, so one
+    lexicographic search on ``lo`` gives the sector whose box alone can hold
+    the point, and the box test counts it.  Other rows have every cell
+    tested, a block of points at a time.  A point no cell holds still gets a
+    valid id.
     """
     n = len(pts)
     if not partition.layout_ok:
@@ -263,30 +258,26 @@ def _locate(partition: Partition, pts: np.ndarray) -> tuple[np.ndarray, np.ndarr
             ids[i:i + rows] = np.argmax(hit, axis=1)
             counts[i:i + rows] = np.sum(hit, axis=1)
         return ids, counts
-    pt = np.arange(n)
     if partition.space.kind == TORUS:
         m = partition.meta["m"]
         edges = _grid_edges(m)
         ids, counts = np.zeros(n, dtype=int), np.ones(n, dtype=np.int32)
         for x in pts.T:
-            cand = _floor_index(x * m, m)[:, None] + _NEIGHBOURS
-            valid = (cand >= 0) & (cand < m)
-            cand = np.clip(cand, 0, m - 1)
-            hit = valid & (edges[cand] <= x[:, None]) & (x[:, None] < edges[cand + 1])
-            ids = ids * m + cand[pt, np.argmax(hit, axis=1)]
-            counts *= np.sum(hit, axis=1, dtype=np.int32)
+            # NaN and x >= 1 search past the last edge, x < 0 before the first
+            i = np.searchsorted(edges, x, side="right") - 1
+            ids = ids * m + np.clip(i, 0, m - 1)
+            counts *= (i >= 0) & (i < m)
         return ids, counts
-    # the band is exact, the first whose bottom lies strictly below the point
-    # (-bottoms increase; clamped for NaN); the sector can be one off
+    # the band is exact (clamped for NaN); numpy orders complex numbers by
+    # real then imaginary part, and -z_top is the band's stored lo0 bit for bit
     chart = _chart(partition.space, pts)
     bands = np.asarray(partition.meta["bands"], dtype=float)
     band = np.minimum(np.searchsorted(-bands[:, 1], chart[0], side="right"), len(bands) - 1)
-    k, first = bands[band, 2].astype(int), bands[band, 3].astype(int)
-    cand = _floor_index(chart[1] * k / TWO_PI, k)[:, None] + _NEIGHBOURS
-    valid = (cand >= 0) & (cand < k[:, None])
-    cand = first[:, None] + np.clip(cand, 0, k[:, None] - 1)
-    hit = valid & _in_boxes(partition, cand, [c[:, None] for c in chart])
-    return cand[pt, np.argmax(hit, axis=1)], np.sum(hit, axis=1, dtype=np.int32)
+    lo = partition.lo
+    ids = np.searchsorted(lo[:, 0] + 1j * lo[:, 1], -bands[band, 0] + 1j * chart[1],
+                          side="right") - 1
+    ids = np.clip(ids, 0, partition.N - 1)
+    return ids, _in_boxes(partition, ids, chart).astype(np.int32)
 
 
 def cell_contains(partition: Partition, ids, pts: np.ndarray) -> np.ndarray:

@@ -357,6 +357,7 @@ def run_report(cfg: WceConfig) -> WceReport:
     its A_N node tables reuse the node-table buffer.
     """
     n = cfg.n_draws
+    regime = regime_classify(cfg.kernel)  # raises for the constant stub, before any draw
 
     def make_task():
         tasks = []  # this thread's Delta and A_N tasks, built on its first draw
@@ -377,7 +378,7 @@ def run_report(cfg: WceConfig) -> WceReport:
         a_n=_draw_moment(cfg, values[n + 1:]),
         delta=_draw_moment(cfg, values[1:n + 1]),
         gamma=values[0],
-        regime=regime_classify(cfg.kernel),
+        regime=regime,
     )
 
 

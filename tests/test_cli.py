@@ -118,13 +118,15 @@ def test_cli_reports_unknown_fn_param_in_one_line(tmp_path):
     ('{"n_drawz": 5}', "cfg.json: unknown field(s) n_drawz"),
     ("[1, 2]", "cfg.json must hold a JSON object, got list"),
     ("{", "cfg.json is not valid JSON"),
-    ('{"fn_params": 3}', "'int' object is not iterable"),
+    ('{"fn_params": 3}', "fn_params must be a dict, got 3"),
+    ('{"n_list": 16}', "n_list must be a list of integers, got 16"),
+    ('{"set_params": "x"}', "set_params must be a dict, got 'x'"),
     (None, "cannot read config file"),
     ('{"seed": 1.5}', "seed must be an integer, got 1.5"),
     ('{"p": "two"}', "p must be a real number, got 'two'"),
     ('{"fn_alpha": null}', "fn_alpha must be a real number, got None"),
-], ids=["unknown-field", "json-list", "not-json", "wrong-type", "missing-file", "float-seed",
-        "string-p", "null-fn-alpha"])
+], ids=["unknown-field", "json-list", "not-json", "wrong-type", "int-n-list", "string-set-params",
+        "missing-file", "float-seed", "string-p", "null-fn-alpha"])
 def test_cli_reports_bad_config_file_in_one_line(tmp_path, text, message, monkeypatch):
     def run(cfg):
         raise AssertionError("a bad config reached the run")

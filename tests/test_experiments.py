@@ -124,6 +124,17 @@ def test_config_rejects_non_integer_counts():
     assert cfg.workers == 2
 
 
+def test_config_rejects_containers_of_the_wrong_type_by_field():
+    # an int n_list failed on len(), a string one named its first character,
+    # set_params="x" was read as a parameter name and fn_params=3 named no field
+    for bad in ({"n_list": 16}, {"n_list": "16 32"}, {"fn_params": 3}, {"fn_params": [1]},
+                {"set_params": "x"}, {"set_params": None}):
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
+            ExperimentConfig(kind="besov", **bad)
+    cfg = ExperimentConfig(kind="besov", n_list=[16, 32, 64, 128])
+    assert cfg.n_list == (16, 32, 64, 128)
+
+
 def test_config_rejects_non_integer_seed_and_non_real_exponents():
     # a float seed ran and keyed its streams by hashing the float; a string
     # p failed at its first comparison with a message that named no field

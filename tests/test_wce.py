@@ -614,6 +614,16 @@ def test_results_do_not_depend_on_workers(monkeypatch, case):
         assert run_report(cfg) == serial
 
 
+def test_run_report_classifies_before_any_draw(monkeypatch):
+    # the constant stub has no regime; every draw used to run before that showed
+    def run(*args):
+        raise AssertionError("a draw ran before the regime was classified")
+
+    monkeypatch.setattr(wce, "run_indexed", run)
+    with pytest.raises(ValueError, match="constant stub has no rate regime"):
+        run_report(_cfg(PART4, STUB, n_draws=4))
+
+
 def test_run_report_runs_one_pool(monkeypatch):
     # Gamma, Delta's draws and A_N's draws are one task list, and Gamma runs
     # on a pool thread while the caller waits
