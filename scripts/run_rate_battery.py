@@ -9,10 +9,11 @@ indicator functions on both spaces, and the sharpness constructions.
 """
 
 import argparse
-import json
+import dataclasses
 from pathlib import Path
 
-from stratcub.experiments import ExperimentConfig, run_experiment
+from stratcub.cli import run_battery
+from stratcub.experiments import ExperimentConfig
 
 
 def battery(seed: int, fast: bool) -> list[ExperimentConfig]:
@@ -61,23 +62,10 @@ def main() -> int:
     args = ap.parse_args()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    failures = []
-    for i, cfg in enumerate(battery(args.seed, args.fast)):
-        label = f"{i:02d}_{cfg.kind}_{cfg.space_kind}{cfg.dim}_{cfg.family}_p{cfg.p}"
-        cfg = ExperimentConfig(**{**cfg.__dict__, "out": str(out_dir / label),
-                                  "workers": args.workers})
-        rows, summary = run_experiment(cfg)
-        keys = ("experiment", "slope", "predicted_exponent", "verdict",
-                "interval_ratio", "stability_ratio")
-        print(label, json.dumps({k: summary[k] for k in keys if k in summary},
-                                default=str))
-        if not summary.get("verdict", True):
-            failures.append(label)
-    if failures:
-        print("FAILED:", failures)
-        return 1
-    print(f"all verdicts pass; outputs in {out_dir}/")
-    return 0
+    return run_battery([
+        dataclasses.replace(cfg, workers=args.workers, out=str(
+            out_dir / f"{i:02d}_{cfg.kind}_{cfg.space_kind}{cfg.dim}_{cfg.family}_p{cfg.p}"))
+        for i, cfg in enumerate(battery(args.seed, args.fast))])
 
 
 if __name__ == "__main__":

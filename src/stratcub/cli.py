@@ -17,43 +17,35 @@ import sys
 import time
 from pathlib import Path
 
-from .experiments import ExperimentConfig, run_experiment, to_json
-from .rates import rate_fit
+from .experiments import ExperimentConfig, fit_verdict, run_experiment, to_json
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", type=str, default=None,
                     help="JSON file with ExperimentConfig fields (flags override)")
-    sp.add_argument("--space", type=str, default=None, choices=["torus", "sphere2"])
+    sp.add_argument("--space", dest="space_kind", type=str, default=None,
+                    choices=["torus", "sphere2"])
     sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--n", type=int, nargs="+", default=None, help="N grid")
+    sp.add_argument("--n", dest="n_list", type=int, nargs="+", default=None, help="N grid")
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--eps", type=float, default=None)
     sp.add_argument("--kappa", type=float, default=None)
     sp.add_argument("--family", type=str, default=None)
     sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--draws", type=int, default=None)
-    sp.add_argument("--my", type=int, default=None)
-    sp.add_argument("--mz", type=int, default=None)
-    sp.add_argument("--fn", type=str, default=None, help="test function id")
+    sp.add_argument("--draws", dest="n_draws", type=int, default=None)
+    sp.add_argument("--my", dest="m_y", type=int, default=None)
+    sp.add_argument("--mz", dest="m_z", type=int, default=None)
+    sp.add_argument("--fn", dest="function", type=str, default=None, help="test function id")
     sp.add_argument("--fn-alpha", type=float, default=None)
-    sp.add_argument("--set", type=str, default=None, choices=["arc", "box", "cap"])
+    sp.add_argument("--set", dest="set_kind", type=str, default=None,
+                    choices=["arc", "box", "cap"])
     sp.add_argument("--variant", type=str, default=None, choices=["single", "sum"])
-    sp.add_argument("--budget", type=int, default=None, help="partition sample budget")
+    sp.add_argument("--budget", dest="sample_budget", type=int, default=None,
+                    help="partition sample budget")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--workers", type=int, default=None,
                     help="threads across the N values (the experiment's whole thread budget)")
     sp.add_argument("--out", type=str, default=None, help="output path stem")
-
-
-_FLAG_TO_FIELD = {
-    "space": "space_kind", "dim": "dim", "n": "n_list", "alpha": "alpha",
-    "eps": "eps", "kappa": "kappa", "family": "family", "p": "p",
-    "draws": "n_draws", "my": "m_y", "mz": "m_z", "fn": "function",
-    "fn_alpha": "fn_alpha", "set": "set_kind", "variant": "variant",
-    "budget": "sample_budget", "seed": "seed", "workers": "workers",
-    "out": "out",
-}
 
 
 def _read_config(path: str) -> dict:
@@ -78,10 +70,9 @@ def _config_from_args(kind: str, args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         fields.update(_read_config(args.config))
         fields["kind"] = kind
-    for flag, fieldname in _FLAG_TO_FIELD.items():
-        v = getattr(args, flag, None)
-        if v is not None:
-            fields[fieldname] = v
+    # each flag's dest is the name of the field it sets
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    fields.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
     return ExperimentConfig(**fields)
 
 
@@ -112,16 +103,39 @@ def _read_points(path: str) -> list[tuple[float, float, float]]:
 
 def _cmd_rates(args: argparse.Namespace) -> int:
     points = _read_points(args.csv)
-    fit = rate_fit(points, seed=args.seed or 0)
-    result = {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2,
-              "slope_ci": list(fit.slope_ci)}
-    ok = True
+    try:
+        result = fit_verdict(points, args.expected, args.tol, args.seed or 0)
+    except ValueError as exc:  # too few rows
+        raise SystemExit(f"stratcub: CSV file {args.csv}: {exc}")
+    ok = result.pop("verdict")  # false on a null fit, with or without --expected
     if args.expected is not None:
-        ok = abs(fit.slope - args.expected) <= args.tol
         result["expected"] = args.expected
         result["verdict"] = ok
     print(to_json(result, sort_keys=True, indent=1))
     return 0 if ok else 1
+
+
+def run_battery(configs) -> int:
+    """Run each config and print one strict-JSON line per run: its verdict,
+    slope and predicted exponent or its ratio, the ``out`` stem and the wall
+    time (printed only, never written to a file).  Ends with the failed
+    runs or ``all checks passed``; returns the exit code."""
+    failures = []
+    for cfg in configs:
+        t0 = time.perf_counter()
+        rows, summary = run_experiment(cfg)
+        line = {k: summary[k] for k in ("experiment", "verdict", "slope", "predicted_exponent",
+                                        "interval_ratio", "stability_ratio") if k in summary}
+        line["out"] = cfg.out
+        line["elapsed_s"] = round(time.perf_counter() - t0, 3)
+        print(to_json(line, sort_keys=True, default=str))
+        if not summary.get("verdict", True):
+            failures.append(cfg.out or cfg.kind)
+    if failures:
+        print(f"FAILED: {failures}")
+        return 1
+    print("all checks passed")
+    return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -129,8 +143,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     identity, and the sub-regime worst-case-error slope at reduced budgets."""
     seed = args.seed if args.seed is not None else 0
     out = args.out
-    failures = []
-    battery = [
+    return run_battery([
         ExperimentConfig(kind="partition", space_kind="torus", dim=1,
                          n_list=(16, 64, 256), sample_budget=20_000, seed=seed,
                          out=(out + "_partition" if out else None)),
@@ -142,25 +155,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                          n_list=(16, 32, 64, 128), family="riesz", alpha=0.75,
                          p=2.0, n_draws=100, m_y=256, m_z=8, seed=seed,
                          out=(out + "_wce" if out else None)),
-    ]
-    for cfg in battery:
-        t0 = time.perf_counter()
-        rows, summary = run_experiment(cfg)
-        line = {k: summary.get(k) for k in ("experiment", "verdict", "slope",
-                                            "predicted_exponent") if k in summary}
-        # wall time goes on the printed line only, never into the output files
-        line["elapsed_s"] = round(time.perf_counter() - t0, 3)
-        print(to_json(line, sort_keys=True, default=str))
-        if not summary.get("verdict", True):
-            failures.append(cfg.kind)
-    if failures:
-        print(f"FAILED: {failures}")
-        return 1
-    print("all checks passed")
-    return 0
+    ])
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stratcub",
         description="Stratified random cubature experiments on T^d and S^2")
@@ -176,8 +174,11 @@ def main(argv: list[str] | None = None) -> int:
     sp = sub.add_parser("verify", help="fast self-check battery")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--out", type=str, default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "rates":
         return _cmd_rates(args)
     if args.command == "verify":

@@ -72,6 +72,9 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("kind", "space_kind", "family", "function", "set_kind", "variant"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
         if self.kind not in ("partition", "wce", "besov", "mz", "indicator", "sharpness"):
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         check_count("seed", self.seed, -math.inf)  # any integer
@@ -274,23 +277,36 @@ def _summarize(cfg: ExperimentConfig, rows: list[dict]) -> dict:
         return summary
     if cfg.kind == "sharpness" and cfg.variant == "single":
         scaled = [r["value"] * r["N"] for r in rows]
-        ratio = max(scaled) / min(scaled)
+        # a draw set that never met the bump gives a zero: no ratio, a failed verdict
+        ratio = max(scaled) / min(scaled) if min(scaled) > 0 else None
         summary.update({"scaled_values": scaled, "interval_ratio": ratio,
-                        "verdict": ratio <= 2.0})
+                        "verdict": ratio is not None and ratio <= 2.0})
         return summary
     # rate experiments
-    points = [(r["N"], r["value"], r["stderr"]) for r in rows]
-    fit = rate_fit(points, seed=cfg.seed)
     predicted, note = _predicted(cfg)
-    summary.update({
-        "slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2,
-        "slope_ci": list(fit.slope_ci), "predicted_exponent": predicted,
-    })
-    if note:
-        summary["note"] = note
-    summary["verdict"] = (predicted is None
-                          or abs(fit.slope - predicted) <= SLOPE_TOL)
+    summary.update(fit_verdict([(r["N"], r["value"], r["stderr"]) for r in rows],
+                               predicted, SLOPE_TOL, cfg.seed), predicted_exponent=predicted)
+    if note:  # after a degenerate fit's note, whose failed verdict stands
+        summary["note"] = f"{summary['note']}; {note}" if "note" in summary else note
     return summary
+
+
+def fit_verdict(points, predicted: float | None, tol: float, seed: int) -> dict:
+    """The rate fit of ``points`` (N, value, stderr) and its verdict
+    |slope - predicted| <= tol (true when nothing is predicted).
+
+    A value that is not > 0 has no logarithm: the fit is null, a note names
+    its N, and the verdict is false.
+    """
+    bad = [n for n, v, _ in points if not v > 0]
+    if bad:
+        return {"slope": None, "intercept": None, "r2": None, "slope_ci": None,
+                "verdict": False,
+                "note": f"no rate fit: value not > 0 at N = {', '.join(f'{n:g}' for n in bad)}"}
+    fit = rate_fit(points, seed=seed)
+    return {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2,
+            "slope_ci": list(fit.slope_ci),
+            "verdict": predicted is None or abs(fit.slope - predicted) <= tol}
 
 
 def _predicted(cfg: ExperimentConfig) -> tuple[float | None, str]:

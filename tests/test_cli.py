@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 
 from stratcub import cli
 from stratcub.cli import main
-from stratcub.experiments import CSV_FIELDS
+from stratcub.experiments import CSV_FIELDS, ExperimentConfig
 
 
 def test_cli_mz_run(tmp_path, capsys):
@@ -125,8 +126,12 @@ def test_cli_reports_unknown_fn_param_in_one_line(tmp_path):
     ('{"seed": 1.5}', "seed must be an integer, got 1.5"),
     ('{"p": "two"}', "p must be a real number, got 'two'"),
     ('{"fn_alpha": null}', "fn_alpha must be a real number, got None"),
+    ('{"set_kind": []}', "set_kind must be a string, got []"),
+    ('{"function": []}', "function must be a string, got []"),
+    ('{"space_kind": 2}', "space_kind must be a string, got 2"),
 ], ids=["unknown-field", "json-list", "not-json", "wrong-type", "int-n-list", "string-set-params",
-        "missing-file", "float-seed", "string-p", "null-fn-alpha"])
+        "missing-file", "float-seed", "string-p", "null-fn-alpha", "list-set-kind",
+        "list-function", "int-space-kind"])
 def test_cli_reports_bad_config_file_in_one_line(tmp_path, text, message, monkeypatch):
     def run(cfg):
         raise AssertionError("a bad config reached the run")
@@ -145,7 +150,8 @@ def test_cli_reports_bad_config_file_in_one_line(tmp_path, text, message, monkey
     (None, "cannot read CSV file"),
     ("N,value\n8,1\n", "has no column 'stderr'"),
     ("N,value,stderr\n8,one,0\n", "could not convert string to float: 'one'"),
-], ids=["missing-file", "missing-column", "not-a-number"])
+    ("N,value,stderr\n8,1,0\n16,0.5,0\n32,0.25,0\n", "rate fit needs >= 4 points, got 3"),
+], ids=["missing-file", "missing-column", "not-a-number", "three-rows"])
 def test_cli_rates_reports_bad_csv_in_one_line(tmp_path, text, message):
     data = tmp_path / "data.csv"
     if text is not None:
@@ -154,6 +160,49 @@ def test_cli_rates_reports_bad_csv_in_one_line(tmp_path, text, message):
         main(["rates", "--csv", str(data)])
     text = str(exc.value.code)
     assert text.startswith("stratcub: ") and message in text and "\n" not in text
+
+
+@pytest.mark.parametrize("expected", [[], ["--expected", "-1"]], ids=["no-expected", "expected"])
+def test_cli_rates_null_fit_on_a_value_not_above_zero(tmp_path, capsys, expected):
+    data = tmp_path / "data.csv"
+    data.write_text("N,value,stderr\n8,1,0\n16,0.5,0\n32,0,0\n64,0.125,0\n")
+    assert main(["rates", "--csv", str(data), *expected]) == 1
+    result = _strict_loads(capsys.readouterr().out)
+    assert result["slope"] is None and result["slope_ci"] is None
+    assert "N = 32" in result["note"]
+    assert ("verdict" in result) == bool(expected)
+    assert result.get("verdict", False) is False
+
+
+def test_cli_besov_zero_results_report_a_null_fit(tmp_path, capsys):
+    # the k = 1 square wave is constant on every grid cell, so B_N = 0 at every N
+    out = tmp_path / "sq"
+    rc = main(["besov", "--fn", "square_wave", "--n", "16", "32", "64", "128",
+               "--draws", "20", "--out", str(out)])
+    summary = _strict_loads(capsys.readouterr().out)
+    assert rc == 1
+    assert summary["slope"] is None and summary["r2"] is None
+    assert summary["verdict"] is False
+    assert summary["note"] == "no rate fit: value not > 0 at N = 16, 32, 64, 128"
+    assert _strict_loads(Path(str(out) + ".json").read_text()) == summary
+
+
+def test_cli_experiment_flags_set_config_fields_by_dest():
+    # the flag's dest is the field it sets: a misspelt dest would be dropped silently
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    sub = cli._parser()._subparsers._group_actions[0]
+    kinds = [k for k in sub.choices if k not in ("rates", "verify")]
+    assert kinds == ["partition", "wce", "besov", "mz", "indicator", "sharpness"]
+    for kind in kinds:
+        dests = {a.dest for a in sub.choices[kind]._actions} - {"config", "help"}
+        assert dests <= names, (kind, sorted(dests - names))
+    args = cli._parser().parse_args(["partition", "--space", "sphere2", "--dim", "2",
+                                     "--n", "2", "8", "--draws", "7", "--my", "3", "--mz", "5",
+                                     "--fn", "coordinate", "--set", "cap", "--budget", "9"])
+    cfg = cli._config_from_args("partition", args)
+    assert (cfg.space_kind, cfg.n_list, cfg.n_draws, cfg.m_y, cfg.m_z, cfg.function,
+            cfg.set_kind, cfg.sample_budget) == ("sphere2", (2, 8), 7, 3, 5, "coordinate",
+                                                 "cap", 9)
 
 
 def _strict_loads(text):

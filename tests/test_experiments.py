@@ -126,9 +126,13 @@ def test_config_rejects_non_integer_counts():
 
 def test_config_rejects_containers_of_the_wrong_type_by_field():
     # an int n_list failed on len(), a string one named its first character,
-    # set_params="x" was read as a parameter name and fn_params=3 named no field
+    # set_params="x" was read as a parameter name and fn_params=3 named no
+    # field; a list set_kind or function failed in a dict lookup ("unhashable
+    # type: 'list'")
     for bad in ({"n_list": 16}, {"n_list": "16 32"}, {"fn_params": 3}, {"fn_params": [1]},
-                {"set_params": "x"}, {"set_params": None}):
+                {"set_params": "x"}, {"set_params": None}, {"set_kind": []},
+                {"function": []}, {"space_kind": ["torus"]}, {"family": None},
+                {"variant": 1}):
         with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
             ExperimentConfig(kind="besov", **bad)
     cfg = ExperimentConfig(kind="besov", n_list=[16, 32, 64, 128])
@@ -145,6 +149,46 @@ def test_config_rejects_non_integer_seed_and_non_real_exponents():
             ExperimentConfig(kind="wce", **bad)
     cfg = ExperimentConfig(kind="besov", seed=np.int64(-3), p=2, fn_alpha=np.float64(1.0))
     assert cfg.seed == -3 and cfg.q == 2.0
+
+
+def _sharpness_single_rows(values):
+    return [{"N": N, "value": v, "stderr": 0.0} for N, v in zip((16, 64, 256), values)]
+
+
+def test_sharpness_single_summary_with_a_zero_value_fails_with_a_null_ratio():
+    # no draw met the bump at one N: the ratio divided by zero
+    cfg = ExperimentConfig(kind="sharpness", variant="single", n_list=(16, 64, 256))
+    summary = experiments._summarize(cfg, _sharpness_single_rows([0.1, 0.0, 0.002]))
+    assert summary["interval_ratio"] is None and summary["verdict"] is False
+    assert json.loads(to_json(summary)) == summary
+    ok = experiments._summarize(cfg, _sharpness_single_rows([0.1, 0.025, 0.005]))
+    assert ok["interval_ratio"] == pytest.approx(1.25) and ok["verdict"] is True
+
+
+def test_fit_verdict_rule():
+    points = [(n, 2.0 / n, 0.0) for n in (8, 16, 32, 64)]
+    fit = experiments.fit_verdict(points, -1.0, 0.1, seed=0)
+    assert fit["slope"] == pytest.approx(-1.0) and fit["verdict"] is True
+    assert "note" not in fit
+    assert experiments.fit_verdict(points, -0.5, 0.1, seed=0)["verdict"] is False
+    assert experiments.fit_verdict(points, None, 0.1, seed=0)["verdict"] is True
+    # a value that is not > 0 (zero, negative, NaN) fails even with nothing predicted
+    for bad in (0.0, -1.0, math.nan):
+        null = experiments.fit_verdict(points[:2] + [(32, bad, 0.0)] + points[3:], None, 0.1, 0)
+        assert null == {"slope": None, "intercept": None, "r2": None, "slope_ci": None,
+                        "verdict": False, "note": "no rate fit: value not > 0 at N = 32"}
+
+
+def test_degenerate_fit_note_comes_before_the_critical_regime_note():
+    cfg = ExperimentConfig(kind="wce", space_kind="torus", dim=2,
+                           n_list=(16, 64, 256, 1024), family="rough_riesz",
+                           alpha=1.5, eps=0.5, kappa=1.0, p=4.0)
+    rows = [{"N": N, "value": v, "stderr": 0.0}
+            for N, v in zip(cfg.n_list, (0.3, 0.1, 0.0, 0.01))]
+    summary = experiments._summarize(cfg, rows)
+    assert summary["predicted_exponent"] is None and summary["slope"] is None
+    assert summary["note"].startswith("no rate fit: value not > 0 at N = 256; critical regime")
+    assert summary["verdict"] is False  # the null fit fails where no slope is judged
 
 
 def test_wce_experiment_runs_draws_on_one_thread(monkeypatch):
