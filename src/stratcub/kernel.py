@@ -19,7 +19,10 @@ redraw such samples (a measure-zero event at any realistic budget).
 
 On T^1 every frequency 2^m of the lacunary series is an integer, so its sum
 against weighted nodes separates into node and y factors by angle addition;
-``rough_potential`` sums it that way, with exactly reduced angles.
+``rough_potential`` sums it that way.  Its angles are reduced exactly at every
+fourth scale (the anchors), and the three scales after each anchor are
+complex squares of it; against the series with every angle reduced exactly it
+was within 8.4e-15 (sum of weights 1, measured next to ``ROUGH_STRIDE``).
 """
 
 from __future__ import annotations
@@ -40,6 +43,12 @@ CONST = "const"
 SINGULAR_TOL = 1e-12
 # terms of the rough family's lacunary cosine series
 N_SCALES = 20
+# rough_potential reduces angles exactly at every ROUGH_STRIDE-th scale and
+# squares between.  Against the series with exactly reduced angles, over 300
+# random node sets with sum w = 1, its error was at most 4.4e-15 at eps = 1/4
+# and 8.4e-15 over eps in [0.05, 1] (1.1e-15 and 1.6e-15 with every scale
+# reduced); each squaring doubles the angle error of the anchor
+ROUGH_STRIDE = 4
 
 
 class SingularPairError(ValueError):
@@ -132,27 +141,38 @@ def rough_potential(spec: KernelSpec, space: SpaceDescriptor, w: np.ndarray,
     """``sum_j w_j W_eps(dist(x_j, y))`` at each y, on T^1 only; returns (len(y),).
 
     Every frequency 2^m is an integer, so cos(2 pi 2^m dist(x, y)) is
-    cos(2 pi 2^m x) cos(2 pi 2^m y) + sin(2 pi 2^m x) sin(2 pi 2^m y), and
-    the sum is ``sum_m 2^(-eps m) (C_m cos 2 pi 2^m y + S_m sin 2 pi 2^m y)``
-    with ``C_m = sum_j w_j cos 2 pi 2^m x_j`` (``S_m`` likewise): trig calls
-    on N + len(y) points per scale instead of a series per (x_j, y) pair.
-    Each angle is reduced exactly, as 2 pi ((2^m x) mod 1): for x >= 0 both
-    ``ldexp`` and ``v - floor(v)`` are exact, so each term is correct to about
-    one ulp.  Unlike a kernel table, this has no singular distance to test for.
+    Re(e^(i theta_m(x)) e^(-i theta_m(y))) with theta_m(p) = 2 pi 2^m p, and
+    the sum is ``Re sum_m 2^(-eps m) (C_m + i S_m) e^(-i theta_m(y))`` with
+    ``C_m + i S_m = sum_j w_j e^(i theta_m(x_j))``: trig calls on N + len(y)
+    points per anchor scale instead of a series per (x_j, y) pair.  The
+    angle is reduced exactly, as 2 pi ((2^m x) mod 1), only at the anchor
+    scales m = 0, ``ROUGH_STRIDE``, ...: for x >= 0 both ``ldexp`` and
+    ``v - floor(v)`` are exact.  The ``ROUGH_STRIDE - 1`` scales after each
+    anchor are complex squares, since theta_(m+1) = 2 theta_m (mod 2 pi).
+    Against the series with exactly reduced angles the error is a few ulp of
+    sum |w| (measured next to ``ROUGH_STRIDE``).  Unlike a kernel table, this
+    has no singular distance to test for.
     """
     if space.kind != TORUS or space.d != 1:
         raise ValueError("the separable rough term is implemented on T^1 only")
     # int32 exponents take ldexp's direct loop; int64 ones are cast per element
-    scales = np.arange(N_SCALES, dtype=np.int32)
+    anchors = np.arange(0, N_SCALES, ROUGH_STRIDE, dtype=np.int32)
 
-    def waves(p):  # (2 N_SCALES, len(p)): the cos rows, then the sin rows
-        turns = np.ldexp(np.ravel(p), scales[:, None])
+    def waves(p):  # (ROUGH_STRIDE, anchors, len(p)): scale ROUGH_STRIDE a + k at [k, a]
+        p = np.ravel(p)
+        turns = np.ldexp(p, anchors[:, None])
         turns -= np.floor(turns)  # as exact as % 1.0 here, and several times faster
         turns *= 2.0 * math.pi
-        return np.concatenate([np.cos(turns), np.sin(turns)])
+        z = np.empty((ROUGH_STRIDE, anchors.size, p.size), dtype=complex)
+        np.cos(turns, out=z[0].real)
+        np.sin(turns, out=z[0].imag)
+        for k in range(1, ROUGH_STRIDE):
+            np.multiply(z[k - 1], z[k - 1], out=z[k])
+        return z
 
-    decay = 2.0 ** (-spec.eps * scales)
-    return ((waves(x) @ w) * np.concatenate([decay, decay])) @ waves(y)
+    decay = 2.0 ** (-spec.eps * (anchors + np.arange(ROUGH_STRIDE)[:, None]))
+    coef = (waves(x) @ w) * decay
+    return (np.conj(coef).ravel() @ waves(y).reshape(N_SCALES, -1)).real
 
 
 @functools.lru_cache(maxsize=64)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,8 @@ class RateFit:
 def rate_fit(points, n_boot: int = 1000, seed: int = 0) -> RateFit:
     """Ordinary least squares of log(value) on log(N).
 
-    Needs at least 4 strictly positive values; the slope CI comes from
+    Needs at least 4 points, every N finite and > 0 with at least two of
+    them distinct, and strictly positive values; the slope CI comes from
     ``n_boot`` residual resamples (percentile 95%), drawn as one
     (n_boot, points) table.
     """
@@ -30,9 +32,15 @@ def rate_fit(points, n_boot: int = 1000, seed: int = 0) -> RateFit:
     pts = [(float(n), float(v), float(se)) for n, v, se in points]
     if len(pts) < 4:
         raise ValueError(f"rate fit needs >= 4 points, got {len(pts)}")
+    ns = [n for n, _, _ in pts]
+    for n in ns:
+        if not (math.isfinite(n) and n > 0):
+            raise ValueError(f"rate fit needs finite N > 0, got N = {n:g}")
+    if len(set(ns)) < 2:
+        raise ValueError(f"rate fit needs two distinct N, got only N = {ns[0]:g}")
     if any(v <= 0 for _, v, _ in pts):
         raise ValueError("rate fit needs strictly positive values")
-    x = np.log(np.array([n for n, _, _ in pts]))
+    x = np.log(np.array(ns))
     y = np.log(np.array([v for _, v, _ in pts]))
     slope, intercept = map(float, _ols(x, y))
     fitted = intercept + slope * x

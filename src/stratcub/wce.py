@@ -9,9 +9,11 @@ the exact dual form
 
 with I_Phi = ``kernel.total_integral`` the same for every y, so the draw
 average A_N = {E_x wce^q}^{1/q} needs Monte Carlo over y only.  On T^1 the
-lacunary term of a rough-Riesz kernel's F is summed separably and exactly
-(``kernel.rough_potential``), so the (N, m_y) node table holds the Riesz part
-only; Delta, Gamma, the witness and the probe tabulate the full kernel.
+lacunary term of a rough-Riesz kernel's F is summed separably
+(``kernel.rough_potential``: angles reduced exactly at every fourth scale and
+squared for the three between, within 1e-14 of the exact series), so the
+(N, m_y) node table holds the Riesz part only; Delta, Gamma, the witness
+and the probe tabulate the full kernel.
 
 A_N is bracketed by two functionals of the per-cell terms
 T_j(y) = omega_j (Phi(x_j, y) - cell mean of Phi(., y)): Gamma (sum of per-cell

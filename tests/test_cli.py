@@ -151,7 +151,14 @@ def test_cli_reports_bad_config_file_in_one_line(tmp_path, text, message, monkey
     ("N,value\n8,1\n", "has no column 'stderr'"),
     ("N,value,stderr\n8,one,0\n", "could not convert string to float: 'one'"),
     ("N,value,stderr\n8,1,0\n16,0.5,0\n32,0.25,0\n", "rate fit needs >= 4 points, got 3"),
-], ids=["missing-file", "missing-column", "not-a-number", "three-rows"])
+    ("N,value,stderr\n0,1,0\n16,0.5,0\n32,0.25,0\n64,0.125,0\n",
+     "rate fit needs finite N > 0, got N = 0"),
+    ("N,value,stderr\n8,1,0\nnan,0.5,0\n32,0.25,0\n64,0.125,0\n",
+     "rate fit needs finite N > 0, got N = nan"),
+    ("N,value,stderr\n8,1,0\n8,0.5,0\n8,0.25,0\n8,0.125,0\n",
+     "rate fit needs two distinct N, got only N = 8"),
+], ids=["missing-file", "missing-column", "not-a-number", "three-rows", "zero-n", "nan-n",
+        "repeated-n"])
 def test_cli_rates_reports_bad_csv_in_one_line(tmp_path, text, message):
     data = tmp_path / "data.csv"
     if text is not None:

@@ -47,6 +47,18 @@ def test_rate_fit_rejects_bad_input():
         rate_fit([(8, 1.0, 0.0), (16, 0.0, 0.0), (32, 0.25, 0.0), (64, 0.1, 0.0)])
 
 
+@pytest.mark.parametrize("ns, message", [
+    ((0, 16, 32, 64), "rate fit needs finite N > 0, got N = 0"),
+    ((8, float("nan"), 32, 64), "rate fit needs finite N > 0, got N = nan"),
+    ((8, -16, 32, 64), "rate fit needs finite N > 0, got N = -16"),
+    ((8, 16, float("inf"), 64), "rate fit needs finite N > 0, got N = inf"),
+    ((16, 16, 16, 16), "rate fit needs two distinct N, got only N = 16"),
+], ids=["zero", "nan", "negative", "inf", "repeated"])
+def test_rate_fit_rejects_an_n_without_a_logarithm(ns, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rate_fit([(n, 1.0 / (i + 1), 0.0) for i, n in enumerate(ns)])
+
+
 def _ols(x, y):
     xm, ym = x.mean(), y.mean()
     slope = float(np.sum((x - xm) * (y - ym)) / np.sum((x - xm) ** 2))
@@ -219,6 +231,21 @@ def test_wce_experiment_runs_draws_on_one_thread(monkeypatch):
             assert set(runner.values()) == {threading.current_thread().name}
         else:
             assert all(name.startswith("stratcub_") for name in runner.values())
+
+
+def test_rough_wce_experiment_is_byte_identical_across_workers(tmp_path):
+    # the c06 kernel: A_N's rough term comes from the complex-product route
+    # of kernel.rough_potential, which no other determinism check reaches
+    blobs = []
+    for workers in (1, 3):
+        out = tmp_path / f"rough_w{workers}"
+        run_experiment(ExperimentConfig(kind="wce", space_kind="torus", dim=1,
+                                        n_list=(8, 16, 32, 64), family="rough_riesz",
+                                        alpha=0.9, eps=0.25, kappa=1.0, p=2.0, n_draws=12,
+                                        m_y=48, m_z=4, seed=3, workers=workers,
+                                        out=str(out)))
+        blobs.append(Path(str(out) + ".csv").read_bytes() + Path(str(out) + ".json").read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_config_validation():

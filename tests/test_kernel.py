@@ -61,6 +61,25 @@ def test_rough_potential_matches_exact_direct_sum():
     assert np.allclose(rough_potential(ROUGH, T1, w, x, y), direct, rtol=0.0, atol=1e-12)
 
 
+def test_rough_potential_matches_exact_angles_at_stratified_nodes():
+    # non-dyadic nodes, one per cell of the N = 512 grid, and y at both ends
+    # of [0, 1) and at 1/2; the oracle reduces each angle exactly,
+    # theta_m(p) = 2 pi ((2^m p) mod 1), and sums every (node, scale) term of
+    # each y with fsum; the bound is set for sum w = 1
+    n, rng = 512, rngmod.substream(6, rngmod.SELFTEST, 4)
+    x = (np.arange(n) + rng.random(n)) / n
+    y = np.concatenate([[1e-12, 0.5, 1.0 - 2.0 ** -53], rng.random(189)])
+    w = np.full(n, 1.0 / n)
+    terms = np.empty((N_SCALES, n, y.size))
+    for m in range(N_SCALES):
+        fx, fy = np.ldexp(x, m) % 1.0, np.ldexp(y, m) % 1.0
+        terms[m] = (w * 2.0 ** (-ROUGH.eps * m))[:, None] * np.cos(
+            2 * math.pi * (fx[:, None] - fy[None, :]))
+    oracle = np.array([math.fsum(terms[:, :, i].ravel()) for i in range(y.size)])
+    got = rough_potential(ROUGH, T1, w, x[:, None], y[:, None])
+    assert np.max(np.abs(got - oracle)) <= 1e-13
+
+
 def test_rough_potential_matches_rough_series_table():
     rng = rngmod.substream(6, rngmod.SELFTEST, 2)
     x, y = sample_uniform(T1, rng, 64), sample_uniform(T1, rng, 192)
