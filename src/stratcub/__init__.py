@@ -17,7 +17,7 @@ from .cubature import ErrorStats, NodeDraw, cubature_error, draw_nodes, estimate
 from .wce import (WceConfig, WceReport, delta_phi, estimate_AN, extremal_witness_check,
                   gamma_phi, lower_hypothesis_probe, worst_case_error)
 from .besov import (PhiGradient, besov_norm_bound_chi, besov_rhs_bounds,
-                    chi_phi_gradient, poincare_check, sharpness_fj, sharpness_sum)
+                    chi_phi_gradient, poincare_check, sharpness_fn)
 from .mz import MzReport, mz_pair, ratio_envelope
 from .rates import RateFit, rate_fit
 from .experiments import ExperimentConfig, run_experiment

@@ -12,9 +12,9 @@ p <= 2, rhs3 for p >= 2), all driven by the cell diameters and weights, plus
 the moment-comparison constant B(p) supplied empirically by the ``mz``
 module.
 
-The sharpness constructions place two opposite bumps inside one cell
-(difference of cones, mean zero), and their sum over all cells; these attain
-the bounds' rates up to constants.
+The sharpness function places two opposite bumps (a difference of cones,
+mean zero) inside one cell or inside every cell; these attain the bounds'
+rates up to constants.
 """
 
 from __future__ import annotations
@@ -177,72 +177,38 @@ def besov_rhs_bounds(partition: Partition, p: float, alpha: float,
 # sharpness constructions
 # ---------------------------------------------------------------------------
 
-def _bump_centers(partition: Partition, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two centers inside each of the cells ``ids`` holding disjoint balls of
-    radius r_in/4, r_in the cell's ``inradius``; returns (center_a (n, dim),
-    center_b (n, dim), support_radius (n,)) with support = r_in/8."""
-    space = partition.space
-    r_in = partition.inradius[ids]
-    anchor = partition.anchor[ids]
-    if space.kind == TORUS:
-        e = np.zeros(space.d)
-        e[0] = 1.0
-        step = (r_in / 2.0)[:, None] * e
-        a = np.mod(anchor + step, 1.0)
-        b = np.mod(anchor - step, 1.0)
-    else:
-        e = east_tangent(anchor)
-        a = geodesic_step(anchor, e, r_in / 2.0)
-        b = geodesic_step(anchor, e, -r_in / 2.0)
-    return a, b, r_in / 8.0
+def sharpness_fn(partition: Partition, cell: int | None = None) -> TestFunction:
+    """Sum over every cell, or the one ``cell``, of mean-zero two-bump
+    functions: a cone at one centre minus its twin at the other.
 
-
-def sharpness_fj(partition: Partition, j: int, alpha: float) -> TestFunction:
-    """Mean-zero two-bump function supported in cell j: a positive cone at
-    one center minus the equal-radius twin cone at the other."""
-    space = partition.space
-    (ca,), (cb,), (rho,) = _bump_centers(partition, [j])
-    rho = float(rho)
-
-    def evaluate(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        ta = distance(space, pts, ca)
-        tb = distance(space, pts, cb)
-        return np.maximum(0.0, 1.0 - ta / rho) - np.maximum(0.0, 1.0 - tb / rho)
-
-    lip = 1.0 / rho
-    return TestFunction(
-        fid=f"sharpness_cell{j}", space=space, evaluate=evaluate,
-        exact_integral=0.0,
-        params={"cell": j, "centers": (tuple(ca), tuple(cb)), "rho": rho,
-                "alpha": alpha},
-        lipschitz=lip, sup_bound=1.0,
-        besov_norm=_lipschitz_besov_norm(space, lip, 1.0),
-        cell_means=lambda partition_: np.zeros(partition_.N),
-    )
-
-
-def sharpness_sum(partition: Partition, alpha: float) -> TestFunction:
-    """Sum of the per-cell two-bump functions (disjoint supports).
-
-    Globally Lipschitz with constant max_j 1/rho_j ~ N^{1/d}, hence smoothness
-    norm O(N^{alpha/d}); its p-th moment error decays like N^{-1/2} for p > 2.
+    Lipschitz with constant 1/rho, rho the least support radius (~ N^{-1/d}),
+    hence smoothness norm O(N^{alpha/d}); the sum's p-th moment error decays
+    like N^{-1/2} for p > 2.  One cell's pair is 0 off that cell.
     """
     space = partition.space
-    ca, cb, rho = _bump_centers(partition, slice(None))
+    ids = slice(None) if cell is None else [cell]
+    r_in, anchor = partition.inradius[ids], partition.anchor[ids]
+    # centres r_in/2 either side of the anchor hold disjoint balls of radius
+    # r_in/4 inside the cell; each cone's support radius is r_in/8
+    if space.kind == TORUS:
+        step = np.zeros_like(anchor)
+        step[:, 0] = r_in / 2.0
+        ca, cb = np.mod(anchor + step, 1.0), np.mod(anchor - step, 1.0)
+    else:
+        e = east_tangent(anchor)
+        ca, cb = geodesic_step(anchor, e, r_in / 2.0), geodesic_step(anchor, e, -r_in / 2.0)
+    rho = r_in / 8.0
 
     def evaluate(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        cid = find_cell(partition, pts)
-        ta = distance(space, pts, ca[cid])
-        tb = distance(space, pts, cb[cid])
-        r = rho[cid]
-        return np.maximum(0.0, 1.0 - ta / r) - np.maximum(0.0, 1.0 - tb / r)
+        k = find_cell(partition, pts) if cell is None else 0
+        return (np.maximum(0.0, 1.0 - distance(space, pts, ca[k]) / rho[k])
+                - np.maximum(0.0, 1.0 - distance(space, pts, cb[k]) / rho[k]))
 
     lip = float(1.0 / rho.min())
     return TestFunction(
-        fid="sharpness_sum", space=space, evaluate=evaluate, exact_integral=0.0,
-        params={"alpha": alpha, "min_rho": float(rho.min())},
+        fid="sharpness", space=space, evaluate=evaluate, exact_integral=0.0,
+        params={"cell": cell, "centers": (ca, cb), "rho": float(rho.min())},
         lipschitz=lip, sup_bound=1.0,
         besov_norm=_lipschitz_besov_norm(space, lip, 1.0),
         cell_means=lambda partition_: np.zeros(partition_.N),

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as rngmod
-from .besov import sharpness_fj, sharpness_sum
+from .besov import sharpness_fn
 from .cubature import estimate_BN, run_indexed
 from .funcs import indicator_fn, make_function
 from .kernel import KernelSpec, regime_classify
@@ -213,10 +213,7 @@ def _run_one(cfg: ExperimentConfig, N: int) -> dict:
         row["_report"] = rep
         return row
     # sharpness
-    if cfg.variant == "single":
-        f = sharpness_fj(part, 0, cfg.fn_alpha)
-    else:
-        f = sharpness_sum(part, cfg.fn_alpha)
+    f = sharpness_fn(part, 0 if cfg.variant == "single" else None)
     st = estimate_BN(f, part, cfg.p, cfg.n_draws, seed_n)
     return _row(cfg, N, st.moment, st.stderr, alpha=cfg.fn_alpha)
 
@@ -295,14 +292,15 @@ def fit_verdict(points, predicted: float | None, tol: float, seed: int) -> dict:
     """The rate fit of ``points`` (N, value, stderr) and its verdict
     |slope - predicted| <= tol (true when nothing is predicted).
 
-    A value that is not > 0 has no logarithm: the fit is null, a note names
-    its N, and the verdict is false.
+    A value that is not finite and > 0 has no finite logarithm: the fit is
+    null, a note names its N, and the verdict is false.
     """
-    bad = [n for n, v, _ in points if not v > 0]
+    bad = [n for n, v, _ in points if not 0 < v < math.inf]
     if bad:
         return {"slope": None, "intercept": None, "r2": None, "slope_ci": None,
                 "verdict": False,
-                "note": f"no rate fit: value not > 0 at N = {', '.join(f'{n:g}' for n in bad)}"}
+                "note": ("no rate fit: value not finite and > 0 at N = "
+                         + ", ".join(f"{n:g}" for n in bad))}
     fit = rate_fit(points, seed=seed)
     return {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2,
             "slope_ci": list(fit.slope_ci),

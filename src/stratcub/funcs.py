@@ -25,11 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from .partition import Partition
-from .sets import (SPHERE_CAP, TORUS_ARC, TORUS_BOX, SetDescriptor,
-                   set_contains)
-from .space import (SPHERE2, TORUS, SpaceDescriptor, distance,
-                    torus1d_radial_integral)
+from .partition import Partition, check_count
+from .sets import SPHERE_CAP, TORUS_BOX, SetDescriptor, set_contains
+from .space import (SPHERE2, TORUS, SpaceDescriptor, distance, torus1d_radial_integral,
+                    unit_direction)
 
 
 @dataclass
@@ -110,6 +109,8 @@ def cos_fn(space: SpaceDescriptor, freq) -> TestFunction:
     """f(x) = cos(2 pi k . x) on T^d."""
     if space.kind != TORUS:
         raise ValueError("trigonometric function lives on the torus")
+    for k in np.atleast_1d(np.asarray(freq, dtype=object)):
+        check_count("frequency", k, -math.inf)
     freq = tuple(int(v) for v in np.atleast_1d(freq))
     if len(freq) != space.d:
         raise ValueError("frequency vector length must match dimension")
@@ -148,12 +149,15 @@ def cos_fn(space: SpaceDescriptor, freq) -> TestFunction:
 
 def cone_bump_fn(space: SpaceDescriptor, center, radius: float) -> TestFunction:
     """Lipschitz cone f(x) = (1 - dist(x, center)/radius)_+ ."""
-    center = np.asarray(center, dtype=float)
     if space.kind == TORUS:
+        center = np.asarray(center, dtype=float)
+        if center.shape != (space.d,) or not np.all(np.isfinite(center)):
+            raise ValueError(f"torus cone centre must be {space.d} finite coordinates")
         if not 0.0 < radius <= 0.5:
             raise ValueError("torus cone radius must be in (0, 1/2]")
         exact = (2.0 * radius) ** space.d / (space.d + 1)
     else:
+        center = unit_direction(center, "sphere cone centre")
         if not 0.0 < radius <= math.pi:
             raise ValueError("sphere cone radius must be in (0, pi]")
         exact = 2.0 * math.pi * (1.0 - math.sin(radius) / radius)
@@ -193,17 +197,12 @@ def indicator_fn(space: SpaceDescriptor, setd: SetDescriptor) -> TestFunction:
         return set_contains(setd, pts).astype(float)
 
     means = None
-    if setd.kind == TORUS_ARC:
-        def means(partition: Partition) -> np.ndarray:
-            a, b = partition.lo[:, 0], partition.hi[:, 0]
-            return _arc_integral(setd.params["start"], setd.params["length"], a, b) / (b - a)
-
-    elif setd.kind == TORUS_BOX:
+    if setd.kind == TORUS_BOX:
         def means(partition: Partition) -> np.ndarray:
             lo, hi = partition.lo, partition.hi
-            over = np.maximum(0.0, np.minimum(hi, setd.params["hi"])
-                              - np.maximum(lo, setd.params["lo"]))
-            return np.prod(over, axis=1) / np.prod(hi - lo, axis=1)
+            over = np.prod([_arc_integral(a, s, lo[:, i], hi[:, i]) for i, (a, s)
+                            in enumerate(zip(setd.params["lo"], setd.params["side"]))], axis=0)
+            return over / np.prod(hi - lo, axis=1)
 
     elif setd.kind == SPHERE_CAP and abs(setd.params["center"][2]) > 1.0 - 1e-15:
         # pole-centered cap against zonal cells: z-interval overlap
@@ -215,8 +214,10 @@ def indicator_fn(space: SpaceDescriptor, setd: SetDescriptor) -> TestFunction:
             over = np.maximum(0.0, np.minimum(z_top, z_hi) - np.maximum(z_bot, z_lo))
             return over / (z_top - z_bot)
 
+    # a box of T^1 is an arc, and is named so
+    shape = "torus_arc" if setd.kind == TORUS_BOX and space.d == 1 else setd.kind
     return TestFunction(
-        fid=f"indicator_{setd.kind}", space=space, evaluate=evaluate,
+        fid=f"indicator_{shape}", space=space, evaluate=evaluate,
         exact_integral=setd.measure, params={"set": setd}, sup_bound=1.0,
         cell_means=means,
     )
@@ -226,6 +227,7 @@ def zonal_monomial_fn(space: SpaceDescriptor, power: int) -> TestFunction:
     """f(x) = z^power on S^2 (z = height coordinate)."""
     if space.kind != SPHERE2:
         raise ValueError("zonal monomial lives on the sphere")
+    check_count("zonal power", power, 0)
     m = int(power)
     exact = 4.0 * math.pi / (m + 1) if m % 2 == 0 else 0.0
 

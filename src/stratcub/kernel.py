@@ -69,6 +69,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in (RIESZ, ROUGH_RIESZ, CONST):
             raise ValueError(f"unknown kernel family {self.family!r}")
+        if not math.isfinite(self.kappa):
+            raise ValueError(f"kappa must be finite, got {self.kappa}")
         if self.family == CONST:
             return
         if not 0.0 < self.alpha < self.d:

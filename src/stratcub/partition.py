@@ -10,11 +10,11 @@ itself; on S^2 the pair (-z, longitude), in which area is d(-z) d(lon)
 poles, and any |z| > 1 left by rounding, lie in the caps.  So membership,
 the map from uniforms to cell points, the measures recomputed from geometry
 and the cell corners are one rule on both spaces, and coverage and
-disjointness are exact.  Each cell's size is held in closed form: the
-inradius and circumradius about its anchor, and a diameter bound, exact on
-the torus and twice the circumradius (at most pi) on the sphere;
-verification checks both against sampled points and the cell's corners.
-All rows of a layout come from its ``meta`` through one function.
+disjointness are exact.  Each cell's size is held in closed form as the
+inradius and circumradius about its anchor, and its diameter follows from the
+circumradius; verification checks the circumradius against sampled points and
+the cell's corners.  All rows of a layout come from its ``meta`` through one
+function.
 """
 
 from __future__ import annotations
@@ -32,21 +32,19 @@ from .space import (L2_BLOCK, SPHERE2, TORUS, SpaceDescriptor, box_distance, dis
 
 TWO_PI = 2.0 * math.pi
 _BELOW_ONE = math.nextafter(1.0, 0.0)
-_COLUMNS = ("measure", "diameter", "inradius", "circumradius", "anchor", "lo", "hi")
+_COLUMNS = ("measure", "inradius", "circumradius", "anchor", "lo", "hi")
 
 
 @dataclass(frozen=True, eq=False)
 class Partition:
     """Read-only per-cell arrays, row ``j`` describing cell ``j``.
 
-    Every cell has an exact ``measure`` (N,), a closed-form ``diameter``
-    upper bound (N,) and an interior ``anchor`` (N, dim).  ``inradius`` (N,)
-    is the radius of a ball about the anchor that stays inside the cell (a
-    closed-form lower bound, exact on the torus), and ``circumradius`` (N,)
-    the exact radius of the smallest ball about the anchor that holds the
-    cell.  ``diameter`` is exact on the torus; on the sphere it is
-    ``min(2 circumradius, pi)``, by the triangle inequality through the
-    anchor.  The cell itself is the chart box ``[lo, hi)``, ``lo`` and
+    Every cell has an exact ``measure`` (N,) and an interior ``anchor`` (N,
+    dim).  ``inradius`` (N,) is the radius of a ball about the anchor that
+    stays inside the cell (a closed-form lower bound, exact on the torus),
+    and ``circumradius`` (N,) the exact radius of the smallest ball about
+    the anchor that holds the cell.  The read-only ``diameter`` follows from
+    it.  The cell itself is the chart box ``[lo, hi)``, ``lo`` and
     ``hi`` (N, k): k = d on T^d, and on S^2 k = 2, ``(-z_top, lon_lo)`` and
     ``(-z_bot, lon_hi)``.  ``layout_ok`` tells whether the rows follow the
     layout in ``meta``.
@@ -55,7 +53,6 @@ class Partition:
     space: SpaceDescriptor
     meta: dict
     measure: np.ndarray
-    diameter: np.ndarray
     inradius: np.ndarray
     circumradius: np.ndarray
     anchor: np.ndarray
@@ -72,6 +69,14 @@ class Partition:
 
     def weights(self) -> np.ndarray:
         return self.measure.copy()
+
+    @cached_property
+    def diameter(self) -> np.ndarray:
+        """``min(2 circumradius, diam M)`` (N,), by the triangle inequality
+        through the anchor; on the torus, the box's exact longest side."""
+        out = np.minimum(2.0 * self.circumradius, self.space.diameter)
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def layout_ok(self) -> bool:
@@ -113,7 +118,6 @@ def torus_grid_partition(space: SpaceDescriptor, m: int) -> Partition:
     # short one
     side = np.ascontiguousarray((rows["hi"] - rows["lo"]).T)
     return Partition(space, meta, measure=np.full(N, m ** (-d)),
-                     diameter=np.full(N, 1.0 / m if m >= 2 else 0.5),
                      inradius=side.min(axis=0) / 2.0, circumradius=side.max(axis=0) / 2.0,
                      **rows)
 
@@ -140,10 +144,7 @@ def sphere_zonal_partition(space: SpaceDescriptor, N: int) -> Partition:
     meta = {"scheme": "sphere_zonal", "bands": bands}
     rows = _layout_rows(space, meta)
     inradius, circumradius = _zonal_radii(**rows)
-    # every cell point is within circumradius of the anchor, so two of them
-    # are within twice that of each other
     return Partition(space, meta, measure=np.full(N, 4.0 * math.pi / N),
-                     diameter=np.minimum(2.0 * circumradius, math.pi),
                      inradius=inradius, circumradius=circumradius, **rows)
 
 
@@ -458,13 +459,11 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
     The membership counts come from ``_locate``, the cell locator of
     ``find_cell``, and equal a brute-force test of every (sample, cell)
     pair.  The size samples come from the one stream ``(seed, VERIFY, N,
-    1)``, in which cell j owns the j-th run of ``2 pairs_per_cell`` points
-    (the first half pairs with the second), so they do not depend on how
-    cells are blocked; a block's points and corners (every pair of corners
-    too) are measured together.  A pair farther apart than the cell's
-    ``diameter``, or a point farther from the anchor than its
-    ``circumradius``, counts as a ``diameter_violations``, so
-    ``diameter_ok`` gates both size bounds.
+    1)``, in which cell j owns the j-th run of ``2 pairs_per_cell`` points,
+    so they do not depend on how cells are blocked.  A point or a cell
+    corner farther from the anchor than the ``circumradius`` counts as a
+    ``diameter_violations``; the ``diameter`` follows from the circumradius,
+    so ``diameter_ok`` gates both.
     """
     check_count("sample_budget", sample_budget, 1)
     check_count("pairs_per_cell", pairs_per_cell, 1)
@@ -493,24 +492,17 @@ def verify_partition(partition: Partition, sample_budget: int = 10_000,
     # small stored size is seen there, where sampled points rarely reach
     k = partition.lo.shape[1]
     corner_u = np.indices((2,) * k).reshape(k, -1)
-    # the uniforms, points and three distance tables of a block hold
-    # about L2_BLOCK floats
+    # the uniforms, points and distances of a block hold about L2_BLOCK floats
     block = max(1, L2_BLOCK // (8 * pairs_per_cell))
-    m = pairs_per_cell
     for i0 in range(0, N, block):
         cells = np.arange(i0, min(N, i0 + block))
         pts = stream_points(partition, seed, rngmod.VERIFY, N, 1, first=i0, count=len(cells),
-                            m=2 * m, ids=cells[:, None])[:, 0]
-        pa, pb = pts[:, :m], pts[:, m:]
+                            m=2 * pairs_per_cell, ids=cells[:, None])[:, 0]
         corners = _cell_map(partition, corner_u, cells)
-        diam = partition.diameter[cells, None] * slack
-        diam_violations += int(np.sum(distance(space, pa, pb) > diam)
-                               + np.sum(distance(space, corners[:, :, None], corners[:, None])
-                                        > diam[:, :, None]))
         anchor = partition.anchor[cells, None, :]
         reach = partition.circumradius[cells, None] * slack
         diam_violations += int(sum(np.sum(distance(space, anchor, q) > reach)
-                                   for q in (pa, pb, corners)))
+                                   for q in (pts, corners)))
 
     deltas = partition.diameter * scale
 

@@ -24,7 +24,7 @@ def rate_fit(points, n_boot: int = 1000, seed: int = 0) -> RateFit:
     """Ordinary least squares of log(value) on log(N).
 
     Needs at least 4 points, every N finite and > 0 with at least two of
-    them distinct, and strictly positive values; the slope CI comes from
+    them distinct, and finite values > 0; the slope CI comes from
     ``n_boot`` residual resamples (percentile 95%), drawn as one
     (n_boot, points) table.
     """
@@ -38,8 +38,8 @@ def rate_fit(points, n_boot: int = 1000, seed: int = 0) -> RateFit:
             raise ValueError(f"rate fit needs finite N > 0, got N = {n:g}")
     if len(set(ns)) < 2:
         raise ValueError(f"rate fit needs two distinct N, got only N = {ns[0]:g}")
-    if any(v <= 0 for _, v, _ in pts):
-        raise ValueError("rate fit needs strictly positive values")
+    if not all(0 < v < math.inf for _, v, _ in pts):
+        raise ValueError("rate fit needs finite values > 0")
     x = np.log(np.array(ns))
     y = np.log(np.array([v for _, v, _ in pts]))
     slope, intercept = map(float, _ols(x, y))

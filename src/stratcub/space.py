@@ -184,6 +184,20 @@ def sphere_point(z: np.ndarray, lon: np.ndarray) -> np.ndarray:
     return out
 
 
+def unit_direction(center, what: str) -> np.ndarray:
+    """``center``, a finite nonzero 3-vector called ``what``, at unit length."""
+    center = np.asarray(center, dtype=float)
+    if center.shape != (3,) or not np.all(np.isfinite(center)) or not np.any(center):
+        raise ValueError(f"{what} must be a finite nonzero 3-vector, got {center!r}")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(center)
+    if not 0.0 < norm < math.inf:
+        # the plain norm under- or overflows; the largest entry scales it to 1
+        center = center / np.abs(center).max()
+        norm = np.linalg.norm(center)
+    return center / norm
+
+
 def geodesic_step(center: np.ndarray, direction: np.ndarray, s) -> np.ndarray:
     """Points at geodesic distance ``s (...)`` from ``center (..., 3)`` along
     unit tangents ``direction (..., 3)``."""

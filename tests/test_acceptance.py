@@ -12,7 +12,7 @@ from pathlib import Path
 
 from stratcub import rng as rngmod
 from stratcub import wce
-from stratcub.besov import besov_rhs_bounds, sharpness_fj, sharpness_sum
+from stratcub.besov import besov_rhs_bounds, sharpness_fn
 from stratcub.cubature import draw_nodes, estimate_BN
 from stratcub.experiments import ExperimentConfig, run_experiment
 from stratcub.funcs import cone_bump_fn, coordinate_fn, indicator_fn, square_wave_fn
@@ -245,14 +245,14 @@ def test_c09_sharpness():
     scaled = []
     for N in (16, 32, 64, 128, 256, 512):
         part = torus_grid_partition(T1, N)
-        f = sharpness_fj(part, 0, alpha=1.0)
+        f = sharpness_fn(part, 0)
         st = estimate_BN(f, part, 2.0, 600, seed=rngmod.path_key(SEED, N, 10) & 0xFFFF)
         scaled.append(st.moment * N)
     interval_ratio = max(scaled) / min(scaled)
     pts = []
     for N in (16, 32, 64, 128, 256, 512):
         part = torus_grid_partition(T1, N)
-        f = sharpness_sum(part, alpha=1.0)
+        f = sharpness_fn(part)
         st = estimate_BN(f, part, 4.0, 400, seed=rngmod.path_key(SEED, N, 11) & 0xFFFF)
         pts.append((N, st.moment, st.stderr))
     fit = rate_fit(pts, seed=SEED)

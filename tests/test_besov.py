@@ -7,8 +7,7 @@ import pytest
 from ball_sampling import sample_ball
 from stratcub import rng as rngmod
 from stratcub.besov import (PhiGradient, besov_norm_bound_chi, besov_rhs_bounds,
-                            chi_phi_gradient, poincare_check, scale_floor,
-                            sharpness_fj, sharpness_sum)
+                            chi_phi_gradient, poincare_check, scale_floor, sharpness_fn)
 from stratcub.cubature import estimate_BN
 from stratcub.funcs import constant_fn, coordinate_fn
 from stratcub.partition import (cell_contains, cell_sample, sphere_zonal_partition,
@@ -185,8 +184,8 @@ def test_rhs_bounds_formulas():
 
 def test_sharpness_fj_construction():
     part = torus_grid_partition(T1, 16)
-    f = sharpness_fj(part, 3, alpha=1.0)
-    ca, cb = (np.array(c) for c in f.params["centers"])
+    f = sharpness_fn(part, 3)
+    ca, cb = (c[0] for c in f.params["centers"])
     assert f.evaluate(ca[None, :])[0] == 1.0
     assert f.evaluate(cb[None, :])[0] == -1.0
     assert f.exact_integral == 0.0
@@ -202,8 +201,8 @@ def test_sharpness_fj_construction():
 
 def test_sharpness_fj_sphere_bumps():
     part = sphere_zonal_partition(S2, 32)
-    f = sharpness_fj(part, 7, alpha=1.0)
-    ca, cb = (np.array(c) for c in f.params["centers"])
+    f = sharpness_fn(part, 7)
+    ca, cb = (c[0] for c in f.params["centers"])
     assert f.evaluate(ca[None, :])[0] == pytest.approx(1.0)
     assert f.evaluate(cb[None, :])[0] == pytest.approx(-1.0)
     for c in (ca, cb):
@@ -212,7 +211,7 @@ def test_sharpness_fj_sphere_bumps():
 
 def test_sharpness_sum_properties():
     part = torus_grid_partition(T1, 16)
-    f = sharpness_sum(part, alpha=1.0)
+    f = sharpness_fn(part)
     assert f.exact_integral == 0.0
     pts = sample_uniform(T1, rngmod.substream(6, 1), 50_000)
     vals = f.evaluate(pts)
@@ -220,8 +219,23 @@ def test_sharpness_sum_properties():
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean()) <= 4 * se
     # peak value 1 attained at each positive center
-    part_cells_peaks = [sharpness_fj(part, j, 1.0).params["centers"][0] for j in (0, 5)]
-    assert f.evaluate(np.array(part_cells_peaks)).max() == pytest.approx(1.0)
+    assert np.array_equal(f.evaluate(f.params["centers"][0]), np.ones(part.N))
+
+
+@pytest.mark.parametrize("part", [torus_grid_partition(T1, 16), sphere_zonal_partition(S2, 32)],
+                         ids=["T1", "S2"])
+def test_sharpness_of_one_cell_is_the_sum_on_that_cell(part):
+    # with one cell every point reads that cell's bump pair: the sum's values
+    # bit for bit on the cell, and 0 off it
+    total = sharpness_fn(part)
+    pts = sample_uniform(part.space, rngmod.substream(7, 1), 20_000)
+    for j in (0, 3, part.N - 1):
+        f = sharpness_fn(part, j)
+        x = np.concatenate([pts, cell_sample(part, j, rngmod.substream(7, 2, j), 2_000)])
+        own = cell_contains(part, j, x)
+        vals = f.evaluate(x)
+        assert np.array_equal(vals[own], total.evaluate(x[own]))
+        assert np.any(vals[own] != 0.0) and np.all(vals[~own] == 0.0)
 
 
 def test_error_bound_holds_for_certified_functions():
@@ -263,7 +277,7 @@ def test_sharpness_bn_scaling_constant():
     # closed form: BN(f_j, 2)^2 = w * 2 * (2 rho / 3), two cones of height 1
     for N in (16, 64):
         part = torus_grid_partition(T1, N)
-        f = sharpness_fj(part, 0, 1.0)
+        f = sharpness_fn(part, 0)
         rho = f.params["rho"]
         exact = math.sqrt((1.0 / N) * 2.0 * (2.0 * rho / 3.0))
         st = estimate_BN(f, part, 2.0, 3000, seed=rngmod.path_key(4, N) & 0xFFFF)

@@ -84,9 +84,11 @@ def test_cli_verify_smoke(tmp_path, capsys):
     (["besov", "--dim", "2", "--n", "4", "8", "16", "32"], "N=8 is not a d=2 grid size"),
     (["partition", "--space", "sphere2", "--dim", "2", "--n", "1", "4"],
      "a sphere partition needs N >= 2 cells, got N=1"),
+    (["wce", "--family", "rough_riesz", "--alpha", "0.9", "--eps", "0.25", "--kappa", "nan",
+      "--n", "16", "32", "64", "128"], "kappa must be finite, got nan"),
 ], ids=["budget", "draws", "box-on-sphere", "cap-on-torus", "mz-fn", "besov-fn",
         "wce-p1", "wce-alpha-above-d", "wce-alpha-below-d-over-p", "wce-const",
-        "besov-p-inf", "torus-n-not-a-power", "sphere-n-1"])
+        "besov-p-inf", "torus-n-not-a-power", "sphere-n-1", "wce-kappa-nan"])
 def test_cli_reports_bad_config_in_one_line(argv, message, monkeypatch):
     def run(cfg):
         raise AssertionError("a bad config reached the run")
@@ -171,14 +173,17 @@ def test_cli_rates_reports_bad_csv_in_one_line(tmp_path, text, message):
 
 @pytest.mark.parametrize("expected", [[], ["--expected", "-1"]], ids=["no-expected", "expected"])
 def test_cli_rates_null_fit_on_a_value_not_above_zero(tmp_path, capsys, expected):
+    # an infinite value has no finite logarithm either: it printed numpy
+    # warnings and an all-null fit, and exited 0
     data = tmp_path / "data.csv"
-    data.write_text("N,value,stderr\n8,1,0\n16,0.5,0\n32,0,0\n64,0.125,0\n")
-    assert main(["rates", "--csv", str(data), *expected]) == 1
-    result = _strict_loads(capsys.readouterr().out)
-    assert result["slope"] is None and result["slope_ci"] is None
-    assert "N = 32" in result["note"]
-    assert ("verdict" in result) == bool(expected)
-    assert result.get("verdict", False) is False
+    for bad in ("0", "inf"):
+        data.write_text(f"N,value,stderr\n8,1,0\n16,0.5,0\n32,{bad},0\n64,0.125,0\n")
+        assert main(["rates", "--csv", str(data), *expected]) == 1
+        result = _strict_loads(capsys.readouterr().out)
+        assert result["slope"] is None and result["slope_ci"] is None
+        assert "N = 32" in result["note"]
+        assert ("verdict" in result) == bool(expected)
+        assert result.get("verdict", False) is False
 
 
 def test_cli_besov_zero_results_report_a_null_fit(tmp_path, capsys):
@@ -190,7 +195,7 @@ def test_cli_besov_zero_results_report_a_null_fit(tmp_path, capsys):
     assert rc == 1
     assert summary["slope"] is None and summary["r2"] is None
     assert summary["verdict"] is False
-    assert summary["note"] == "no rate fit: value not > 0 at N = 16, 32, 64, 128"
+    assert summary["note"] == "no rate fit: value not finite and > 0 at N = 16, 32, 64, 128"
     assert _strict_loads(Path(str(out) + ".json").read_text()) == summary
 
 

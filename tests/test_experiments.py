@@ -43,8 +43,9 @@ def test_rate_fit_perturbed_slope_in_band():
 def test_rate_fit_rejects_bad_input():
     with pytest.raises(ValueError):
         rate_fit([(8, 1.0, 0.0), (16, 0.5, 0.0), (32, 0.25, 0.0)])
-    with pytest.raises(ValueError):
-        rate_fit([(8, 1.0, 0.0), (16, 0.0, 0.0), (32, 0.25, 0.0), (64, 0.1, 0.0)])
+    for bad in (0.0, math.inf):
+        with pytest.raises(ValueError, match="rate fit needs finite values > 0"):
+            rate_fit([(8, 1.0, 0.0), (16, bad, 0.0), (32, 0.25, 0.0), (64, 0.1, 0.0)])
 
 
 @pytest.mark.parametrize("ns, message", [
@@ -184,11 +185,13 @@ def test_fit_verdict_rule():
     assert "note" not in fit
     assert experiments.fit_verdict(points, -0.5, 0.1, seed=0)["verdict"] is False
     assert experiments.fit_verdict(points, None, 0.1, seed=0)["verdict"] is True
-    # a value that is not > 0 (zero, negative, NaN) fails even with nothing predicted
-    for bad in (0.0, -1.0, math.nan):
+    # a value that is not finite and > 0 (zero, negative, NaN, inf) fails even
+    # with nothing predicted
+    for bad in (0.0, -1.0, math.nan, math.inf):
         null = experiments.fit_verdict(points[:2] + [(32, bad, 0.0)] + points[3:], None, 0.1, 0)
         assert null == {"slope": None, "intercept": None, "r2": None, "slope_ci": None,
-                        "verdict": False, "note": "no rate fit: value not > 0 at N = 32"}
+                        "verdict": False,
+                        "note": "no rate fit: value not finite and > 0 at N = 32"}
 
 
 def test_degenerate_fit_note_comes_before_the_critical_regime_note():
@@ -199,7 +202,8 @@ def test_degenerate_fit_note_comes_before_the_critical_regime_note():
             for N, v in zip(cfg.n_list, (0.3, 0.1, 0.0, 0.01))]
     summary = experiments._summarize(cfg, rows)
     assert summary["predicted_exponent"] is None and summary["slope"] is None
-    assert summary["note"].startswith("no rate fit: value not > 0 at N = 256; critical regime")
+    assert summary["note"].startswith("no rate fit: value not finite and > 0 at N = 256; "
+                                   "critical regime")
     assert summary["verdict"] is False  # the null fit fails where no slope is judged
 
 
@@ -289,7 +293,9 @@ def test_config_validation():
              "unknown parameter 'hgh' for region 'box'"),
             ("cap", sphere, {"centre": (0.0, 0.0, 1.0)},
              "unknown parameter 'centre' for region 'cap'"),
-            ("cap", sphere, {"center": (0.0, 0.0, 0.0)}, "cap centre")):
+            ("cap", sphere, {"center": (0.0, 0.0, 0.0)}, "cap centre"),
+            # a NaN start ran an empty arc against its measure 0.5
+            ("arc", {}, {"start": math.nan}, "arc start must be finite, got nan")):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(kind="indicator", set_kind=set_kind, set_params=params, **space)
     for kind in ("besov", "mz"):
@@ -302,6 +308,18 @@ def test_config_validation():
         with pytest.raises(ValueError, match="unknown parameter 'axsi' for function "
                                              "'coordinate'"):
             ExperimentConfig(kind=kind, function="coordinate", fn_params={"axsi": 1})
+        # each ran another function: cos at frequency 1, the singular z^-1
+        # against an integral of 0, a zero cone on T^1, a cone about no point
+        for function, params, space, message in (
+                ("cos", {"freq": [1.5]}, {}, "frequency must be an integer, got 1.5"),
+                ("zonal", {"power": -1}, sphere, "zonal power must be >= 0, got -1"),
+                ("zonal", {"power": 1.5}, sphere, "zonal power must be an integer, got 1.5"),
+                ("cone", {"center": (0.5, 0.5)}, {}, "torus cone centre must be 1 finite"),
+                ("cone", {"center": (math.nan,)}, {}, "torus cone centre must be 1 finite"),
+                ("cone", {"center": (0.0, 0.0, 0.0)}, sphere,
+                 "sphere cone centre must be a finite nonzero 3-vector")):
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig(kind=kind, function=function, fn_params=params, **space)
     ExperimentConfig(kind="wce", function="nonesuch")  # only besov and mz build it
     cfg = ExperimentConfig(kind="mz", n_list=(8, 12))  # mz exempt from ratios
     assert cfg.q == 2.0

@@ -9,7 +9,7 @@ from stratcub.funcs import (cone_bump_fn, constant_fn, coordinate_fn, cos_fn,
                             indicator_fn, make_function, square_wave_fn,
                             zonal_monomial_fn, _arc_integral)
 from stratcub.partition import cell_sample, sphere_zonal_partition, torus_grid_partition
-from stratcub.sets import make_arc, make_box, make_cap
+from stratcub.sets import make_arc, make_box, make_cap, set_contains
 from stratcub.space import SPHERE2, TORUS, make_space, sample_uniform
 
 T1 = make_space(TORUS, 1)
@@ -190,6 +190,20 @@ def test_every_function_has_cell_means_or_is_a_named_fallback():
     for space, setd, where in regions:
         f = indicator_fn(space, setd)
         assert (f.cell_means is not None) != ((f.fid, where) in MC_FALLBACK)
+
+
+def test_a_wrapping_arc_is_the_union_of_two_boxes():
+    arc = make_arc(0.8, 0.5)
+    right, left = make_box((0.8,), (1.0,)), make_box((0.0,), (0.3,))
+    pts = sample_uniform(T1, rngmod.substream(9, rngmod.SELFTEST), 100_000)
+    assert np.array_equal(set_contains(arc, pts),
+                          set_contains(right, pts) | set_contains(left, pts))
+    # the cell integrals (mean / m) agree to rounding; a cell mean divides it
+    # by the cell's length, so the means are up to 3.6e-15 apart at m = 64
+    for m in (1, 7, 64):
+        part = torus_grid_partition(T1, m)
+        means = [indicator_fn(T1, s).cell_means(part) for s in (arc, right, left)]
+        assert np.allclose(means[0] / m, (means[1] + means[2]) / m, rtol=0.0, atol=1e-16)
 
 
 def test_box_dimension_must_match_the_torus():

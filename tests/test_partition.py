@@ -60,6 +60,28 @@ def test_sphere_exact_measures(N):
     assert np.all(np.abs(part.measure - target) / target < 1e-12)
 
 
+def test_torus_diameter_is_the_longest_stored_side():
+    # min(2 circumradius, 1/2): the box's longest side, exact from the stored
+    # edges, where the nominal 1/m is off by an ulp at m = 3 and 37
+    for space, m in ((T1, 3), (T1, 37), (T2, 6)):
+        part = torus_grid_partition(space, m)
+        assert np.array_equal(part.diameter, (part.hi - part.lo).max(axis=1))
+    for space in (T1, T2):
+        assert np.array_equal(torus_grid_partition(space, 1).diameter, [0.5])
+    assert verify_partition(torus_grid_partition(T1, 37), 100).delta_scaled == (
+        0.999999999999998, 1.0000000000000022)
+    # read-only: it follows the circumradius and cannot be set apart from it
+    part = torus_grid_partition(T2, 6)
+    with pytest.raises(ValueError, match="read-only"):
+        part.diameter[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        part.diameter = np.ones(part.N)
+    with pytest.raises(TypeError, match="diameter"):
+        dataclasses.replace(part, diameter=np.ones(part.N))
+    cut = _with_rows(part, 4, circumradius=0.25 * part.circumradius[4])
+    assert cut.diameter[4] == 0.25 * part.diameter[4]
+
+
 def test_sphere_diameter_scaling():
     d100 = sphere_zonal_partition(S2, 100).diameter.max() * 10
     d400 = sphere_zonal_partition(S2, 400).diameter.max() * 20
@@ -149,7 +171,7 @@ def test_inclusion_constants_stable_over_n():
     assert max(c2s) / min(c2s) < 4
 
 
-def test_verify_partition_flags_corruption():
+def test_verify_partition_flags_corruption(monkeypatch):
     part = torus_grid_partition(T1, 4)
     rep = verify_partition(_with_rows(part, 2, measure=1.5 * part.measure[2]), 1000, seed=0)
     assert not rep.equal_measure_ok
@@ -160,18 +182,23 @@ def test_verify_partition_flags_corruption():
                                1000, seed=0)
         assert rep.equal_measure_ok and rep.coverage_ok
         assert rep.diameter_violations > 0 and not rep.diameter_ok
-    # slight cuts: the corners reach the exact circumradius and torus diameter
+    # cuts as slight as 0.999: the corners reach the exact circumradius
     s2 = sphere_zonal_partition(S2, 33)
-    cuts = [_with_rows(s2, 2, circumradius=f * s2.circumradius[2]) for f in (0.9, 0.99, 0.999)]
+    cuts = [_with_rows(s2, 2, circumradius=f * s2.circumradius[2])
+            for f in (0.5, 0.9, 0.99, 0.999)]
     for grid in (torus_grid_partition(T1, 4), torus_grid_partition(T2, 5)):
-        cuts.append(_with_rows(grid, 2, diameter=0.99 * grid.diameter[2]))
+        cuts.append(_with_rows(grid, 2, circumradius=0.99 * grid.circumradius[2]))
+    # with the cell's samples and corners measured 1, 3 or all cells a block
     for cut in cuts:
-        assert not verify_partition(cut, 1000, seed=0).diameter_ok
+        for cells in (1, 3, cut.N):
+            monkeypatch.setattr(partmod, "L2_BLOCK", 8 * 32 * cells)
+            assert not verify_partition(cut, 1000, seed=0).diameter_ok
 
 
 def _cut_sphere_diameter():
+    # the diameter follows from the circumradius, so both are cut
     part = sphere_zonal_partition(S2, 33)
-    return _with_rows(part, 2, diameter=0.7 * part.diameter[2])
+    return _with_rows(part, 2, circumradius=0.7 * part.circumradius[2])
 
 
 def _cut_torus_circumradius():
@@ -317,7 +344,8 @@ def _lowered_band():
 def _duplicated_cell():
     part = torus_grid_partition(T2, 4)
     return _with_rows(part, 6, **{name: getattr(part, name)[5]
-                                  for name in ("measure", "diameter", "anchor", "lo", "hi")})
+                                  for name in ("measure", "circumradius", "anchor", "lo",
+                                               "hi")})
 
 
 @pytest.mark.parametrize("corrupt", [_widened_torus, _shrunk_torus, _pushed_sector,

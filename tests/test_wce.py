@@ -149,7 +149,7 @@ def test_worst_case_error_permutation_invariant():
     draw = draw_nodes(PART4, 5)
     base = worst_case_error(cfg, draw)
     perm = [2, 0, 3, 1]
-    rows = ("measure", "diameter", "anchor", "lo", "hi")
+    rows = ("measure", "circumradius", "anchor", "lo", "hi")
     part_p = dataclasses.replace(PART4, **{name: getattr(PART4, name)[perm] for name in rows})
     cfg_p = _cfg(part_p, RIESZ75, m_y=2000, m_z=16)
     draw_p = NodeDraw(seed=draw.seed, index=draw.index, nodes=draw.nodes[perm])
