@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .partition import Partition, check_count
+from .partition import Partition, check_count, check_real, check_reals
 from .sets import SPHERE_CAP, TORUS_BOX, SetDescriptor, set_contains
 from .space import (SPHERE2, TORUS, SpaceDescriptor, distance, torus1d_radial_integral,
                     unit_direction)
@@ -59,6 +59,7 @@ def _lipschitz_besov_norm(space: SpaceDescriptor, lip: float, sup: float):
 
 
 def constant_fn(space: SpaceDescriptor, c: float) -> TestFunction:
+    check_real("constant c", c)
     return TestFunction(
         fid="constant", space=space,
         evaluate=lambda pts: np.full(len(np.atleast_2d(pts)), float(c)),
@@ -72,6 +73,7 @@ def coordinate_fn(space: SpaceDescriptor, axis: int = 0) -> TestFunction:
     """f(x) = x_axis on the torus (a measurable, not continuous, function)."""
     if space.kind != TORUS:
         raise ValueError("coordinate function lives on the torus")
+    check_count("coordinate axis", axis, -math.inf)
     if not 0 <= axis < space.d:
         raise ValueError(f"coordinate axis must be in [0, {space.d}), got {axis}")
     return TestFunction(
@@ -86,7 +88,8 @@ def square_wave_fn(space: SpaceDescriptor, k: int = 1) -> TestFunction:
     """+-1 square wave with k periods on T^1; mean zero."""
     if space.kind != TORUS or space.d != 1:
         raise ValueError("square wave lives on T^1")
-    if k != int(k) or k < 1:
+    check_real("square wave frequency", k)
+    if not (k >= 1 and float(k).is_integer()):  # NaN and inf included
         raise ValueError(f"square wave frequency must be a positive integer, got {k}")
 
     def evaluate(pts):
@@ -149,6 +152,8 @@ def cos_fn(space: SpaceDescriptor, freq) -> TestFunction:
 
 def cone_bump_fn(space: SpaceDescriptor, center, radius: float) -> TestFunction:
     """Lipschitz cone f(x) = (1 - dist(x, center)/radius)_+ ."""
+    check_reals("cone centre", center)
+    check_real("cone radius", radius)
     if space.kind == TORUS:
         center = np.asarray(center, dtype=float)
         if center.shape != (space.d,) or not np.all(np.isfinite(center)):

@@ -103,6 +103,16 @@ def check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
+def check_reals(name: str, values) -> None:
+    """Raise ``ValueError`` unless ``values`` is a flat sequence of real
+    numbers (each as ``check_real`` takes it)."""
+    flat = np.asarray(values, dtype=object)
+    if flat.ndim != 1:
+        raise ValueError(f"{name} must be a list of real numbers, got {values!r}")
+    for v in flat:
+        check_real(name, v)
+
+
 def torus_grid_partition(space: SpaceDescriptor, m: int) -> Partition:
     """Grid of m^d half-open boxes of side 1/m in row-major order; exact
     weights m^{-d}."""

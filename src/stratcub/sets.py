@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .partition import check_real, check_reals
 from .space import (SPHERE2, TORUS, SpaceDescriptor, box_distance, distance, make_space,
                     unit_direction)
 
@@ -34,6 +35,8 @@ class SetDescriptor:
 
 def make_arc(start: float, length: float) -> SetDescriptor:
     """Arc [start, start + length) on the circle, 0 < length < 1: a T^1 box."""
+    check_real("arc start", start)
+    check_real("arc length", length)
     if not math.isfinite(start):
         raise ValueError(f"arc start must be finite, got {start}")
     if not 0.0 < length < 1.0:
@@ -44,6 +47,8 @@ def make_arc(start: float, length: float) -> SetDescriptor:
 
 def make_box(lo, hi) -> SetDescriptor:
     """Axis box prod [lo_i, hi_i) inside the unit cube, with sides hi - lo."""
+    check_reals("box lo", lo)
+    check_reals("box hi", hi)
     lo = tuple(float(v) for v in lo)
     hi = tuple(float(v) for v in hi)
     if len(lo) != len(hi):
@@ -58,6 +63,8 @@ def make_box(lo, hi) -> SetDescriptor:
 def make_cap(center, radius: float) -> SetDescriptor:
     """Geodesic cap of the given radius, 0 < radius < pi, about the direction
     of ``center``, a finite nonzero 3-vector."""
+    check_reals("cap centre", center)
+    check_real("cap radius", radius)
     if not 0.0 < radius < math.pi:
         raise ValueError(f"cap radius must be in (0, pi), got {radius}")
     center = unit_direction(center, "cap centre")
@@ -80,13 +87,15 @@ def set_contains(setd: SetDescriptor, pts: np.ndarray) -> np.ndarray:
 
 def boundary_distance(setd: SetDescriptor, space: SpaceDescriptor,
                       pts: np.ndarray) -> np.ndarray:
-    """Distance to the topological boundary (from either side).  Outside a
-    box, ``box_distance`` wraps each axis about its centre, even past 1."""
+    """Distance to the topological boundary (from either side); inf where
+    there is none.  Outside a box, ``box_distance`` wraps each axis about its
+    centre, even past 1."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if setd.kind == TORUS_BOX:
         lo, side = np.array(setd.params["lo"]), np.array(setd.params["side"])
         off = _box_offset(setd, pts)
-        face = np.minimum(off, side - off).min(axis=1)
+        # an axis of side 1 is the whole circle, so it has no face
+        face = np.where(side < 1.0, np.minimum(off, side - off), math.inf).min(axis=1)
         return np.where(np.all(off < side, axis=1), face, box_distance(pts, lo, lo + side))
     center = np.array(setd.params["center"])
     geo = distance(space, pts, center)
@@ -101,7 +110,8 @@ def psi_tube_measure(space: SpaceDescriptor, setd: SetDescriptor, t: float) -> f
     if setd.kind == TORUS_BOX:
         sides = np.array(setd.params["side"])
         outer = float(np.prod(np.minimum(sides + 2.0 * t, 1.0)))
-        inner = float(np.prod(np.maximum(sides - 2.0 * t, 0.0)))
+        # an axis of side 1 adds no face: factor 1 in both products
+        inner = float(np.prod(np.where(sides < 1.0, np.maximum(sides - 2.0 * t, 0.0), 1.0)))
         return outer - inner
     r = setd.params["radius"]
     return 2.0 * math.pi * (math.cos(max(r - t, 0.0)) - math.cos(min(r + t, math.pi)))

@@ -21,9 +21,12 @@ TORUS = "torus"
 SPHERE2 = "sphere2"
 
 # Distances per block in blocked table builds (``pairwise_distance`` and the
-# wce cell means).  A block (0.5 MB) and the scratch of its size that a step
-# needs stay inside a 2 MB L2 cache; on a 2-core x86 host with 2 MB L2, a
-# 16384 x 128 T^2 table took about twice as long with 4M-distance blocks.
+# wce cell means).  A torus block is built axis by axis: each axis's
+# differences are one matrix product into the block or its scratch, then
+# wrapped in place and folded into a running maximum.  A block (0.5 MB) and
+# the scratch of its size that a step needs stay inside a 2 MB L2 cache; on
+# a 2-core x86 host with 2 MB L2, a 16384 x 128 T^2 table took about twice
+# as long with 4M-distance blocks.
 # Blocks are computed into buffers that outlive them (``out=``), not into
 # fresh temporaries: glibc returns freed block-sized temporaries to the OS,
 # so each new block page-faulted its memory back in (one run_report over
@@ -84,7 +87,13 @@ def pairwise_distance(space: SpaceDescriptor, a: np.ndarray, b: np.ndarray,
     The distances are written into ``out (n, m)``; a missing ``out`` is
     allocated.  The sphere's product, clip and arccos all run in ``out``.
     Torus rows are processed in blocks of at most ``max(L2_BLOCK, m)``
-    distances, through per-axis scratch allocated once per call.
+    distances.  Each axis's differences a_k - b_k are one matrix product
+    ``[a_k, 1] @ [1; -b_k]`` into the block or a per-axis scratch, which is
+    then wrapped and folded into a running maximum.  Both terms of
+    a_k * 1 + 1 * (-b_k) are exact, so the sum is rounded once, in any order
+    and with or without FMA: each entry equals the rounded subtraction except
+    that a zero may come out as -0.0, whose sign the wrap's ``|.|`` drops.
+    The table is thus bit-identical to ``distance(space, a[:, None], b[None])``.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -95,37 +104,40 @@ def pairwise_distance(space: SpaceDescriptor, a: np.ndarray, b: np.ndarray,
         np.matmul(a, b.T, out=out)
         np.clip(out, -1.0, 1.0, out=out)
         return np.arccos(out, out=out)
+    d = a.shape[1]
+    left = np.ones((d, n, 2))   # [a_k, 1] per axis
+    left[:, :, 0] = a.T
+    right = np.ones((d, 2, m))  # [1; -b_k] per axis
+    np.negative(b.T, out=right[:, 1])
     rows = max(1, L2_BLOCK // max(1, m))
     flip = np.empty((min(rows, n), m))
-    diff = np.empty_like(flip) if a.shape[1] > 1 else None
+    diff = np.empty_like(flip) if d > 1 else None
     for i in range(0, n, rows):
         block = out[i:i + rows]
         k = len(block)
-        _torus_distance(a[i:i + rows, None, :], b[None, :, :], block, flip[:k],
-                        None if diff is None else diff[:k])
+        for axis in range(d):
+            t = block if axis == 0 else diff[:k]
+            np.matmul(left[axis, i:i + rows], right[axis], out=t)
+            _wrap(t, flip[:k])
+            if axis > 0:
+                np.maximum(block, t, out=block)
     return out
 
 
-def _torus_distance(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
-                    flip: np.ndarray | None = None,
-                    diff: np.ndarray | None = None) -> np.ndarray:
-    """Torus sup-metric distance between ``a`` and ``b``, written into ``out``.
+def _torus_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Torus sup-metric distance between ``a (..., d)`` and ``b (..., d)``,
+    which broadcast over their leading axes.
 
-    ``a (..., d)`` and ``b (..., d)`` broadcast over their leading axes; a
-    missing ``out`` is allocated, and so is missing per-axis scratch ``flip``
-    and ``diff`` (of ``out``'s shape; ``diff`` only when d > 1).  Each axis's
-    wrapped distance is built in place and folded into a running maximum, so
-    no temporary is larger than ``out``.  Every step rounds exactly as a
-    reduction over an ``(..., d)`` difference array would, so the result is
-    bit-identical to it.
+    Each axis's wrapped distance is built in place and folded into a running
+    maximum, so no temporary is larger than the output.  Every step rounds
+    exactly as a reduction over an ``(..., d)`` difference array would, so
+    the result is bit-identical to it.
     """
-    out = np.asarray(np.subtract(a[..., 0], b[..., 0], out=out))
-    if flip is None:
-        flip = np.empty_like(out)
+    out = np.asarray(np.subtract(a[..., 0], b[..., 0]))
+    flip = np.empty_like(out)
     _wrap(out, flip)
     if a.shape[-1] > 1:
-        if diff is None:
-            diff = np.empty_like(out)
+        diff = np.empty_like(out)
         for k in range(1, a.shape[-1]):
             np.subtract(a[..., k], b[..., k], out=diff)
             _wrap(diff, flip)

@@ -62,6 +62,19 @@ def test_psi_closed_form_matches_monte_carlo(space, setd):
         assert abs(closed - mc) <= 4 * se + 1e-12
 
 
+def test_full_torus_side_is_no_boundary():
+    # the band [0, 1) x [0.2, 0.7) has only the faces y = 0.2 and y = 0.7
+    band = make_box((0.0, 0.2), (1.0, 0.7))
+    for t in (0.01, 0.05):
+        assert psi_tube_measure(T2, band, t) == pytest.approx(4 * t, rel=1e-12)
+    pts = np.array([[0.001, 0.45], [0.999, 0.3], [0.5, 0.1], [0.0, 0.69]])
+    assert boundary_distance(band, T2, pts) == pytest.approx([0.25, 0.1, 0.1, 0.01], rel=1e-12)
+    # the whole torus has no boundary at all
+    whole = make_box((0.0, 0.0), (1.0, 1.0))
+    assert psi_tube_measure(T2, whole, 0.1) == 0.0
+    assert np.all(boundary_distance(whole, T2, pts) == math.inf)
+
+
 def test_psi_beta_envelope():
     # psi(t) <= c t^beta with a stable constant over dyadic t
     for space, setd in ((T1, ARC), (S2, CAP)):

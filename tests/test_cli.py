@@ -148,6 +148,47 @@ def test_cli_reports_bad_config_file_in_one_line(tmp_path, text, message, monkey
     assert text.startswith("stratcub: ") and message in text and "\n" not in text
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("indicator", '{"set_params": {"start": "x"}}', "arc start must be a real number, got 'x'"),
+    ("indicator", '{"set_params": {"length": [0.3]}}',
+     "arc length must be a real number, got [0.3]"),
+    ("indicator", '{"set_kind": "box", "dim": 2, "set_params": {"lo": [0.1, "0.2"]}}',
+     "box lo must be a real number, got '0.2'"),
+    ("indicator", '{"set_kind": "box", "set_params": {"hi": 0.7}}',
+     "box hi must be a list of real numbers, got 0.7"),
+    ("indicator", '{"space_kind": "sphere2", "dim": 2, "set_kind": "cap", '
+                  '"set_params": {"radius": "1"}}', "cap radius must be a real number, got '1'"),
+    ("indicator", '{"space_kind": "sphere2", "dim": 2, "set_kind": "cap", '
+                  '"set_params": {"center": [0, 0, "1"]}}',
+     "cap centre must be a real number, got '1'"),
+    ("besov", '{"function": "cone", "fn_params": {"radius": "0.2"}}',
+     "cone radius must be a real number, got '0.2'"),
+    ("besov", '{"function": "cone", "fn_params": {"center": ["0.5"]}}',
+     "cone centre must be a real number, got '0.5'"),
+    ("mz", '{"function": "constant", "fn_params": {"c": null}}',
+     "constant c must be a real number, got None"),
+    ("mz", '{"function": "coordinate", "fn_params": {"axis": "0"}}',
+     "coordinate axis must be an integer, got '0'"),
+    ("mz", '{"function": "square_wave", "fn_params": {"k": "2"}}',
+     "square wave frequency must be a real number, got '2'"),
+    ("mz", '{"function": "square_wave", "fn_params": {"k": NaN}}',
+     "square wave frequency must be a positive integer, got nan"),
+], ids=["arc-start", "arc-length", "box-lo", "box-hi-scalar", "cap-radius", "cap-centre",
+        "cone-radius", "cone-centre", "constant-c", "coordinate-axis", "square-wave-k",
+        "square-wave-k-nan"])
+def test_cli_names_non_numeric_builder_param_in_one_line(tmp_path, command, text, message,
+                                                        monkeypatch):
+    def run(cfg):
+        raise AssertionError("a bad config reached the run")
+
+    monkeypatch.setattr(cli, "run_experiment", run)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg)])
+    assert str(exc.value.code) == f"stratcub: {message}"
+
+
 @pytest.mark.parametrize("text, message", [
     (None, "cannot read CSV file"),
     ("N,value\n8,1\n", "has no column 'stderr'"),

@@ -103,8 +103,10 @@ def test_torus_sampling_half_space():
 
 def test_pairwise_matches_broadcast():
     rng = rngmod.substream(5, rngmod.SELFTEST, 5)
-    # wraparound edges; 0 / 0.5 and 0.25 / 0.75 are exactly 0.5 apart
-    edge = np.array([0.0, 0.5, 1 - 2**-53, 0.25, 0.75])
+    # wraparound edges (0 / 0.5 and 0.25 / 0.75 are exactly 0.5 apart, and
+    # 1 - 2^-53 is 2^-53 from 0), and a tiny and a subnormal coordinate: the
+    # table's per-axis products must round each difference as the subtraction
+    edge = np.array([0.0, 0.5, 1 - 2**-53, 0.25, 0.75, 2.0**-60, 5e-324])
     for d in (1, 2, 3):
         space = make_space(TORUS, d)
         corners = np.stack([np.roll(edge, k)[:d] for k in range(len(edge))])
@@ -112,9 +114,14 @@ def test_pairwise_matches_broadcast():
         b = np.concatenate([sample_uniform(space, rng, 245), corners])
         diff = np.abs(a[:, None, :] - b[None, :, :])
         full = np.minimum(diff, 1.0 - diff).max(axis=-1)
-        assert _uneven_blocks(a, b)
-        assert np.array_equal(pairwise_distance(space, a, b), full)
+        assert _uneven_blocks(a, b)  # several row blocks on T^1, T^2 and T^3
+        table = pairwise_distance(space, a, b)
+        assert np.array_equal(table, full)
         assert np.array_equal(distance(space, a[:, None, :], b[None, :, :]), full)
+        # the corners are rows of both a and b; their zero distances are +0.0
+        same = (a[:, None, :] == b[None, :, :]).all(axis=-1)
+        assert same.sum() >= len(edge) and (table[same] == 0.0).all()
+        assert not np.signbit(table).any()
     sa = sample_uniform(S2, rng, 17)
     sb = sample_uniform(S2, rng, 29)
     assert np.allclose(pairwise_distance(S2, sa, sb),
