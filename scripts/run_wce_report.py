@@ -12,7 +12,6 @@ import argparse
 
 from stratcub.experiments import ExperimentConfig, build_partition
 from stratcub.kernel import KernelSpec
-from stratcub.space import SPHERE2
 from stratcub.wce import WceConfig, run_report
 
 
@@ -33,10 +32,9 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    dim = args.dim if args.dim is not None else (2 if args.space == SPHERE2 else 1)
     try:
         part = build_partition(ExperimentConfig(kind="partition", space_kind=args.space,
-                                                dim=dim, n_list=(args.n,)), args.n)
+                                                dim=args.dim, n_list=(args.n,)), args.n)
         kern = KernelSpec(args.family, args.alpha, part.space.d, args.eps, args.kappa)
         cfg = WceConfig(part, kern, args.p, m_y=args.my, m_z=args.mz,
                         n_draws=args.draws, seed=args.seed)

@@ -25,7 +25,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="JSON file with ExperimentConfig fields (flags override)")
     sp.add_argument("--space", dest="space_kind", type=str, default=None,
                     choices=["torus", "sphere2"])
-    sp.add_argument("--dim", type=int, default=None)
+    sp.add_argument("--dim", type=int, default=None, help="default: 2 on sphere2, 1 on the torus")
     sp.add_argument("--n", dest="n_list", type=int, nargs="+", default=None, help="N grid")
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--eps", type=float, default=None)

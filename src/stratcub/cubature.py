@@ -1,4 +1,4 @@
-"""Stratified node draws and the cubature error functional.
+"""Stratified node draws and the fixed-function error moment.
 
 A draw places one uniform node in each cell.  For a draw ``x`` the error of
 the equal-weight-per-cell rule is
@@ -96,11 +96,6 @@ def sample_all_cells(partition: Partition, rng: np.random.Generator,
     result independent of how callers split the work.
     """
     return cell_points(partition, rng, m)
-
-
-def cubature_error(f: TestFunction, draw: NodeDraw, partition: Partition) -> float:
-    w = partition.weights()
-    return float(w @ f.evaluate(draw.nodes) - f.exact_integral)
 
 
 def estimate_BN(f: TestFunction, partition: Partition, p: float, n_draws: int,

@@ -28,7 +28,7 @@ from .partition import (Partition, check_count, check_real, sphere_zonal_partiti
 from .rates import (predicted_bn_exponent, predicted_indicator_exponent,
                     predicted_wce_exponent, rate_fit)
 from .sets import make_arc, make_box, make_cap
-from .space import TORUS, SpaceDescriptor, make_space
+from .space import SPHERE2, TORUS, SpaceDescriptor, make_space
 from .wce import WceConfig, check_exponents, conjugate_exponent, estimate_AN
 
 SLOPE_TOL = 0.1
@@ -46,7 +46,7 @@ CSV_FIELDS = ["experiment", "space", "d", "N", "alpha", "eps", "kappa",
 class ExperimentConfig:
     kind: str
     space_kind: str = TORUS
-    dim: int = 1
+    dim: int | None = None  # None: the space's own, 2 on sphere2 and 1 on the torus
     n_list: tuple[int, ...] = (16, 32, 64, 128, 256, 512)
     # kernel (wce experiments)
     family: str = "riesz"
@@ -77,6 +77,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
         if self.kind not in ("partition", "wce", "besov", "mz", "indicator", "sharpness"):
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        if self.dim is None:
+            self.dim = 2 if self.space_kind == SPHERE2 else 1
         check_count("seed", self.seed, -math.inf)  # any integer
         for name in ("p", "alpha", "eps", "kappa", "fn_alpha"):
             check_real(name, getattr(self, name))
@@ -129,7 +131,7 @@ class ExperimentConfig:
 
 
 def _kernel(cfg: ExperimentConfig) -> KernelSpec:
-    """The kernel of a wce experiment (``make_space`` pins dim = 2 on the sphere)."""
+    """The kernel of a wce experiment (``dim`` is 2 on the sphere)."""
     return KernelSpec(cfg.family, cfg.alpha, cfg.dim, cfg.eps, cfg.kappa)
 
 
@@ -323,16 +325,9 @@ def _predicted(cfg: ExperimentConfig) -> tuple[float | None, str]:
     return None, ""
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def write_csv(path: Path, rows: list[dict]) -> None:
-    lines = [",".join(CSV_FIELDS)]
-    for r in rows:
-        lines.append(",".join(_fmt(r[k]) for k in CSV_FIELDS))
+    # str of a float is its shortest round-trip repr
+    lines = [",".join(CSV_FIELDS)] + [",".join(str(r[k]) for k in CSV_FIELDS) for r in rows]
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -12,8 +12,8 @@ average A_N = {E_x wce^q}^{1/q} needs Monte Carlo over y only.  On T^1 the
 lacunary term of a rough-Riesz kernel's F is summed separably
 (``kernel.rough_potential``: angles reduced exactly at every fourth scale and
 squared for the three between, within 1e-14 of the exact series), so the
-(N, m_y) node table holds the Riesz part only; Delta, Gamma, the witness
-and the probe tabulate the full kernel.
+(N, m_y) node table holds the Riesz part only; Delta, Gamma, the probe and
+the quadrature reference ``wq_reference`` tabulate the full kernel.
 
 A_N is bracketed by two functionals of the per-cell terms
 T_j(y) = omega_j (Phi(x_j, y) - cell mean of Phi(., y)): Gamma (sum of per-cell
@@ -53,9 +53,12 @@ from .space import (L2_BLOCK, TORUS, SpaceDescriptor, distance, pairwise_distanc
 
 # times a sample batch that hits a kernel singularity is redrawn before giving up
 MAX_REDRAWS = 100
-# the extremal witness's y-mesh: base points, and ladder levels toward each node
-WITNESS_GRID = 4096
-WITNESS_LEVELS = 22
+# wq_reference's Gauss-Legendre panels per piece of a gap, and nodes per panel
+# (Davis & Rabinowitz, *Methods of Numerical Integration*, ch. 2).  Doubling
+# PANELS moved draws on T^1 (N = 1, 2, 16; alpha = 0.75, 0.9) by at most 7e-16
+# relative at p = 2, and 9e-6 at p = 4, where |F|^q kinks at the zeros of F
+PANELS = 16
+ORDER = 20
 
 
 def conjugate_exponent(p: float) -> float:
@@ -384,78 +387,55 @@ def run_report(cfg: WceConfig) -> WceReport:
 
 
 # ---------------------------------------------------------------------------
-# extremal witness (duality self-check, T^1 grids)
+# per-draw T^1 reference
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WitnessReport:
-    ratio: float
-    ratio_coarse: float
-    witness_rate: float  # the mesh's (integral of F^2)^(1/2)
-    wce_mc: float
-    ok: bool
-    reason: str = ""
+def wq_reference(cfg: WceConfig, nodes: np.ndarray) -> float:
+    """wce^q = integral over M of |F|^q for the draw ``nodes`` (N, 1), in cell
+    order, by deterministic quadrature on T^1.
 
-
-def _graded_circle_mesh(nodes: np.ndarray, G: int):
-    """Midpoint mesh on the circle: G uniform base points plus geometric
-    ladders toward each node, where the dual density is singular.  Returns
-    (midpoints, widths); the innermost segments stay wide enough that their
-    midpoints clear the singularity tolerance."""
-    brk = set((np.arange(G) / G).tolist())
-    for x in np.atleast_1d(nodes.ravel()):
-        x = float(x) % 1.0
-        brk.add(x)
-        for k in range(WITNESS_LEVELS):
-            step = 2.0 ** (-k) / G
-            brk.add((x + step) % 1.0)
-            brk.add((x - step) % 1.0)
-    arr = np.sort(np.unique(np.fromiter(brk, dtype=float)))
-    widths = np.diff(np.append(arr, arr[0] + 1.0))
-    keep = widths > 0
-    arr, widths = arr[keep], widths[keep]
-    return arr + widths / 2.0, widths
-
-
-def extremal_witness_check(cfg: WceConfig, draw: NodeDraw) -> WitnessReport:
-    """Compare the Monte Carlo ``worst_case_error`` of one draw against a
-    graded-mesh quadrature of the same draw's (integral of F^2)^(1/2).
-
-    At p = q = 2 the two are equal by the dual form.  The extremal potential
-    f(x) = sum_y w(y) Phi(x, y) F(y) of the mesh has cubature error
-    sum_y w F^2, so E(f)/||F|| is the same mesh number and adds no route of
-    its own.  The ratio tends to 1 as m_y and the mesh grow.
-
-    Restricted to T^1, N <= 8, p = q = 2, where a graded mesh of
-    ``WITNESS_GRID`` base points integrates the singular density reliably;
-    the mesh of half as many base points must give a ratio within 0.2.
+    Each gap between sorted nodes is split at its midpoint into halves owned
+    by the nearer node, and cut at every node's antipode, where its distance
+    kinks.  On the piece at its node, t = h u^gamma with gamma = 1 / (1 -
+    alpha) makes the owner's t^(alpha - 1) dt smooth in u; the other pieces
+    are linear in u.  The owner's distance is t itself, below
+    ``SINGULAR_TOL`` near the node, so its power is taken from t.  Takes a
+    Riesz kernel, a rough one with kappa = 0, or the constant stub (F = 0).
     """
-    part = cfg.partition
-    space = part.space
+    space = cfg.partition.space
+    kern = cfg.kernel
     if space.kind != TORUS or space.d != 1:
-        raise ValueError("witness check is implemented on T^1 only")
-    if part.N > 8:
-        raise ValueError("witness check needs N <= 8")
-    if cfg.q != 2.0:
-        raise ValueError("witness check is implemented for p = q = 2")
-
-    def grid_norm(G: int) -> float:
-        ys, w = _graded_circle_mesh(draw.nodes, G)
-        t = pairwise_distance(space, draw.nodes, ys[:, None])  # (N, len(ys))
-        F = part.weights() @ kernel_profile(cfg.kernel, t) - total_integral(cfg.kernel, space)
-        return math.sqrt(float(np.sum(F * F * w)))
-
-    wce_mc = worst_case_error(cfg, draw)
-    witness_rate = grid_norm(WITNESS_GRID)
-    if not witness_rate >= 1e-12:  # also a NaN norm
-        return WitnessReport(math.nan, math.nan, math.nan, wce_mc, False,
-                             "degenerate witness (zero dual density)")
-    ratio = witness_rate / wce_mc
-    ratio_coarse = grid_norm(WITNESS_GRID // 2) / wce_mc
-    if abs(ratio - ratio_coarse) > 0.2:
-        return WitnessReport(ratio, ratio_coarse, witness_rate, wce_mc, False,
-                             "grid too coarse: refinement moved the ratio by > 0.2")
-    return WitnessReport(ratio, ratio_coarse, witness_rate, wce_mc, True)
+        raise ValueError("the per-draw reference is implemented on T^1 only")
+    if kern.family == CONST:
+        return 0.0
+    if kern.kappa != 0.0:  # the lacunary term oscillates up to 2^19, past the panels
+        raise ValueError("the per-draw reference needs kappa = 0")
+    order = np.argsort(nodes[:, 0], kind="stable")
+    x, w, N = nodes[order, 0], cfg.partition.weights()[order], len(order)
+    gap = np.diff(x, append=x[0] + 1.0)  # from node j to the next
+    h = np.concatenate([gap, np.roll(gap, 1)]) / 2.0  # halves: node j's right j, left N + j
+    # from node j to each node's antipode, rightward in row j and leftward in row N + j
+    cuts = np.vstack([(x + 0.5 - x[:, None]) % 1.0, (x[:, None] - x - 0.5) % 1.0])
+    ends = np.sort(np.column_stack([np.zeros(2 * N), h, np.minimum(cuts, h[:, None])]), axis=1)
+    piece, col = np.nonzero(np.diff(ends, axis=1) > 0.0)  # [t0, t0 + L], t from the owner
+    t0, L = ends[piece, col, None], (ends[piece, col + 1] - ends[piece, col])[:, None]
+    gamma = np.where(t0 == 0.0, 1.0 / (1.0 - kern.alpha), 1.0)
+    u, v = np.polynomial.legendre.leggauss(ORDER)
+    u = ((np.arange(PANELS)[:, None] + (u + 1.0) / 2.0) / PANELS).ravel()
+    t = t0 + L * u ** gamma  # (pieces, PANELS ORDER)
+    dt = L * gamma * u ** (gamma - 1.0) * np.tile(v / (2.0 * PANELS), PANELS)
+    owner = piece % N
+    y = (x[owner, None] + np.where(piece < N, 1.0, -1.0)[:, None] * t) % 1.0
+    F = np.full(t.shape, -total_integral(kern, space))
+    phi = np.empty_like(t)
+    for i in range(N):
+        mine = np.flatnonzero(owner == i)
+        pairwise_distance(space, x[i:i + 1, None], y.reshape(-1, 1), out=phi.reshape(1, -1))
+        phi[mine] = 0.5  # a placeholder the owner's power of t overwrites
+        kernel_profile(kern, phi, out=phi)
+        phi[mine] = t[mine] ** (kern.alpha - kern.d)
+        F += w[i] * phi
+    return space.total_measure * float(np.sum(np.abs(F) ** cfg.q * dt))
 
 
 # ---------------------------------------------------------------------------

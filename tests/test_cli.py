@@ -293,6 +293,30 @@ def test_cli_bad_config_exits_with_status_one():
     assert run.stderr == "stratcub: region kind 'arc' does not lie on the sphere2 space\n"
 
 
+@pytest.mark.parametrize("kind, fields", [
+    ("indicator", {"set_kind": "cap"}),
+    ("wce", {"alpha": 1.5, "m_y": 8}),
+], ids=["indicator", "wce"])
+@pytest.mark.parametrize("route", ["flags", "config"])
+def test_cli_sphere_needs_no_dim(tmp_path, kind, fields, route):
+    # the space sets its own dimension: 2 on sphere2
+    out = tmp_path / "s2"
+    fields = {"space_kind": "sphere2", "n_list": [8, 16, 32, 64], "n_draws": 2, **fields}
+    if route == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        argv = ["--config", str(cfg)]
+    else:
+        flags = {"space_kind": "--space", "n_list": "--n", "n_draws": "--draws",
+                 "set_kind": "--set", "alpha": "--alpha", "m_y": "--my"}
+        argv = [a for k, v in fields.items()
+                for a in (flags[k], *map(str, v if isinstance(v, list) else [v]))]
+    main([kind, *argv, "--out", str(out)])
+    lines = Path(str(out) + ".csv").read_text().splitlines()
+    d = lines[0].split(",").index("d")
+    assert [ln.split(",")[d] for ln in lines[1:]] == ["2"] * 4
+
+
 def test_cli_wce_p_inf_writes_the_conjugate_exponent(tmp_path):
     out = tmp_path / "inf"
     main(["wce", "--p", "inf", "--n", "4", "8", "16", "32", "--draws", "2", "--my", "8",

@@ -12,8 +12,7 @@ from stratcub import mz as mzmod
 from stratcub import partition
 from stratcub import rng as rngmod
 from stratcub.besov import PhiGradient, poincare_check, scale_floor
-from stratcub.cubature import (NodeDraw, cubature_error, draw_nodes,
-                               estimate_BN, jackknife, jackknife_power_mean)
+from stratcub.cubature import draw_nodes, estimate_BN, jackknife, jackknife_power_mean
 from stratcub.funcs import (cone_bump_fn, constant_fn, coordinate_fn, cos_fn,
                             indicator_fn, make_function, square_wave_fn,
                             zonal_monomial_fn)
@@ -46,33 +45,6 @@ def test_draw_nodes_uniform_within_cell():
     xs = np.array([draw_nodes(part, seed=1, index=k).nodes[0, 0] for k in range(1000)])
     se = (0.25 / math.sqrt(12)) / math.sqrt(len(xs))
     assert abs(xs.mean() - 0.125) < 3 * se
-
-
-def test_cubature_error_examples():
-    part = torus_grid_partition(T1, 2)
-    ones = constant_fn(T1, 1.0)
-    draw = NodeDraw(seed=0, index=0, nodes=np.array([[0.25], [0.75]]))
-    assert cubature_error(ones, draw, part) == 0.0
-    ind = indicator_fn(T1, make_arc(0.0, 0.3))
-    assert cubature_error(ind, draw, part) == pytest.approx(0.2)
-    # midpoint nodes integrate the coordinate function exactly
-    coord = coordinate_fn(T1)
-    assert cubature_error(coord, draw, part) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_cubature_error_linearity():
-    part = torus_grid_partition(T1, 8)
-    draw = draw_nodes(part, seed=3)
-    f = coordinate_fn(T1)
-    g = cone_bump_fn(T1, (0.3,), 0.2)
-    from stratcub.funcs import TestFunction
-    comb = TestFunction(
-        fid="comb", space=T1,
-        evaluate=lambda pts: 2.0 * f.evaluate(pts) - 3.0 * g.evaluate(pts),
-        exact_integral=2.0 * f.exact_integral - 3.0 * g.exact_integral)
-    lhs = cubature_error(comb, draw, part)
-    rhs = 2.0 * cubature_error(f, draw, part) - 3.0 * cubature_error(g, draw, part)
-    assert lhs == pytest.approx(rhs, abs=1e-14)
 
 
 def test_estimate_bn_constant_is_zero():

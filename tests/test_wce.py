@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stratcub import cubature, kernel
+from stratcub import cubature, kernel, partition
 from stratcub import rng as rngmod
 from stratcub import wce
 from stratcub.cubature import NodeDraw, draw_nodes, jackknife_power_mean, sample_all_cells
@@ -19,8 +19,8 @@ from stratcub.partition import sphere_zonal_partition, torus_grid_partition
 from stratcub.space import (L2_BLOCK, SPHERE2, TORUS, distance, make_space,
                             pairwise_distance, sample_uniform)
 from stratcub.wce import (WceConfig, _cell_means, _draw_tables, _wq, delta_phi,
-                          estimate_AN, extremal_witness_check, gamma_phi,
-                          lower_hypothesis_probe, run_report, worst_case_error)
+                          estimate_AN, gamma_phi, lower_hypothesis_probe, run_report,
+                          worst_case_error, wq_reference)
 
 T1 = make_space(TORUS, 1)
 PART1 = torus_grid_partition(T1, 1)
@@ -259,35 +259,79 @@ def test_estimate_an_has_no_inner_budget(monkeypatch):
     assert worst_case_error(_cfg(part, ROUGH09, m_z=1), draw_nodes(part, 2)) > 0
 
 
-def test_witness_ratio_near_one(monkeypatch):
-    # m_y large: the single-draw wce estimate carries heavy-tailed outer noise
-    cfg = _cfg(PART4, RIESZ75, m_y=98_304, m_z=32, n_draws=4, seed=9)
-    monkeypatch.setattr(wce, "WITNESS_GRID", 2 ** 14)
-    rep = extremal_witness_check(cfg, draw_nodes(PART4, 21))
-    assert rep.ok
-    assert rep.ratio == pytest.approx(1.0, abs=0.05)
+# ---------------------------------------------------------------------------
+# per-draw T^1 reference
+# ---------------------------------------------------------------------------
+
+PART16 = torus_grid_partition(T1, 16)
+REF_SEED = 32
 
 
-def test_witness_degenerate_flagged():
-    cfg = _cfg(PART4, STUB, n_draws=4)
-    rep = extremal_witness_check(cfg, draw_nodes(PART4, 2))
-    assert not rep.ok
-    assert "degenerate" in rep.reason
+@pytest.mark.parametrize("alpha", [0.75, 0.9])
+def test_reference_single_cell_closed_form(alpha):
+    # N = 1: wce^2 = ||phi||^2 - I_Phi^2, ||phi||^2 = 2 int_0^(1/2) t^(2 alpha - 2) dt
+    kern = KernelSpec(RIESZ, alpha=alpha, d=1)
+    exact = 2.0 * 0.5 ** (2 * alpha - 1) / (2 * alpha - 1) - total_integral(kern, T1) ** 2
+    got = wq_reference(_cfg(PART1, kern), MID_DRAW1.nodes)
+    assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
-def test_witness_coarse_grid_flagged(monkeypatch):
-    cfg = _cfg(PART4, RIESZ75, m_y=4096, m_z=32, n_draws=4, seed=1)
-    monkeypatch.setattr(wce, "WITNESS_GRID", 16)
-    rep = extremal_witness_check(cfg, draw_nodes(PART4, 21))
-    assert (not rep.ok and "coarse" in rep.reason) or abs(rep.ratio - rep.ratio_coarse) <= 0.2
+def test_reference_constant_stub_is_zero():
+    assert wq_reference(_cfg(PART4, STUB), draw_nodes(PART4, 2).nodes) == 0.0
 
 
-def test_witness_rejects_bad_configs():
-    with pytest.raises(ValueError):
-        extremal_witness_check(_cfg(torus_grid_partition(T1, 16), RIESZ75),
-                               draw_nodes(torus_grid_partition(T1, 16), 1))
-    with pytest.raises(ValueError):
-        extremal_witness_check(_cfg(PART4, RIESZ75, p=3.0), draw_nodes(PART4, 1))
+def test_reference_permutation_invariant():
+    cfg = _cfg(PART16, RIESZ75)
+    nodes = draw_nodes(PART16, REF_SEED).nodes
+    perm = np.random.default_rng(REF_SEED).permutation(PART16.N)
+    shuffled = dataclasses.replace(
+        PART16, **{c: getattr(PART16, c)[perm] for c in partition._COLUMNS})
+    base = wq_reference(cfg, nodes)
+    again = wq_reference(dataclasses.replace(cfg, partition=shuffled), nodes[perm])
+    assert again == pytest.approx(base, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.75, 0.9])
+@pytest.mark.parametrize("p, tol", [(2.0, 1e-7), (4.0, 1e-5)])
+def test_reference_panel_doubling(monkeypatch, alpha, p, tol):
+    cfg = _cfg(PART16, KernelSpec(RIESZ, alpha=alpha, d=1), p=p)
+    nodes = draw_nodes(PART16, REF_SEED).nodes
+    base = wq_reference(cfg, nodes)
+    monkeypatch.setattr(wce, "PANELS", 2 * wce.PANELS)
+    assert wq_reference(cfg, nodes) == pytest.approx(base, rel=tol, abs=0.0)
+
+
+def test_reference_rejects_other_spaces_and_rough_kernels():
+    T2 = make_space(TORUS, 2)
+    S2 = make_space(SPHERE2)
+    riesz2 = KernelSpec(RIESZ, alpha=1.5, d=2)
+    for part in (torus_grid_partition(T2, 4), sphere_zonal_partition(S2, 16)):
+        with pytest.raises(ValueError, match="T\\^1 only"):
+            wq_reference(_cfg(part, riesz2), draw_nodes(part, 1).nodes)
+    with pytest.raises(ValueError, match="kappa = 0"):
+        wq_reference(_cfg(PART4, ROUGH09), draw_nodes(PART4, 1).nodes)
+
+
+def test_reference_mean_matches_exact_a_n():
+    # exact A_N at N = 16, T^1 Riesz alpha = 0.75, p = 2: the ROADMAP Baseline
+    # row "Exact p=2 A_N, T^1 Riesz alpha=0.75, by cell integrals"
+    exact = 0.0764447679 ** 2
+    cfg = _cfg(PART16, RIESZ75)
+    values = np.array([wq_reference(cfg, draw_nodes(PART16, REF_SEED, k).nodes)
+                       for k in range(200)])
+    se = values.std(ddof=1) / math.sqrt(len(values))
+    assert abs(values.mean() - exact) <= 3.0 * se
+
+
+@pytest.mark.parametrize("alpha, p", [(0.75, 4.0), (0.9, 4.0), (0.9, 2.0)])
+def test_monte_carlo_matches_reference_on_finite_variance_slice(alpha, p):
+    # |F|^(2q) is integrable here, so the Monte Carlo mean has a finite SE;
+    # alpha = 0.75 at p <= 2 lies past that boundary and is not gated
+    cfg = _cfg(PART16, KernelSpec(RIESZ, alpha=alpha, d=1), p=p, m_y=4096, seed=REF_SEED)
+    draw = draw_nodes(PART16, REF_SEED)
+    mc = np.array([worst_case_error(cfg, draw, rep) ** cfg.q for rep in range(200)])
+    z = (mc.mean() - wq_reference(cfg, draw.nodes)) / (mc.std(ddof=1) / math.sqrt(len(mc)))
+    assert abs(z) <= 3.0
 
 
 def test_probe_positive_and_stable_for_riesz():
