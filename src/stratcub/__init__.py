@@ -13,12 +13,12 @@ from .partition import (Partition, PartitionReport, cell_contains, cell_sample,
 from .kernel import CONST, RIESZ, ROUGH_RIESZ, KernelSpec, SingularPairError, regime_classify
 from .sets import SetDescriptor, make_arc, make_box, make_cap, psi_tube_measure
 from .funcs import TestFunction, make_function
-from .cubature import ErrorStats, NodeDraw, draw_nodes, estimate_BN
+from .cubature import ErrorStats, draw_nodes, estimate_BN
 from .wce import (WceConfig, WceReport, delta_phi, estimate_AN, gamma_phi,
                   lower_hypothesis_probe, worst_case_error)
 from .besov import (PhiGradient, besov_norm_bound_chi, besov_rhs_bounds,
                     chi_phi_gradient, poincare_check, sharpness_fn)
-from .mz import MzReport, mz_pair, ratio_envelope
+from .mz import MzReport, mz_pair
 from .rates import RateFit, rate_fit
 from .experiments import ExperimentConfig, run_experiment
 

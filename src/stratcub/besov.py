@@ -29,7 +29,7 @@ import numpy as np
 from . import rng as rngmod
 from .cubature import jackknife_power_mean
 from .funcs import TestFunction, _lipschitz_besov_norm
-from .partition import Partition, cell_sample, check_count, find_cell
+from .partition import Partition, cell_sample, check_cell, check_count, find_cell
 from .sets import SetDescriptor, boundary_distance, psi_tube_measure, set_contains
 from .space import TORUS, SpaceDescriptor, distance, east_tangent, geodesic_step
 
@@ -113,6 +113,7 @@ def poincare_check(partition: Partition, j: int, f: TestFunction, gradient: PhiG
     jackknife over the samples; ``holds`` allows 3 combined standard errors
     of slack.
     """
+    check_cell(partition, j)
     check_count("budget", budget, 2)  # the jackknife needs two samples
     diameter = float(partition.diameter[j])
     if diameter > 2.0 ** (-n):
@@ -139,10 +140,8 @@ def poincare_check(partition: Partition, j: int, f: TestFunction, gradient: PhiG
 @dataclass
 class RhsBounds:
     rhs1: float
-    rhs2: float
-    rhs3: float
-    rhs2_applicable: bool
-    rhs3_applicable: bool
+    rhs2: float | None  # None for p > 2
+    rhs3: float | None  # None for p < 2
 
 
 def besov_rhs_bounds(partition: Partition, p: float, alpha: float,
@@ -150,10 +149,10 @@ def besov_rhs_bounds(partition: Partition, p: float, alpha: float,
     """The three computable right-hand sides for the p-th moment error of a
     function with smoothness norm <= norm_value (phi(t) = t^alpha).
 
-    ``b_p`` is the moment-comparison constant; pass the empirical envelope
-    from the ``mz`` module for p != 2 (it is exactly 1 at p = 2).  rhs2 is
-    scoped to 1 <= p <= 2 and rhs3 to 2 <= p < inf; requesting the other
-    range warns and flags the value as inapplicable.
+    ``b_p`` is the moment-comparison constant; for p != 2 pass the upper end
+    of an ``mz`` experiment's empirical ``envelope`` (it is exactly 1 at
+    p = 2).  rhs2 holds for 1 <= p <= 2 and rhs3 for 2 <= p < inf; outside
+    its range a bound is None.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -164,13 +163,7 @@ def besov_rhs_bounds(partition: Partition, p: float, alpha: float,
     rhs1 = 2.0 * total ** (1.0 - 1.0 / p) * phi * norm_value
     rhs2 = 2.0 * b_p * float(np.max(w ** (1.0 - 1.0 / p))) * phi * norm_value
     rhs3 = 2.0 * b_p * total ** (0.5 - 1.0 / p) * float(np.max(np.sqrt(w))) * phi * norm_value
-    rhs2_ok = p <= 2.0
-    rhs3_ok = p >= 2.0
-    if not rhs2_ok:
-        warnings.warn(f"rhs2 is scoped to 1 <= p <= 2, got p={p}")
-    if not rhs3_ok:
-        warnings.warn(f"rhs3 is scoped to 2 <= p < inf, got p={p}")
-    return RhsBounds(rhs1, rhs2, rhs3, rhs2_ok, rhs3_ok)
+    return RhsBounds(rhs1, rhs2 if p <= 2.0 else None, rhs3 if p >= 2.0 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +179,8 @@ def sharpness_fn(partition: Partition, cell: int | None = None) -> TestFunction:
     like N^{-1/2} for p > 2.  One cell's pair is 0 off that cell.
     """
     space = partition.space
+    if cell is not None:
+        check_cell(partition, cell)
     ids = slice(None) if cell is None else [cell]
     r_in, anchor = partition.inradius[ids], partition.anchor[ids]
     # centres r_in/2 either side of the anchor hold disjoint balls of radius

@@ -49,13 +49,6 @@ from .space import L2_BLOCK
 _in_task = threading.local()
 
 
-@dataclass(frozen=True)
-class NodeDraw:
-    seed: int
-    index: int
-    nodes: np.ndarray  # (N, dim), nodes[j] in cell j
-
-
 @dataclass
 class ErrorStats:
     p: float
@@ -65,11 +58,10 @@ class ErrorStats:
 
 
 def draw_nodes(partition: Partition, seed: int, index: int = 0,
-               stream: int = rngmod.NODES) -> NodeDraw:
-    """One independent uniform node per cell, deterministic in (seed, index)."""
-    rng = rngmod.substream(seed, stream, index)
-    nodes = sample_all_cells(partition, rng, 1)[:, 0, :]
-    return NodeDraw(seed=seed, index=index, nodes=nodes)
+               stream: int = rngmod.NODES) -> np.ndarray:
+    """One independent uniform node per cell, deterministic in (seed, index):
+    (N, dim), row j in cell j."""
+    return sample_all_cells(partition, rngmod.substream(seed, stream, index), 1)[:, 0, :]
 
 
 def value_blocks(f: TestFunction, partition: Partition, seed: int, n_draws: int,
@@ -105,9 +97,7 @@ def estimate_BN(f: TestFunction, partition: Partition, p: float, n_draws: int,
     Draw k's nodes are run k of the stream ``(seed, NODES)``, one node per
     cell, taken and evaluated a block of draws at a time (``value_blocks``).
     """
-    if not 1 <= p < math.inf:
-        raise ValueError(f"moment exponent must be finite and >= 1, got {p}")
-    check_count("n_draws", n_draws, 2)
+    check_moment(p, n_draws)
     w = partition.weights()
     errors = np.empty(n_draws)
     for k0, values in value_blocks(f, partition, seed, n_draws):
@@ -118,13 +108,20 @@ def estimate_BN(f: TestFunction, partition: Partition, p: float, n_draws: int,
     return ErrorStats(p=p, n_draws=n_draws, moment=moment, stderr=stderr)
 
 
+def check_moment(p: float, n_draws: int) -> None:
+    """Raise ``ValueError`` unless 1 <= p < inf and n_draws >= 2 (two jackknife draws)."""
+    if not 1 <= p < math.inf:
+        raise ValueError(f"moment exponent p must be finite and >= 1, got {p}")
+    check_count("n_draws", n_draws, 2)
+
+
 def jackknife_power_mean(u: np.ndarray, power: float) -> tuple[float, float]:
     """(mean u)^power with a leave-one-out jackknife standard error.
 
     Slightly negative means (possible for signed product estimators) are
     clamped to zero before the fractional power.
     """
-    return jackknife(lambda m: _signed_power(m, power), u)
+    return jackknife(lambda m: np.maximum(m, 0.0) ** power, u)
 
 
 def jackknife(stat: Callable[..., np.ndarray],
@@ -144,10 +141,6 @@ def jackknife(stat: Callable[..., np.ndarray],
     loo = stat(*((t - c) / (K - 1) for t, c in zip(totals, cols)))
     se = np.sqrt((K - 1) / K * np.sum((loo - loo.mean()) ** 2))
     return float(theta), float(se)
-
-
-def _signed_power(x, power: float):
-    return np.maximum(np.asarray(x, dtype=float), 0.0) ** power
 
 
 def _cpus() -> int:

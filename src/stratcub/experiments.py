@@ -23,8 +23,8 @@ from .cubature import estimate_BN, run_indexed
 from .funcs import indicator_fn, make_function
 from .kernel import KernelSpec, regime_classify
 from .mz import mz_pair
-from .partition import (Partition, check_count, check_real, sphere_zonal_partition,
-                        torus_grid_partition, verify_partition)
+from .partition import (Partition, check_count, check_keys, check_real,
+                        sphere_zonal_partition, torus_grid_partition, verify_partition)
 from .rates import (predicted_bn_exponent, predicted_indicator_exponent,
                     predicted_wce_exponent, rate_fit)
 from .sets import make_arc, make_box, make_cap
@@ -161,10 +161,7 @@ def _seed_for(cfg: ExperimentConfig, N: int) -> int:
 def _make_region(cfg: ExperimentConfig):
     """The region of an indicator experiment.  A ``set_params`` key that its
     kind does not read is an error, as in ``make_function``."""
-    unknown = sorted(set(cfg.set_params) - set(_REGION_PARAMS[cfg.set_kind]))
-    if unknown:
-        raise ValueError(f"unknown parameter {unknown[0]!r} for region {cfg.set_kind!r}; "
-                         f"it takes {', '.join(_REGION_PARAMS[cfg.set_kind])}")
+    check_keys(f"region {cfg.set_kind!r}", cfg.set_params, _REGION_PARAMS[cfg.set_kind])
     if cfg.set_kind == "arc":
         return make_arc(cfg.set_params.get("start", 0.2),
                         cfg.set_params.get("length", 0.5))
@@ -269,7 +266,7 @@ def _summarize(cfg: ExperimentConfig, rows: list[dict]) -> dict:
                         "envelope_label": "empirical, not certified",
                         "p2_identity_ok": p2_ok,
                         "stability_ratio": stability, "verdict": verdict,
-                        "rows": [{"p": rep.p, "N": row["N"], "middle": rep.middle,
+                        "rows": [{"p": cfg.p, "N": row["N"], "middle": rep.middle,
                                   "bracket": rep.bracket, "ratio": rep.ratio,
                                   "se": rep.ratio_se}
                                  for row, rep in zip(rows, reports)]})
@@ -319,7 +316,7 @@ def _predicted(cfg: ExperimentConfig) -> tuple[float | None, str]:
     if cfg.kind == "besov":
         return predicted_bn_exponent(cfg.p, cfg.fn_alpha, cfg.dim), ""
     if cfg.kind == "indicator":
-        return predicted_indicator_exponent(1.0, cfg.dim), ""
+        return predicted_indicator_exponent(_make_region(cfg).beta, cfg.dim), ""
     if cfg.kind == "sharpness":
         return -0.5, ""
     return None, ""

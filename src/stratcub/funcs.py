@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .partition import Partition, check_count, check_real, check_reals
+from .partition import Partition, check_count, check_keys, check_real, check_reals
 from .sets import SPHERE_CAP, TORUS_BOX, SetDescriptor, set_contains
 from .space import (SPHERE2, TORUS, SpaceDescriptor, distance, torus1d_radial_integral,
                     unit_direction)
@@ -271,10 +271,7 @@ def make_function(space: SpaceDescriptor, fid: str, **params) -> TestFunction:
     """
     if fid not in _PARAMS:
         raise ValueError(f"unknown function id {fid!r}")
-    unknown = sorted(set(params) - set(_PARAMS[fid]))
-    if unknown:
-        raise ValueError(f"unknown parameter {unknown[0]!r} for function {fid!r}; "
-                         f"it takes {', '.join(_PARAMS[fid])}")
+    check_keys(f"function {fid!r}", params, _PARAMS[fid])
     if fid == "constant":
         return constant_fn(space, params.get("c", 1.0))
     if fid == "coordinate":

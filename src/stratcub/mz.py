@@ -8,8 +8,8 @@ c_j = omega_j f(x_j) - integral over X_j of f.  The module measures
 
 whose ratio is pinched between the best comparison constants A(p) <= 1 <= B(p)
 (equality at p = 2 by variance additivity).  The constants are open
-analytically, so the module only exports observed ratio envelopes, clearly
-labeled empirical; ``besov_rhs_bounds`` consumes the upper envelope.
+analytically, so ``mz_pair`` measures one configuration's ratio; the upper
+end of an ``mz`` experiment's empirical envelope is the b_p of ``besov_rhs_bounds``.
 
 Draw k's nodes are run k of the stream ``(seed, MZ)``, one node per cell,
 read a block of draws at a time by ``cubature.value_blocks``.  Without
@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .cubature import jackknife, jackknife_power_mean, value_blocks
+from .cubature import check_moment, jackknife, jackknife_power_mean, value_blocks
 from .funcs import TestFunction
-from .partition import Partition, check_count, stream_points
+from .partition import Partition, stream_points
 from .space import L2_BLOCK
 
 DEGENERATE_TOL = 1e-15
@@ -38,8 +38,6 @@ M_CELL = 4096
 
 @dataclass
 class MzReport:
-    p: float
-    n_draws: int
     middle: float
     middle_se: float
     bracket: float
@@ -47,15 +45,6 @@ class MzReport:
     ratio: float
     ratio_se: float
     degenerate: bool
-
-
-@dataclass
-class RatioEnvelope:
-    p: float
-    lo: float
-    hi: float
-    reports: list[MzReport]
-    label: str = "empirical, not certified"
 
 
 def mz_pair(f: TestFunction, partition: Partition, p: float, n_draws: int,
@@ -70,9 +59,7 @@ def mz_pair(f: TestFunction, partition: Partition, p: float, n_draws: int,
     Draw k's nodes are run k of the stream ``(seed, MZ)``, one node per cell,
     taken and evaluated a block of draws at a time (``cubature.value_blocks``).
     """
-    if not 1 <= p < math.inf:
-        raise ValueError(f"p must be finite and >= 1, got {p}")
-    check_count("n_draws", n_draws, 2)
+    check_moment(p, n_draws)
     w = partition.weights()
     means = _cell_means(f, partition, seed)
     mid_pow = np.empty(n_draws)
@@ -88,27 +75,10 @@ def mz_pair(f: TestFunction, partition: Partition, p: float, n_draws: int,
     power = 1.0 / p
     middle, middle_se = jackknife_power_mean(mid_pow, power)
     bracket, bracket_se = jackknife_power_mean(brk_pow, power)
-    if bracket < DEGENERATE_TOL:
-        return MzReport(p, n_draws, middle, middle_se, bracket, bracket_se,
-                        ratio=math.nan, ratio_se=math.nan, degenerate=True)
-    ratio, ratio_se = jackknife(lambda m, b: m ** power / b ** power, mid_pow, brk_pow)
-    return MzReport(p, n_draws, middle, middle_se, bracket, bracket_se,
-                    ratio, ratio_se, degenerate=False)
-
-
-def ratio_envelope(functions: list[TestFunction], partitions: list[Partition],
-                   p: float, n_draws: int, seed: int) -> RatioEnvelope:
-    """Min/max observed middle/bracket ratio over a configuration battery."""
-    reports = []
-    for i, f in enumerate(functions):
-        for j, part in enumerate(partitions):
-            rep = mz_pair(f, part, p, n_draws, seed + 1000 * i + j)
-            if not rep.degenerate:
-                reports.append(rep)
-    if not reports:
-        raise ValueError("all configurations degenerate; envelope undefined")
-    ratios = [r.ratio for r in reports]
-    return RatioEnvelope(p=p, lo=min(ratios), hi=max(ratios), reports=reports)
+    degenerate = bracket < DEGENERATE_TOL
+    ratio, ratio_se = (math.nan, math.nan) if degenerate else jackknife(
+        lambda m, b: m ** power / b ** power, mid_pow, brk_pow)
+    return MzReport(middle, middle_se, bracket, bracket_se, ratio, ratio_se, degenerate)
 
 
 def _cell_means(f: TestFunction, partition: Partition, seed: int) -> np.ndarray:

@@ -96,6 +96,21 @@ def check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def check_cell(partition: Partition, j) -> None:
+    """Raise ``ValueError`` unless ``j`` is an integer cell id in [0, N)."""
+    check_count(f"cell id (N = {partition.N})", j, 0)
+    if j >= partition.N:
+        raise ValueError(f"cell id (N = {partition.N}) must be < {partition.N}, got {j}")
+
+
+def check_keys(what: str, given, known) -> None:
+    """Raise ``ValueError`` on the first key of ``given`` (sorted) not in ``known``."""
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        raise ValueError(f"unknown parameter {unknown[0]!r} for {what}; "
+                         f"it takes {', '.join(known)}")
+
+
 def check_real(name: str, value) -> None:
     """Raise ``ValueError`` unless ``value`` is a real number (numpy numbers
     included, ``bool`` not)."""
@@ -321,6 +336,7 @@ def cell_sample(partition: Partition, j: int, rng: np.random.Generator,
     The cell's chart box is sampled uniformly, which is the restricted
     measure on both spaces (area is d(-z) d(lon) on the sphere).
     """
+    check_cell(partition, j)
     size = 1 if n is None else int(n)
     pts = cell_points(partition, rng, size, slice(j, j + 1))[0]
     return pts[0] if n is None else pts

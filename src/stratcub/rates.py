@@ -13,7 +13,6 @@ from .partition import check_count
 
 @dataclass
 class RateFit:
-    points: list[tuple[float, float, float]]  # (N, value, se)
     slope: float
     intercept: float
     r2: float
@@ -52,8 +51,7 @@ def rate_fit(points, n_boot: int = 1000, seed: int = 0) -> RateFit:
     y_b = fitted + rng.choice(resid, size=(n_boot, len(resid)), replace=True)
     slopes, _ = _ols(x, y_b)
     lo, hi = np.percentile(slopes, [2.5, 97.5])
-    return RateFit(points=pts, slope=slope, intercept=intercept, r2=r2,
-                   slope_ci=(float(min(lo, slope)), float(max(hi, slope))))
+    return RateFit(slope, intercept, r2, (float(min(lo, slope)), float(max(hi, slope))))
 
 
 def _ols(x: np.ndarray, y: np.ndarray):

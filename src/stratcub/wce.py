@@ -43,8 +43,8 @@ from typing import Callable
 import numpy as np
 
 from . import rng as rngmod
-from .cubature import (ErrorStats, NodeDraw, draw_nodes, jackknife, jackknife_power_mean,
-                       run_indexed, sample_all_cells)
+from .cubature import (ErrorStats, draw_nodes, jackknife, jackknife_power_mean, run_indexed,
+                       sample_all_cells)
 from .kernel import (CONST, RIESZ, ROUGH_RIESZ, SINGULAR_TOL, KernelSpec, SingularPairError,
                      kernel_profile, regime_classify, rough_potential, total_integral)
 from .partition import Partition, cell_boundary_distance, cell_points, check_count, check_real
@@ -204,8 +204,7 @@ def _kernel_redrawing_y(kernel: KernelSpec, space: SpaceDescriptor,
 
 
 def _draw_nodes(cfg: WceConfig, ctx: int, index: int) -> np.ndarray:
-    return draw_nodes(cfg.partition, cfg.seed, index,
-                      stream=rngmod.path_key(ctx, rngmod.NODES)).nodes
+    return draw_nodes(cfg.partition, cfg.seed, index, stream=rngmod.path_key(ctx, rngmod.NODES))
 
 
 def _node_table(cfg: WceConfig, kernel: KernelSpec, nodes: np.ndarray, ctx: int, index: int,
@@ -298,12 +297,12 @@ def _draw_moment(cfg: WceConfig, values) -> ErrorStats:
 # public operations
 # ---------------------------------------------------------------------------
 
-def worst_case_error(cfg: WceConfig, draw: NodeDraw, rep: int = 0) -> float:
+def worst_case_error(cfg: WceConfig, nodes: np.ndarray, index: int, rep: int = 0) -> float:
     """Monte Carlo estimate over m_y samples of y of the dual-form worst-case
-    error of one draw (F is exact; m_z is unused).  ``rep`` selects an
-    independent replication (a fresh y stream).
-    """
-    return _wq(cfg, rngmod.WCE_OP, draw.index, rep, draw.nodes) ** (1.0 / cfg.q)
+    error of the draw ``nodes`` (N, dim) (F is exact; m_z is unused).  Its y
+    stream is ``(seed, WCE_OP, WCE_Y, index, rep)``: ``index`` names the draw,
+    and each ``rep`` is an independent replication."""
+    return _wq(cfg, rngmod.WCE_OP, index, rep, nodes) ** (1.0 / cfg.q)
 
 
 def estimate_AN(cfg: WceConfig) -> ErrorStats:

@@ -180,6 +180,16 @@ def test_poincare_rejects_budget_below_two():
         poincare_check(part, 2, coordinate_fn(T1), grad, p=2.0, n=3, budget=1)
 
 
+@pytest.mark.parametrize("j", [-1, 8, 1.0, True])
+def test_poincare_rejects_bad_cell_ids(j):
+    # -1 used to read the last cell's diameter and then sample an empty
+    # slice; the others stopped with bare numpy errors
+    part = torus_grid_partition(T1, 8)
+    grad = PhiGradient(1.0, scale_floor(T1), lambda n, pts: np.ones(len(np.atleast_2d(pts))))
+    with pytest.raises(ValueError, match=r"cell id \(N = 8\)"):
+        poincare_check(part, j, coordinate_fn(T1), grad, p=2.0, n=3)
+
+
 def test_rhs_bounds_formulas():
     part = torus_grid_partition(T1, 8)
     rb = besov_rhs_bounds(part, p=2.0, alpha=1.0, norm_value=3.0, b_p=1.0)
@@ -189,10 +199,26 @@ def test_rhs_bounds_formulas():
     assert rb.rhs2 == pytest.approx(2.0 * 8 ** -0.5 * (2 * max_delta) * 3.0)
     assert rb.rhs3 == pytest.approx(rb.rhs2)
     assert rb.rhs2 <= rb.rhs1
-    assert rb.rhs2_applicable and rb.rhs3_applicable
-    with pytest.warns(UserWarning):
-        rb3 = besov_rhs_bounds(part, p=3.0, alpha=1.0, norm_value=1.0)
-    assert not rb3.rhs2_applicable
+    assert besov_rhs_bounds(part, p=3.0, alpha=1.0, norm_value=1.0).rhs2 is None
+
+
+def test_rhs_bounds_none_outside_their_range():
+    # rhs2 holds for p <= 2 and rhs3 for p >= 2; neither range warns
+    part = torus_grid_partition(T1, 8)
+    phi = 2.0 * (1.0 / 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        low = besov_rhs_bounds(part, p=1.5, alpha=1.0, norm_value=3.0, b_p=1.2)
+        high = besov_rhs_bounds(part, p=3.0, alpha=1.0, norm_value=3.0, b_p=1.2)
+        both = besov_rhs_bounds(part, p=2.0, alpha=1.0, norm_value=3.0, b_p=1.2)
+    assert low.rhs3 is None
+    assert low.rhs2 == pytest.approx(2.0 * 1.2 * 8 ** (-1 / 3) * phi * 3.0)
+    assert high.rhs2 is None
+    assert high.rhs3 == pytest.approx(2.0 * 1.2 * 8 ** -0.5 * phi * 3.0)
+    assert both.rhs2 == pytest.approx(2.0 * 1.2 * 8 ** -0.5 * phi * 3.0)
+    assert both.rhs3 == pytest.approx(both.rhs2)
+    for rb in (low, high, both):
+        assert rb.rhs1 == pytest.approx(2.0 * phi * 3.0)
 
 
 def test_sharpness_fj_construction():
@@ -210,6 +236,16 @@ def test_sharpness_fj_construction():
     # support inside the cell
     sup_pts = pts[np.abs(vals) > 0]
     assert np.all(cell_contains(part, 3, sup_pts))
+    # a numpy integer id builds the same bumps
+    g = sharpness_fn(part, np.int64(3))
+    assert np.array_equal(g.evaluate(pts), vals)
+
+
+@pytest.mark.parametrize("j", [-1, 8, 1.0, True])
+def test_sharpness_rejects_bad_cell_ids(j):
+    # -1 used to build the last cell's bumps while params["cell"] read -1
+    with pytest.raises(ValueError, match=r"cell id \(N = 8\)"):
+        sharpness_fn(torus_grid_partition(T1, 8), j)
 
 
 def test_sharpness_fj_sphere_bumps():
@@ -254,21 +290,15 @@ def test_sharpness_of_one_cell_is_the_sum_on_that_cell(part):
 def test_error_bound_holds_for_certified_functions():
     """Measured moment error <= the applicable computable bound, using the
     functions' certified norms and the empirical comparison constant."""
-    from stratcub.funcs import cone_bump_fn, square_wave_fn
-    from stratcub.mz import ratio_envelope
+    from stratcub.funcs import cone_bump_fn
+    from test_acceptance import mz_constant
     cone = cone_bump_fn(T1, (0.5,), 0.25)
     for p, which in ((3.0, "rhs3"), (1.5, "rhs2")):
-        env = ratio_envelope([cone, square_wave_fn(T1, 8)],
-                             [torus_grid_partition(T1, 8),
-                              torus_grid_partition(T1, 64)],
-                             p, n_draws=600, seed=11)
-        b_p = max(env.hi, 1.0)
+        b_p = mz_constant(p, n_draws=600, seed=11)
         for N in (16, 64):
             part = torus_grid_partition(T1, N)
             st = estimate_BN(cone, part, p, 400, seed=rngmod.path_key(11, N) & 0xFFFF)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                rb = besov_rhs_bounds(part, p, 1.0, cone.besov_norm(1.0, p), b_p)
+            rb = besov_rhs_bounds(part, p, 1.0, cone.besov_norm(1.0, p), b_p)
             bound = getattr(rb, which)
             assert st.moment <= bound + 3 * st.stderr
 

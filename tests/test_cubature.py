@@ -32,17 +32,16 @@ S2 = make_space(SPHERE2)
 
 def test_draw_nodes_containment_and_determinism():
     part = torus_grid_partition(T1, 4)
-    draw = draw_nodes(part, seed=7)
-    assert np.all(cell_contains(part, np.arange(part.N), draw.nodes))
-    again = draw_nodes(part, seed=7)
-    assert np.array_equal(draw.nodes, again.nodes)
-    other = draw_nodes(part, seed=7, index=1)
-    assert not np.array_equal(draw.nodes, other.nodes)
+    nodes = draw_nodes(part, seed=7)
+    assert nodes.shape == (part.N, 1)
+    assert np.all(cell_contains(part, np.arange(part.N), nodes))
+    assert np.array_equal(nodes, draw_nodes(part, seed=7))
+    assert not np.array_equal(nodes, draw_nodes(part, seed=7, index=1))
 
 
 def test_draw_nodes_uniform_within_cell():
     part = torus_grid_partition(T1, 4)
-    xs = np.array([draw_nodes(part, seed=1, index=k).nodes[0, 0] for k in range(1000)])
+    xs = np.array([draw_nodes(part, seed=1, index=k)[0, 0] for k in range(1000)])
     se = (0.25 / math.sqrt(12)) / math.sqrt(len(xs))
     assert abs(xs.mean() - 0.125) < 3 * se
 

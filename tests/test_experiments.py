@@ -83,7 +83,7 @@ def _rate_fit_per_resample(points, n_boot, seed):
         y_b = fitted + rng.choice(resid, size=len(resid), replace=True)
         slopes[b], _ = _ols(x, y_b)
     lo, hi = np.percentile(slopes, [2.5, 97.5])
-    return RateFit(points=pts, slope=slope, intercept=intercept, r2=r2,
+    return RateFit(slope=slope, intercept=intercept, r2=r2,
                    slope_ci=(float(min(lo, slope)), float(max(hi, slope))))
 
 

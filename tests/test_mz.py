@@ -7,7 +7,8 @@ from stream_runs import StreamRun
 from stratcub import rng as rngmod
 from stratcub.funcs import (cone_bump_fn, constant_fn, coordinate_fn, indicator_fn,
                             square_wave_fn, zonal_monomial_fn)
-from stratcub.mz import M_CELL, _cell_means, mz_pair, ratio_envelope
+from stratcub.experiments import ExperimentConfig, run_experiment
+from stratcub.mz import M_CELL, _cell_means, mz_pair
 from stratcub.partition import (cell_points, cell_sample, sphere_zonal_partition,
                                 torus_grid_partition)
 from stratcub.sets import make_cap
@@ -73,12 +74,14 @@ def test_mc_cell_means_match_per_cell_streams(f, part):
     assert np.array_equal(_cell_means(f, part, 7), expect)
 
 
-def test_ratio_envelope_p2_tight():
-    fs = [coordinate_fn(T1), cone_bump_fn(T1, (0.3,), 0.2)]
-    parts = [torus_grid_partition(T1, 8), torus_grid_partition(T1, 32)]
-    env = ratio_envelope(fs, parts, p=2.0, n_draws=1000, seed=4)
-    assert env.label.startswith("empirical")
-    assert 0.85 <= env.lo <= env.hi <= 1.15
+def test_mz_envelope_p2_tight():
+    for function, fn_params in (("coordinate", {}), ("cone", {"center": (0.3,), "radius": 0.2})):
+        _, summary = run_experiment(ExperimentConfig(
+            kind="mz", function=function, fn_params=fn_params, n_list=(8, 32), p=2.0,
+            n_draws=1000, seed=4))
+        assert summary["envelope_label"].startswith("empirical")
+        lo, hi = summary["envelope"]
+        assert 0.85 <= lo <= hi <= 1.15
 
 
 def test_ratio_stability_p4():
@@ -93,12 +96,11 @@ def test_ratio_stability_p4():
 
 def test_envelope_stable_under_doubling_draws():
     # wave flips inside every cell, so the per-cell terms are nondegenerate
-    fs = [square_wave_fn(T1, 8)]
-    parts = [torus_grid_partition(T1, 8)]
-    e1 = ratio_envelope(fs, parts, p=1.0, n_draws=1500, seed=7)
-    e2 = ratio_envelope(fs, parts, p=1.0, n_draws=3000, seed=8)
-    assert e2.lo >= 0.5 * e1.lo
-    assert e1.lo > 0
+    f, part = square_wave_fn(T1, 8), torus_grid_partition(T1, 8)
+    r1 = mz_pair(f, part, p=1.0, n_draws=1500, seed=7).ratio
+    r2 = mz_pair(f, part, p=1.0, n_draws=3000, seed=8).ratio
+    assert r2 >= 0.5 * r1
+    assert r1 > 0
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])

@@ -95,6 +95,15 @@ def test_cell_sample_containment_and_determinism():
     a = cell_sample(part, 5, rngmod.substream(9, 9))
     b = cell_sample(part, 5, rngmod.substream(9, 9))
     assert np.array_equal(a, b)
+    assert np.array_equal(cell_sample(part, np.int64(5), rngmod.substream(9, 9)), a)
+
+
+@pytest.mark.parametrize("j", [-1, 8, 1.0, True])
+def test_cell_sample_rejects_bad_cell_ids(j):
+    # -1 and 8 used to stop on an empty slice, 1.0 on a slice of floats, and
+    # True sampled cell 1
+    with pytest.raises(ValueError, match=r"cell id \(N = 8\)"):
+        cell_sample(torus_grid_partition(T1, 8), j, rngmod.substream(1, 2), 4)
 
 
 @pytest.mark.parametrize("part", [torus_grid_partition(T1, 16), torus_grid_partition(T2, 5),

@@ -12,7 +12,7 @@ import pytest
 from stratcub import cubature, kernel, partition
 from stratcub import rng as rngmod
 from stratcub import wce
-from stratcub.cubature import NodeDraw, draw_nodes, jackknife_power_mean, sample_all_cells
+from stratcub.cubature import draw_nodes, jackknife_power_mean, sample_all_cells
 from stratcub.kernel import (CONST, RIESZ, ROUGH_RIESZ, SINGULAR_TOL, KernelSpec,
                              kernel_profile, rough_series, total_integral)
 from stratcub.partition import sphere_zonal_partition, torus_grid_partition
@@ -30,7 +30,7 @@ RIESZ75 = KernelSpec(RIESZ, alpha=0.75, d=1)
 ROUGH09 = KernelSpec(ROUGH_RIESZ, alpha=0.9, d=1, eps=0.25, kappa=1.0)
 STUB = KernelSpec(CONST, kappa=2.0)
 
-MID_DRAW1 = NodeDraw(seed=0, index=0, nodes=np.array([[0.5]]))
+MID_NODES1 = np.array([[0.5]])  # the single cell's midpoint
 
 
 def _cfg(part, kern, p=2.0, **kw):
@@ -74,10 +74,10 @@ def test_config_validation():
     assert abs(1 / 1.5 + 1 / WceConfig(PART4, RIESZ75, p=1.5, n_draws=4).q - 1) < 1e-12
 
 
-def _dual_density(cfg, draw, y, rng):
+def _dual_density(cfg, nodes, y, rng):
     """F(y) = sum_j w_j (Phi(x_j, y) - cell mean of Phi(., y)) at one y."""
     Y = np.atleast_2d(np.asarray(y, dtype=float))
-    phi = kernel_profile(cfg.kernel, pairwise_distance(cfg.partition.space, draw.nodes, Y))
+    phi = kernel_profile(cfg.kernel, pairwise_distance(cfg.partition.space, nodes, Y))
     return float(cfg.partition.weights() @ (phi - _cell_means(cfg, rng, Y))[:, 0])
 
 
@@ -85,7 +85,7 @@ def test_dual_density_single_cell_oracle():
     # N=1, node 0.5, y=0.25: F = Phi(0.25 apart) - full-circle mean
     cfg = _cfg(PART1, RIESZ06, m_z=200_000)
     rng = rngmod.substream(1, rngmod.SELFTEST)
-    F = _dual_density(cfg, MID_DRAW1, np.array([0.25]), rng)
+    F = _dual_density(cfg, MID_NODES1, np.array([0.25]), rng)
     oracle = 0.25 ** -0.4 - (2.0 / 0.6) * 0.5 ** 0.6
     assert oracle == pytest.approx(-0.45807872469590905)
     assert F == pytest.approx(oracle, abs=0.02)
@@ -94,7 +94,7 @@ def test_dual_density_single_cell_oracle():
 def test_dual_density_constant_stub_is_zero():
     cfg = _cfg(PART1, STUB)
     rng = rngmod.substream(2, rngmod.SELFTEST)
-    F = _dual_density(cfg, MID_DRAW1, np.array([0.9]), rng)
+    F = _dual_density(cfg, MID_NODES1, np.array([0.9]), rng)
     assert F == pytest.approx(0.0, abs=1e-14)
 
 
@@ -105,19 +105,19 @@ def test_dual_density_antipodal_symmetry():
     # check the antipodal y maximizes distance so F < 0 (node far from y)
     cfg = _cfg(PART1, RIESZ06, m_z=100_000)
     rng = rngmod.substream(3, rngmod.SELFTEST)
-    F = _dual_density(cfg, MID_DRAW1, np.array([0.0]), rng)
+    F = _dual_density(cfg, MID_NODES1, np.array([0.0]), rng)
     oracle = 0.5 ** -0.4 - (2.0 / 0.6) * 0.5 ** 0.6
     assert F == pytest.approx(oracle, abs=0.02)
 
 
 def test_worst_case_error_constant_stub_zero():
     cfg = _cfg(PART4, STUB)
-    assert worst_case_error(cfg, draw_nodes(PART4, 1)) == pytest.approx(0.0, abs=1e-12)
+    assert worst_case_error(cfg, draw_nodes(PART4, 1), 0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_worst_case_error_single_cell_grid_oracle():
     cfg = _cfg(PART1, RIESZ75, m_y=60_000, m_z=96)
-    vals = np.array([worst_case_error(cfg, MID_DRAW1, rep=r) for r in range(8)])
+    vals = np.array([worst_case_error(cfg, MID_NODES1, 0, rep=r) for r in range(8)])
     ys = (np.arange(2 ** 15) + 0.5) / 2 ** 15
     t = np.abs(ys - 0.5)
     t = np.minimum(t, 1 - t)
@@ -136,9 +136,9 @@ def test_worst_case_error_my_doubling_halves_variance():
     v = {}
     for m_y in (64, 128):
         cfg = _cfg(PART4, kern, m_y=m_y, m_z=4)
-        v[m_y] = sum(np.array([worst_case_error(cfg, draw, rep=r) ** 2
+        v[m_y] = sum(np.array([worst_case_error(cfg, nodes, 0, rep=r) ** 2
                                for r in range(reps)]).var(ddof=1)
-                     for draw in (draw_nodes(PART4, k) for k in range(8, 16)))
+                     for nodes in (draw_nodes(PART4, k) for k in range(8, 16)))
     ratio = v[64] / v[128]
     assert 1.5 <= ratio <= 2.5
 
@@ -146,18 +146,18 @@ def test_worst_case_error_my_doubling_halves_variance():
 def test_worst_case_error_permutation_invariant():
     # relabeling cells (with their nodes) leaves the estimate unchanged
     cfg = _cfg(PART4, RIESZ75, m_y=2000, m_z=16)
-    draw = draw_nodes(PART4, 5)
-    base = worst_case_error(cfg, draw)
+    nodes = draw_nodes(PART4, 5)
+    base = worst_case_error(cfg, nodes, 0)
     perm = [2, 0, 3, 1]
     rows = ("measure", "circumradius", "anchor", "lo", "hi")
     part_p = dataclasses.replace(PART4, **{name: getattr(PART4, name)[perm] for name in rows})
     cfg_p = _cfg(part_p, RIESZ75, m_y=2000, m_z=16)
-    draw_p = NodeDraw(seed=draw.seed, index=draw.index, nodes=draw.nodes[perm])
-    val_p = worst_case_error(cfg_p, draw_p)
+    nodes_p = nodes[perm]
+    val_p = worst_case_error(cfg_p, nodes_p, 0)
     # same y/z stream structure but cells permuted; estimates agree in law --
     # check tight statistical agreement over replications
-    base_reps = np.array([worst_case_error(cfg, draw, rep=r) ** 2 for r in range(60)])
-    perm_reps = np.array([worst_case_error(cfg_p, draw_p, rep=r) ** 2 for r in range(60)])
+    base_reps = np.array([worst_case_error(cfg, nodes, 0, rep=r) ** 2 for r in range(60)])
+    perm_reps = np.array([worst_case_error(cfg_p, nodes_p, 0, rep=r) ** 2 for r in range(60)])
     se = math.hypot(base_reps.std(ddof=1), perm_reps.std(ddof=1)) / math.sqrt(60)
     assert abs(base_reps.mean() - perm_reps.mean()) <= 4 * se
 
@@ -256,7 +256,7 @@ def test_estimate_an_has_no_inner_budget(monkeypatch):
     a1 = estimate_AN(_cfg(part, ROUGH09, p=3.0, m_y=64, m_z=1, n_draws=6))
     a64 = estimate_AN(_cfg(part, ROUGH09, p=3.0, m_y=64, m_z=64, n_draws=6))
     assert repr(a1) == repr(a64)
-    assert worst_case_error(_cfg(part, ROUGH09, m_z=1), draw_nodes(part, 2)) > 0
+    assert worst_case_error(_cfg(part, ROUGH09, m_z=1), draw_nodes(part, 2), 0) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +272,17 @@ def test_reference_single_cell_closed_form(alpha):
     # N = 1: wce^2 = ||phi||^2 - I_Phi^2, ||phi||^2 = 2 int_0^(1/2) t^(2 alpha - 2) dt
     kern = KernelSpec(RIESZ, alpha=alpha, d=1)
     exact = 2.0 * 0.5 ** (2 * alpha - 1) / (2 * alpha - 1) - total_integral(kern, T1) ** 2
-    got = wq_reference(_cfg(PART1, kern), MID_DRAW1.nodes)
+    got = wq_reference(_cfg(PART1, kern), MID_NODES1)
     assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_reference_constant_stub_is_zero():
-    assert wq_reference(_cfg(PART4, STUB), draw_nodes(PART4, 2).nodes) == 0.0
+    assert wq_reference(_cfg(PART4, STUB), draw_nodes(PART4, 2)) == 0.0
 
 
 def test_reference_permutation_invariant():
     cfg = _cfg(PART16, RIESZ75)
-    nodes = draw_nodes(PART16, REF_SEED).nodes
+    nodes = draw_nodes(PART16, REF_SEED)
     perm = np.random.default_rng(REF_SEED).permutation(PART16.N)
     shuffled = dataclasses.replace(
         PART16, **{c: getattr(PART16, c)[perm] for c in partition._COLUMNS})
@@ -295,7 +295,7 @@ def test_reference_permutation_invariant():
 @pytest.mark.parametrize("p, tol", [(2.0, 1e-7), (4.0, 1e-5)])
 def test_reference_panel_doubling(monkeypatch, alpha, p, tol):
     cfg = _cfg(PART16, KernelSpec(RIESZ, alpha=alpha, d=1), p=p)
-    nodes = draw_nodes(PART16, REF_SEED).nodes
+    nodes = draw_nodes(PART16, REF_SEED)
     base = wq_reference(cfg, nodes)
     monkeypatch.setattr(wce, "PANELS", 2 * wce.PANELS)
     assert wq_reference(cfg, nodes) == pytest.approx(base, rel=tol, abs=0.0)
@@ -307,9 +307,9 @@ def test_reference_rejects_other_spaces_and_rough_kernels():
     riesz2 = KernelSpec(RIESZ, alpha=1.5, d=2)
     for part in (torus_grid_partition(T2, 4), sphere_zonal_partition(S2, 16)):
         with pytest.raises(ValueError, match="T\\^1 only"):
-            wq_reference(_cfg(part, riesz2), draw_nodes(part, 1).nodes)
+            wq_reference(_cfg(part, riesz2), draw_nodes(part, 1))
     with pytest.raises(ValueError, match="kappa = 0"):
-        wq_reference(_cfg(PART4, ROUGH09), draw_nodes(PART4, 1).nodes)
+        wq_reference(_cfg(PART4, ROUGH09), draw_nodes(PART4, 1))
 
 
 def test_reference_mean_matches_exact_a_n():
@@ -317,7 +317,7 @@ def test_reference_mean_matches_exact_a_n():
     # row "Exact p=2 A_N, T^1 Riesz alpha=0.75, by cell integrals"
     exact = 0.0764447679 ** 2
     cfg = _cfg(PART16, RIESZ75)
-    values = np.array([wq_reference(cfg, draw_nodes(PART16, REF_SEED, k).nodes)
+    values = np.array([wq_reference(cfg, draw_nodes(PART16, REF_SEED, k))
                        for k in range(200)])
     se = values.std(ddof=1) / math.sqrt(len(values))
     assert abs(values.mean() - exact) <= 3.0 * se
@@ -328,9 +328,9 @@ def test_monte_carlo_matches_reference_on_finite_variance_slice(alpha, p):
     # |F|^(2q) is integrable here, so the Monte Carlo mean has a finite SE;
     # alpha = 0.75 at p <= 2 lies past that boundary and is not gated
     cfg = _cfg(PART16, KernelSpec(RIESZ, alpha=alpha, d=1), p=p, m_y=4096, seed=REF_SEED)
-    draw = draw_nodes(PART16, REF_SEED)
-    mc = np.array([worst_case_error(cfg, draw, rep) ** cfg.q for rep in range(200)])
-    z = (mc.mean() - wq_reference(cfg, draw.nodes)) / (mc.std(ddof=1) / math.sqrt(len(mc)))
+    nodes = draw_nodes(PART16, REF_SEED)
+    mc = np.array([worst_case_error(cfg, nodes, 0, rep) ** cfg.q for rep in range(200)])
+    z = (mc.mean() - wq_reference(cfg, nodes)) / (mc.std(ddof=1) / math.sqrt(len(mc)))
     assert abs(z) <= 3.0
 
 
@@ -407,7 +407,7 @@ def _draw_tables_reference(cfg, ctx, index, sample=sample_all_cells, Y=None):
     """
     part = cfg.partition
     nodes = draw_nodes(part, cfg.seed, index,
-                       stream=rngmod.path_key(ctx, rngmod.NODES)).nodes
+                       stream=rngmod.path_key(ctx, rngmod.NODES))
     if Y is None:
         Y = sample_uniform(part.space, rngmod.substream(cfg.seed, ctx, rngmod.WCE_Y,
                                                         index, 0), cfg.m_y)
@@ -517,7 +517,7 @@ def _assert_only_row_redrawn(calls, poisoned, k):
 def test_draw_tables_redraws_only_the_singular_y(monkeypatch):
     cfg = _cfg(PART4, RIESZ75, m_y=16, m_z=8)
     nodes = draw_nodes(PART4, cfg.seed, 0,
-                       stream=rngmod.path_key(rngmod.AN, rngmod.NODES)).nodes
+                       stream=rngmod.path_key(rngmod.AN, rngmod.NODES))
     calls, poisoned = _poison_first_sample_uniform(monkeypatch, 5, nodes[2])
     T = _draw_tables(cfg, rngmod.AN, 0)
     _assert_only_row_redrawn(calls, poisoned, 5)
@@ -540,7 +540,7 @@ def test_wq_separable_rough_term_matches_table_route(N):
     cfg = _cfg(part, ROUGH09, p=3.0, m_y=192)
     for index in range(4):
         nodes = draw_nodes(part, cfg.seed, index,
-                           stream=rngmod.path_key(rngmod.AN, rngmod.NODES)).nodes
+                           stream=rngmod.path_key(rngmod.AN, rngmod.NODES))
         Y = sample_uniform(T1, rngmod.substream(cfg.seed, rngmod.AN, rngmod.WCE_Y, index, 0),
                            cfg.m_y)
         assert _wq(cfg, rngmod.AN, index) == pytest.approx(_wq_reference(cfg, nodes, Y),
@@ -549,11 +549,11 @@ def test_wq_separable_rough_term_matches_table_route(N):
 
 def test_wq_separable_rough_term_redraws_only_the_singular_y(monkeypatch):
     cfg = _cfg(PART4, ROUGH09, m_y=16)
-    draw = draw_nodes(PART4, 7)
-    calls, poisoned = _poison_first_sample_uniform(monkeypatch, 5, draw.nodes[2])
-    wq = worst_case_error(cfg, draw) ** 2
+    nodes = draw_nodes(PART4, 7)
+    calls, poisoned = _poison_first_sample_uniform(monkeypatch, 5, nodes[2])
+    wq = worst_case_error(cfg, nodes, 0) ** 2
     _assert_only_row_redrawn(calls, poisoned, 5)
-    assert wq == pytest.approx(_wq_reference(cfg, draw.nodes, calls[0]), rel=1e-8, abs=0.0)
+    assert wq == pytest.approx(_wq_reference(cfg, nodes, calls[0]), rel=1e-8, abs=0.0)
 
 
 def test_gamma_phi_redraws_only_the_singular_y(monkeypatch):
