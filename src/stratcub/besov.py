@@ -207,4 +207,6 @@ def sharpness_fn(partition: Partition, cell: int | None = None) -> TestFunction:
         lipschitz=lip, sup_bound=1.0,
         besov_norm=_lipschitz_besov_norm(space, lip, 1.0),
         cell_means=lambda partition_: np.zeros(partition_.N),
+        cell_constants=None if cell is None else (
+            lambda partition_: np.where(np.arange(partition_.N) == cell, math.nan, 0.0)),
     )

@@ -11,6 +11,26 @@ profiles on T^1 (the cone, the arc, the square wave) all integrate through
 have no closed form and leave ``cell_means`` as None; callers fall back to
 Monte Carlo.
 
+Functions that are constant on whole cells also carry
+``cell_constants(partition)``: f's value on each cell where f is constant
+over the whole closed cell, and NaN elsewhere, so that the estimators map
+and evaluate nodes only in the other cells.  The constant function is
+constant everywhere; an indicator of a T^d box is 1 or 0 on a cell that
+lies, on every axis, inside the box's interval or, on some axis, inside its
+complement; an indicator of an S^2 cap is 0 on a cell farther than its
+radius from the centre and 1 on a cell whose farthest point (pi less the
+cell's distance to the antipode) is nearer than it; a cone is 0 on a cell
+farther than its radius from its centre; and the single-cell sharpness
+function (``besov.sharpness_fn``) is 0 off its cell.  Each of these
+decisions keeps a margin ``CONSTANT_MARGIN`` = 1e-6 from every edge, so a
+cell that a boundary passes through or touches stays NaN.  The margin must
+exceed the rounding of the distances on both sides of each test: near a
+pole a geodesic distance through ``arccos`` of a rounded dot product or
+height is off by up to about 1.5e-8 (the square root of twice the unit
+roundoff), so a margin of 1e-9 is not safe there: with it, caps centred
+within 2e-8 of a pole whose edge lies within 3e-8 of a band edge had cells
+marked constant where a corner evaluates otherwise.
+
 Smoothness certificates: a bounded L-Lipschitz function with sup bound S
 admits the constant gradient family ``g_n == (L/2)^alpha * S^(1-alpha)``
 (optimize ``min(2S, L s) / (2 s^alpha)`` over the pair distance s), giving
@@ -25,10 +45,14 @@ from typing import Callable
 
 import numpy as np
 
-from .partition import Partition, check_count, check_keys, check_real, check_reals
+from .partition import (Partition, cell_boundary_distance, check_count, check_keys, check_real,
+                        check_reals)
 from .sets import SPHERE_CAP, TORUS_BOX, SetDescriptor, set_contains
 from .space import (SPHERE2, TORUS, SpaceDescriptor, distance, torus1d_radial_integral,
                     unit_direction)
+
+# distance that every cell_constants decision keeps from an edge (module docstring)
+CONSTANT_MARGIN = 1e-6
 
 
 @dataclass
@@ -44,6 +68,7 @@ class TestFunction:
     sup_bound: float | None = None
     besov_norm: Callable[[float, float], float] | None = None
     cell_means: Callable[[Partition], np.ndarray] | None = None
+    cell_constants: Callable[[Partition], np.ndarray] | None = None
 
     def __call__(self, pts) -> np.ndarray:
         return self.evaluate(np.atleast_2d(np.asarray(pts, dtype=float)))
@@ -66,6 +91,7 @@ def constant_fn(space: SpaceDescriptor, c: float) -> TestFunction:
         exact_integral=c * space.total_measure,
         params={"c": c}, lipschitz=0.0, sup_bound=abs(c),
         cell_means=lambda partition: np.full(partition.N, float(c)),
+        cell_constants=lambda partition: np.full(partition.N, float(c)),
     )
 
 
@@ -171,6 +197,11 @@ def cone_bump_fn(space: SpaceDescriptor, center, radius: float) -> TestFunction:
         t = distance(space, np.atleast_2d(pts), center)
         return np.maximum(0.0, 1.0 - t / radius)
 
+    def constants(partition: Partition) -> np.ndarray:
+        # 0 off the support
+        return np.where(_cell_distance(partition, center) > radius + CONSTANT_MARGIN,
+                        0.0, math.nan)
+
     means = None
     if space.kind == TORUS and space.d == 1:
         def antideriv(t):
@@ -186,7 +217,7 @@ def cone_bump_fn(space: SpaceDescriptor, center, radius: float) -> TestFunction:
         params={"center": tuple(center), "radius": radius},
         lipschitz=1.0 / radius, sup_bound=1.0,
         besov_norm=_lipschitz_besov_norm(space, 1.0 / radius, 1.0),
-        cell_means=means,
+        cell_means=means, cell_constants=constants,
     )
 
 
@@ -209,7 +240,28 @@ def indicator_fn(space: SpaceDescriptor, setd: SetDescriptor) -> TestFunction:
                             in enumerate(zip(setd.params["lo"], setd.params["side"]))], axis=0)
             return over / np.prod(hi - lo, axis=1)
 
-    elif setd.kind == SPHERE_CAP and abs(setd.params["center"][2]) > 1.0 - 1e-15:
+        def constants(partition: Partition) -> np.ndarray:
+            inside, outside = True, False
+            for i, (start, side) in enumerate(zip(setd.params["lo"], setd.params["side"])):
+                # the closed cell's offsets (x - start) mod 1, unwrapped: [a, b]
+                a = np.mod(partition.lo[:, i] - start, 1.0)
+                b = a + (partition.hi[:, i] - partition.lo[:, i])
+                inside = inside & (a >= CONSTANT_MARGIN) & (b <= side - CONSTANT_MARGIN)
+                outside = outside | ((a >= side + CONSTANT_MARGIN) & (b <= 1.0 - CONSTANT_MARGIN))
+            return np.where(outside, 0.0, np.where(inside, 1.0, math.nan))
+
+    else:
+        def constants(partition: Partition) -> np.ndarray:
+            center, radius = np.array(setd.params["center"]), setd.params["radius"]
+            out = np.where(_cell_distance(partition, center) > radius + CONSTANT_MARGIN,
+                           0.0, math.nan)
+            # a cell's farthest point from the centre is pi less its distance
+            # to the antipode
+            far = math.pi - _cell_distance(partition, -center)
+            out[far < radius - CONSTANT_MARGIN] = 1.0
+            return out
+
+    if setd.kind == SPHERE_CAP and abs(setd.params["center"][2]) > 1.0 - 1e-15:
         # pole-centered cap against zonal cells: z-interval overlap
         z_edge = math.cos(setd.params["radius"])
         z_lo, z_hi = (z_edge, 1.0) if setd.params["center"][2] > 0 else (-1.0, -z_edge)
@@ -224,7 +276,7 @@ def indicator_fn(space: SpaceDescriptor, setd: SetDescriptor) -> TestFunction:
     return TestFunction(
         fid=f"indicator_{shape}", space=space, evaluate=evaluate,
         exact_integral=setd.measure, params={"set": setd}, sup_bound=1.0,
-        cell_means=means,
+        cell_means=means, cell_constants=constants,
     )
 
 
@@ -250,6 +302,12 @@ def zonal_monomial_fn(space: SpaceDescriptor, power: int) -> TestFunction:
         besov_norm=_lipschitz_besov_norm(space, lip, 1.0) if m > 0 else None,
         cell_means=means,
     )
+
+
+def _cell_distance(partition: Partition, point: np.ndarray) -> np.ndarray:
+    """Distance from ``point`` to every closed cell (N,), 0 in the cell."""
+    return cell_boundary_distance(partition, np.arange(partition.N),
+                                  np.broadcast_to(point, (partition.N, len(point))))
 
 
 def _arc_integral(start: float, length: float, lo, hi) -> np.ndarray:

@@ -22,25 +22,26 @@ class RateFit:
 def rate_fit(points, n_boot: int = 1000, seed: int = 0) -> RateFit:
     """Ordinary least squares of log(value) on log(N).
 
-    Needs at least 4 points, every N finite and > 0 with at least two of
-    them distinct, and finite values > 0; the slope CI comes from
-    ``n_boot`` residual resamples (percentile 95%), drawn as one
-    (n_boot, points) table.
+    ``points`` are (N, value, stderr) triples; the fit reads N and the
+    value only, so a stderr may be None.  Needs at least 4 points, every N
+    finite and > 0 with at least two of them distinct, and finite values
+    > 0; the slope CI comes from ``n_boot`` residual resamples (percentile
+    95%), drawn as one (n_boot, points) table.
     """
     check_count("n_boot", n_boot, 2)
-    pts = [(float(n), float(v), float(se)) for n, v, se in points]
+    pts = [(float(n), float(v)) for n, v, _ in points]
     if len(pts) < 4:
         raise ValueError(f"rate fit needs >= 4 points, got {len(pts)}")
-    ns = [n for n, _, _ in pts]
+    ns = [n for n, _ in pts]
     for n in ns:
         if not (math.isfinite(n) and n > 0):
             raise ValueError(f"rate fit needs finite N > 0, got N = {n:g}")
     if len(set(ns)) < 2:
         raise ValueError(f"rate fit needs two distinct N, got only N = {ns[0]:g}")
-    if not all(0 < v < math.inf for _, v, _ in pts):
+    if not all(0 < v < math.inf for _, v in pts):
         raise ValueError("rate fit needs finite values > 0")
     x = np.log(np.array(ns))
-    y = np.log(np.array([v for _, v, _ in pts]))
+    y = np.log(np.array([v for _, v in pts]))
     slope, intercept = map(float, _ols(x, y))
     fitted = intercept + slope * x
     resid = y - fitted

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import os
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from stream_runs import StreamRun
+from test_funcs import constant_cases
 
 from stratcub import cubature
 from stratcub import mz as mzmod
@@ -112,9 +114,10 @@ def test_jackknife_ratio_matches_inline_formula():
 
 
 def _block_draws(part) -> int:
-    """Draws per block of the batched draw loops (at most L2_BLOCK // 8 node
-    coordinates); used here only to choose draw counts that end mid-block."""
-    return max(1, L2_BLOCK // (8 * part.N * part.anchor.shape[1]))
+    """Draws per block of the batched draw loops (at most L2_BLOCK // 8
+    uniforms, N k a draw for k chart axes); used here only to choose draw
+    counts that end mid-block."""
+    return max(1, L2_BLOCK // (8 * part.N * part.lo.shape[1]))
 
 
 @pytest.mark.parametrize("part", [torus_grid_partition(T1, 7), torus_grid_partition(T2, 3),
@@ -165,9 +168,9 @@ def test_batched_draws_match_per_draw_loop(part, f):
     """estimate_BN and mz_pair equal (==) a loop over draws that reads one
     run of the stream, samples one node per cell and evaluates f per draw.  The draw
     counts end inside a block, after one or more full blocks, except where a
-    block holds one draw (T^1 N = 8192, T^2 N = 4096, S^2 N = 2048); at
-    N = 1 the blocks hold 8192 (T^1) or 4096 (T^2) draws, so only one case
-    there, the cone on T^2, spans two."""
+    block holds one draw (T^1 N = 8192, T^2 N = 4096); S^2 N = 2048 holds
+    two.  At N = 1 the blocks hold 8192 (T^1) or 4096 (T^2) draws, so only
+    one case there, the cone on T^2, spans two."""
     K = _block_draws(part)
     n_draws = 2 * K + 3 if K <= 512 else 13
     if part.N == 1 and part.space.d == 2 and f.fid == "cone":
@@ -197,6 +200,20 @@ def test_batched_draws_match_per_draw_loop(part, f):
             assert (rep.ratio, rep.ratio_se) == ratio
 
 
+@pytest.mark.parametrize("part,f", [c[1:] for c in constant_cases()],
+                         ids=[c[0] for c in constant_cases()])
+def test_constant_cells_do_not_move_the_estimates(part, f):
+    """estimate_BN and mz_pair give the same bytes with and without
+    ``cell_constants`` (which leaves every node mapped and evaluated, and
+    every Monte Carlo cell mean sampled), over a draw count that spans two
+    blocks."""
+    n_draws = _block_draws(part) + 3
+    results = [repr((estimate_BN(g, part, 3.0, n_draws, seed=2),
+                     mz_pair(g, part, 3.0, n_draws, seed=2)))
+               for g in (f, dataclasses.replace(f, cell_constants=None))]
+    assert results[0] == results[1]
+
+
 def test_batched_draws_single_cell_cos_rounding():
     """At N = 1 a draw's nodes are one row, which numpy's matmul takes
     through a dot kernel; a block of rows goes through the matrix-vector
@@ -223,10 +240,10 @@ def test_fixed_function_draws_do_not_depend_on_block_size(part, f, monte_carlo, 
     3 or all draws, and 1, 3 or all cells of the Monte Carlo cell means:
     each draw and cell reads its own run of the stream."""
     assert (f.cell_means is None) == monte_carlo
-    n_draws, dim = 11, part.anchor.shape[1]
+    n_draws, dim, k = 11, part.anchor.shape[1], part.lo.shape[1]
     results = set()
     for draws, cells in ((1, 1), (3, 3), (n_draws, part.N)):
-        monkeypatch.setattr(cubature, "L2_BLOCK", 8 * part.N * dim * draws)
+        monkeypatch.setattr(cubature, "L2_BLOCK", 8 * part.N * k * draws)
         monkeypatch.setattr(mzmod, "L2_BLOCK", M_CELL * dim * cells)
         st = estimate_BN(f, part, 3.0, n_draws, seed=5)
         rep = mz_pair(f, part, 3.0, n_draws, seed=5)

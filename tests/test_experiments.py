@@ -24,6 +24,14 @@ def test_rate_fit_exact_power_law():
     assert fit.slope_ci[0] <= fit.slope <= fit.slope_ci[1]
 
 
+def test_rate_fit_reads_no_standard_error():
+    """A standard error of None fits as 0.0 does: the fit reads N and the value only."""
+    ns = (8, 16, 32, 64)
+    fit = rate_fit([(n, 1.0 / n, None) for n in ns])
+    assert fit == rate_fit([(n, 1.0 / n, 0.0) for n in ns])
+    assert fit.slope == pytest.approx(-1.0, abs=1e-10)
+
+
 @given(st.floats(-2.0, -0.25), st.floats(0.5, 5.0))
 @settings(derandomize=True, max_examples=50)
 def test_rate_fit_recovers_random_exponent(slope, c):

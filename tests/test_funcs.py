@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stratcub import partition as partmod
 from stratcub import rng as rngmod
+from stratcub.besov import sharpness_fn
 from stratcub.funcs import (cone_bump_fn, constant_fn, coordinate_fn, cos_fn,
                             indicator_fn, make_function, square_wave_fn,
                             zonal_monomial_fn, _arc_integral)
-from stratcub.partition import cell_sample, sphere_zonal_partition, torus_grid_partition
+from stratcub.partition import (cell_points, cell_sample, sphere_zonal_partition,
+                                torus_grid_partition)
 from stratcub.sets import make_arc, make_box, make_cap, set_contains
 from stratcub.space import SPHERE2, TORUS, make_space, sample_uniform
 
@@ -223,3 +226,90 @@ def test_value_at_a_point_does_not_depend_on_its_batch(f):
     batch = f.evaluate(pts)
     rows = range(0, len(pts), 10)
     assert np.array_equal([f.evaluate(pts[i])[0] for i in rows], batch[rows])
+
+
+def constant_cases():
+    """(id, partition, f) for functions with constant cells: every kind
+    that carries ``cell_constants``, each with some cells constant and some
+    not."""
+    t1, t2, s2 = torus_grid_partition(T1, 16), torus_grid_partition(T2, 8), \
+        sphere_zonal_partition(S2, 64)
+    return [
+        ("T1-arc-wraps", t1, indicator_fn(T1, make_arc(0.8, 0.45))),
+        ("T1-arc-on-edges", torus_grid_partition(T1, 8), indicator_fn(T1, make_arc(0.25, 0.5))),
+        ("T2-box", t2, indicator_fn(T2, make_box((0.2, 0.35), (0.7, 0.6)))),
+        ("T2-box-on-edges", t2, indicator_fn(T2, make_box((0.25, 0.5), (0.75, 0.875)))),
+        ("S2-cap-off-pole", s2, indicator_fn(S2, make_cap((1.0, 1.0, 1.0), 1.0))),
+        ("S2-cap-pole", s2, indicator_fn(S2, make_cap((0.0, 0.0, 1.0), 1.0))),
+        ("S2-cap-south-pole", s2, indicator_fn(S2, make_cap((0.0, 0.0, -1.0), 2.0))),
+        # a centre 1e-7 from the pole, inside the arccos rounding of a height
+        ("S2-cap-near-pole", s2, indicator_fn(S2, make_cap((1e-7, 0.0, 1.0), 1.0))),
+        # a centre 2e-9 from the pole and an edge within 3e-8 of a band edge:
+        # with a margin of 1e-9, four cells would be marked constant where a
+        # corner evaluates otherwise
+        ("S2-cap-near-pole-band-edge", s2, indicator_fn(
+            S2, make_cap((-3.878092846189935e-10, -2.141582695388597e-09, 1.0),
+                         2.0236129230610818))),
+        ("T1-cone", t1, cone_bump_fn(T1, (0.4,), 0.3)),
+        ("T2-cone", t2, cone_bump_fn(T2, (0.3, 0.6), 0.2)),
+        ("S2-cone", s2, cone_bump_fn(S2, (1.0, 0.2, 0.3), 1.0)),
+        ("T2-sharpness-one-cell", t2, sharpness_fn(t2, 9)),
+        ("S2-sharpness-one-cell", s2, sharpness_fn(s2, 0)),
+    ]
+
+
+@pytest.mark.parametrize("part,f", [c[1:] for c in constant_cases()],
+                         ids=[c[0] for c in constant_cases()])
+def test_cell_constants_are_what_evaluate_gives(part, f):
+    """A cell marked constant takes its constant at sampled points and at
+    its corners (its closure's extreme points), so every cell where f takes
+    two values is left NaN."""
+    const = f.cell_constants(part)
+    assert const.shape == (part.N,)
+    fixed = ~np.isnan(const)
+    assert fixed.any() and not fixed.all()
+    k = part.lo.shape[1]
+    corners = partmod._cell_map(part, np.indices((2,) * k).reshape(k, -1), slice(None))
+    pts = np.concatenate([cell_points(part, rngmod.substream(3, rngmod.SELFTEST), 512),
+                          corners], axis=1)
+    values = f.evaluate(pts.reshape(-1, pts.shape[-1])).reshape(part.N, -1)
+    assert np.array_equal(values[fixed], np.broadcast_to(const[fixed, None], values[fixed].shape))
+
+
+def test_constant_function_is_constant_everywhere():
+    part = sphere_zonal_partition(S2, 32)
+    assert np.array_equal(constant_fn(S2, 2.5).cell_constants(part), np.full(32, 2.5))
+    assert coordinate_fn(T1).cell_constants is None
+    assert sharpness_fn(part).cell_constants is None
+
+
+def test_cells_that_a_boundary_touches_are_not_constant():
+    """Cells whose closure meets the region's boundary stay NaN, even when
+    the boundary runs exactly along their edges."""
+    nan = math.nan
+    # the arc [1/4, 3/4) on eight cells of 1/8: cells 1, 2, 5 and 6 touch its ends
+    f = indicator_fn(T1, make_arc(0.25, 0.5))
+    assert np.array_equal(f.cell_constants(torus_grid_partition(T1, 8)),
+                          [0.0, nan, nan, 1.0, 1.0, nan, nan, 0.0], equal_nan=True)
+    # a box on grid edges: a cell is constant exactly when it is not on the boundary
+    part = torus_grid_partition(T2, 8)
+    lo, hi = np.array([0.25, 0.5]), np.array([0.75, 0.875])
+    got = indicator_fn(T2, make_box(lo, hi)).cell_constants(part)
+    inner = np.all((part.lo > lo) & (part.hi < hi), axis=1)
+    apart = np.any((part.hi < lo) | (part.lo > hi), axis=1)
+    assert np.array_equal(got, np.where(inner, 1.0, np.where(apart, 0.0, nan)), equal_nan=True)
+    # caps about either pole whose edge is a band edge: the bands on both
+    # sides of it stay NaN, the others are constant
+    part = sphere_zonal_partition(S2, 64)
+    bands = part.meta["bands"]
+    for b in (1, 2, 3):
+        z_edge = bands[b][0]
+        for sign in (1.0, -1.0):
+            cap = make_cap((0.0, 0.0, sign), math.acos(sign * z_edge))
+            got = indicator_fn(S2, cap).cell_constants(part)
+            z_top, z_bot = -part.lo[:, 0], -part.hi[:, 0]
+            above, below = z_bot > z_edge, z_top < z_edge
+            inside, outside = (above, below) if sign > 0 else (below, above)
+            expect = np.where(inside, 1.0, np.where(outside, 0.0, nan))
+            assert np.array_equal(got, expect, equal_nan=True)
+            assert np.isnan(got).sum() == bands[b - 1][2] + bands[b][2]
