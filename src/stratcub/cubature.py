@@ -19,7 +19,7 @@ function of its counter, so disjoint runs are as independent as separate
 streams.  ``value_blocks`` takes a block of draws with one
 ``partition.stream_points`` call (one ``rng.window`` and one cell map) and
 evaluates the function on its nodes in one call.  A block reads at most
-``L2_BLOCK // 8`` uniforms (64 KB).  A cell on which the function is
+``L2_BLOCK // 4`` uniforms (128 KB).  A cell on which the function is
 constant (``TestFunction.cell_constants``) adds exactly zero to every
 draw's error; its runs are still read, so the layout does not move, but its
 nodes are not mapped or evaluated, and its value is the constant.  Each
@@ -73,7 +73,7 @@ def value_blocks(f: TestFunction, partition: Partition, seed: int, n_draws: int,
     """Yield ``(k0, values)`` over draws 0 .. n_draws - 1 in blocks: row i of
     ``values`` (K, N) is ``f`` at the nodes of draw k0 + i, one per cell,
     which run k0 + i of the stream ``(seed, stream)`` places (see the module
-    docstring).  A block reads at most ``L2_BLOCK // 8`` uniforms (at least
+    docstring).  A block reads at most ``L2_BLOCK // 4`` uniforms (at least
     one draw) with one ``stream_points`` call.  Cells where ``f`` is
     constant (``f.cell_constants``) take their constant, which is what
     ``f.evaluate`` gives there; only the other cells' nodes are mapped and
@@ -81,18 +81,14 @@ def value_blocks(f: TestFunction, partition: Partition, seed: int, n_draws: int,
     N, k = partition.lo.shape
     dim = partition.anchor.shape[1]
     const = np.full(N, math.nan) if f.cell_constants is None else f.cell_constants(partition)
-    keep = np.flatnonzero(np.isnan(const))
-    n_todo = len(keep)
-    if n_todo and keep[-1] - keep[0] == n_todo - 1:
-        # consecutive cells (every cell, if f has no constants) are a slice:
-        # their runs and values are views, not copies
-        keep = slice(keep[0], keep[-1] + 1)
-    K = max(1, L2_BLOCK // (8 * N * k))
+    todo = np.flatnonzero(np.isnan(const))
+    keep = None if len(todo) == N else todo
+    K = max(1, L2_BLOCK // (4 * N * k))
     for k0 in range(0, n_draws, K):
         count = min(n_draws - k0, K)
         nodes = stream_points(partition, seed, stream, first=k0, count=count, keep=keep)
-        values = f.evaluate(nodes.reshape(-1, dim)).reshape(count, n_todo)
-        if n_todo < N:
+        values = f.evaluate(nodes.reshape(-1, dim)).reshape(count, len(todo))
+        if keep is not None:
             values, mapped = np.tile(const, (count, 1)), values
             values[:, keep] = mapped
         yield k0, values

@@ -14,9 +14,8 @@ end of an ``mz`` experiment's empirical envelope is the b_p of ``besov_rhs_bound
 Draw k's nodes are run k of the stream ``(seed, MZ)``, one node per cell,
 read a block of draws at a time by ``cubature.value_blocks``.  Without
 closed-form cell means, cell j's ``M_CELL`` Monte Carlo samples are run j
-of the stream ``(seed, MZ, 1)``, read a block of cells at a time; a cell
-where f is constant takes its constant and draws none.  Neither depends on
-the block size.
+of the stream ``(seed, MZ, 1)``, read a block of cells at a time.  Neither
+depends on the block size.
 """
 
 from __future__ import annotations
@@ -85,22 +84,17 @@ def mz_pair(f: TestFunction, partition: Partition, p: float, n_draws: int,
 def _cell_means(f: TestFunction, partition: Partition, seed: int) -> np.ndarray:
     """Closed-form cell means of f, or the mean of ``M_CELL`` samples per
     cell: cell j's are run j of the stream ``(seed, MZ, 1)``, drawn and
-    evaluated a block of consecutive cells at a time (about ``L2_BLOCK``
-    coordinates a block).  A cell where f is constant (``f.cell_constants``)
-    takes its constant and draws no samples; the constants that reach here
-    are 0 and 1, whose mean over ``M_CELL`` samples is exact."""
+    evaluated a block of cells at a time (about ``L2_BLOCK`` coordinates a
+    block)."""
     if f.cell_means is not None:
         return f.cell_means(partition)
     N, dim = partition.anchor.shape
-    means = np.full(N, math.nan) if f.cell_constants is None else f.cell_constants(partition)
-    assert np.all(np.isnan(means) | (means == 0.0) | (means == 1.0))
-    todo = np.flatnonzero(np.isnan(means))
     block = max(1, L2_BLOCK // (M_CELL * dim))
-    for run in np.split(todo, np.flatnonzero(np.diff(todo) > 1) + 1):
-        for i in range(0, len(run), block):
-            cells = run[i:i + block]
-            pts = stream_points(partition, seed, rngmod.MZ, 1, first=cells[0], count=len(cells),
-                                m=M_CELL, ids=cells[:, None])
-            values = f.evaluate(pts.reshape(-1, dim))
-            means[cells] = values.reshape(len(cells), M_CELL).mean(axis=1)
+    means = np.empty(N)
+    for j0 in range(0, N, block):
+        cells = np.arange(j0, min(N, j0 + block))
+        pts = stream_points(partition, seed, rngmod.MZ, 1, first=j0, count=len(cells),
+                            m=M_CELL, ids=cells[:, None])
+        values = f.evaluate(pts.reshape(-1, dim))
+        means[j0:j0 + len(cells)] = values.reshape(len(cells), M_CELL).mean(axis=1)
     return means

@@ -354,7 +354,7 @@ def cell_points(partition: Partition, rng: np.random.Generator, m: int,
 
 
 def stream_points(partition: Partition, seed: int, *path: int, first: int, count: int,
-                  m: int = 1, ids=slice(None), keep=slice(None)) -> np.ndarray:
+                  m: int = 1, ids=slice(None), keep=None) -> np.ndarray:
     """m uniform points in each of the cells ``ids`` for units ``first`` ..
     ``first + count - 1`` of the stream ``(seed, *path)``; returns (count,
     cells, m, dim).
@@ -364,16 +364,18 @@ def stream_points(partition: Partition, seed: int, *path: int, first: int, count
     cells) gives unit ``first + i`` the cells ``ids[i]``.  One
     ``rng.window`` call reads the runs and one cell map turns them into
     points, so the result does not depend on how a caller splits its units.
-    ``keep`` (positions along the cells axis, or a slice) maps only those
-    cells of every run; the runs keep their full layout, so the result is
-    the full result's ``[:, keep]``.
+    ``keep`` (positions along the cells axis) maps only those cells of
+    every run; the runs keep their full layout, so the result is the full
+    result's ``[:, keep]``.
     """
     def draw(shape):
         return rngmod.window(seed, *path, start=first * math.prod(shape), shape=(count,) + shape)
 
     u = _axis_uniforms(partition, draw, partition.measure[ids].shape[-1], m)
-    return _cell_map(partition, [a[..., keep, :] for a in u],
-                     np.arange(partition.N)[ids][..., keep])
+    if keep is not None:
+        u = [a[..., keep, :] for a in u]
+        ids = np.arange(partition.N)[ids][..., keep]
+    return _cell_map(partition, u, ids)
 
 
 def _axis_uniforms(partition: Partition, draw, cells: int, m: int) -> list[np.ndarray]:

@@ -1,11 +1,9 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 from stream_runs import StreamRun
 
-from stratcub import experiments
 from stratcub import rng as rngmod
 from stratcub.funcs import (cone_bump_fn, constant_fn, coordinate_fn, indicator_fn,
                             square_wave_fn, zonal_monomial_fn)
@@ -131,21 +129,3 @@ def test_mz_pair_jackknife_matches_inline(p):
     assert rep.bracket == (brk.sum() / K) ** power and rep.bracket_se == se(loo(brk))
     assert rep.ratio == rep.middle / rep.bracket
     assert rep.ratio_se == se(loo(mid) / loo(brk))
-
-
-@pytest.mark.parametrize("f", [indicator_fn(S2, make_cap((1.0, 1.0, 1.0), 1.0)),
-                               cone_bump_fn(S2, (1.0, 0.2, 0.3), 1.0)],
-                         ids=["off-pole-cap", "S2-cone"])
-def test_mz_experiment_bytes_do_not_depend_on_cell_constants(f, tmp_path, monkeypatch):
-    """With no closed-form cell means, constant cells take their constant in
-    place of M_CELL samples each; the experiment's CSV and JSON keep every
-    byte of a run that samples every cell."""
-    assert f.cell_means is None
-    outputs = []
-    for g, name in ((f, "with"), (dataclasses.replace(f, cell_constants=None), "without")):
-        monkeypatch.setattr(experiments, "make_function", lambda space, fid, g=g, **kw: g)
-        out = tmp_path / name
-        run_experiment(ExperimentConfig(kind="mz", space_kind="sphere2", n_list=(8, 16, 32, 64),
-                                        p=4.0, n_draws=200, seed=3, out=str(out)))
-        outputs.append([(tmp_path / (name + ext)).read_bytes() for ext in (".csv", ".json")])
-    assert outputs[0] == outputs[1]
