@@ -83,14 +83,18 @@ def value_blocks(f: TestFunction, partition: Partition, seed: int, n_draws: int,
     const = np.full(N, math.nan) if f.cell_constants is None else f.cell_constants(partition)
     todo = np.flatnonzero(np.isnan(const))
     keep = None if len(todo) == N else todo
+    if keep is not None:
+        fixed = np.flatnonzero(~np.isnan(const))
+        # the columns [mapped cells, constant cells] taken back to cell order
+        order = np.argsort(np.concatenate([todo, fixed]))
     K = max(1, L2_BLOCK // (4 * N * k))
     for k0 in range(0, n_draws, K):
         count = min(n_draws - k0, K)
         nodes = stream_points(partition, seed, stream, first=k0, count=count, keep=keep)
         values = f.evaluate(nodes.reshape(-1, dim)).reshape(count, len(todo))
         if keep is not None:
-            values, mapped = np.tile(const, (count, 1)), values
-            values[:, keep] = mapped
+            values = np.concatenate([values, np.broadcast_to(const[fixed], (count, len(fixed)))],
+                                    axis=1).take(order, axis=1)
         yield k0, values
 
 
