@@ -18,14 +18,16 @@ the -z row, then the longitude row.  Philox is a keyed
 function of its counter, so disjoint runs are as independent as separate
 streams.  ``value_blocks`` takes a block of draws with one
 ``partition.stream_points`` call (one ``rng.window`` and one cell map) and
-evaluates the function on its nodes in one call.  A block reads at most
-``L2_BLOCK // 4`` uniforms (128 KB).  A cell on which the function is
-constant (``TestFunction.cell_constants``) adds exactly zero to every
-draw's error; its runs are still read, so the layout does not move, but its
-nodes are not mapped or evaluated, and its value is the constant.  Each
-block is then reduced row-wise
-(``np.vecdot``, a row sum), with no Python loop over its draws; a row-wise
-dot rounds as that draw's own ``w @ v`` does.
+evaluates the function on its nodes in one call.  A cell on which the
+function is constant (``TestFunction.cell_constants``) adds exactly zero to
+every draw's error; its runs are still read, so the layout does not move,
+but its nodes are not mapped or evaluated, and its value is the constant.
+A block holds at most ``L2_BLOCK // 8`` values (64 KB) and maps at most
+``L2_BLOCK // 8`` node coordinates, so a function with many constant cells
+fits more draws in a block, and pays each block's fixed cost fewer times,
+while its mapped temporaries keep the same bound.  Each block is then
+reduced row-wise (``np.vecdot``, a row sum), with no Python loop over its
+draws; a row-wise dot rounds as that draw's own ``w @ v`` does.
 
 ``run_indexed`` is the one thread runner of the package: ``wce`` runs the
 draws of A_N and Delta through it, and ``experiments.run_experiment`` its N
@@ -73,11 +75,12 @@ def value_blocks(f: TestFunction, partition: Partition, seed: int, n_draws: int,
     """Yield ``(k0, values)`` over draws 0 .. n_draws - 1 in blocks: row i of
     ``values`` (K, N) is ``f`` at the nodes of draw k0 + i, one per cell,
     which run k0 + i of the stream ``(seed, stream)`` places (see the module
-    docstring).  A block reads at most ``L2_BLOCK // 4`` uniforms (at least
-    one draw) with one ``stream_points`` call.  Cells where ``f`` is
-    constant (``f.cell_constants``) take their constant, which is what
-    ``f.evaluate`` gives there; only the other cells' nodes are mapped and
-    evaluated, in one call.  So the values do not depend on the block size."""
+    docstring).  A block holds at most ``L2_BLOCK // 8`` values and at most
+    ``L2_BLOCK // 8`` mapped node coordinates (at least one draw), read with
+    one ``stream_points`` call.  Cells where ``f`` is constant
+    (``f.cell_constants``) take their constant, which is what ``f.evaluate``
+    gives there; only the other cells' nodes are mapped and evaluated, in
+    one call.  So the values do not depend on the block size."""
     N, k = partition.lo.shape
     dim = partition.anchor.shape[1]
     const = np.full(N, math.nan) if f.cell_constants is None else f.cell_constants(partition)
@@ -87,7 +90,7 @@ def value_blocks(f: TestFunction, partition: Partition, seed: int, n_draws: int,
         fixed = np.flatnonzero(~np.isnan(const))
         # the columns [mapped cells, constant cells] taken back to cell order
         order = np.argsort(np.concatenate([todo, fixed]))
-    K = max(1, L2_BLOCK // (4 * N * k))
+    K = max(1, L2_BLOCK // (8 * max(N, len(todo) * dim)))
     for k0 in range(0, n_draws, K):
         count = min(n_draws - k0, K)
         nodes = stream_points(partition, seed, stream, first=k0, count=count, keep=keep)

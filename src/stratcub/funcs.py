@@ -19,9 +19,12 @@ constant everywhere; an indicator of a T^d box is 1 or 0 on a cell that
 lies, on every axis, inside the box's interval or, on some axis, inside its
 complement; an indicator of an S^2 cap is 0 on a cell farther than its
 radius from the centre and 1 on a cell whose farthest point (pi less the
-cell's distance to the antipode) is nearer than it; a cone is 0 on a cell
-farther than its radius from its centre; and the single-cell sharpness
-function (``besov.sharpness_fn``) is 0 off its cell.  Each of these
+cell's distance to the antipode) is nearer than it; and the single-cell
+sharpness function (``besov.sharpness_fn``) is 0 off its cell.  The cone
+carries none, though it is 0 off its support: on T^1 a node costs a few
+nanoseconds to map and evaluate, less than gathering the mapped cells and
+putting the values back in cell order, so skipping half the cells made
+its estimates slower.  Each of these
 decisions keeps a margin ``CONSTANT_MARGIN`` = 1e-6 from every edge, so a
 cell that a boundary passes through or touches stays NaN.  The margin must
 exceed the rounding of the distances on both sides of each test: near a
@@ -197,11 +200,6 @@ def cone_bump_fn(space: SpaceDescriptor, center, radius: float) -> TestFunction:
         t = distance(space, np.atleast_2d(pts), center)
         return np.maximum(0.0, 1.0 - t / radius)
 
-    def constants(partition: Partition) -> np.ndarray:
-        # 0 off the support
-        return np.where(_cell_distance(partition, center) > radius + CONSTANT_MARGIN,
-                        0.0, math.nan)
-
     means = None
     if space.kind == TORUS and space.d == 1:
         def antideriv(t):
@@ -217,7 +215,7 @@ def cone_bump_fn(space: SpaceDescriptor, center, radius: float) -> TestFunction:
         params={"center": tuple(center), "radius": radius},
         lipschitz=1.0 / radius, sup_bound=1.0,
         besov_norm=_lipschitz_besov_norm(space, 1.0 / radius, 1.0),
-        cell_means=means, cell_constants=constants,
+        cell_means=means,
     )
 
 

@@ -113,11 +113,18 @@ def test_jackknife_ratio_matches_inline_formula():
         assert got == (theta, se)
 
 
-def _block_draws(part) -> int:
-    """Draws per block of the batched draw loops (at most L2_BLOCK // 4
-    uniforms, N k a draw for k chart axes); used here only to choose draw
-    counts that end mid-block."""
-    return max(1, L2_BLOCK // (4 * part.N * part.lo.shape[1]))
+def _block_width(part, f) -> int:
+    """The larger of a draw's values (N) and its mapped node coordinates
+    (the cells without a constant, times dim): a block holds at most
+    L2_BLOCK // 8 of either, over its draws."""
+    mapped = part.N if f.cell_constants is None else np.isnan(f.cell_constants(part)).sum()
+    return max(part.N, int(mapped) * part.anchor.shape[1])
+
+
+def _block_draws(part, f) -> int:
+    """Draws per block of the batched draw loops; used here only to choose
+    draw counts that end mid-block."""
+    return max(1, L2_BLOCK // (8 * _block_width(part, f)))
 
 
 @pytest.mark.parametrize("part", [torus_grid_partition(T1, 7), torus_grid_partition(T2, 3),
@@ -142,12 +149,12 @@ def _per_draw_values(f, part, seed, n_draws, stream):
 def _batched_cases():
     box2 = make_box((0.2, 0.35), (0.7, 0.6))
     cases = []
-    for m in (1, 16, 512, 2048, 8192, 16384):  # N = 16384: one draw a block
+    for m in (1, 16, 512, 2048, 8192):  # N = 8192: one draw a block
         part = torus_grid_partition(T1, m)
         fs = [cone_bump_fn(T1, (0.4,), 0.3), coordinate_fn(T1), square_wave_fn(T1, 3),
               indicator_fn(T1, make_arc(0.2, 0.5))]
         cases += [(f"T1-N{m}-{f.fid}", part, f) for f in fs]
-    for m in (1, 4, 23, 45, 64):  # N = 1, 16, 529, 2025, 4096 (two draws a block)
+    for m in (1, 4, 23, 45, 64):  # N = 1, 16, 529, 2025, 4096 (one draw a block)
         part = torus_grid_partition(T2, m)
         fs = [make_function(T2, "cone"), coordinate_fn(T2, 1), indicator_fn(T2, box2)]
         if m > 1:
@@ -168,10 +175,11 @@ def test_batched_draws_match_per_draw_loop(part, f):
     """estimate_BN and mz_pair equal (==) a loop over draws that reads one
     run of the stream, samples one node per cell and evaluates f per draw.  The draw
     counts end inside a block, after one or more full blocks, except where a
-    block holds one draw (T^1 N = 16384); T^1 N = 8192 and T^2 N = 4096 hold
-    two, S^2 N = 2048 four.  At N = 1 the blocks hold 16384 (T^1) or 8192
-    (T^2) draws, so only one case there, the cone on T^2, spans two."""
-    K = _block_draws(part)
+    block holds one draw (T^1 N = 8192, T^2 N = 4096, S^2 N = 2048, except
+    the T^2 box and the S^2 caps, whose constant cells fit two and four draws
+    a block); at N = 1 the blocks hold 8192 (T^1) or 4096 (T^2) draws, so
+    only one case there, the cone on T^2, spans two."""
+    K = _block_draws(part, f)
     n_draws = 2 * K + 3 if K <= 512 else 13
     if part.N == 1 and part.space.d == 2 and f.fid == "cone":
         n_draws = K + 3
@@ -206,7 +214,7 @@ def test_constant_cells_do_not_move_the_estimates(part, f):
     """estimate_BN and mz_pair give the same bytes with and without
     ``cell_constants`` (which leaves every node mapped and evaluated), over
     a draw count that spans two blocks."""
-    n_draws = _block_draws(part) + 3
+    n_draws = _block_draws(part, f) + 3
     results = [repr((estimate_BN(g, part, 3.0, n_draws, seed=2),
                      mz_pair(g, part, 3.0, n_draws, seed=2)))
                for g in (f, dataclasses.replace(f, cell_constants=None))]
@@ -239,10 +247,10 @@ def test_fixed_function_draws_do_not_depend_on_block_size(part, f, monte_carlo, 
     3 or all draws, and 1, 3 or all cells of the Monte Carlo cell means:
     each draw and cell reads its own run of the stream."""
     assert (f.cell_means is None) == monte_carlo
-    n_draws, dim, k = 11, part.anchor.shape[1], part.lo.shape[1]
+    n_draws, dim = 11, part.anchor.shape[1]
     results = set()
     for draws, cells in ((1, 1), (3, 3), (n_draws, part.N)):
-        monkeypatch.setattr(cubature, "L2_BLOCK", 4 * part.N * k * draws)
+        monkeypatch.setattr(cubature, "L2_BLOCK", 8 * _block_width(part, f) * draws)
         monkeypatch.setattr(mzmod, "L2_BLOCK", M_CELL * dim * cells)
         st = estimate_BN(f, part, 3.0, n_draws, seed=5)
         rep = mz_pair(f, part, 3.0, n_draws, seed=5)

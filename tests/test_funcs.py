@@ -250,9 +250,6 @@ def constant_cases():
         ("S2-cap-near-pole-band-edge", s2, indicator_fn(
             S2, make_cap((-3.878092846189935e-10, -2.141582695388597e-09, 1.0),
                          2.0236129230610818))),
-        ("T1-cone", t1, cone_bump_fn(T1, (0.4,), 0.3)),
-        ("T2-cone", t2, cone_bump_fn(T2, (0.3, 0.6), 0.2)),
-        ("S2-cone", s2, cone_bump_fn(S2, (1.0, 0.2, 0.3), 1.0)),
         ("T2-sharpness-one-cell", t2, sharpness_fn(t2, 9)),
         ("S2-sharpness-one-cell", s2, sharpness_fn(s2, 0)),
     ]
