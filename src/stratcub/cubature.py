@@ -81,8 +81,7 @@ def value_blocks(f: TestFunction, partition: Partition, seed: int, n_draws: int,
     (``f.cell_constants``) take their constant, which is what ``f.evaluate``
     gives there; only the other cells' nodes are mapped and evaluated, in
     one call.  So the values do not depend on the block size."""
-    N, k = partition.lo.shape
-    dim = partition.anchor.shape[1]
+    N, dim = partition.anchor.shape
     const = np.full(N, math.nan) if f.cell_constants is None else f.cell_constants(partition)
     todo = np.flatnonzero(np.isnan(const))
     keep = None if len(todo) == N else todo
