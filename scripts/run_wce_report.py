@@ -38,8 +38,8 @@ def main() -> int:
         kern = KernelSpec(args.family, args.alpha, part.space.d, args.eps, args.kappa)
         cfg = WceConfig(part, kern, args.p, m_y=args.my, m_z=args.mz,
                         n_draws=args.draws, seed=args.seed)
-        rep = run_report(cfg)  # the constant stub raises before any draw
-    except ValueError as exc:
+        rep = run_report(cfg)
+    except ValueError as exc:  # a bad config raises from its constructor, before any draw
         raise SystemExit(str(exc))
     print(f"config: {rep.config_label}")
     print(f"regime: {rep.regime}")

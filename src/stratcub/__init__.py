@@ -7,10 +7,10 @@ balls, their two-sided square-function brackets, scale-indexed gradient
 norms with computable error bounds, and convergence-rate fits.
 """
 
-from .space import SPHERE2, TORUS, SpaceDescriptor, ball_measure, distance, make_space, sample_uniform
+from .space import SPHERE2, TORUS, SpaceDescriptor, distance, make_space, sample_uniform
 from .partition import (Partition, PartitionReport, cell_contains, cell_sample,
                         sphere_zonal_partition, torus_grid_partition, verify_partition)
-from .kernel import CONST, RIESZ, ROUGH_RIESZ, KernelSpec, SingularPairError, regime_classify
+from .kernel import RIESZ, ROUGH_RIESZ, KernelSpec, SingularPairError, regime_classify
 from .sets import SetDescriptor, make_arc, make_box, make_cap, psi_tube_measure
 from .funcs import TestFunction, make_function
 from .cubature import ErrorStats, draw_nodes, estimate_BN

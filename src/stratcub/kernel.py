@@ -1,6 +1,6 @@
 """Radial kernels defining the potential-space unit balls.
 
-Two production families plus a diagnostic stub:
+Two families:
 
 * ``riesz``: ``Phi(x, y) = t^(alpha - d)`` with ``t = dist(x, y)``, the model
   kernel of fractional smoothness ``alpha``; its Hoelder exponent is 1.
@@ -12,7 +12,6 @@ Two production families plus a diagnostic stub:
   A plain additive power term ``kappa * t^eps`` does not work here: away
   from the origin it is smooth, so it also satisfies the exponent-1
   smoothness bound and the error keeps the sub-regime rate ``N^(-alpha/d)``.
-* ``const``: ``Phi == kappa``, used as a degenerate control in tests.
 
 Evaluations at distances below ``SINGULAR_TOL`` raise; Monte Carlo callers
 redraw such samples (a measure-zero event at any realistic budget).
@@ -38,7 +37,6 @@ from .space import TORUS, SpaceDescriptor
 
 RIESZ = "riesz"
 ROUGH_RIESZ = "rough_riesz"
-CONST = "const"
 
 SINGULAR_TOL = 1e-12
 # terms of the rough family's lacunary cosine series
@@ -67,12 +65,10 @@ class KernelSpec:
     kappa: float = 0.0
 
     def __post_init__(self):
-        if self.family not in (RIESZ, ROUGH_RIESZ, CONST):
+        if self.family not in (RIESZ, ROUGH_RIESZ):
             raise ValueError(f"unknown kernel family {self.family!r}")
         if not math.isfinite(self.kappa):
             raise ValueError(f"kappa must be finite, got {self.kappa}")
-        if self.family == CONST:
-            return
         if not 0.0 < self.alpha < self.d:
             raise ValueError(f"need 0 < alpha < d, got alpha={self.alpha}, d={self.d}")
         if not 0.0 < self.eps <= 1.0:
@@ -114,17 +110,14 @@ def kernel_profile(spec: KernelSpec, t, out: np.ndarray | None = None):
 
     ``out`` may be ``t`` itself, so a caller that owns its distance table
     evaluates the kernel in place; a missing ``out`` is allocated.  Raises
-    ``SingularPairError`` if any distance is below ``SINGULAR_TOL`` (for the
-    singular families), before anything is written.  The power is taken with
-    in-place ``**=``, which takes the same special paths (exponents -1, 0.5
-    and 2) as ``t ** (alpha - d)``, so the values equal it bit for bit.
+    ``SingularPairError`` if any distance is below ``SINGULAR_TOL``, before
+    anything is written.  The power is taken with in-place ``**=``, which
+    takes the same special paths (exponents -1, 0.5 and 2) as
+    ``t ** (alpha - d)``, so the values equal it bit for bit.
     """
     t = np.asarray(t, dtype=float)
     if out is None:
         out = np.empty_like(t)
-    if spec.family == CONST:
-        out.fill(spec.kappa)
-        return out if out.ndim else out[()]
     if np.any(t < SINGULAR_TOL):
         raise SingularPairError("kernel evaluated at coincident points")
     # the rough term reads t, so it is taken before the power may overwrite t
@@ -186,8 +179,6 @@ def total_integral(spec: KernelSpec, space: SpaceDescriptor) -> float:
     series.  Both arguments are frozen dataclasses, so the value is cached
     per (spec, space) instead of being recomputed for every draw.
     """
-    if spec.family == CONST:
-        return spec.kappa * space.total_measure
     a, d = spec.alpha, space.d
     rough = [(spec.kappa * 2.0 ** (-spec.eps * m), 2.0 * math.pi * 2.0 ** m)
              for m in range(N_SCALES)] if spec.kappa else []
@@ -214,8 +205,6 @@ def regime_classify(spec: KernelSpec) -> str:
     """Rate regime of the kernel: ``sub`` (alpha < d/2 + eps, rate -alpha/d),
     ``saturated`` (alpha > d/2 + eps, rate -1/2 - eps/d), or ``critical``
     (equality to 1e-12, rate carries a log factor)."""
-    if spec.family == CONST:
-        raise ValueError("constant stub has no rate regime")
     threshold = spec.d / 2.0 + spec.eps
     if abs(spec.alpha - threshold) <= 1e-12:
         return "critical"

@@ -56,6 +56,8 @@ def mz_pair(f: TestFunction, partition: Partition, p: float, n_draws: int,
     samples per cell.
     Standard errors and the ratio's standard error are draw-jackknives
     (middle and bracket share draws, so the ratio is jackknifed directly).
+    The report is degenerate, with no ratio, when the bracket is below
+    ``DEGENERATE_TOL`` or fewer than two draws have a nonzero bracket.
     Draw k's nodes are run k of the stream ``(seed, MZ)``, one node per cell,
     taken and evaluated a block of draws at a time (``cubature.value_blocks``).
     """
@@ -75,7 +77,7 @@ def mz_pair(f: TestFunction, partition: Partition, p: float, n_draws: int,
     power = 1.0 / p
     middle, middle_se = jackknife_power_mean(mid_pow, power)
     bracket, bracket_se = jackknife_power_mean(brk_pow, power)
-    degenerate = bracket < DEGENERATE_TOL
+    degenerate = bracket < DEGENERATE_TOL or np.count_nonzero(brk_pow) < 2
     ratio, ratio_se = (math.nan, math.nan) if degenerate else jackknife(
         lambda m, b: m ** power / b ** power, mid_pow, brk_pow)
     return MzReport(middle, middle_se, bracket, bracket_se, ratio, ratio_se, degenerate)

@@ -330,16 +330,14 @@ def _in_boxes(partition: Partition, ids, chart: list[np.ndarray]) -> np.ndarray:
 
 
 def cell_sample(partition: Partition, j: int, rng: np.random.Generator,
-                n: int | None = None):
-    """Uniform sample from the measure restricted to cell j.
+                n: int) -> np.ndarray:
+    """n uniform points from the measure restricted to cell j; returns (n, dim).
 
     The cell's chart box is sampled uniformly, which is the restricted
     measure on both spaces (area is d(-z) d(lon) on the sphere).
     """
     check_cell(partition, j)
-    size = 1 if n is None else int(n)
-    pts = cell_points(partition, rng, size, slice(j, j + 1))[0]
-    return pts[0] if n is None else pts
+    return cell_points(partition, rng, n, slice(j, j + 1))[0]
 
 
 def cell_points(partition: Partition, rng: np.random.Generator, m: int,

@@ -8,7 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .partition import check_count
+
+# residual resamples behind a fit's slope CI
+N_BOOT = 1000
 
 
 @dataclass
@@ -19,16 +21,15 @@ class RateFit:
     slope_ci: tuple[float, float]  # residual-bootstrap 95%
 
 
-def rate_fit(points, n_boot: int = 1000, seed: int = 0) -> RateFit:
+def rate_fit(points, seed: int = 0) -> RateFit:
     """Ordinary least squares of log(value) on log(N).
 
     ``points`` are (N, value, stderr) triples; the fit reads N and the
     value only, so a stderr may be None.  Needs at least 4 points, every N
     finite and > 0 with at least two of them distinct, and finite values
-    > 0; the slope CI comes from ``n_boot`` residual resamples (percentile
-    95%), drawn as one (n_boot, points) table.
+    > 0; the slope CI comes from ``N_BOOT`` residual resamples (percentile
+    95%), drawn as one (N_BOOT, points) table.
     """
-    check_count("n_boot", n_boot, 2)
     pts = [(float(n), float(v)) for n, v, _ in points]
     if len(pts) < 4:
         raise ValueError(f"rate fit needs >= 4 points, got {len(pts)}")
@@ -49,7 +50,7 @@ def rate_fit(points, n_boot: int = 1000, seed: int = 0) -> RateFit:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     rng = rngmod.substream(seed, rngmod.BOOT)
-    y_b = fitted + rng.choice(resid, size=(n_boot, len(resid)), replace=True)
+    y_b = fitted + rng.choice(resid, size=(N_BOOT, len(resid)), replace=True)
     slopes, _ = _ols(x, y_b)
     lo, hi = np.percentile(slopes, [2.5, 97.5])
     return RateFit(slope, intercept, r2, (float(min(lo, slope)), float(max(hi, slope))))

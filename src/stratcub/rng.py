@@ -38,7 +38,7 @@ _MASK64 = (1 << 64) - 1
 
 # Context tags used to derive streams.  Values are part of the
 # reproducibility contract: changing them changes all sampled numbers.
-# The gaps (2, 15) are tags that were removed unused.
+# The gaps (2, 12, 15) are tags that were removed unused.
 NODES = 1
 WCE_Y = 3
 WCE_Z = 4
@@ -49,7 +49,6 @@ PROBE = 8
 MZ = 9
 BOOT = 10
 VERIFY = 11
-BOUNDS = 12
 POINCARE = 13
 SELFTEST = 14
 WCE_OP = 16

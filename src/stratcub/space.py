@@ -161,28 +161,12 @@ def box_distance(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.maximum(diff - (hi - lo) / 2.0, 0.0).max(axis=1)
 
 
-def ball_measure(space: SpaceDescriptor, center, r: float) -> float:
-    """Measure of the metric ball B(center, r); closed form on both spaces.
-
-    Both spaces are homogeneous, so the center does not enter the value; it
-    is kept in the signature for interface symmetry.
-    """
-    if r < 0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
+def sample_uniform(space: SpaceDescriptor, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n points from the normalized measure; returns (n, dim)."""
     if space.kind == TORUS:
-        return min(2.0 * r, 1.0) ** space.d
-    return 2.0 * math.pi * (1.0 - math.cos(min(r, math.pi)))
-
-
-def sample_uniform(space: SpaceDescriptor, rng: np.random.Generator, n: int | None = None):
-    """Sample points from the normalized measure. ``n=None`` gives one point."""
-    size = 1 if n is None else int(n)
-    if space.kind == TORUS:
-        pts = rng.random((size, space.d))
-    else:
-        z = 1.0 - 2.0 * rng.random(size)
-        pts = sphere_point(z, 2.0 * math.pi * rng.random(size))
-    return pts[0] if n is None else pts
+        return rng.random((n, space.d))
+    z = 1.0 - 2.0 * rng.random(n)
+    return sphere_point(z, 2.0 * math.pi * rng.random(n))
 
 
 def sphere_point(z: np.ndarray, lon: np.ndarray) -> np.ndarray:

@@ -45,7 +45,7 @@ import numpy as np
 from . import rng as rngmod
 from .cubature import (ErrorStats, draw_nodes, jackknife, jackknife_power_mean, run_indexed,
                        sample_all_cells)
-from .kernel import (CONST, RIESZ, ROUGH_RIESZ, SINGULAR_TOL, KernelSpec, SingularPairError,
+from .kernel import (RIESZ, ROUGH_RIESZ, SINGULAR_TOL, KernelSpec, SingularPairError,
                      kernel_profile, regime_classify, rough_potential, total_integral)
 from .partition import Partition, cell_boundary_distance, cell_points, check_count, check_real
 from .space import (L2_BLOCK, TORUS, SpaceDescriptor, distance, pairwise_distance,
@@ -76,12 +76,11 @@ def check_exponents(kernel: KernelSpec, d: int, p: float) -> None:
     if not p > 1:
         raise ValueError("p must lie in (1, inf]; the p = 1 endpoint is "
                          "not Monte Carlo estimable (sup norm)")
-    if kernel.family != CONST:
-        if kernel.d != d:
-            raise ValueError("kernel and space dimension disagree")
-        if kernel.alpha <= d / p:
-            raise ValueError(f"integrability needs alpha > d/p, got alpha={kernel.alpha}, "
-                             f"d/p={d / p}")
+    if kernel.d != d:
+        raise ValueError("kernel and space dimension disagree")
+    if kernel.alpha <= d / p:
+        raise ValueError(f"integrability needs alpha > d/p, got alpha={kernel.alpha}, "
+                         f"d/p={d / p}")
 
 
 @dataclass(frozen=True)
@@ -360,7 +359,6 @@ def run_report(cfg: WceConfig) -> WceReport:
     its A_N node tables reuse the node-table buffer.
     """
     n = cfg.n_draws
-    regime = regime_classify(cfg.kernel)  # raises for the constant stub, before any draw
 
     def make_task():
         tasks = []  # this thread's Delta and A_N tasks, built on its first draw
@@ -381,7 +379,7 @@ def run_report(cfg: WceConfig) -> WceReport:
         a_n=_draw_moment(cfg, values[n + 1:]),
         delta=_draw_moment(cfg, values[1:n + 1]),
         gamma=values[0],
-        regime=regime,
+        regime=regime_classify(cfg.kernel),
     )
 
 
@@ -399,14 +397,12 @@ def wq_reference(cfg: WceConfig, nodes: np.ndarray) -> float:
     alpha) makes the owner's t^(alpha - 1) dt smooth in u; the other pieces
     are linear in u.  The owner's distance is t itself, below
     ``SINGULAR_TOL`` near the node, so its power is taken from t.  Takes a
-    Riesz kernel, a rough one with kappa = 0, or the constant stub (F = 0).
+    Riesz kernel or a rough one with kappa = 0.
     """
     space = cfg.partition.space
     kern = cfg.kernel
     if space.kind != TORUS or space.d != 1:
         raise ValueError("the per-draw reference is implemented on T^1 only")
-    if kern.family == CONST:
-        return 0.0
     if kern.kappa != 0.0:  # the lacunary term oscillates up to 2^19, past the panels
         raise ValueError("the per-draw reference needs kappa = 0")
     order = np.argsort(nodes[:, 0], kind="stable")
@@ -468,10 +464,7 @@ def lower_hypothesis_probe(cfg: WceConfig, n_pairs: int) -> ProbeReport:
     kern = cfg.kernel
     check_count("n_pairs", n_pairs, 1)
     rng = rngmod.substream(cfg.seed, rngmod.PROBE, part.N)
-    if kern.family == CONST:
-        alpha, eps, d = 0.5, 1.0, space.d
-    else:
-        alpha, eps, d = kern.alpha, kern.eps, kern.d
+    alpha, eps, d = kern.alpha, kern.eps, kern.d
     j = rng.integers(part.N, size=n_pairs)
     z = cell_points(part, rng, 1, j)[:, 0]
     x = cell_points(part, rng, 32, j)

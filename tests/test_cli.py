@@ -79,7 +79,7 @@ def test_cli_verify_smoke(tmp_path, capsys):
     (["wce", "--p", "1"], "p must lie in (1, inf]"),
     (["wce", "--alpha", "1.5"], "need 0 < alpha < d, got alpha=1.5, d=1"),
     (["wce", "--alpha", "0.3", "--p", "2"], "integrability needs alpha > d/p"),
-    (["wce", "--family", "const"], "constant stub has no rate regime"),
+    (["wce", "--family", "const"], "unknown kernel family 'const'"),
     (["besov", "--p", "inf"], "p = inf is for wce experiments only"),
     (["besov", "--dim", "2", "--n", "4", "8", "16", "32"], "N=8 is not a d=2 grid size"),
     (["partition", "--space", "sphere2", "--dim", "2", "--n", "1", "4"],

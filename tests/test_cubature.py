@@ -22,7 +22,6 @@ from stratcub.mz import M_CELL, mz_pair
 from stratcub.kernel import RIESZ, KernelSpec
 from stratcub.partition import (cell_contains, cell_points, sphere_zonal_partition,
                                 stream_points, torus_grid_partition, verify_partition)
-from stratcub.rates import rate_fit
 from stratcub.sets import make_arc, make_box, make_cap
 from stratcub.space import L2_BLOCK, SPHERE2, TORUS, make_space
 from stratcub.wce import WceConfig, lower_hypothesis_probe
@@ -277,8 +276,6 @@ BAD_COUNTS = {
     "probe-no-pairs": ("n_pairs", lambda: lower_hypothesis_probe(
         WceConfig(torus_grid_partition(T1, 32), KernelSpec(RIESZ, alpha=0.75, d=1), p=2.0,
                   n_draws=4), 0)),
-    "rate_fit-float-resamples": ("n_boot", lambda: rate_fit(
-        [(n, 1.0 / n, 0.0) for n in (8, 16, 32, 64)], n_boot=10.5)),
 }
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratcub import cubature, experiments, wce
+from stratcub import cubature, experiments, rates, wce
 from stratcub import rng as rngmod
 from stratcub.experiments import (CSV_FIELDS, ExperimentConfig, build_partition,
                                   run_experiment, to_json)
@@ -36,7 +36,7 @@ def test_rate_fit_reads_no_standard_error():
 @settings(derandomize=True, max_examples=50)
 def test_rate_fit_recovers_random_exponent(slope, c):
     pts = [(n, c * n ** slope, 0.0) for n in (8, 16, 32, 64, 128)]
-    fit = rate_fit(pts, n_boot=50)
+    fit = rate_fit(pts)
     assert fit.slope == pytest.approx(slope, abs=1e-9)
 
 
@@ -98,20 +98,14 @@ def _rate_fit_per_resample(points, n_boot, seed):
 @pytest.mark.parametrize("n_points", [4, 6])
 @pytest.mark.parametrize("seed", [0, 12345])
 @pytest.mark.parametrize("n_boot", [50, 1000])
-def test_rate_fit_matches_per_resample_bootstrap(n_points, seed, n_boot):
+def test_rate_fit_matches_per_resample_bootstrap(n_points, seed, n_boot, monkeypatch):
+    monkeypatch.setattr(rates, "N_BOOT", n_boot)
     rng = rngmod.substream(seed, rngmod.SELFTEST, n_points)
     ns = 8 * 2 ** np.arange(n_points)
     values = ns ** -0.6 * rng.uniform(0.5, 2.0, n_points)
     pts = [(int(n), float(v), 0.01) for n, v in zip(ns, values)]
-    assert repr(rate_fit(pts, n_boot=n_boot, seed=seed)) == repr(
+    assert repr(rate_fit(pts, seed=seed)) == repr(
         _rate_fit_per_resample(pts, n_boot, seed))
-
-
-@pytest.mark.parametrize("n_boot", [-1, 0, 1])
-def test_rate_fit_rejects_fewer_than_two_resamples(n_boot):
-    pts = [(n, 1.0 / n, 0.0) for n in (8, 16, 32, 64)]
-    with pytest.raises(ValueError, match="n_boot"):
-        rate_fit(pts, n_boot=n_boot)
 
 
 def test_regime_classification_cases():
@@ -337,7 +331,7 @@ def test_config_validation():
                          ({"alpha": 0.3}, "integrability needs alpha > d/p"),
                          ({"dim": 2, "n_list": (16, 64, 256, 1024)},
                           "integrability needs alpha > d/p"),
-                         ({"family": "const"}, "constant stub has no rate regime"),
+                         ({"family": "const"}, "unknown kernel family 'const'"),
                          ({"family": "nonesuch"}, "unknown kernel family")):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(kind="wce", **bad)
@@ -394,6 +388,23 @@ def test_run_experiment_deterministic_and_worker_independent(tmp_path):
         run_experiment(ExperimentConfig(**base, out=str(out), workers=workers))
         paths.append(Path(str(out) + ".csv").read_bytes())
     assert paths[0] == paths[1] == paths[2] == paths[3]
+
+
+def test_run_experiment_replaces_existing_outputs(tmp_path):
+    # a longer file at one stem and a symlink at the other end up as the
+    # bytes of a fresh run; the symlink's target is not written through
+    base = dict(kind="besov", n_list=(8, 16, 32, 64), n_draws=20, seed=4)
+    run_experiment(ExperimentConfig(**base, out=str(tmp_path / "fresh")))
+    target = tmp_path / "target"
+    target.write_text("kept")
+    Path(str(tmp_path / "old") + ".csv").write_text("x" * 100_000)
+    Path(str(tmp_path / "old") + ".json").symlink_to(target)
+    run_experiment(ExperimentConfig(**base, out=str(tmp_path / "old")))
+    for suffix in (".csv", ".json"):
+        old = Path(str(tmp_path / "old") + suffix)
+        assert not old.is_symlink()
+        assert old.read_bytes() == Path(str(tmp_path / "fresh") + suffix).read_bytes()
+    assert target.read_text() == "kept"
 
 
 def test_critical_regime_note_no_verdict():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stratcub import rng as rngmod
-from stratcub.kernel import (CONST, N_SCALES, RIESZ, ROUGH_RIESZ, SINGULAR_TOL, KernelSpec,
+from stratcub.kernel import (N_SCALES, RIESZ, ROUGH_RIESZ, SINGULAR_TOL, KernelSpec,
                              SingularPairError, kernel_profile, regime_classify, rough_potential,
                              rough_series)
 from stratcub.partition import torus_grid_partition
@@ -18,6 +18,8 @@ S2 = make_space(SPHERE2)
 
 RIESZ06 = KernelSpec(RIESZ, alpha=0.6, d=1)
 ROUGH = KernelSpec(ROUGH_RIESZ, alpha=0.9, d=1, eps=0.25, kappa=1.0)
+# the stream tag of the bounds checks below; no package stream uses 12
+BOUNDS = 12
 
 
 def test_riesz_eval_example():
@@ -108,8 +110,7 @@ def test_singularity_raises():
     KernelSpec(RIESZ, alpha=0.5, d=1),  # -0.5
     RIESZ06,  # a generic exponent
     ROUGH,
-    KernelSpec(CONST, kappa=2.0),
-], ids=["riesz-1", "riesz-0.5", "riesz-0.4", "rough", "const"])
+], ids=["riesz-1", "riesz-0.5", "riesz-0.4", "rough"])
 def test_kernel_profile_in_place_equals_fresh(spec):
     t = 0.5 * rngmod.substream(3, rngmod.SELFTEST, 3).random((7, 33)) + 1e-3
     fresh = kernel_profile(spec, t)
@@ -136,8 +137,9 @@ def test_spec_validation():
         KernelSpec(RIESZ, alpha=1.5, d=1)
     with pytest.raises(ValueError):
         KernelSpec(ROUGH_RIESZ, alpha=0.5, d=1, eps=1.5)
-    with pytest.raises(ValueError):
-        KernelSpec("bessel", alpha=0.5, d=1)
+    for family in ("bessel", "const"):
+        with pytest.raises(ValueError, match=f"unknown kernel family '{family}'"):
+            KernelSpec(family, alpha=0.5, d=1)
     with pytest.raises(ValueError):
         KernelSpec(RIESZ, alpha=0.5, d=1, kappa=1.0)
 
@@ -156,8 +158,8 @@ def test_rough_kappa_zero_reduces_to_riesz():
     degenerate = KernelSpec(ROUGH_RIESZ, alpha=0.6, d=1, eps=1.0, kappa=0.0)
     t = np.linspace(0.01, 0.5, 50)
     assert np.array_equal(kernel_profile(plain, t), kernel_profile(degenerate, t))
-    r1 = kernel_bounds_check(plain, T1, 2000, rngmod.substream(1, rngmod.BOUNDS))
-    r2 = kernel_bounds_check(degenerate, T1, 2000, rngmod.substream(1, rngmod.BOUNDS))
+    r1 = kernel_bounds_check(plain, T1, 2000, rngmod.substream(1, BOUNDS))
+    r2 = kernel_bounds_check(degenerate, T1, 2000, rngmod.substream(1, BOUNDS))
     assert r1.diff_ratio_max == r2.diff_ratio_max
 
 
@@ -169,13 +171,6 @@ def test_cell_kernel_mean_closed_form():
     est = _cell_means(cfg, rng, np.array([[0.75]]))[0, 0]
     oracle = (4.0 / 0.6) * (0.5 ** 0.6 - 0.25 ** 0.6)
     assert est == pytest.approx(oracle, rel=0.01)
-
-
-def test_cell_kernel_mean_constant_stub():
-    part = torus_grid_partition(T1, 4)
-    cfg = WceConfig(part, KernelSpec(CONST, kappa=1.0), 2.0, m_z=8)
-    rng = rngmod.substream(0, rngmod.SELFTEST, 2)
-    assert _cell_means(cfg, rng, np.array([[0.9]]))[1, 0] == 1.0
 
 
 def test_cell_kernel_mean_replicas_independent():
@@ -257,12 +252,12 @@ def _offset_points(space: SpaceDescriptor, x: np.ndarray, h: np.ndarray,
 
 
 def test_bounds_check_positive_controls():
-    r1 = kernel_bounds_check(RIESZ06, T1, 20_000, rngmod.substream(1, rngmod.BOUNDS, 1))
-    r2 = kernel_bounds_check(RIESZ06, T1, 40_000, rngmod.substream(1, rngmod.BOUNDS, 2))
+    r1 = kernel_bounds_check(RIESZ06, T1, 20_000, rngmod.substream(1, BOUNDS, 1))
+    r2 = kernel_bounds_check(RIESZ06, T1, 40_000, rngmod.substream(1, BOUNDS, 2))
     assert r1.diff_ratio_max < 5.0
     assert r2.diff_ratio_max < 2.0 * r1.diff_ratio_max  # no growth when doubling
     assert r1.size_ratio_max <= size_bound_constant(RIESZ06, T1) + 1e-9
-    w = kernel_bounds_check(ROUGH, T1, 20_000, rngmod.substream(1, rngmod.BOUNDS, 3))
+    w = kernel_bounds_check(ROUGH, T1, 20_000, rngmod.substream(1, BOUNDS, 3))
     assert w.diff_ratio_max < 50.0
     assert w.size_ratio_max <= size_bound_constant(ROUGH, T1) + 1e-9
 
@@ -270,9 +265,9 @@ def test_bounds_check_positive_controls():
 def test_bounds_check_negative_control():
     # declaring eps = 1 for the eps = 0.25 kernel: ratio grows >= 10x when the
     # offset scale shrinks 100x
-    coarse = kernel_bounds_check(ROUGH, T1, 20_000, rngmod.substream(2, rngmod.BOUNDS, 1),
+    coarse = kernel_bounds_check(ROUGH, T1, 20_000, rngmod.substream(2, BOUNDS, 1),
                                  offset_range=(1e-3, 1e-1), eps_declared=1.0)
-    fine = kernel_bounds_check(ROUGH, T1, 20_000, rngmod.substream(2, rngmod.BOUNDS, 2),
+    fine = kernel_bounds_check(ROUGH, T1, 20_000, rngmod.substream(2, BOUNDS, 2),
                                offset_range=(1e-5, 1e-3), eps_declared=1.0)
     assert fine.diff_ratio_max >= 10.0 * coarse.diff_ratio_max
 

@@ -5,6 +5,7 @@ import pytest
 from stream_runs import StreamRun
 
 from stratcub import rng as rngmod
+from stratcub.besov import sharpness_fn
 from stratcub.funcs import (cone_bump_fn, constant_fn, coordinate_fn, indicator_fn,
                             square_wave_fn, zonal_monomial_fn)
 from stratcub.experiments import ExperimentConfig, run_experiment
@@ -51,6 +52,17 @@ def test_constant_function_degenerate():
     rep = mz_pair(constant_fn(T1, 2.0), part, p=2.0, n_draws=100, seed=1)
     assert rep.degenerate
     assert math.isnan(rep.ratio)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_one_nonzero_bracket_is_degenerate():
+    # one draw of 40 carries the whole bracket, so leaving it out gives a
+    # 0/0 ratio: the report is degenerate instead of a ratio with a NaN SE
+    part = sphere_zonal_partition(S2, 16)
+    rep = mz_pair(sharpness_fn(part, 3), part, 3.0, 40, 5)
+    assert rep.bracket > 0
+    assert rep.degenerate
+    assert math.isnan(rep.ratio) and math.isnan(rep.ratio_se)
 
 
 def test_mc_cell_mean_fallback():

@@ -92,10 +92,10 @@ def test_cell_sample_containment_and_determinism():
     part = torus_grid_partition(T2, 4)
     pts = cell_sample(part, 5, rngmod.substream(1, 2, 3), 200)
     assert np.all(cell_contains(part, 5, pts))
-    a = cell_sample(part, 5, rngmod.substream(9, 9))
-    b = cell_sample(part, 5, rngmod.substream(9, 9))
+    a = cell_sample(part, 5, rngmod.substream(9, 9), 1)[0]
+    b = cell_sample(part, 5, rngmod.substream(9, 9), 1)[0]
     assert np.array_equal(a, b)
-    assert np.array_equal(cell_sample(part, np.int64(5), rngmod.substream(9, 9)), a)
+    assert np.array_equal(cell_sample(part, np.int64(5), rngmod.substream(9, 9), 1)[0], a)
 
 
 @pytest.mark.parametrize("j", [-1, 8, 1.0, True])

@@ -13,8 +13,8 @@ from stratcub import cubature, kernel, partition
 from stratcub import rng as rngmod
 from stratcub import wce
 from stratcub.cubature import draw_nodes, jackknife_power_mean, sample_all_cells
-from stratcub.kernel import (CONST, RIESZ, ROUGH_RIESZ, SINGULAR_TOL, KernelSpec,
-                             kernel_profile, rough_series, total_integral)
+from stratcub.kernel import (RIESZ, ROUGH_RIESZ, SINGULAR_TOL, KernelSpec, kernel_profile,
+                             rough_series, total_integral)
 from stratcub.partition import sphere_zonal_partition, torus_grid_partition
 from stratcub.space import (L2_BLOCK, SPHERE2, TORUS, distance, make_space,
                             pairwise_distance, sample_uniform)
@@ -28,7 +28,6 @@ PART4 = torus_grid_partition(T1, 4)
 RIESZ06 = KernelSpec(RIESZ, alpha=0.6, d=1)
 RIESZ75 = KernelSpec(RIESZ, alpha=0.75, d=1)
 ROUGH09 = KernelSpec(ROUGH_RIESZ, alpha=0.9, d=1, eps=0.25, kappa=1.0)
-STUB = KernelSpec(CONST, kappa=2.0)
 
 MID_NODES1 = np.array([[0.5]])  # the single cell's midpoint
 
@@ -91,13 +90,6 @@ def test_dual_density_single_cell_oracle():
     assert F == pytest.approx(oracle, abs=0.02)
 
 
-def test_dual_density_constant_stub_is_zero():
-    cfg = _cfg(PART1, STUB)
-    rng = rngmod.substream(2, rngmod.SELFTEST)
-    F = _dual_density(cfg, MID_NODES1, np.array([0.9]), rng)
-    assert F == pytest.approx(0.0, abs=1e-14)
-
-
 def test_dual_density_antipodal_symmetry():
     # y diametrically opposite the single node: distances z -> y mirror
     # around the node, so the cell mean equals ... F = Phi(1/2) - mean != 0;
@@ -108,11 +100,6 @@ def test_dual_density_antipodal_symmetry():
     F = _dual_density(cfg, MID_NODES1, np.array([0.0]), rng)
     oracle = 0.5 ** -0.4 - (2.0 / 0.6) * 0.5 ** 0.6
     assert F == pytest.approx(oracle, abs=0.02)
-
-
-def test_worst_case_error_constant_stub_zero():
-    cfg = _cfg(PART4, STUB)
-    assert worst_case_error(cfg, draw_nodes(PART4, 1), 0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_worst_case_error_single_cell_grid_oracle():
@@ -162,11 +149,6 @@ def test_worst_case_error_permutation_invariant():
     assert abs(base_reps.mean() - perm_reps.mean()) <= 4 * se
 
 
-def test_estimate_an_constant_stub_zero():
-    cfg = _cfg(PART4, STUB, n_draws=10)
-    assert estimate_AN(cfg).moment == pytest.approx(0.0, abs=1e-12)
-
-
 def test_est2_identity_p2():
     for N in (8, 16):
         part = torus_grid_partition(T1, N)
@@ -186,22 +168,12 @@ def test_est1_ordering(p):
     assert g.moment > 0
 
 
-def test_gamma_constant_stub_zero():
-    cfg = _cfg(PART4, STUB, gamma_pairs=64, n_draws=4)
-    assert gamma_phi(cfg).moment == pytest.approx(0.0, abs=1e-12)
-
-
 def test_gamma_single_cell_reduces_to_an():
     # with one cell the sum collapses: Gamma equals the draw q-mean exactly
     cfg = _cfg(PART1, RIESZ75, m_y=512, m_z=16, n_draws=200, gamma_pairs=4096)
     a = estimate_AN(cfg)
     g = gamma_phi(cfg)
     assert abs(a.moment - g.moment) <= 3 * (a.stderr + g.stderr)
-
-
-def test_delta_constant_stub_zero():
-    cfg = _cfg(PART4, STUB, n_draws=8)
-    assert delta_phi(cfg).moment == pytest.approx(0.0, abs=1e-12)
 
 
 # five kernels spanning T^1..T^3 and S^2, plain and rough
@@ -274,10 +246,6 @@ def test_reference_single_cell_closed_form(alpha):
     exact = 2.0 * 0.5 ** (2 * alpha - 1) / (2 * alpha - 1) - total_integral(kern, T1) ** 2
     got = wq_reference(_cfg(PART1, kern), MID_NODES1)
     assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
-
-
-def test_reference_constant_stub_is_zero():
-    assert wq_reference(_cfg(PART4, STUB), draw_nodes(PART4, 2)) == 0.0
 
 
 def test_reference_permutation_invariant():
@@ -357,13 +325,6 @@ def test_probe_positive_and_stable_off_the_circle(space, n_list):
         assert rep.min_ratio > 0 and rep.n_skipped == 0
         mins.append(rep.min_ratio)
     assert max(mins) / min(mins) <= 4.0
-
-
-def test_probe_constant_stub_fails_hypothesis():
-    part = torus_grid_partition(T1, 16)  # cells small enough for far y
-    cfg = _cfg(part, STUB, n_draws=4)
-    rep = lower_hypothesis_probe(cfg, 200)
-    assert rep.min_ratio == pytest.approx(0.0, abs=1e-12)
 
 
 def _cell_y_distances(space, Z, Y):
@@ -656,16 +617,6 @@ def test_results_do_not_depend_on_workers(monkeypatch, case):
         assert delta_phi(cfg) == serial.delta
         assert gamma_phi(cfg) == serial.gamma
         assert run_report(cfg) == serial
-
-
-def test_run_report_classifies_before_any_draw(monkeypatch):
-    # the constant stub has no regime; every draw used to run before that showed
-    def run(*args):
-        raise AssertionError("a draw ran before the regime was classified")
-
-    monkeypatch.setattr(wce, "run_indexed", run)
-    with pytest.raises(ValueError, match="constant stub has no rate regime"):
-        run_report(_cfg(PART4, STUB, n_draws=4))
 
 
 def test_run_report_runs_one_pool(monkeypatch):
